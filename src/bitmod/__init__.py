@@ -4,8 +4,9 @@ bit-serial accelerator (unified Booth / leading-one-decode term streams,
 PE pipeline, cycle and memory-traffic simulation)."""
 
 __version__ = "0.1.0"
+# The PE kernel is plain Python; recorded in outputs as the kernel backend.
+KERNEL_BACKEND = "pure"
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .dtype import (
     DataType,
     DataTypeSpec,

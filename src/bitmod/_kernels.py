@@ -1,7 +1,6 @@
-"""Pure-Python kernel for the bit-serial PE inner loop.
+"""The bit-serial PE inner loop, in plain Python integers.
 
-This is the fallback backend; ``bitmod._kernels._core`` is the compiled
-twin with identical, bit-exact semantics.  All arithmetic is integer:
+All arithmetic is integer:
 
 * lane product = 11-bit activation mantissa x 1-bit weight mantissa,
 * alignment right-shift to the max lane exponent with round-to-nearest-even
@@ -11,14 +10,11 @@ twin with identical, bit-exact semantics.  All arithmetic is integer:
   operand, then renormalization keeping the leading set bit of the 32-bit
   accumulator mantissa in bit window [24, 31].
 
-Activation scale convention: an FP16 operand with biased exponent a_e and
-11-bit mantissa a_m (hidden bit included) has value a_m * 2^(a_e - 25).
+Weights arrive as :class:`bitmod.bitserial.BitSerialTerm` objects and
+activations as :class:`bitmod.pe.Fp16Operand` objects; only their fields are
+read.  Activation scale convention: an FP16 operand with biased exponent a_e
+and 11-bit mantissa a_m (hidden bit included) has value a_m * 2^(a_e - 25).
 """
-
-BACKEND_NAME = "pure"
-
-_MANT_LO = 1 << 24
-_MANT_HI = 1 << 32
 
 
 def rne_rshift(p: int, s: int) -> int:
@@ -58,32 +54,32 @@ def normalize(m: int, e: int):
     return m, e
 
 
-def pe_cycle_core(m_acc, e_acc, w_sign, w_exp, w_man, bsig, a_sign, a_e, a_m):
+def pe_cycle_core(m_acc: int, e_acc: int, terms, acts):
     """One PE cycle: 4-way dot of bit-serial terms and FP16 activations.
 
-    Lane sequences have length 4.  Returns the updated (m_acc, e_acc).
+    ``terms`` and ``acts`` hold one entry per lane; the terms share one
+    bit-significance.  Returns the updated (m_acc, e_acc).
     """
     max_e = None
     prods = []
-    for i in range(4):
-        p = a_m[i] if w_man[i] else 0
-        if p:
-            lane_e = a_e[i] + w_exp[i]
-            prods.append((i, p, lane_e))
+    for w, a in zip(terms, acts):
+        if w.man and a.a_m:
+            lane_e = a.a_e + w.exp
+            prods.append((w.sign ^ a.sign, a.a_m, lane_e))
             if max_e is None or lane_e > max_e:
                 max_e = lane_e
     if not prods:
         return m_acc, e_acc
     tree = 0
-    for i, p, lane_e in prods:
+    for negative, p, lane_e in prods:
         mant = rne_rshift(p, max_e - lane_e)
-        if a_sign[i] ^ w_sign[i]:
+        if negative:
             tree -= mant
         else:
             tree += mant
     if tree == 0:
         return m_acc, e_acc
-    e_t = max_e + bsig - 25
+    e_t = max_e + terms[0].bsig - 25
     if m_acc == 0:
         return normalize(tree, e_t)
     if e_acc >= e_t:
@@ -91,39 +87,20 @@ def pe_cycle_core(m_acc, e_acc, w_sign, w_exp, w_man, bsig, a_sign, a_e, a_m):
     return normalize(rne_rshift_signed(m_acc, e_t - e_acc) + tree, e_t)
 
 
-def run_group_dot(w_sign, w_exp, w_man, w_bsig, a_sign, a_e, a_m,
-                  group_size, terms_per_code):
-    """Full group dot product over pre-encoded term arrays.
+def run_group_dot(terms, acts, terms_per_code: int):
+    """Full group dot product, before dequantization.
 
-    Term arrays are flat with layout [weight * terms_per_code + slot];
-    activation arrays have one entry per weight.  Returns the accumulator
-    (m_acc, e_acc) before dequantization.
+    ``terms[i]`` is the term list of weight i (``terms_per_code`` entries)
+    and ``acts[i]`` its activation.  Each group of 4 weights takes one cycle
+    per term slot.  Returns the accumulator (m_acc, e_acc).
     """
-    s = terms_per_code
-    # Plain Python ints throughout: no width limits, exact shifts.
-    w_sign = [int(v) for v in w_sign]
-    w_exp = [int(v) for v in w_exp]
-    w_man = [int(v) for v in w_man]
-    w_bsig = [int(v) for v in w_bsig]
-    a_sign = [int(v) for v in a_sign]
-    a_e = [int(v) for v in a_e]
-    a_m = [int(v) for v in a_m]
     m_acc, e_acc = 0, 0
-    for j in range(0, group_size, 4):
-        lanes = (j, j + 1, j + 2, j + 3)
-        asn = [a_sign[i] for i in lanes]
-        aee = [a_e[i] for i in lanes]
-        amm = [a_m[i] for i in lanes]
-        for t in range(s):
-            idx = [i * s + t for i in lanes]
+    for j in range(0, len(terms), 4):
+        lane_terms = terms[j:j + 4]
+        lane_acts = acts[j:j + 4]
+        for t in range(terms_per_code):
             m_acc, e_acc = pe_cycle_core(
-                m_acc, e_acc,
-                [w_sign[k] for k in idx],
-                [w_exp[k] for k in idx],
-                [w_man[k] for k in idx],
-                w_bsig[lanes[0] * s + t],
-                asn, aee, amm,
-            )
+                m_acc, e_acc, [w[t] for w in lane_terms], lane_acts)
     return m_acc, e_acc
 
 

@@ -168,6 +168,9 @@ def simulate_layer(layer: LayerShape, spec: DataTypeSpec,
     """Latency, traffic and energy of one GEMM on the bit-serial array."""
     if layer.m <= 0 or layer.k <= 0 or layer.n <= 0:
         raise ConfigError(f"non-positive GEMM dimension in {layer}")
+    if grouping.group_size % cfg.dot_width:
+        raise ConfigError(f"group size {grouping.group_size} not divisible "
+                          f"by dot width {cfg.dot_width}")
     if layer.repeat == 0:
         return SimReport()
     check_no_stall(spec, grouping, cfg)
@@ -259,6 +262,8 @@ def with_speedup(report: SimReport, baseline: SimReport) -> SimReport:
 
 _INT_KEYS = {"hidden", "ffn", "heads", "kv_heads", "blocks", "vocab",
              "ffn_gemms", "decode_tokens", "prefill_tokens"}
+# Token counts may be 0 (phase skipped); every other integer must be >= 1.
+_COUNT_KEYS = {"decode_tokens", "prefill_tokens"}
 
 
 def parse_shape_file(text: str) -> dict:
@@ -279,6 +284,10 @@ def parse_shape_file(text: str) -> dict:
             except ValueError:
                 raise ParseError(f"{key} must be an integer, got {val!r}",
                                  line=lineno) from None
+            lo = 0 if key in _COUNT_KEYS else 1
+            if values[key] < lo:
+                raise ParseError(f"{key} must be >= {lo}, got {val}",
+                                 line=lineno)
         elif key == "name":
             values[key] = val
         else:

@@ -14,15 +14,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 
-from . import __version__
+from . import KERNEL_BACKEND, __version__
 from . import archsim, packfile, synth
-from ._kernels import BACKEND
 from .bitserial import (
     SpecialValueRegister,
     booth_encode,
@@ -30,7 +29,7 @@ from .bitserial import (
     term_value_sum,
 )
 from .dtype import DataType, GroupingConfig, effective_grid, spec_for
-from .errors import BitmodError, TooManySetBits
+from .errors import BitmodError, ConfigError, TooManySetBits
 from .quant import (
     dequantize_tensor,
     error_report,
@@ -48,7 +47,7 @@ SIM_COLUMNS = [
 def _resolved_config(args: argparse.Namespace) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg["version"] = __version__
-    cfg["kernel_backend"] = BACKEND
+    cfg["kernel_backend"] = KERNEL_BACKEND
     return cfg
 
 
@@ -234,7 +233,15 @@ def _load_arch_config(path: str | None) -> archsim.ArchConfig:
     if not path:
         return archsim.ArchConfig()
     with open(path) as fh:
-        overrides = json.load(fh)
+        try:
+            overrides = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{path}: expected a JSON object of ArchConfig keys")
+    unknown = set(overrides) - {f.name for f in fields(archsim.ArchConfig)}
+    if unknown:
+        raise ConfigError(f"{path}: unknown ArchConfig keys {sorted(unknown)}")
     return replace(archsim.ArchConfig(), **overrides)
 
 
@@ -300,7 +307,11 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_pack(args) -> int:
-    tensor = _load_npy(args.tensor)
+    try:
+        tensor = _load_npy(args.tensor)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     spec = spec_for(args.dtype)
     grouping = GroupingConfig(group_size=args.group_size,
                               channel_size=tensor.shape[1],
@@ -327,6 +338,25 @@ def cmd_unpack(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _int_at_least(value: str, lo: int) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {value!r}") from None
+    if n < lo:
+        raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+    return n
+
+
+def _positive_int(value: str) -> int:
+    return _int_at_least(value, 1)
+
+
+def _nonnegative_int(value: str) -> int:
+    return _int_at_least(value, 0)
+
+
 def _shape_pair(value: str):
     try:
         k, d = value.lower().split("x")
@@ -340,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Per-group adaptive quantization "
                                             "and bit-serial accelerator model")
     p.add_argument("--version", action="version",
-                   version=f"bitmod {__version__} (kernel backend: {BACKEND})")
+                   version=f"bitmod {__version__} "
+                           f"(kernel backend: {KERNEL_BACKEND})")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, fmt=True):
@@ -360,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dtype", dest="dtypes", type=_dtype_list,
                    default=[DataType.FP3_BITMOD, DataType.FP3_BASIC],
                    help="comma-separated data types")
-    q.add_argument("--group-size", type=int, default=128)
-    q.add_argument("--seed", type=int, default=synth.DEFAULT_SEED)
+    q.add_argument("--group-size", type=_positive_int, default=128)
     common(q)
     q.set_defaults(func=cmd_quant_eval)
 
@@ -378,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dtype", dest="dtypes", type=_dtype_list,
                    default=[DataType.INT6_SYM],
                    help="comma-separated data types")
-    s.add_argument("--group-size", type=int, default=128)
-    s.add_argument("--prefill-tokens", type=int, default=256)
-    s.add_argument("--decode-tokens", type=int, default=0)
+    s.add_argument("--group-size", type=_positive_int, default=128)
+    s.add_argument("--prefill-tokens", type=_nonnegative_int, default=256)
+    s.add_argument("--decode-tokens", type=_nonnegative_int, default=0)
     s.add_argument("--config", default=None, help="JSON ArchConfig overrides")
     common(s)
     s.set_defaults(func=cmd_simulate)
@@ -388,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("pack", help="quantize a tensor into a BMOD file")
     pk.add_argument("tensor", help="NPY tensor file")
     pk.add_argument("--dtype", default="FP3_BITMOD")
-    pk.add_argument("--group-size", type=int, default=128)
+    pk.add_argument("--group-size", type=_positive_int, default=128)
     pk.add_argument("--out", required=True)
     pk.set_defaults(func=cmd_pack)
 
@@ -403,7 +433,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BitmodError as exc:
+    except (BitmodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import EmptyGrid, InvalidSpecialValueIndex
 
@@ -68,6 +69,12 @@ class DataTypeSpec:
     @property
     def sv_bits(self) -> int:
         return 2 if self.is_bitmod else 0
+
+    @cached_property
+    def grids(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Sorted grid per special value, or ``(basic_values,)`` without."""
+        return tuple(tuple(sorted({*self.basic_values, sv}))
+                     for sv in self.special_values) or (self.basic_values,)
 
 
 def _sym_fp_grid(*magnitudes) -> tuple[Fraction, ...]:
@@ -194,12 +201,11 @@ def effective_grid(spec: DataTypeSpec, sv_index: int = 0) -> tuple[Fraction, ...
             raise InvalidSpecialValueIndex(
                 f"sv_index {sv_index} out of range for {spec.name}"
             )
-        return tuple(sorted({*spec.basic_values, spec.special_values[sv_index]}))
-    if sv_index != 0:
+    elif sv_index != 0:
         raise InvalidSpecialValueIndex(
             f"{spec.name} has no special values; sv_index must be 0"
         )
-    return spec.basic_values
+    return spec.grids[sv_index]
 
 
 def grid_absmax(grid) -> Fraction:

@@ -10,11 +10,13 @@ Little-endian layout:
                   padded to a byte boundary.
 
 Asymmetric INT types carry a zero-point the format has no field for; they
-are software baselines and cannot be packed.
+are software baselines, so ``pack`` refuses them and ``unpack`` rejects
+their dtype ids.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -69,6 +71,14 @@ def _unpack_codes(raw: bytes, count: int, spec: DataTypeSpec) -> np.ndarray:
     return codes
 
 
+def _code_range(spec: DataTypeSpec) -> tuple[int, int]:
+    """Lowest and highest code a dtype stores; other bit patterns are invalid."""
+    if spec.is_fp:
+        return 0, len(spec.grids[0]) - 1
+    qmax = (1 << (spec.bits_per_code - 1)) - 1
+    return -qmax, qmax
+
+
 def group_record_bytes(spec: DataTypeSpec, group_size: int) -> int:
     return 2 + (group_size * spec.bits_per_code + 7) // 8
 
@@ -105,22 +115,41 @@ def unpack(data: bytes):
         spec = spec_for(DataType(dtype_id))
     except ValueError:
         raise FormatError(f"unknown dtype id {dtype_id}", offset=6) from None
+    if spec.asymmetric:
+        raise FormatError(f"{spec.name} needs a zero-point the format "
+                          "cannot hold", offset=6)
+    if g == 0:
+        raise FormatError("group size 0", offset=16)
     grouping = GroupingConfig(group_size=g, channel_size=d, out_channels=k)
     groups_per_channel = grouping.groups_per_channel()
     rec = group_record_bytes(spec, g)
+    n_sv = max(1, len(spec.special_values))
+    lo, hi = _code_range(spec)
+    # Only FP_BASIC and INT*_SYM leave some stored bit patterns unused.
+    check_codes = hi - lo + 1 < 1 << spec.bits_per_code
     pos = _HEADER.size
     channels = []
     for _ in range(k):
         if pos + 4 > len(data):
             raise FormatError("truncated channel scale", offset=pos)
         (channel_scale,) = struct.unpack_from("<f", data, pos)
+        if not math.isfinite(channel_scale):
+            raise FormatError(f"channel scale {channel_scale}", offset=pos)
         pos += 4
         groups = []
         for _ in range(groups_per_channel):
             if pos + rec > len(data):
                 raise FormatError("truncated group record", offset=pos)
             scale_q, sv_index = struct.unpack_from("<BB", data, pos)
+            if sv_index >= n_sv:
+                raise FormatError(f"sv_index {sv_index} out of range for "
+                                  f"{spec.name}", offset=pos + 1)
             codes = _unpack_codes(data[pos + 2:pos + rec], g, spec)
+            if check_codes and (codes.min() < lo or codes.max() > hi):
+                i = int(np.flatnonzero((codes < lo) | (codes > hi))[0])
+                raise FormatError(f"code {codes[i]} out of range for "
+                                  f"{spec.name}",
+                                  offset=pos + 2 + i * spec.bits_per_code // 8)
             groups.append(QuantizedGroup(codes=codes, sv_index=sv_index,
                                          scale_q=scale_q))
             pos += rec

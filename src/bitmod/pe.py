@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import pure as _pure
 from .bitserial import BitSerialTerm, SpecialValueRegister, encode_weight
 from .dtype import DataTypeSpec
 from .errors import ShapeMismatch, UnsupportedDtype
@@ -89,16 +88,7 @@ def pe_cycle(terms, acts, acc: AccumulatorState) -> AccumulatorState:
     bsigs = {t.bsig for t in terms}
     if len(bsigs) != 1:
         raise ShapeMismatch(f"terms must share one bsig, got {sorted(bsigs)}")
-    m, e = _pure.pe_cycle_core(
-        acc.m_acc, acc.e_acc,
-        [t.sign for t in terms],
-        [t.exp for t in terms],
-        [t.man for t in terms],
-        terms[0].bsig,
-        [a.sign for a in acts],
-        [a.a_e for a in acts],
-        [a.a_m for a in acts],
-    )
+    m, e = _kernels.pe_cycle_core(acc.m_acc, acc.e_acc, terms, acts)
     return AccumulatorState(m, e)
 
 
@@ -106,7 +96,7 @@ def bit_serial_dequant(acc: AccumulatorState, scale_q: int):
     """Multiply the accumulator by the 8-bit scale; always 8 cycles, exact."""
     if not 0 <= scale_q <= 255:
         raise ValueError("scale_q must be an unsigned 8-bit value")
-    m_grp = _pure.dequant_shift_add(acc.m_acc, scale_q)
+    m_grp = _kernels.dequant_shift_add(acc.m_acc, scale_q)
     return GroupPartialSum(m_grp=m_grp, e_grp=acc.e_acc), DEQUANT_CYCLES
 
 
@@ -116,8 +106,9 @@ def _as_operands(acts) -> list[Fp16Operand]:
 
 
 def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec,
-                       svreg: SpecialValueRegister | None = None):
-    """Pre-encode a quantized group into flat per-slot term arrays."""
+                       svreg: SpecialValueRegister | None = None
+                       ) -> list[list[BitSerialTerm]]:
+    """Encode a quantized group into one term list per weight."""
     if spec.asymmetric:
         raise UnsupportedDtype(
             f"{spec.name} is a software baseline only; the PE consumes "
@@ -125,18 +116,8 @@ def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec,
         )
     if svreg is None and spec.is_bitmod:
         svreg = SpecialValueRegister.program(spec)
-    s = spec.terms_per_code
-    n = len(weights.codes)
-    sign = np.zeros(n * s, dtype=np.int64)
-    exp = np.zeros(n * s, dtype=np.int64)
-    man = np.zeros(n * s, dtype=np.int64)
-    bsig = np.zeros(n * s, dtype=np.int64)
-    for i, code in enumerate(weights.codes):
-        terms = encode_weight(int(code), spec, svreg, weights.sv_index)
-        for t, term in enumerate(terms):
-            k = i * s + t
-            sign[k], exp[k], man[k], bsig[k] = term.sign, term.exp, term.man, term.bsig
-    return sign, exp, man, bsig
+    return [encode_weight(int(code), spec, svreg, weights.sv_index)
+            for code in weights.codes]
 
 
 def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec,
@@ -152,15 +133,10 @@ def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec,
     if g % DOT_WIDTH != 0:
         raise ShapeMismatch(f"group size {g} not divisible by dot width 4")
     ops = _as_operands(acts)
-    w_sign, w_exp, w_man, w_bsig = encode_group_terms(weights, spec, svreg)
-    a_sign = np.array([a.sign for a in ops], dtype=np.int64)
-    a_e = np.array([a.a_e for a in ops], dtype=np.int64)
-    a_m = np.array([a.a_m for a in ops], dtype=np.int64)
-    m_acc, e_acc = _kernels.run_group_dot(
-        w_sign, w_exp, w_man, w_bsig, a_sign, a_e, a_m, g, spec.terms_per_code
-    )
+    terms = encode_group_terms(weights, spec, svreg)
+    m_acc, e_acc = _kernels.run_group_dot(terms, ops, spec.terms_per_code)
     cycles = (g // DOT_WIDTH) * spec.terms_per_code
-    gps, _ = bit_serial_dequant(AccumulatorState(int(m_acc), int(e_acc)),
+    gps, _ = bit_serial_dequant(AccumulatorState(m_acc, e_acc),
                                 weights.scale_q)
     return gps, cycles
 

@@ -78,6 +78,14 @@ def test_simulate_layer_k_padding_and_repeat():
         simulate_layer(LayerShape(m=0, k=8, n=8), spec, G128)
 
 
+@pytest.mark.parametrize("g", (2, 6, 130))
+def test_simulate_layer_rejects_group_not_multiple_of_dot_width(g):
+    # G=2 used to give FP3 zero compute cycles; G=6 rounded down.
+    with pytest.raises(ConfigError):
+        simulate_layer(LayerShape(m=4, k=128, n=8), spec_for("FP3_BITMOD"),
+                       GroupingConfig(group_size=g))
+
+
 def test_baseline_iso_area_uses_smaller_tile():
     layer = LayerShape(m=48, k=128, n=128)
     iso = baseline_fp16_layer(layer, iso_area=True)
@@ -175,6 +183,22 @@ def test_parse_shape_file_errors_carry_line_numbers():
         parse_shape_file("hidden = 64\nblocks = 1\n")  # missing name
     with pytest.raises(ParseError):
         parse_shape_file("\n# only comments\n")
+
+
+@pytest.mark.parametrize("line", ("heads = 0", "blocks = 0", "hidden = -64",
+                                  "decode_tokens = -1", "prefill_tokens = -5"))
+def test_parse_shape_file_rejects_out_of_range_integers(line):
+    # heads = 0 used to raise ZeroDivisionError; negative token counts
+    # acted as 0.
+    text = f"name = x\nhidden = 64\nblocks = 1\n{line}\n"
+    with pytest.raises(ParseError) as ei:
+        profile_shapes(text)
+    assert ei.value.line == 4
+
+
+def test_parse_shape_file_allows_zero_tokens():
+    w = profile_shapes(TOY + "prefill_tokens = 0\ndecode_tokens = 0\n")
+    assert (w.prefill_tokens, w.decode_tokens) == (0, 0)
 
 
 def test_profile_shapes_gemm_list():

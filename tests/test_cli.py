@@ -65,7 +65,8 @@ def test_quant_eval_json_embeds_config(tensor_file, capsys):
     doc = json.loads(out)
     assert doc["config"]["group_size"] == 128
     assert "version" in doc["config"]
-    assert doc["config"]["kernel_backend"] in ("cython", "pure")
+    assert doc["config"]["kernel_backend"] == "pure"
+    assert "seed" not in doc["config"]
     assert len(doc["rows"]) == 1
 
 
@@ -179,6 +180,38 @@ def test_usage_error_exit_code(capsys):
     assert ei.value.code == 2
     with pytest.raises(SystemExit) as ei:
         main(["no-such-command"])
+    assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ("pack", "unpack"))
+def test_missing_input_file_is_one_line_error(verb, tmp_path, capsys):
+    code, _, err = run(capsys, verb, str(tmp_path / "nope"),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unknown_arch_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tiles_x": 2, "tile_count": 9}))
+    code, _, err = run(capsys, "simulate", "toy", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: ") and "tile_count" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("quant-eval", "w.npy", "--group-size", "0"),
+    ("pack", "w.npy", "--out", "w.bmod", "--group-size", "-4"),
+    ("simulate", "toy", "--group-size", "0"),
+    ("simulate", "toy", "--prefill-tokens", "-1"),
+    ("simulate", "toy", "--decode-tokens", "-256"),
+    ("quant-eval", "w.npy", "--seed", "3"),
+], ids=["quant-eval-group-size-0", "pack-group-size-negative",
+        "simulate-group-size-0", "simulate-prefill-negative",
+        "simulate-decode-negative", "quant-eval-seed-removed"])
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(list(argv))
     assert ei.value.code == 2
 
 

@@ -1,66 +1,15 @@
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from bitmod import _kernels
-from bitmod._kernels import pure
-from bitmod.dtype import GroupingConfig, spec_for
-from bitmod.pe import encode_group_terms, Fp16Operand
-from bitmod.quant import quantize_channel
-
-compiled = pytest.importorskip("bitmod._kernels._core")
-
-
-def _term_arrays(rng, name, g):
-    spec = spec_for(name)
-    cq = quantize_channel(rng.standard_normal(g), spec,
-                          GroupingConfig(group_size=g))
-    qg = cq.groups[0]
-    w = encode_group_terms(qg, spec)
-    avals = rng.standard_normal(g).astype(np.float16)
-    ops = [Fp16Operand.from_float(float(v)) for v in avals]
-    a = (np.array([o.sign for o in ops], dtype=np.int64),
-         np.array([o.a_e for o in ops], dtype=np.int64),
-         np.array([o.a_m for o in ops], dtype=np.int64))
-    return w, a, spec.terms_per_code
-
-
-@pytest.mark.parametrize("name", ["FP3_BITMOD", "FP4_BITMOD", "INT6_SYM",
-                                  "INT8_SYM"])
-def test_backends_bit_identical(name):
-    rng = np.random.default_rng(31)
-    for g in (16, 64, 128):
-        for _ in range(25):
-            (ws, we, wm, wb), (asn, ae, am), terms = _term_arrays(rng, name, g)
-            got_c = compiled.run_group_dot(ws, we, wm, wb, asn, ae, am, g, terms)
-            got_p = pure.run_group_dot(ws, we, wm, wb, asn, ae, am, g, terms)
-            assert tuple(int(v) for v in got_c) == tuple(got_p)
-
-
-def test_default_backend_is_compiled():
-    assert _kernels.BACKEND == "cython"
-    assert _kernels.run_group_dot is compiled.run_group_dot
-
-
-def test_force_pure_env_var():
-    code = (
-        "import os; os.environ['BITMOD_FORCE_PURE'] = '1'; "
-        "import bitmod; print(bitmod.KERNEL_BACKEND)"
-    )
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"
 
 
 def test_rne_rshift_ties_to_even():
-    for impl in (pure.rne_rshift,):
-        assert impl(0b101, 1) == 0b10   # 2.5 -> 2
-        assert impl(0b111, 1) == 0b100  # 3.5 -> 4
-        assert impl(0b1101, 2) == 0b11  # 3.25 -> 3
-        assert impl(5, 0) == 5
-        assert impl(5, -2) == 20
+    rne = _kernels.rne_rshift
+    assert rne(0b101, 1) == 0b10   # 2.5 -> 2
+    assert rne(0b111, 1) == 0b100  # 3.5 -> 4
+    assert rne(0b1101, 2) == 0b11  # 3.25 -> 3
+    assert rne(5, 0) == 5
+    assert rne(5, -2) == 20
 
 
 def test_dequant_shift_add_is_multiplication():
@@ -68,4 +17,4 @@ def test_dequant_shift_add_is_multiplication():
     for _ in range(200):
         m = int(rng.integers(-(1 << 31), 1 << 31))
         sq = int(rng.integers(0, 256))
-        assert pure.dequant_shift_add(m, sq) == m * sq
+        assert _kernels.dequant_shift_add(m, sq) == m * sq

@@ -109,6 +109,44 @@ def test_format_errors_with_offsets():
         packfile.unpack(bad_dtype)
 
 
+def _put(fmt, at, value):
+    return lambda buf: struct.pack_into(fmt, buf, at, value)
+
+
+def _code(index, raw, bits):
+    """Overwrite stored code ``index`` of the first group with ``raw``."""
+    def edit(buf):
+        start = 20 + 4 + 2  # header, channel scale, group metadata
+        acc = int.from_bytes(buf[start:start + 8], "little")
+        acc &= ~(((1 << bits) - 1) << (index * bits))
+        acc |= raw << (index * bits)
+        buf[start:start + 8] = acc.to_bytes(8, "little")
+    return edit
+
+
+@pytest.mark.parametrize("name,edit,offset", [
+    ("FP3_BITMOD", _put("<I", 16, 0), 16),
+    ("FP3_BASIC", _code(3, 7, 3), 27),
+    ("FP4_BASIC", _code(5, 15, 4), 28),
+    ("INT6_SYM", _code(2, 32, 6), 27),
+    ("INT4_SYM", _put("<H", 6, 4), 6),
+    ("FP3_BITMOD", _put("<f", 20, float("nan")), 20),
+    ("INT8_SYM", _put("<f", 20, float("inf")), 20),
+    ("FP3_BITMOD", _put("<B", 25, 4), 25),
+    ("INT6_SYM", _put("<B", 25, 1), 25),
+], ids=["group-size-0", "fp3-basic-code-7", "fp4-basic-code-15",
+        "int6-code-minus-32", "asymmetric-dtype", "nan-channel-scale",
+        "inf-channel-scale", "bitmod-sv-index-4", "int-sv-index-1"])
+def test_malformed_fields_raise_format_error(name, edit, offset):
+    rng = np.random.default_rng(49)
+    _, _, data = roundtrip_tensor(rng, name, (1, 64), 32)
+    buf = bytearray(data)
+    edit(buf)
+    with pytest.raises(FormatError) as ei:
+        packfile.unpack(bytes(buf))
+    assert ei.value.offset == offset
+
+
 def test_pack_requires_channels():
     with pytest.raises(ValueError):
         packfile.pack([], GroupingConfig(group_size=16), 0)

@@ -231,9 +231,9 @@ def test_encode_group_terms_layout():
     spec = spec_for("INT6_SYM")
     codes, _ = quantize_symmetric([1.0, -1.0, 0.5, 0.25], 6)
     qg = QuantizedGroup(codes=codes)
-    sign, exp, man, bsig = encode_group_terms(qg, spec)
-    assert sign.shape == (12,)
-    assert bsig[:3].tolist() == [0, 2, 4]
+    terms = encode_group_terms(qg, spec)
+    assert [len(t) for t in terms] == [3] * 4
+    assert [t.bsig for t in terms[0]] == [0, 2, 4]
 
 
 def test_drain_accumulate():
