@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .dtype import DataTypeSpec, GroupingConfig
@@ -27,6 +27,13 @@ from .pe import DEQUANT_CYCLES, DOT_WIDTH, fp16_mac_cycles_per_dot
 from .quant import memory_footprint_bits
 
 FP16_BITS_PER_WEIGHT = Fraction(16)
+
+
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,11 @@ class ArchConfig:
     baseline_pe_cols: int = 8
 
     def __post_init__(self):
+        for name, types in _FIELD_TYPES:
+            value = getattr(self, name)
+            if type(value) not in types or not _finite(value):
+                kind = "an integer" if types == (int,) else "a finite number"
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         for name in ("tiles_x", "tiles_y", "pe_rows", "pe_cols", "dot_width"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -58,6 +70,12 @@ class ArchConfig:
     @property
     def n_pes(self) -> int:
         return self.tiles_x * self.tiles_y * self.pe_rows * self.pe_cols
+
+
+# Value types each ArchConfig field accepts, by its annotation.  The type is
+# compared exactly, so a bool (an int subclass) is refused.
+_FIELD_TYPES = tuple((f.name, {"int": (int,), "float": (int, float)}[f.type])
+                     for f in fields(ArchConfig))
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,8 @@ def _load_npy(path: str) -> np.ndarray:
         raise ValueError(f"{path}: expected float32/float16, got {arr.dtype}")
     if arr.ndim != 2:
         raise ValueError(f"{path}: expected a 2-D tensor, got shape {arr.shape}")
+    if 0 in arr.shape:
+        raise ValueError(f"{path}: tensor is empty, shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: tensor contains NaN/Inf")
     return arr
@@ -121,9 +123,7 @@ def cmd_quant_eval(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             failures += 1
             continue
-        grouping = GroupingConfig(group_size=args.group_size,
-                                  channel_size=tensor.shape[1],
-                                  out_channels=tensor.shape[0])
+        grouping = GroupingConfig(group_size=args.group_size)
         for dt in args.dtypes:
             spec = spec_for(dt)
             channels = quantize_tensor(tensor, spec, grouping)
@@ -313,9 +313,7 @@ def cmd_pack(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     spec = spec_for(args.dtype)
-    grouping = GroupingConfig(group_size=args.group_size,
-                              channel_size=tensor.shape[1],
-                              out_channels=tensor.shape[0])
+    grouping = GroupingConfig(group_size=args.group_size)
     channels = quantize_tensor(tensor, spec, grouping)
     data = packfile.pack(channels, grouping, tensor.shape[1])
     with open(args.out, "wb") as fh:

@@ -10,10 +10,12 @@ per weight group (2-bit index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .errors import EmptyGrid, InvalidSpecialValueIndex
 
@@ -75,6 +77,13 @@ class DataTypeSpec:
         """Sorted grid per special value, or ``(basic_values,)`` without."""
         return tuple(tuple(sorted({*self.basic_values, sv}))
                      for sv in self.special_values) or (self.basic_values,)
+
+    @cached_property
+    def grid_table(self) -> np.ndarray:
+        """``grids`` as a read-only float64 array, one row per grid."""
+        table = np.array(self.grids, dtype=np.float64)
+        table.flags.writeable = False
+        return table
 
 
 def _sym_fp_grid(*magnitudes) -> tuple[Fraction, ...]:
@@ -171,24 +180,15 @@ class GroupingConfig:
     """Per-group quantization layout: G weights per group along a channel.
 
     Channels whose size is not a multiple of ``group_size`` are padded with
-    zeros up to the next multiple; padded lanes carry code 0 and are
-    excluded from error metrics.
+    zeros up to the next multiple; padded lanes quantize like weights of
+    value 0 and are excluded from error metrics.
     """
 
     group_size: int = 128
-    channel_size: int = field(default=0)
-    out_channels: int = field(default=0)
 
     def __post_init__(self):
         if self.group_size < 1:
             raise ValueError("group_size must be positive")
-
-    def padded_channel_size(self) -> int:
-        g = self.group_size
-        return ((self.channel_size + g - 1) // g) * g
-
-    def groups_per_channel(self) -> int:
-        return self.padded_channel_size() // self.group_size
 
 
 def effective_grid(spec: DataTypeSpec, sv_index: int = 0) -> tuple[Fraction, ...]:

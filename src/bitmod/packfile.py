@@ -5,9 +5,13 @@ Little-endian layout:
     magic "BMOD" (4 bytes), version u16 = 1, dtype id u16,
     K u32 (output channels), D u32 (channel size), G u32 (group size);
     per channel:  channel_scale f32;
-      per group:  scale_q u8, sv_index u8,
+      per group (ceil(D / G) records):
+                  scale_q u8, sv_index u8,
                   codes bit-packed LSB-first at bits_per_code bits each,
                   padded to a byte boundary.
+
+``pack`` writes, and ``unpack`` reads and checks, each channel's group
+records as one (n_groups, record) uint8 block.
 
 Asymmetric INT types carry a zero-point the format has no field for; they
 are software baselines, so ``pack`` refuses them and ``unpack`` rejects
@@ -31,44 +35,30 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHIII")
 
 
-def _code_to_stored(code: int, spec: DataTypeSpec) -> int:
-    if spec.is_fp:
-        return code
-    return code & ((1 << spec.bits_per_code) - 1)  # two's complement
-
-
-def _stored_to_code(raw: int, spec: DataTypeSpec) -> int:
-    if spec.is_fp:
-        return raw
-    sign_bit = 1 << (spec.bits_per_code - 1)
-    return raw - (1 << spec.bits_per_code) if raw & sign_bit else raw
-
-
-def _pack_codes(codes, spec: DataTypeSpec) -> bytes:
+def _pack_codes(codes, spec: DataTypeSpec) -> np.ndarray:
+    """Bit-pack codes along the last axis: ``bits_per_code`` bits each,
+    LSB first, INT codes in two's complement, each row padded to a byte."""
     bits = spec.bits_per_code
-    acc = 0
-    nbits = 0
-    out = bytearray()
-    for code in codes:
-        acc |= _code_to_stored(int(code), spec) << nbits
-        nbits += bits
-        while nbits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-    if nbits:
-        out.append(acc & 0xFF)
-    return bytes(out)
+    stored = (np.asarray(codes) & ((1 << bits) - 1)).astype(np.uint8)
+    planes = np.unpackbits(stored[..., None], axis=-1, count=bits,
+                           bitorder="little")
+    return np.packbits(planes.reshape(*stored.shape[:-1], -1), axis=-1,
+                       bitorder="little")
 
 
-def _unpack_codes(raw: bytes, count: int, spec: DataTypeSpec) -> np.ndarray:
+def _unpack_codes(raw, count: int, spec: DataTypeSpec) -> np.ndarray:
+    """Inverse of ``_pack_codes``: the first ``count`` codes of each row of
+    the uint8 array ``raw``; INT codes are sign-extended."""
     bits = spec.bits_per_code
-    mask = (1 << bits) - 1
-    acc = int.from_bytes(raw, "little")
-    codes = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        codes[i] = _stored_to_code((acc >> (i * bits)) & mask, spec)
-    return codes
+    raw = np.asarray(raw, dtype=np.uint8)
+    planes = np.unpackbits(raw, axis=-1, count=count * bits,
+                           bitorder="little")
+    weights = 1 << np.arange(bits, dtype=np.uint8)
+    stored = (planes.reshape(*raw.shape[:-1], count, bits) @ weights) \
+        .astype(np.int64)
+    if spec.is_fp:
+        return stored
+    return stored - ((stored & (1 << (bits - 1))) << 1)
 
 
 def _code_range(spec: DataTypeSpec) -> tuple[int, int]:
@@ -96,9 +86,10 @@ def pack(channels: list[ChannelQuantization], grouping: GroupingConfig,
                         channel_size, grouping.group_size)
     for cq in channels:
         out += struct.pack("<f", cq.channel_scale)
-        for qg in cq.groups:
-            out += struct.pack("<BB", qg.scale_q, qg.sv_index & 0x3)
-            out += _pack_codes(qg.codes, spec)
+        meta = np.array([(qg.scale_q, qg.sv_index & 0x3) for qg in cq.groups],
+                        dtype=np.uint8)
+        codes = _pack_codes(np.stack([qg.codes for qg in cq.groups]), spec)
+        out += np.concatenate([meta, codes], axis=1).tobytes()
     return bytes(out)
 
 
@@ -118,10 +109,13 @@ def unpack(data: bytes):
     if spec.asymmetric:
         raise FormatError(f"{spec.name} needs a zero-point the format "
                           "cannot hold", offset=6)
+    if k == 0:
+        raise FormatError("no channels", offset=8)
+    if d == 0:
+        raise FormatError("channel size 0", offset=12)
     if g == 0:
         raise FormatError("group size 0", offset=16)
-    grouping = GroupingConfig(group_size=g, channel_size=d, out_channels=k)
-    groups_per_channel = grouping.groups_per_channel()
+    groups_per_channel = -(-d // g)
     rec = group_record_bytes(spec, g)
     n_sv = max(1, len(spec.special_values))
     lo, hi = _code_range(spec)
@@ -136,30 +130,38 @@ def unpack(data: bytes):
         if not math.isfinite(channel_scale):
             raise FormatError(f"channel scale {channel_scale}", offset=pos)
         pos += 4
-        groups = []
-        for _ in range(groups_per_channel):
-            if pos + rec > len(data):
-                raise FormatError("truncated group record", offset=pos)
-            scale_q, sv_index = struct.unpack_from("<BB", data, pos)
-            if sv_index >= n_sv:
-                raise FormatError(f"sv_index {sv_index} out of range for "
-                                  f"{spec.name}", offset=pos + 1)
-            codes = _unpack_codes(data[pos + 2:pos + rec], g, spec)
-            if check_codes and (codes.min() < lo or codes.max() > hi):
-                i = int(np.flatnonzero((codes < lo) | (codes > hi))[0])
-                raise FormatError(f"code {codes[i]} out of range for "
-                                  f"{spec.name}",
-                                  offset=pos + 2 + i * spec.bits_per_code // 8)
-            groups.append(QuantizedGroup(codes=codes, sv_index=sv_index,
-                                         scale_q=scale_q))
-            pos += rec
+        # The channel's complete group records, checked field by field in
+        # file order before a missing record is reported.
+        n = min(groups_per_channel, (len(data) - pos) // rec)
+        records = np.frombuffer(data, np.uint8, n * rec, pos).reshape(n, rec)
+        codes = _unpack_codes(records[:, 2:], g, spec)
+        bad = records[:, 1] >= n_sv
+        if check_codes:
+            bad_code = (codes < lo) | (codes > hi)
+            bad |= bad_code.any(axis=1)
+        if bad.any():
+            r = int(np.argmax(bad))
+            at = pos + r * rec
+            if records[r, 1] >= n_sv:
+                raise FormatError(f"sv_index {records[r, 1]} out of range "
+                                  f"for {spec.name}", offset=at + 1)
+            i = int(np.argmax(bad_code[r]))
+            raise FormatError(f"code {codes[r, i]} out of range for "
+                              f"{spec.name}",
+                              offset=at + 2 + i * spec.bits_per_code // 8)
+        if n < groups_per_channel:
+            raise FormatError("truncated group record", offset=pos + n * rec)
+        groups = [QuantizedGroup(codes=c, sv_index=s, scale_q=q)
+                  for q, s, c in zip(records[:, 0].tolist(),
+                                     records[:, 1].tolist(), codes)]
+        pos += n * rec
         channels.append(ChannelQuantization(
             groups=groups, channel_scale=channel_scale, dtype=spec,
             valid_size=d,
         ))
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes", offset=pos)
-    return channels, grouping, spec
+    return channels, GroupingConfig(group_size=g), spec
 
 
 def unpack_to_tensor(data: bytes) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Symmetric/asymmetric integer quantization, nonlinear grid quantization,
 per-group special-value adaptation, second-level INT8 quantization of the
-per-group scaling factors, and error metrics.
+per-group scaling factors, and error metrics.  The quantizers work along
+the last axis, so a channel's groups are quantized as one (n_groups, G)
+array and a single group is an array with one row.
 
 Rounding convention: ``Round`` in the integer quantizers is
 round-half-away-from-zero, applied uniformly to codes and zero-points.
@@ -17,12 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dtype import (
-    DataTypeSpec,
-    GroupingConfig,
-    effective_grid,
-    grid_absmax,
-)
+from .dtype import DataTypeSpec, GroupingConfig, grid_absmax
 from .errors import LengthMismatch, UnsupportedDtype
 
 
@@ -68,38 +65,47 @@ class ErrorReport:
     max_abs_error: float
 
 
+def _divisor(delta, absmax):
+    """``delta`` as a divisor along the last axis; 1 where the group is all
+    zero (or constant), so that its codes come out as for the value 0."""
+    return np.where(absmax == 0, 1.0, delta)[..., None]
+
+
 def quantize_symmetric(group, bits: int):
-    """Symmetric integer quantization: returns (codes, delta)."""
+    """Symmetric integer quantization along the last axis.
+
+    Returns (codes, delta); ``delta`` has the leading shape (a scalar for
+    one group) and is 0 for an all-zero group, whose codes are 0.
+    """
     if not 2 <= bits <= 8:
         raise ValueError("bits must be in [2, 8]")
     w = np.asarray(group, dtype=np.float64)
     qmax = (1 << (bits - 1)) - 1
-    absmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if absmax == 0.0:
-        return np.zeros(w.shape, dtype=np.int64), 0.0
+    absmax = np.max(np.abs(w), axis=-1, initial=0.0)
     delta = absmax / qmax
-    codes = np.clip(round_half_away(w / delta), -qmax, qmax).astype(np.int64)
-    return codes, delta
+    codes = np.clip(round_half_away(w / _divisor(delta, absmax)), -qmax, qmax)
+    return codes.astype(np.int64), delta[()]
 
 
 def quantize_asymmetric(group, bits: int):
-    """Asymmetric integer quantization: returns (codes, delta, zero_point)."""
+    """Asymmetric integer quantization along the last axis.
+
+    Returns (codes, delta, zero_point), the last two with the leading shape.
+    A constant group is degenerate: codes, delta and zero-point are 0, so
+    it dequantizes to 0.
+    """
     if not 2 <= bits <= 8:
         raise ValueError("bits must be in [2, 8]")
     w = np.asarray(group, dtype=np.float64)
     qmax = (1 << bits) - 1
-    rng = float(np.max(w) - np.min(w)) if w.size else 0.0
-    if rng == 0.0:
-        # Constant group: degenerate, dequantizes to 0.
-        return np.zeros(w.shape, dtype=np.int64), 0.0, 0
+    lo = np.min(w, axis=-1)
+    rng = np.max(w, axis=-1) - lo
     delta = rng / qmax
-    z = int(round_half_away(-np.min(w) / delta))
-    codes = np.clip(round_half_away(w / delta) + z, 0, qmax).astype(np.int64)
-    return codes, delta, z
-
-
-def _grid_floats(grid) -> np.ndarray:
-    return np.array([float(g) for g in grid], dtype=np.float64)
+    div = _divisor(delta, rng)
+    z = np.where(rng == 0, 0, round_half_away(-lo / div[..., 0]))
+    codes = np.clip(round_half_away(w / div) + z[..., None], 0, qmax)
+    codes = np.where(rng[..., None] == 0, 0, codes)
+    return codes.astype(np.int64), delta[()], z.astype(np.int64)[()]
 
 
 def nearest_grid_index(scaled: np.ndarray, grid_f: np.ndarray) -> np.ndarray:
@@ -119,25 +125,44 @@ def nearest_grid_index(scaled: np.ndarray, grid_f: np.ndarray) -> np.ndarray:
 
 
 def nonlinear_quantize(group, grid):
-    """Quantize onto an arbitrary grid of rationals containing 0.
+    """Quantize onto an arbitrary sorted grid containing 0: exact
+    rationals, or their float values (a row of ``DataTypeSpec.grid_table``).
 
-    Returns (codes, delta) where codes index ``grid`` and
-    delta = max|w| / grid_absmax.  For a BitMoD grid that absmax includes
-    the merged special value: an EA candidate's scale is max|w|/6 for FP3
-    (max|w|/8 for FP4) where the other grids use max|w|/4 (max|w|/6), so
-    EA also gives the bulk of the group a finer step.
+    Works along the last axis.  Returns (codes, delta) where codes index
+    ``grid`` and delta = max|w| / grid_absmax per group (0 for an all-zero
+    group, whose codes all index 0).  For a BitMoD grid that absmax
+    includes the merged special value: an EA candidate's scale is max|w|/6
+    for FP3 (max|w|/8 for FP4) where the other grids use max|w|/4
+    (max|w|/6), so EA also gives the bulk of the group a finer step.
     """
-    w = np.asarray(group, dtype=np.float64)
-    grid_f = _grid_floats(grid)
-    zero_code = int(np.searchsorted(grid_f, 0.0))
-    if grid_f[zero_code] != 0.0:
+    if 0 not in grid:
         raise ValueError("grid must contain 0")
-    absmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if absmax == 0.0:
-        return np.full(w.shape, zero_code, dtype=np.int64), 0.0
+    w = np.asarray(group, dtype=np.float64)
+    absmax = np.max(np.abs(w), axis=-1, initial=0.0)
     delta = absmax / float(grid_absmax(grid))
-    codes = nearest_grid_index(w / delta, grid_f).astype(np.int64)
-    return codes, delta
+    codes = nearest_grid_index(w / _divisor(delta, absmax),
+                               np.asarray(grid, dtype=np.float64))
+    return codes.astype(np.int64), delta[()]
+
+
+def _best_grid(rows: np.ndarray, spec: DataTypeSpec):
+    """Quantize each row of a (n_groups, G) array onto every grid of
+    ``spec`` and keep, per row, the grid of least MSE (the lowest index
+    wins ties).
+
+    Returns (codes, delta, sv_index, mse), each with one entry per row.
+    """
+    codes, delta, mse = [], [], []
+    for grid_f in spec.grid_table:
+        c, d = nonlinear_quantize(rows, grid_f)
+        deq = grid_f[c] * d[:, None]
+        codes.append(c)
+        delta.append(d)
+        mse.append(np.mean((rows - deq) ** 2, axis=-1))
+    best = np.argmin(mse, axis=0)
+    pick = (best, np.arange(len(rows)))
+    return (np.stack(codes)[pick], np.stack(delta)[pick], best,
+            np.stack(mse)[pick])
 
 
 def adaptive_quant(group, spec: DataTypeSpec):
@@ -155,92 +180,83 @@ def adaptive_quant(group, spec: DataTypeSpec):
     """
     if not spec.is_bitmod:
         raise UnsupportedDtype(f"{spec.name} has no special values to adapt")
-    w = np.asarray(group, dtype=np.float64)
-    best = None
-    for sv_index, sv in enumerate(spec.special_values):
-        grid = effective_grid(spec, sv_index)
-        codes, delta = nonlinear_quantize(w, grid)
-        deq = _grid_floats(grid)[codes] * delta
-        mse = float(np.mean((w - deq) ** 2)) if w.size else 0.0
-        if best is None or mse < best[0]:
-            best = (mse, sv_index, sv, codes, delta)
-    mse, sv_index, sv, codes, delta = best
-    return QuantizedGroup(codes=codes, sv_index=sv_index, delta=delta), sv, mse
+    rows = np.asarray(group, dtype=np.float64)[None]
+    codes, delta, best, mse = _best_grid(rows, spec)
+    sv_index = int(best[0])
+    qg = QuantizedGroup(codes=codes[0], sv_index=sv_index, delta=float(delta[0]))
+    return qg, spec.special_values[sv_index], float(mse[0])
 
 
 def quantize_scales(per_group_deltas):
     """Second-level INT8 quantization of the per-group scaling factors.
 
-    Returns (scale_q int array in [0, 127], channel_scale).
+    Works along the last axis.  Returns (scale_q int array in [0, 127],
+    channel_scale), the latter with the leading shape.
     """
     deltas = np.asarray(per_group_deltas, dtype=np.float64)
-    dmax = float(np.max(deltas)) if deltas.size else 0.0
-    if dmax == 0.0:
-        return np.zeros(deltas.shape, dtype=np.int64), 0.0
-    # Rounded to float32 so the packed-file f32 field is lossless.
-    channel_scale = float(np.float32(dmax / 127.0))
-    if channel_scale == 0.0:
-        # dmax below float32 subnormal range: nothing representable remains.
-        return np.zeros(deltas.shape, dtype=np.int64), 0.0
-    scale_q = np.clip(round_half_away(deltas / channel_scale), 0, 127)
-    return scale_q.astype(np.int64), channel_scale
+    dmax = np.max(deltas, axis=-1, initial=0.0)
+    # Rounded to float32 so the packed-file f32 field is lossless.  It is 0
+    # when every delta is 0 or below the float32 subnormal range; then
+    # nothing representable remains and every scale_q rounds to 0.
+    channel_scale = (dmax / 127.0).astype(np.float32).astype(np.float64)
+    scale_q = np.clip(round_half_away(deltas / _divisor(channel_scale,
+                                                        channel_scale)),
+                      0, 127)
+    return scale_q.astype(np.int64), channel_scale[()]
 
 
 def quantize_channel(values, spec: DataTypeSpec,
                      grouping: GroupingConfig) -> ChannelQuantization:
-    """Quantize one weight channel group by group, then its scales."""
+    """Quantize one weight channel: all of its groups in one pass, then
+    their scales."""
     w = check_finite(np.asarray(values, dtype=np.float64))
     if w.ndim != 1:
         raise ValueError("channel must be 1-D")
     g = grouping.group_size
-    valid = w.size
-    pad = (-valid) % g
-    if pad:
-        w = np.concatenate([w, np.zeros(pad)])
-    groups = []
-    for start in range(0, w.size, g):
-        chunk = w[start:start + g]
-        if spec.is_fp:
-            if spec.is_bitmod:
-                qg, _, _ = adaptive_quant(chunk, spec)
-            else:
-                codes, delta = nonlinear_quantize(chunk, spec.basic_values)
-                qg = QuantizedGroup(codes=codes, delta=delta)
-        elif spec.asymmetric:
-            codes, delta, z = quantize_asymmetric(chunk, spec.bits_per_code)
-            qg = QuantizedGroup(codes=codes, delta=delta, zero_point=z)
-        else:
-            codes, delta = quantize_symmetric(chunk, spec.bits_per_code)
-            qg = QuantizedGroup(codes=codes, delta=delta)
-        groups.append(qg)
-    scale_q, channel_scale = quantize_scales([qg.delta for qg in groups])
-    for qg, s in zip(groups, scale_q):
-        qg.scale_q = int(s)
+    rows = np.concatenate([w, np.zeros((-w.size) % g)]).reshape(-1, g)
+    sv_index = np.zeros(len(rows), dtype=np.int64)
+    zero_point = [None] * len(rows)
+    if spec.is_fp:
+        codes, delta, sv_index, _ = _best_grid(rows, spec)
+    elif spec.asymmetric:
+        codes, delta, z = quantize_asymmetric(rows, spec.bits_per_code)
+        zero_point = z.tolist()
+    else:
+        codes, delta = quantize_symmetric(rows, spec.bits_per_code)
+    scale_q, channel_scale = quantize_scales(delta)
+    groups = [QuantizedGroup(codes=c, sv_index=s, scale_q=q, zero_point=z,
+                             delta=d)
+              for c, s, q, z, d in zip(codes, sv_index.tolist(),
+                                       scale_q.tolist(), zero_point,
+                                       delta.tolist())]
     return ChannelQuantization(groups=groups, channel_scale=float(channel_scale),
-                               dtype=spec, valid_size=valid)
+                               dtype=spec, valid_size=w.size)
 
 
 def dequantize_channel(cq: ChannelQuantization) -> np.ndarray:
     """Reconstruct the channel; padded lanes are dropped."""
     spec = cq.dtype
-    out = []
-    for qg in cq.groups:
-        delta_hat = qg.scale_q * cq.channel_scale
-        if spec.is_fp:
-            grid_f = _grid_floats(effective_grid(spec, qg.sv_index))
-            out.append(grid_f[qg.codes] * delta_hat)
-        elif spec.asymmetric:
-            out.append((qg.codes - (qg.zero_point or 0)) * delta_hat)
-        else:
-            out.append(qg.codes * delta_hat)
-    return np.concatenate(out)[: cq.valid_size]
+    codes = np.stack([qg.codes for qg in cq.groups])
+    if spec.is_fp:
+        sv_index = np.array([qg.sv_index for qg in cq.groups])
+        values = spec.grid_table[sv_index[:, None], codes]
+    elif spec.asymmetric:
+        values = codes - np.array([qg.zero_point or 0
+                                   for qg in cq.groups])[:, None]
+    else:
+        values = codes
+    delta_hat = np.array([qg.scale_q for qg in cq.groups]) * cq.channel_scale
+    return (values * delta_hat[:, None]).ravel()[: cq.valid_size]
 
 
 def quantize_tensor(tensor, spec: DataTypeSpec,
                     grouping: GroupingConfig) -> list[ChannelQuantization]:
+    """Quantize a 2-D tensor channel by channel (rows are channels)."""
     w = check_finite(np.asarray(tensor, dtype=np.float64))
     if w.ndim != 2:
         raise ValueError("tensor must be 2-D (out_channels x channel_size)")
+    if w.size == 0:
+        raise ValueError(f"tensor is empty, shape {w.shape}")
     return [quantize_channel(row, spec, grouping) for row in w]
 
 

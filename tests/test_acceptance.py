@@ -337,7 +337,7 @@ def test_criterion_10_pack_roundtrip(capsys):
         g = int(rng.choice([16, 32, 64, 128]))
         k = int(rng.integers(1, 6))
         d = int(rng.integers(1, 5)) * g + int(rng.integers(0, g))
-        grouping = GroupingConfig(group_size=g, channel_size=d, out_channels=k)
+        grouping = GroupingConfig(group_size=g)
         w = (rng.standard_normal((k, d)) * float(np.exp(rng.normal()))) \
             .astype(np.float32).astype(np.float64)
         channels = quantize_tensor(w, spec, grouping)

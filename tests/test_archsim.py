@@ -34,6 +34,25 @@ def test_arch_config_defaults_and_validation():
         ArchConfig(dram_bandwidth_bytes_per_s=0)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"tiles_x": "2"}, {"tiles_x": 2.5}, {"pe_rows": True},
+    {"act_buffer_bytes": None}, {"frequency_hz": None},
+    {"frequency_hz": True}, {"frequency_hz": "1e9"},
+    {"dram_bandwidth_bytes_per_s": math.inf}, {"e_dram_byte": math.nan},
+    {"e_pe_cycle": 10 ** 400},
+], ids=["int-str", "int-float", "int-bool", "int-none", "float-none",
+        "float-bool", "float-str", "float-inf", "float-nan",
+        "float-int-beyond-range"])
+def test_arch_config_rejects_wrongly_typed_values(overrides):
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        ArchConfig(**overrides)
+
+
+def test_arch_config_accepts_int_for_float_fields():
+    cfg = ArchConfig(frequency_hz=10 ** 9, e_sram_byte=0)
+    assert cfg.frequency_hz == 1e9
+
+
 def test_check_no_stall_all_supported_combinations():
     for name in ("INT8_SYM", "INT6_SYM", "INT4_SYM", "FP4_BASIC", "FP3_BASIC",
                  "FP4_BITMOD", "FP3_BITMOD"):

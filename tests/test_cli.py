@@ -191,6 +191,33 @@ def test_missing_input_file_is_one_line_error(verb, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("shape", [(2, 0), (0, 8)], ids=["no-columns",
+                                                           "no-rows"])
+@pytest.mark.parametrize("verb", ("quant-eval", "pack"))
+def test_empty_tensor_is_one_line_error(verb, shape, tmp_path, capsys):
+    path = tmp_path / "empty.npy"
+    np.save(path, np.zeros(shape, dtype=np.float32))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, verb, str(path), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "empty" in err
+    if verb == "pack":
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [{"tiles_x": "2"},
+                                       {"frequency_hz": None}])
+def test_wrongly_typed_arch_config_value_is_config_error(overrides, tmp_path,
+                                                         capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    code, _, err = run(capsys, "simulate", "toy", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(overrides)) in err
+
+
 def test_unknown_arch_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tiles_x": 2, "tile_count": 9}))

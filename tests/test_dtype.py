@@ -117,14 +117,10 @@ def test_er_preserves_absmax_ea_extends_it():
         assert grid_absmax(effective_grid(spec, 3)) == ea
 
 
-def test_grouping_config_padding():
-    g = GroupingConfig(group_size=128, channel_size=300)
-    assert g.padded_channel_size() == 384
-    assert g.groups_per_channel() == 3
-    exact = GroupingConfig(group_size=128, channel_size=256)
-    assert exact.padded_channel_size() == 256
-    with pytest.raises(ValueError):
-        GroupingConfig(group_size=0)
+def test_grouping_config_rejects_nonpositive_group_size():
+    for g in (0, -128):
+        with pytest.raises(ValueError):
+            GroupingConfig(group_size=g)
 
 
 def test_dtype_ids_are_stable():

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitmod import packfile
 from bitmod.dtype import GroupingConfig, spec_for
@@ -11,8 +12,7 @@ from bitmod.quant import dequantize_tensor, quantize_tensor
 
 def roundtrip_tensor(rng, name, shape, g):
     spec = spec_for(name)
-    grouping = GroupingConfig(group_size=g, channel_size=shape[1],
-                              out_channels=shape[0])
+    grouping = GroupingConfig(group_size=g)
     w = rng.standard_normal(shape)
     channels = quantize_tensor(w, spec, grouping)
     data = packfile.pack(channels, grouping, shape[1])
@@ -82,7 +82,7 @@ def test_negative_int_codes_survive():
 def test_asymmetric_types_not_packable():
     rng = np.random.default_rng(47)
     spec = spec_for("INT4_ASYM")
-    grouping = GroupingConfig(group_size=16, channel_size=32, out_channels=1)
+    grouping = GroupingConfig(group_size=16)
     channels = quantize_tensor(rng.standard_normal((1, 32)), spec, grouping)
     with pytest.raises(UnsupportedDtype):
         packfile.pack(channels, grouping, 32)
@@ -134,9 +134,12 @@ def _code(index, raw, bits):
     ("INT8_SYM", _put("<f", 20, float("inf")), 20),
     ("FP3_BITMOD", _put("<B", 25, 4), 25),
     ("INT6_SYM", _put("<B", 25, 1), 25),
+    ("FP3_BITMOD", _put("<I", 8, 0), 8),
+    ("INT8_SYM", _put("<I", 12, 0), 12),
 ], ids=["group-size-0", "fp3-basic-code-7", "fp4-basic-code-15",
         "int6-code-minus-32", "asymmetric-dtype", "nan-channel-scale",
-        "inf-channel-scale", "bitmod-sv-index-4", "int-sv-index-1"])
+        "inf-channel-scale", "bitmod-sv-index-4", "int-sv-index-1",
+        "no-channels", "channel-size-0"])
 def test_malformed_fields_raise_format_error(name, edit, offset):
     rng = np.random.default_rng(49)
     _, _, data = roundtrip_tensor(rng, name, (1, 64), 32)
@@ -150,3 +153,39 @@ def test_malformed_fields_raise_format_error(name, edit, offset):
 def test_pack_requires_channels():
     with pytest.raises(ValueError):
         packfile.pack([], GroupingConfig(group_size=16), 0)
+
+
+PACKABLE = ("FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC", "FP4_BASIC",
+            "INT8_SYM", "INT6_SYM", "INT4_SYM")
+
+
+@st.composite
+def damaged_files(draw):
+    """A valid BMOD file (ragged widths included) with bytes overwritten,
+    then possibly truncated, then possibly extended."""
+    g = draw(st.sampled_from([8, 16, 32]))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3 * g)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    _, _, data = roundtrip_tensor(rng, draw(st.sampled_from(PACKABLE)),
+                                  shape, g)
+    buf = bytearray(data)
+    # Half of the writes land in the header or the first channel scale.
+    pos = st.one_of(st.integers(0, 23), st.integers(0, len(buf) - 1))
+    for at, byte in draw(st.lists(st.tuples(pos, st.integers(0, 255)),
+                                  max_size=4)):
+        buf[at] = byte
+    buf = buf[:draw(st.integers(0, len(buf)))] if draw(st.booleans()) else buf
+    return bytes(buf) + draw(st.binary(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_files())
+def test_unpack_damaged_file_raises_only_format_error(data):
+    try:
+        channels, _, _ = packfile.unpack(data)
+    except FormatError:
+        return
+    k, d = struct.unpack_from("<II", data, 8)
+    deq = dequantize_tensor(channels)
+    assert deq.shape == (k, d)
+    assert np.all(np.isfinite(deq))

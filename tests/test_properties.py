@@ -16,13 +16,30 @@ def test_booth_reconstructs_any_representable_value(bits, data):
     assert term_value_sum(booth_encode(value, bits)) == value
 
 
-@given(st.lists(st.integers(min_value=-127, max_value=127),
-                min_size=1, max_size=64))
-def test_code_bitstream_roundtrip(codes):
-    spec = spec_for("INT8_SYM")
+PACKABLE = ("FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC", "FP4_BASIC",
+            "INT8_SYM", "INT6_SYM", "INT4_SYM")
+
+
+@given(st.sampled_from(PACKABLE), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=64), st.data())
+def test_code_bitstream_roundtrip(name, rows, count, data):
+    spec = spec_for(name)
+    bits = spec.bits_per_code
+    # Every stored bit pattern: FP codes are unsigned, INT codes signed.
+    lo, hi = (0, (1 << bits) - 1) if spec.is_fp else \
+        (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+    codes = np.array(data.draw(st.lists(
+        st.lists(st.integers(lo, hi), min_size=count, max_size=count),
+        min_size=rows, max_size=rows)))
     raw = _pack_codes(codes, spec)
-    assert len(raw) == (len(codes) * 8 + 7) // 8
-    assert _unpack_codes(raw, len(codes), spec).tolist() == codes
+    nbytes = (count * bits + 7) // 8
+    assert raw.shape == (rows, nbytes) and raw.dtype == np.uint8
+    for row, packed in zip(codes.tolist(), raw):
+        # Reference layout: LSB-first stream of two's-complement fields.
+        acc = sum((c & ((1 << bits) - 1)) << (i * bits)
+                  for i, c in enumerate(row))
+        assert packed.tobytes() == acc.to_bytes(nbytes, "little")
+    assert np.array_equal(_unpack_codes(raw, count, spec), codes)
 
 
 @given(st.lists(st.one_of(st.just(0.0),

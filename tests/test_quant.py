@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bitmod.dtype import GroupingConfig, effective_grid, spec_for
+from bitmod.dtype import DataType, GroupingConfig, effective_grid, spec_for
 from bitmod.errors import LengthMismatch, UnsupportedDtype
 from bitmod.quant import (
     adaptive_quant,
@@ -232,6 +232,39 @@ def test_channel_roundtrip_error_bound(name):
     assert np.max(np.abs(w - deq)) <= bound
 
 
+@pytest.mark.parametrize("name", [dt.name for dt in DataType])
+def test_quantize_channel_matches_per_group(name):
+    spec = spec_for(name)
+    g = 32
+    rng = np.random.default_rng(15)
+    w = rng.standard_normal(5 * g + 7) * 3  # ragged tail of 7 weights
+    w[g:2 * g] = 0.0  # an all-zero group
+    cq = quantize_channel(w, spec, GroupingConfig(group_size=g))
+    padded = np.concatenate([w, np.zeros(g - 7)])
+    assert len(cq.groups) == 6
+    for i, qg in enumerate(cq.groups):
+        chunk = padded[i * g:(i + 1) * g]
+        sv_index, zero_point = 0, None
+        if spec.is_bitmod:
+            one, _, _ = adaptive_quant(chunk, spec)
+            codes, delta, sv_index = one.codes, one.delta, one.sv_index
+        elif spec.is_fp:
+            codes, delta = nonlinear_quantize(chunk, spec.basic_values)
+        elif spec.asymmetric:
+            codes, delta, zero_point = quantize_asymmetric(chunk,
+                                                           spec.bits_per_code)
+        else:
+            codes, delta = quantize_symmetric(chunk, spec.bits_per_code)
+        assert np.array_equal(qg.codes, codes)
+        assert qg.sv_index == sv_index
+        assert qg.zero_point == zero_point
+        assert np.float64(qg.delta).tobytes() == np.float64(delta).tobytes()
+    assert cq.groups[1].delta == 0.0
+    scale_q, channel_scale = quantize_scales([qg.delta for qg in cq.groups])
+    assert [qg.scale_q for qg in cq.groups] == scale_q.tolist()
+    assert cq.channel_scale == channel_scale
+
+
 def test_channel_padding_dropped():
     spec = spec_for("FP3_BITMOD")
     grouping = GroupingConfig(group_size=32)
@@ -254,6 +287,9 @@ def test_tensor_roundtrip_shape_and_finiteness_checks():
         quantize_tensor(np.array([1.0, np.nan]).reshape(1, 2), spec, grouping)
     with pytest.raises(ValueError):
         quantize_tensor(np.ones(8), spec, grouping)
+    for empty in ((2, 0), (0, 8)):
+        with pytest.raises(ValueError, match="empty"):
+            quantize_tensor(np.zeros(empty), spec, grouping)
 
 
 def test_negation_symmetry():
