@@ -1,4 +1,5 @@
-"""The bit-serial PE inner loop, in plain Python integers.
+"""The bit-serial PE kernel: an int64 numpy lane stage and a Python-int
+accumulator.
 
 All arithmetic is integer:
 
@@ -10,43 +11,41 @@ All arithmetic is integer:
   operand, then renormalization keeping the leading set bit of the 32-bit
   accumulator mantissa in bit window [24, 31].
 
-Weights arrive as :class:`bitmod.bitserial.BitSerialTerm` objects and
-activations as :class:`bitmod.pe.Fp16Operand` objects; only their fields are
-read.  Activation scale convention: an FP16 operand with biased exponent a_e
-and 11-bit mantissa a_m (hidden bit included) has value a_m * 2^(a_e - 25).
+Weights arrive as :class:`bitmod.bitserial.Terms` arrays and activations
+as the field arrays of :func:`bitmod.pe.decode_fp16`.  Activation scale
+convention: an FP16 operand with biased exponent a_e and 11-bit mantissa a_m
+(hidden bit included) has value a_m * 2^(a_e - 25).
 """
 
+import numpy as np
 
-def rne_rshift(p: int, s: int) -> int:
-    """Round p / 2**s to the nearest integer, ties to even (p >= 0)."""
+
+def rne_rshift(m: int, s: int) -> int:
+    """Round m / 2**s to the nearest integer, ties to even.
+
+    The flooring shift makes this exact for either sign of m, and
+    ties-to-even is symmetric, so it equals -rne_rshift(-m, s).
+    """
     if s <= 0:
-        return p << (-s)
-    q = p >> s
-    rem = p - (q << s)
+        return m << (-s)
+    q = m >> s
+    rem = m - (q << s)
     half = 1 << (s - 1)
-    if rem > half:
+    if rem > half or (rem == half and q & 1):
         q += 1
-    elif rem == half:
-        q += q & 1
     return q
-
-
-def rne_rshift_signed(m: int, s: int) -> int:
-    if m < 0:
-        return -rne_rshift(-m, s)
-    return rne_rshift(m, s)
 
 
 def normalize(m: int, e: int):
     """Keep the accumulator's leading set bit inside [24, 31]."""
     if m == 0:
         return 0, 0
-    k = abs(m).bit_length() - 1
+    k = m.bit_length() - 1
     if k > 31:
-        m = rne_rshift_signed(m, k - 31)
+        m = rne_rshift(m, k - 31)
         e += k - 31
-        if abs(m).bit_length() - 1 > 31:  # rounding carried out
-            m = rne_rshift_signed(m, 1)
+        if m.bit_length() - 1 > 31:  # rounding carried out
+            m = rne_rshift(m, 1)
             e += 1
     elif k < 24:
         m <<= 24 - k
@@ -54,53 +53,44 @@ def normalize(m: int, e: int):
     return m, e
 
 
-def pe_cycle_core(m_acc: int, e_acc: int, terms, acts):
-    """One PE cycle: 4-way dot of bit-serial terms and FP16 activations.
+def run_group_dot(terms, acts, m_acc: int = 0, e_acc: int = 0):
+    """Group dot product before dequantization, from a given accumulator.
 
-    ``terms`` and ``acts`` hold one entry per lane; the terms share one
-    bit-significance.  Returns the updated (m_acc, e_acc).
+    ``terms`` holds ``(sign, exp, man, bsig)``: int64 arrays of shape
+    ``(G, T)`` and the per-slot ``bsig`` of shape ``(T,)``.  ``acts`` holds
+    the ``(sign, a_e, a_m)`` int64 arrays of the G activations.  Each group
+    of 4 weights takes one cycle per term slot, in quad-major, slot-minor
+    order.  The lane stage of every cycle runs at once in int64; only the
+    accumulation is sequential.  Returns the accumulator (m_acc, e_acc).
     """
-    max_e = None
-    prods = []
-    for w, a in zip(terms, acts):
-        if w.man and a.a_m:
-            lane_e = a.a_e + w.exp
-            prods.append((w.sign ^ a.sign, a.a_m, lane_e))
-            if max_e is None or lane_e > max_e:
-                max_e = lane_e
-    if not prods:
-        return m_acc, e_acc
-    tree = 0
-    for negative, p, lane_e in prods:
-        mant = rne_rshift(p, max_e - lane_e)
-        if negative:
-            tree -= mant
+    w_sign, w_exp, w_man, bsig = terms
+    a_sign, a_e, a_m = acts
+    g, t = w_man.shape
+    lanes = (g // 4, 4, t)
+    # Signed lane products; zero marks an inactive lane.
+    p = ((a_m - 2 * a_sign * a_m)[:, None]
+         * (w_man - 2 * w_sign * w_man)).reshape(lanes)
+    # Live lane exponents are >= 1 (FP16 normals), so 0 never wins the max.
+    lane_e = (a_e[:, None] + w_exp).reshape(lanes) * (p != 0)
+    max_e = lane_e.max(axis=1)
+    # Align each lane to the max exponent: p / 2**shift rounded to nearest,
+    # ties to even, as (x + 2**(s-1) - 1 + lsb) >> s, where x = 2p,
+    # s = shift + 1 >= 1 and lsb is bit s of x (the result's last bit).  The
+    # flooring shift makes this exact for p < 0 too.
+    x, s = p << 1, max_e[:, None, :] + 1 - lane_e
+    aligned = (x + (1 << (s - 1)) - 1 + ((x >> s) & 1)) >> s
+    tree = aligned.sum(axis=1).ravel()
+    live = np.flatnonzero(tree)
+    e_tree = (max_e + bsig - 25).ravel()[live]
+    for tree_m, e_t in zip(tree[live].tolist(), e_tree.tolist()):
+        if m_acc == 0:
+            m_acc, e_acc = tree_m, e_t
+        elif e_acc >= e_t:
+            m_acc += rne_rshift(tree_m, e_acc - e_t)
         else:
-            tree += mant
-    if tree == 0:
-        return m_acc, e_acc
-    e_t = max_e + terms[0].bsig - 25
-    if m_acc == 0:
-        return normalize(tree, e_t)
-    if e_acc >= e_t:
-        return normalize(m_acc + rne_rshift_signed(tree, e_acc - e_t), e_acc)
-    return normalize(rne_rshift_signed(m_acc, e_t - e_acc) + tree, e_t)
-
-
-def run_group_dot(terms, acts, terms_per_code: int):
-    """Full group dot product, before dequantization.
-
-    ``terms[i]`` is the term list of weight i (``terms_per_code`` entries)
-    and ``acts[i]`` its activation.  Each group of 4 weights takes one cycle
-    per term slot.  Returns the accumulator (m_acc, e_acc).
-    """
-    m_acc, e_acc = 0, 0
-    for j in range(0, len(terms), 4):
-        lane_terms = terms[j:j + 4]
-        lane_acts = acts[j:j + 4]
-        for t in range(terms_per_code):
-            m_acc, e_acc = pe_cycle_core(
-                m_acc, e_acc, [w[t] for w in lane_terms], lane_acts)
+            m_acc = rne_rshift(m_acc, e_t - e_acc) + tree_m
+            e_acc = e_t
+        m_acc, e_acc = normalize(m_acc, e_acc)
     return m_acc, e_acc
 
 

@@ -162,11 +162,12 @@ def _cycles_and_bytes(m: int, k: int, n: int, terms_per_code: int,
     return compute, weight_bytes, act_bytes
 
 
-def _finish(compute, weight_bytes, act_bytes, cfg: ArchConfig) -> SimReport:
+def _finish(compute, weight_bytes, act_bytes, cfg: ArchConfig,
+            n_pes: int) -> SimReport:
     bytes_per_cycle = cfg.dram_bandwidth_bytes_per_s / cfg.frequency_hz
     dram = math.ceil((weight_bytes + act_bytes) / bytes_per_cycle)
     energy = EnergyBreakdown(
-        compute_j=compute * cfg.n_pes * cfg.e_pe_cycle,
+        compute_j=compute * n_pes * cfg.e_pe_cycle,
         sram_j=(weight_bytes + act_bytes) * cfg.e_sram_byte,
         dram_j=(weight_bytes + act_bytes) * cfg.e_dram_byte,
     )
@@ -197,7 +198,7 @@ def simulate_layer(layer: LayerShape, spec: DataTypeSpec,
         memory_footprint_bits(spec, grouping), grouping, cfg,
         cfg.pe_rows, cfg.pe_cols,
     )
-    rep = _finish(compute, wb, ab, cfg)
+    rep = _finish(compute, wb, ab, cfg, cfg.n_pes)
     out = SimReport()
     for _ in range(layer.repeat):
         out.accumulate(rep)
@@ -223,8 +224,8 @@ def baseline_fp16_layer(layer: LayerShape, cfg: ArchConfig = ArchConfig(),
         layer.m, layer.k, layer.n, fp16_mac_cycles_per_dot(),
         FP16_BITS_PER_WEIGHT, grouping, cfg, rows, cols,
     )
-    base_cfg = replace(cfg, pe_rows=rows, pe_cols=cols)
-    rep = _finish(compute, wb, ab, base_cfg)
+    n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
+    rep = _finish(compute, wb, ab, cfg, n_pes)
     out = SimReport()
     for _ in range(layer.repeat):
         out.accumulate(rep)

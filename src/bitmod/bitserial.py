@@ -13,14 +13,21 @@ form ``(-1)^sign * 2^exp * man * 2^bsig``:
 
 The code pattern that would denote -0 in the FP encodings is substituted by
 the active entry of the special-value register before decoding.
+
+A code's terms depend only on (dtype, sv_index, code), so :func:`term_table`
+encodes every code of a grid once, with :func:`encode_weight`, and the PE
+gathers a group's terms from that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .dtype import HALF, DataTypeSpec, effective_grid
+import numpy as np
+
+from .dtype import HALF, DataType, DataTypeSpec, effective_grid
 from .errors import (
     InvalidSpecialValueIndex,
     OutOfRange,
@@ -229,6 +236,68 @@ def encode_weight(code: int, spec: DataTypeSpec,
     return terms
 
 
+class Terms(NamedTuple):
+    """Bit-serial terms as int64 arrays, one row per weight code.
+
+    ``sign``, ``exp`` and ``man`` have shape ``(n, terms_per_code)``; term
+    slot ``t`` of every row carries bit-significance ``bsig[t]``.
+    """
+
+    sign: np.ndarray
+    exp: np.ndarray
+    man: np.ndarray
+    bsig: np.ndarray
+
+    def take(self, rows) -> "Terms":
+        return Terms(self.sign.take(rows, axis=0), self.exp.take(rows, axis=0),
+                     self.man.take(rows, axis=0), self.bsig)
+
+
+def code_range(spec: DataTypeSpec) -> tuple[int, int]:
+    """Lowest and highest on-grid code of a symmetric PE data type."""
+    if spec.asymmetric:
+        raise UnsupportedDtype(
+            f"{spec.name} is a software baseline only; the PE consumes "
+            "symmetric INT and FP types"
+        )
+    if spec.is_fp:
+        return 0, len(spec.grids[0]) - 1
+    qmax = (1 << (spec.bits_per_code - 1)) - 1
+    return -qmax, qmax
+
+
+def build_term_table(spec: DataTypeSpec, sv_index: int = 0,
+                     svreg: SpecialValueRegister | None = None) -> Terms:
+    """Terms of every on-grid code; row ``code - code_range(spec)[0]``."""
+    lo, hi = code_range(spec)
+    rows = [encode_weight(code, spec, svreg, sv_index)
+            for code in range(lo, hi + 1)]
+    fields = (np.array([[getattr(t, name) for t in row] for row in rows],
+                       dtype=np.int64) for name in ("sign", "exp", "man"))
+    table = Terms(*fields, np.array([t.bsig for t in rows[0]], dtype=np.int64))
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+# Built on first use; keyed by the DataType, whose hash is cheap, because
+# hashing a DataTypeSpec hashes all of its Fraction grids.
+_TERM_TABLES: dict[tuple[DataType, int], Terms] = {}
+
+
+def term_table(spec: DataTypeSpec, sv_index: int = 0) -> Terms:
+    """Read-only :func:`build_term_table` of (spec, sv_index), built once.
+
+    Integer types have one grid, so their ``sv_index`` is ignored, as it is
+    by :func:`encode_weight`.
+    """
+    key = (spec.name, sv_index if spec.is_fp else 0)
+    table = _TERM_TABLES.get(key)
+    if table is None:
+        table = _TERM_TABLES[key] = build_term_table(spec, key[1])
+    return table
+
+
 def term_value_sum(terms) -> Fraction:
     return sum((t.value for t in terms), Fraction(0))
 
@@ -236,13 +305,17 @@ def term_value_sum(terms) -> Fraction:
 __all__ = [
     "BitSerialTerm",
     "FixedPointCode",
+    "Terms",
     "SpecialValueRegister",
     "NEG_ZERO",
     "booth_encode",
+    "build_term_table",
+    "code_range",
     "fp_code_to_fixed_point",
     "fixed_point_of",
     "lod_decode",
     "encode_weight",
+    "term_table",
     "term_value_sum",
     "zero_term",
     "HALF",

@@ -21,9 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bitserial import BitSerialTerm, SpecialValueRegister, encode_weight
+from .bitserial import (
+    SpecialValueRegister,
+    Terms,
+    build_term_table,
+    code_range,
+    term_table,
+)
 from .dtype import DataTypeSpec
-from .errors import ShapeMismatch, UnsupportedDtype
+from .errors import OutOfRange, ShapeMismatch
 from .quant import QuantizedGroup
 
 DOT_WIDTH = 4
@@ -34,6 +40,24 @@ DEQUANT_CYCLES = 8
 _ACT_SCALE_SHIFT = 25
 
 
+def decode_fp16(values):
+    """Decode activations to FP16 operand fields ``(sign, a_e, a_m)``.
+
+    Each value is rounded to FP16; the fields come from its bit pattern as
+    int64 arrays of the input's shape.  Subnormals flush to zero (their
+    sign is kept); a NaN or infinite value, including one that overflows
+    FP16, raises ``ValueError``.
+    """
+    with np.errstate(over="ignore"):  # overflow lands on inf, rejected below
+        bits = np.asarray(values, dtype=np.float16).view(np.uint16)
+    bits = bits.astype(np.int64)
+    exp = (bits >> 10) & 0x1F
+    if exp.max(initial=0) == 0x1F:
+        raise ValueError("NaN/Inf activation rejected")
+    a_m = (0x400 | (bits & 0x3FF)) * (exp != 0)
+    return bits >> 15, exp, a_m
+
+
 @dataclass(frozen=True)
 class Fp16Operand:
     sign: int
@@ -42,18 +66,8 @@ class Fp16Operand:
 
     @classmethod
     def from_float(cls, x) -> "Fp16Operand":
-        with np.errstate(over="ignore"):  # overflow lands on inf, rejected below
-            h = np.float16(x)
-        bits = int(h.view(np.uint16))
-        sign = (bits >> 15) & 1
-        exp = (bits >> 10) & 0x1F
-        frac = bits & 0x3FF
-        if exp == 0x1F:
-            raise ValueError("NaN/Inf activation rejected")
-        if exp == 0:
-            # Subnormals flush to zero.
-            return cls(sign=sign, a_e=0, a_m=0)
-        return cls(sign=sign, a_e=exp, a_m=0x400 | frac)
+        sign, a_e, a_m = decode_fp16(x)
+        return cls(sign=int(sign), a_e=int(a_e), a_m=int(a_m))
 
     @property
     def value(self) -> float:
@@ -88,7 +102,10 @@ def pe_cycle(terms, acts, acc: AccumulatorState) -> AccumulatorState:
     bsigs = {t.bsig for t in terms}
     if len(bsigs) != 1:
         raise ShapeMismatch(f"terms must share one bsig, got {sorted(bsigs)}")
-    m, e = _kernels.pe_cycle_core(acc.m_acc, acc.e_acc, terms, acts)
+    w = np.array([(t.sign, t.exp, t.man) for t in terms], dtype=np.int64)
+    a = np.array([(op.sign, op.a_e, op.a_m) for op in acts], dtype=np.int64)
+    lanes = Terms(w[:, :1], w[:, 1:2], w[:, 2:], np.array([terms[0].bsig]))
+    m, e = _kernels.run_group_dot(lanes, tuple(a.T), acc.m_acc, acc.e_acc)
     return AccumulatorState(m, e)
 
 
@@ -100,24 +117,25 @@ def bit_serial_dequant(acc: AccumulatorState, scale_q: int):
     return GroupPartialSum(m_grp=m_grp, e_grp=acc.e_acc), DEQUANT_CYCLES
 
 
-def _as_operands(acts) -> list[Fp16Operand]:
-    return [a if isinstance(a, Fp16Operand) else Fp16Operand.from_float(a)
-            for a in acts]
-
-
 def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec,
-                       svreg: SpecialValueRegister | None = None
-                       ) -> list[list[BitSerialTerm]]:
-    """Encode a quantized group into one term list per weight."""
-    if spec.asymmetric:
-        raise UnsupportedDtype(
-            f"{spec.name} is a software baseline only; the PE consumes "
-            "symmetric INT and FP types"
-        )
-    if svreg is None and spec.is_bitmod:
-        svreg = SpecialValueRegister.program(spec)
-    return [encode_weight(int(code), spec, svreg, weights.sv_index)
-            for code in weights.codes]
+                       svreg: SpecialValueRegister | None = None) -> Terms:
+    """Gather a quantized group's terms from the (spec, sv_index) table.
+
+    Returns :class:`Terms` with ``(G, terms_per_code)`` arrays.  A code off
+    the dtype's grid raises :class:`OutOfRange`.  With an ``svreg`` given,
+    the table is encoded from that register on every call instead.
+    """
+    lo, hi = code_range(spec)
+    codes = np.asarray(weights.codes, dtype=np.int64)
+    off_grid = (codes < lo) | (codes > hi)
+    if off_grid.any():
+        raise OutOfRange(f"{spec.name} code {codes[off_grid][0]} off the grid "
+                         f"[{lo}, {hi}]")
+    if svreg is None:
+        table = term_table(spec, weights.sv_index)
+    else:
+        table = build_term_table(spec, weights.sv_index, svreg)
+    return table.take(codes - lo)
 
 
 def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec,
@@ -132,9 +150,9 @@ def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec,
         raise ShapeMismatch(f"expected {g} activations, got {len(acts)}")
     if g % DOT_WIDTH != 0:
         raise ShapeMismatch(f"group size {g} not divisible by dot width 4")
-    ops = _as_operands(acts)
+    ops = decode_fp16(acts)
     terms = encode_group_terms(weights, spec, svreg)
-    m_acc, e_acc = _kernels.run_group_dot(terms, ops, spec.terms_per_code)
+    m_acc, e_acc = _kernels.run_group_dot(terms, ops)
     cycles = (g // DOT_WIDTH) * spec.terms_per_code
     gps, _ = bit_serial_dequant(AccumulatorState(m_acc, e_acc),
                                 weights.scale_q)

@@ -10,6 +10,9 @@ def test_rne_rshift_ties_to_even():
     assert rne(0b1101, 2) == 0b11  # 3.25 -> 3
     assert rne(5, 0) == 5
     assert rne(5, -2) == 20
+    for m in range(-300, 300):
+        for s in range(5):
+            assert rne(m, s) == -rne(-m, s)
 
 
 def test_dequant_shift_add_is_multiplication():

@@ -5,14 +5,23 @@ import pytest
 
 import pe_oracle
 from conftest import exact_dot, oracle_acts, oracle_weight_terms
-from bitmod.bitserial import BitSerialTerm, zero_term
+from bitmod.bitserial import (
+    BitSerialTerm,
+    SpecialValueRegister,
+    Terms,
+    code_range,
+    encode_weight,
+    term_table,
+    zero_term,
+)
 from bitmod.dtype import GroupingConfig, spec_for
-from bitmod.errors import ShapeMismatch, UnsupportedDtype
+from bitmod.errors import OutOfRange, ShapeMismatch, UnsupportedDtype
 from bitmod.pe import (
     DEQUANT_CYCLES,
     AccumulatorState,
     Fp16Operand,
     bit_serial_dequant,
+    decode_fp16,
     drain_accumulate,
     encode_group_terms,
     fp16_mac_cycles_per_dot,
@@ -41,6 +50,18 @@ def acts_from(rng, g, positive=False):
     return a.astype(np.float16).astype(np.float64)
 
 
+def wide_acts_from(rng, g):
+    """FP16 activations over every normal exponent (2^-14 .. 2^15), with
+    +-0 and subnormals mixed in, so alignment shifts reach their maximum."""
+    bits = (rng.integers(0, 2, g) << 15) | (rng.integers(1, 31, g) << 10) \
+        | rng.integers(0, 1 << 10, g)
+    special = rng.choice(g, 8, replace=False)
+    bits[special[:2]] = (0x0000, 0x8000)
+    bits[special[2:]] = (rng.integers(0, 2, 6) << 15) \
+        | rng.integers(1, 1 << 10, 6)
+    return bits.astype(np.uint16).view(np.float16).astype(np.float64)
+
+
 # ---------------------------------------------------------------------------
 # FP16 operand ingestion
 # ---------------------------------------------------------------------------
@@ -64,6 +85,25 @@ def test_fp16_operand_rejects_nonfinite():
         Fp16Operand.from_float(float("nan"))
     with pytest.raises(ValueError):
         Fp16Operand.from_float(1e9)  # overflows FP16 to inf
+
+
+def test_decode_fp16_every_bit_pattern():
+    values = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(
+        np.float16)
+    finite = np.isfinite(values)
+    sign, a_e, a_m = decode_fp16(values[finite])
+    for i, x in enumerate(values[finite]):
+        op = Fp16Operand.from_float(x)
+        assert (op.sign, op.a_e, op.a_m) == (sign[i], a_e[i], a_m[i])
+        want = pe_oracle.fp16_operand(x)
+        assert (op.a_e, op.a_m) == want[1:]
+        assert op.sign == want[0] or not op.a_m
+    assert np.all((a_m == 0) == (np.abs(values[finite]) < 2.0 ** -14))
+    for x in values[~finite]:
+        with pytest.raises(ValueError):
+            decode_fp16([1.0, x])
+        with pytest.raises(ValueError):
+            Fp16Operand.from_float(x)
 
 
 def test_fp16_operand_matches_oracle_on_random_floats():
@@ -198,10 +238,10 @@ def test_group_dot_rejects_asymmetric_and_bad_shapes():
 def test_group_dot_matches_oracle(name):
     rng = np.random.default_rng(24)
     spec = spec_for(name)
-    for g in (16, 32, 64):
+    for g in (16, 32, 64, 128):
         for _ in range(40):
             qg = make_group(rng, spec, g, outlier=rng.random() < 0.3)
-            avals = acts_from(rng, g)
+            avals = acts_from(rng, g) if g < 128 else wide_acts_from(rng, g)
             gps, _ = group_dot(qg, avals, spec)
             state = pe_oracle.group_dot(
                 oracle_weight_terms(qg, spec), oracle_acts(avals),
@@ -227,13 +267,61 @@ def test_group_dot_relative_error(name):
         assert abs(gps.value - exact) / abs(exact) < 2.0 ** -7
 
 
+def test_group_dot_with_explicit_register():
+    rng = np.random.default_rng(27)
+    spec = spec_for("FP3_BITMOD")
+    qg = make_group(rng, spec, 32, outlier=True)
+    avals = acts_from(rng, 32)
+    svreg = SpecialValueRegister.program(spec)
+    assert group_dot(qg, avals, spec, svreg) == group_dot(qg, avals, spec)
+
+
+@pytest.mark.parametrize(("name", "code"), [
+    ("FP3_BITMOD", -1), ("FP3_BITMOD", 8), ("FP3_BASIC", -3),
+    ("FP3_BASIC", 7), ("FP4_BASIC", 15), ("INT6_SYM", -32), ("INT6_SYM", 32),
+    ("INT8_SYM", -128)])
+def test_group_dot_rejects_off_grid_codes(name, code):
+    spec = spec_for(name)
+    codes = np.zeros(8, dtype=np.int64)
+    codes[5] = code
+    with pytest.raises(OutOfRange):
+        group_dot(QuantizedGroup(codes=codes, scale_q=1), [1.0] * 8, spec)
+
+
 def test_encode_group_terms_layout():
     spec = spec_for("INT6_SYM")
     codes, _ = quantize_symmetric([1.0, -1.0, 0.5, 0.25], 6)
-    qg = QuantizedGroup(codes=codes)
-    terms = encode_group_terms(qg, spec)
-    assert [len(t) for t in terms] == [3] * 4
-    assert [t.bsig for t in terms[0]] == [0, 2, 4]
+    terms = encode_group_terms(QuantizedGroup(codes=codes), spec)
+    assert isinstance(terms, Terms)
+    for field in (terms.sign, terms.exp, terms.man):
+        assert field.shape == (4, 3) and field.dtype == np.int64
+    assert terms.bsig.tolist() == [0, 2, 4]
+    for i, code in enumerate(codes):
+        want = encode_weight(int(code), spec)
+        assert [(terms.sign[i, t], terms.exp[i, t], terms.man[i, t])
+                for t in range(3)] == [(w.sign, w.exp, w.man) for w in want]
+
+
+@pytest.mark.parametrize("name", PE_DTYPES)
+def test_term_table_matches_encode_weight(name):
+    spec = spec_for(name)
+    lo, hi = code_range(spec)
+    svreg = SpecialValueRegister.program(spec) if spec.is_bitmod else None
+    for sv_index in range(max(1, len(spec.special_values))):
+        table = term_table(spec, sv_index)
+        n_codes = (len(spec.grids[sv_index]) if spec.is_fp
+                   else 2 ** spec.bits_per_code - 1)
+        assert hi - lo + 1 == n_codes
+        assert table.sign.shape == (n_codes, spec.terms_per_code)
+        assert not table.sign.flags.writeable
+        for code in range(lo, hi + 1):
+            want = encode_weight(code, spec, svreg, sv_index)
+            got = [BitSerialTerm(int(table.sign[code - lo, t]),
+                                 int(table.exp[code - lo, t]),
+                                 int(table.man[code - lo, t]),
+                                 int(table.bsig[t]))
+                   for t in range(spec.terms_per_code)]
+            assert got == want, (name, sv_index, code)
 
 
 def test_drain_accumulate():
