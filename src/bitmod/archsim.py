@@ -12,6 +12,12 @@ PE is smaller, so more of them fit in the same area).
 Energy numbers are placeholder per-event costs supplied via configuration;
 they are NOT silicon measurements, and only ratios between runs that share
 a config are meaningful.
+
+A layer repeated over blocks and a phase repeated over decode steps add the
+same per-GEMM report many times.  Those totals are computed in closed form
+(``SimReport.accumulate`` with a count), so host time does not depend on
+``decode_tokens``; the float columns still equal, bit for bit, what that
+many sequential additions give.
 """
 
 from __future__ import annotations
@@ -66,6 +72,10 @@ class ArchConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.frequency_hz <= 0 or self.dram_bandwidth_bytes_per_s <= 0:
             raise ConfigError("frequency and DRAM bandwidth must be positive")
+        for name in ("e_pe_cycle", "e_sram_byte", "e_dram_byte"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, "
+                                  f"got {getattr(self, name)!r}")
 
     @property
     def n_pes(self) -> int:
@@ -107,12 +117,6 @@ class EnergyBreakdown:
     def total_j(self) -> float:
         return self.compute_j + self.sram_j + self.dram_j
 
-    def __iadd__(self, other):
-        self.compute_j += other.compute_j
-        self.sram_j += other.sram_j
-        self.dram_j += other.dram_j
-        return self
-
 
 @dataclass
 class SimReport:
@@ -124,13 +128,60 @@ class SimReport:
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
     speedup_vs_baseline: float | None = None
 
-    def accumulate(self, other: "SimReport"):
-        self.compute_cycles += other.compute_cycles
-        self.dram_cycles += other.dram_cycles
-        self.total_cycles += other.total_cycles
-        self.weight_bytes += other.weight_bytes
-        self.activation_bytes += other.activation_bytes
-        self.energy += other.energy
+    def accumulate(self, other: "SimReport", times: int):
+        """Add ``other`` ``times`` times, as that many sequential additions."""
+        self.compute_cycles += other.compute_cycles * times
+        self.dram_cycles += other.dram_cycles * times
+        self.total_cycles += other.total_cycles * times
+        self.weight_bytes = _repeat_add(self.weight_bytes, other.weight_bytes,
+                                        times)
+        self.activation_bytes = _repeat_add(self.activation_bytes,
+                                            other.activation_bytes, times)
+        e, o = self.energy, other.energy
+        e.compute_j = _repeat_add(e.compute_j, o.compute_j, times)
+        e.sram_j = _repeat_add(e.sram_j, o.sram_j, times)
+        e.dram_j = _repeat_add(e.dram_j, o.dram_j, times)
+
+
+# Runs up to this many additions are plain loops: cheaper than the jumps.
+_PLAIN_HEAD = 64
+# s / ulp(s) stays below this in every binade; at it the ulp doubles.
+_BINADE_ULPS = 1 << 53
+
+
+def _repeat_add(s: float, x: float, n: int) -> float:
+    """``s`` after ``n`` sequential ``s += x``, bit for bit, for s, x >= 0.
+
+    Inside one binade (between consecutive powers of two) every step adds
+    the same ``d = round(x / ulp(s))`` ulps, round-half-even as in IEEE
+    addition, so a run of steps is one exact multiply-add.  A plain step is
+    taken when ``x >= s``, when ``x / ulp`` is a tie and ``s / ulp`` is odd
+    (after it ``s / ulp`` is even and stays even), and next to a binade
+    boundary.  O(log n) steps after the plain head.
+    """
+    head = min(n, _PLAIN_HEAD)
+    for _ in range(head):
+        s += x
+    n -= head
+    while n > 0 and x > 0.0 and s < math.inf:
+        if x < s:
+            u = math.ulp(s)
+            ulps = int(s / u)
+            q = x / u  # exact, or too small to round to a nonzero d
+            d = round(q)  # ties to even, as IEEE addition rounds
+            if not (abs(q - d) == 0.5 and ulps & 1):
+                if d == 0:
+                    return s  # no step moves s
+                # A run that ends 2 or more ulps below the binade's end
+                # keeps every exact sum inside it, so each step adds d ulps.
+                k = min(n, (_BINADE_ULPS - 2 - ulps) // d)
+                if k > 0:
+                    s = (ulps + k * d) * u
+                    n -= k
+                    continue
+        s += x
+        n -= 1
+    return s
 
 
 def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig,
@@ -200,8 +251,7 @@ def simulate_layer(layer: LayerShape, spec: DataTypeSpec,
     )
     rep = _finish(compute, wb, ab, cfg, cfg.n_pes)
     out = SimReport()
-    for _ in range(layer.repeat):
-        out.accumulate(rep)
+    out.accumulate(rep, layer.repeat)
     return out
 
 
@@ -227,8 +277,7 @@ def baseline_fp16_layer(layer: LayerShape, cfg: ArchConfig = ArchConfig(),
     n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
     rep = _finish(compute, wb, ab, cfg, n_pes)
     out = SimReport()
-    for _ in range(layer.repeat):
-        out.accumulate(rep)
+    out.accumulate(rep, layer.repeat)
     return out
 
 
@@ -248,9 +297,7 @@ def simulate_workload(w: WorkloadSpec, spec: DataTypeSpec,
                       cfg: ArchConfig = ArchConfig()) -> SimReport:
     out = SimReport()
     for layer, mult in _phased_layers(w):
-        rep = simulate_layer(layer, spec, grouping, cfg)
-        for _ in range(mult):
-            out.accumulate(rep)
+        out.accumulate(simulate_layer(layer, spec, grouping, cfg), mult)
     return out
 
 
@@ -258,9 +305,8 @@ def baseline_fp16_sim(w: WorkloadSpec, cfg: ArchConfig = ArchConfig(),
                       iso_area: bool = True) -> SimReport:
     out = SimReport()
     for layer, mult in _phased_layers(w):
-        rep = baseline_fp16_layer(layer, cfg, iso_area=iso_area)
-        for _ in range(mult):
-            out.accumulate(rep)
+        out.accumulate(baseline_fp16_layer(layer, cfg, iso_area=iso_area),
+                       mult)
     return out
 
 

@@ -59,7 +59,7 @@ class DataTypeSpec:
     def is_bitmod(self) -> bool:
         return len(self.special_values) > 0
 
-    @property
+    @cached_property
     def is_fp(self) -> bool:
         return self.name in (
             DataType.FP4_BASIC,

@@ -1,13 +1,20 @@
+import dataclasses
 import math
+import sys
+import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitmod import archsim
 from bitmod.archsim import (
     ArchConfig,
     LayerShape,
+    SimReport,
     WorkloadSpec,
+    _repeat_add,
     baseline_fp16_layer,
     baseline_fp16_sim,
     check_no_stall,
@@ -46,6 +53,14 @@ def test_arch_config_defaults_and_validation():
 def test_arch_config_rejects_wrongly_typed_values(overrides):
     with pytest.raises(ConfigError, match=next(iter(overrides))):
         ArchConfig(**overrides)
+
+
+@pytest.mark.parametrize("name", ("e_pe_cycle", "e_sram_byte", "e_dram_byte"))
+def test_arch_config_rejects_negative_energy_costs(name):
+    # A negative per-event cost used to give silently wrong energies.
+    with pytest.raises(ConfigError, match=name):
+        ArchConfig(**{name: -1e-12})
+    assert getattr(ArchConfig(**{name: 0}), name) == 0  # zero stays valid
 
 
 def test_arch_config_accepts_int_for_float_fields():
@@ -265,3 +280,131 @@ def test_llama_generative_int6_speedup_band():
     with_speedup(rep, base)
     assert 1.8 <= rep.speedup_vs_baseline <= 2.7
     assert rep.weight_bytes / rep.activation_bytes >= 10.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form totals
+# ---------------------------------------------------------------------------
+
+def _loop_add(s, x, n):
+    for _ in range(n):
+        s += x
+    return s
+
+
+_MIN_NORMAL = sys.float_info.min
+_FEW_BITS = st.builds(math.ldexp, st.integers(1, 15),
+                      st.integers(-1078, 1020))  # ties; 0 and subnormals too
+_NONNEG = st.one_of(
+    st.just(0.0),
+    _FEW_BITS,
+    st.floats(min_value=0.0, max_value=_MIN_NORMAL, exclude_max=True),
+    st.floats(min_value=2.0 ** 1020, allow_infinity=False),
+    # a few ulps below a power of two, so short runs cross binades
+    st.builds(lambda r, e: math.ldexp(2 ** 53 - r, e),
+              st.integers(1, 2 ** 12), st.integers(-1074, 971)),
+    st.floats(min_value=0.0, allow_infinity=False, allow_nan=False),
+)
+
+
+@st.composite
+def _addend_pairs(draw):
+    s = draw(_NONNEG)
+    how = draw(st.sampled_from(("any", "fraction", "ulps")))
+    if how == "any" or not math.isfinite(s):
+        x = draw(_NONNEG)
+    elif how == "fraction":  # a few-bit fraction of s: tiny steps near its ulp
+        x = s * draw(st.builds(math.ldexp, st.integers(1, 15),
+                               st.integers(-60, 0)))
+    else:  # lowest set bit at ulp(s) * 2**(j - 1): x / ulp is a tie j
+        # binades up, which long runs reach after a jump
+        ulp_exp = math.frexp(math.ulp(s))[1] - 1
+        m = draw(st.integers(1, 15) | st.integers(1, 2 ** 52)) | 1
+        x = math.ldexp(m, min(ulp_exp + draw(st.integers(0, 12)) - 1, 970))
+    return s, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_addend_pairs(), st.integers(min_value=0, max_value=20_000))
+def test_repeat_add_equals_sequential_additions(pair, n):
+    s, x = pair
+    assert _repeat_add(s, x, n).hex() == _loop_add(s, x, n).hex()
+
+
+@pytest.mark.parametrize("s, x, n", [
+    (0.0, 0.1, 1_000_003),
+    (1.0, 2.0 ** -53, 100_000),        # a tie from an even s: never moves
+    (1.0 + 2.0 ** -52, 2.0 ** -53, 100_000),  # a tie from an odd s
+    (0.0, 5e-324, 100_000),            # subnormal steps into the normals
+    (2.0 ** 1023, 2.0 ** 1020, 100),   # overflows to inf
+    (2.0 ** 53 - 71, 1.0, 2000),       # the jump must stop short of 2**53
+    (2.0 ** 53 - 190, 3.0, 2000),      # past 2**53, 3 = 1.5 ulps lands odd
+])
+def test_repeat_add_edge_cases(s, x, n):
+    assert _repeat_add(s, x, n).hex() == _loop_add(s, x, n).hex()
+
+
+@pytest.mark.parametrize("s, x, want", [
+    (3.0, 0.0, 3.0),
+    (1.0, 2.0 ** -54, 1.0),   # under half an ulp: no step moves s
+    (math.inf, 1.0, math.inf),
+])
+def test_repeat_add_returns_at_once_when_s_stops_moving(s, x, want):
+    n = 10 ** 7  # a plain loop would take about a second
+    t0 = time.perf_counter()
+    assert _repeat_add(s, x, n) == want
+    assert time.perf_counter() - t0 < 0.05
+
+
+def _add_once(out, rep):
+    """One sequential addition of every column."""
+    out.compute_cycles += rep.compute_cycles
+    out.dram_cycles += rep.dram_cycles
+    out.total_cycles += rep.total_cycles
+    out.weight_bytes += rep.weight_bytes
+    out.activation_bytes += rep.activation_bytes
+    out.energy.compute_j += rep.energy.compute_j
+    out.energy.sram_j += rep.energy.sram_j
+    out.energy.dram_j += rep.energy.dram_j
+
+
+def _oracle_workload(w, one_gemm):
+    """Workload total by one addition per block and per decode step."""
+    phases = [(w.prefill_tokens * w.batch, 1)] if w.prefill_tokens else []
+    if w.decode_tokens:
+        phases.append((w.batch, w.decode_tokens))
+    out = SimReport()
+    for m, mult in phases:
+        for layer in w.layers:
+            rep = one_gemm(dataclasses.replace(layer, m=m, repeat=1))
+            per_layer = SimReport()
+            for _ in range(layer.repeat):
+                _add_once(per_layer, rep)
+            for _ in range(mult):
+                _add_once(out, per_layer)
+    return out
+
+
+def _bundled(shape):
+    return profile_shapes(resources.files("bitmod.shapes")
+                          .joinpath(f"{shape}.shape").read_text())
+
+
+# The 100 000-step decode runs for one shape and dtype: the oracle loop
+# takes about half a second per workload there.
+@pytest.mark.parametrize("shape, decode, dtype_name", [
+    *((s, d, n) for s in ("toy", "opt-1.3b", "llama-2-7b") for d in (0, 1, 256)
+      for n in ("FP3_BITMOD", "INT6_SYM", "FP16")),
+    ("llama-2-7b", 100_000, "FP3_BITMOD"),
+])
+def test_closed_form_totals_equal_sequential_sums(shape, decode, dtype_name):
+    w = dataclasses.replace(_bundled(shape), decode_tokens=decode)
+    if dtype_name == "FP16":
+        got = baseline_fp16_sim(w)
+        want = _oracle_workload(w, baseline_fp16_layer)
+    else:
+        spec = spec_for(dtype_name)
+        got = simulate_workload(w, spec, G128)
+        want = _oracle_workload(
+            w, lambda layer: simulate_layer(layer, spec, G128))
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)

@@ -1,11 +1,16 @@
 import csv
+import dataclasses
 import io
 import json
+import time
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from bitmod import archsim
 from bitmod.cli import main
+from bitmod.dtype import GroupingConfig, spec_for
 from bitmod.packfile import unpack_to_tensor
 
 
@@ -150,6 +155,39 @@ def test_simulate_arch_config_override(tmp_path, capsys):
     rows, _ = parse_csv(out.read_text())
     for r in rows:
         assert int(r["total_cycles"]) == int(r["compute_cycles"])
+
+
+def test_simulate_host_time_does_not_grow_with_decode_tokens(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "simulate", "llama-2-7b",
+                       "--decode-tokens", "1000000000", "--format", "json")
+    assert code == 0
+    assert time.perf_counter() - t0 < 2.0
+    # Cycle totals are linear in decode steps: the prefill alone plus 10**9
+    # times one decode step alone.
+    text = resources.files("bitmod.shapes").joinpath("llama-2-7b.shape") \
+        .read_text()
+    w = archsim.profile_shapes(text)
+    g128 = GroupingConfig(group_size=128)
+    phases = (dataclasses.replace(w, prefill_tokens=256, decode_tokens=0),
+              dataclasses.replace(w, prefill_tokens=0, decode_tokens=1))
+    sims = {"FP16_BASELINE": archsim.baseline_fp16_sim,
+            "INT6_SYM": lambda p: archsim.simulate_workload(
+                p, spec_for("INT6_SYM"), g128)}
+    rows = json.loads(out)["rows"]
+    assert [r["dtype"] for r in rows] == list(sims)
+    for row in rows:
+        prefill, step = (sims[row["dtype"]](p).compute_cycles for p in phases)
+        assert row["compute_cycles"] == prefill + 10 ** 9 * step
+
+
+def test_negative_energy_cost_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"e_dram_byte": -2e-11}))
+    code, _, err = run(capsys, "simulate", "toy", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "e_dram_byte" in err
 
 
 def test_pack_unpack_roundtrip(tensor_file, tmp_path, capsys):

@@ -128,3 +128,12 @@ def test_dtype_ids_are_stable():
     assert DataType.INT8_SYM.value == 0
     assert DataType.FP4_BITMOD.value == 8
     assert DataType.FP3_BITMOD.value == 9
+
+
+@pytest.mark.parametrize("dt", list(DataType), ids=str)
+def test_is_fp_matches_fp_membership_and_is_cached(dt):
+    spec = SPECS[dt]
+    assert spec.is_fp is (dt in (DataType.FP4_BASIC, DataType.FP3_BASIC,
+                                 DataType.FP4_BITMOD, DataType.FP3_BITMOD))
+    # Computed once, then read from the instance like a field.
+    assert vars(spec)["is_fp"] is spec.is_fp
