@@ -53,8 +53,8 @@ def normalize(m: int, e: int):
     return m, e
 
 
-def run_group_dot(terms, acts, m_acc: int = 0, e_acc: int = 0):
-    """Group dot product before dequantization, from a given accumulator.
+def run_group_dot(terms, acts):
+    """Group dot product before dequantization.
 
     ``terms`` holds ``(sign, exp, man, bsig)``: int64 arrays of shape
     ``(G, T)`` and the per-slot ``bsig`` of shape ``(T,)``.  ``acts`` holds
@@ -82,6 +82,7 @@ def run_group_dot(terms, acts, m_acc: int = 0, e_acc: int = 0):
     tree = aligned.sum(axis=1).ravel()
     live = np.flatnonzero(tree)
     e_tree = (max_e + bsig - 25).ravel()[live]
+    m_acc = e_acc = 0
     for tree_m, e_t in zip(tree[live].tolist(), e_tree.tolist()):
         if m_acc == 0:
             m_acc, e_acc = tree_m, e_t
@@ -93,11 +94,3 @@ def run_group_dot(terms, acts, m_acc: int = 0, e_acc: int = 0):
         m_acc, e_acc = normalize(m_acc, e_acc)
     return m_acc, e_acc
 
-
-def dequant_shift_add(m_acc: int, scale_q: int) -> int:
-    """8-step shift-and-add multiply by the unsigned 8-bit group scale."""
-    out = 0
-    for i in range(8):
-        if (scale_q >> i) & 1:
-            out += m_acc << i
-    return out

@@ -255,20 +255,19 @@ def simulate_layer(layer: LayerShape, spec: DataTypeSpec,
     return out
 
 
-def baseline_fp16_layer(layer: LayerShape, cfg: ArchConfig = ArchConfig(),
-                        iso_area: bool = True) -> SimReport:
+def baseline_fp16_layer(layer: LayerShape,
+                        cfg: ArchConfig = ArchConfig()) -> SimReport:
     """Same GEMM on the FP16 MAC baseline accelerator.
 
     The baseline PE finishes one 4-MAC batch in 4 cycles (one MAC per
-    cycle); with ``iso_area`` the smaller baseline tile (6x8 by default)
-    replaces the 8x8 bit-serial tile.
+    cycle); its iso-area tile (``baseline_pe_rows`` x ``baseline_pe_cols``,
+    6x8 by default) replaces the 8x8 bit-serial tile.
     """
     if layer.m <= 0 or layer.k <= 0 or layer.n <= 0:
         raise ConfigError(f"non-positive GEMM dimension in {layer}")
     if layer.repeat == 0:
         return SimReport()
-    rows = cfg.baseline_pe_rows if iso_area else cfg.pe_rows
-    cols = cfg.baseline_pe_cols if iso_area else cfg.pe_cols
+    rows, cols = cfg.baseline_pe_rows, cfg.baseline_pe_cols
     grouping = GroupingConfig(group_size=cfg.dot_width)
     compute, wb, ab = _cycles_and_bytes(
         layer.m, layer.k, layer.n, fp16_mac_cycles_per_dot(),
@@ -301,12 +300,11 @@ def simulate_workload(w: WorkloadSpec, spec: DataTypeSpec,
     return out
 
 
-def baseline_fp16_sim(w: WorkloadSpec, cfg: ArchConfig = ArchConfig(),
-                      iso_area: bool = True) -> SimReport:
+def baseline_fp16_sim(w: WorkloadSpec,
+                      cfg: ArchConfig = ArchConfig()) -> SimReport:
     out = SimReport()
     for layer, mult in _phased_layers(w):
-        out.accumulate(baseline_fp16_layer(layer, cfg, iso_area=iso_area),
-                       mult)
+        out.accumulate(baseline_fp16_layer(layer, cfg), mult)
     return out
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtype import HALF, DataType, DataTypeSpec, effective_grid
+from .dtype import HALF, DataType, DataTypeSpec, code_range, effective_grid
 from .errors import (
     InvalidSpecialValueIndex,
     OutOfRange,
@@ -253,48 +253,32 @@ class Terms(NamedTuple):
                      self.man.take(rows, axis=0), self.bsig)
 
 
-def code_range(spec: DataTypeSpec) -> tuple[int, int]:
-    """Lowest and highest on-grid code of a symmetric PE data type."""
-    if spec.asymmetric:
-        raise UnsupportedDtype(
-            f"{spec.name} is a software baseline only; the PE consumes "
-            "symmetric INT and FP types"
-        )
-    if spec.is_fp:
-        return 0, len(spec.grids[0]) - 1
-    qmax = (1 << (spec.bits_per_code - 1)) - 1
-    return -qmax, qmax
-
-
-def build_term_table(spec: DataTypeSpec, sv_index: int = 0,
-                     svreg: SpecialValueRegister | None = None) -> Terms:
-    """Terms of every on-grid code; row ``code - code_range(spec)[0]``."""
-    lo, hi = code_range(spec)
-    rows = [encode_weight(code, spec, svreg, sv_index)
-            for code in range(lo, hi + 1)]
-    fields = (np.array([[getattr(t, name) for t in row] for row in rows],
-                       dtype=np.int64) for name in ("sign", "exp", "man"))
-    table = Terms(*fields, np.array([t.bsig for t in rows[0]], dtype=np.int64))
-    for array in table:
-        array.flags.writeable = False
-    return table
-
-
 # Built on first use; keyed by the DataType, whose hash is cheap, because
 # hashing a DataTypeSpec hashes all of its Fraction grids.
 _TERM_TABLES: dict[tuple[DataType, int], Terms] = {}
 
 
 def term_table(spec: DataTypeSpec, sv_index: int = 0) -> Terms:
-    """Read-only :func:`build_term_table` of (spec, sv_index), built once.
+    """Terms of every on-grid code of (spec, sv_index), encoded once with
+    :func:`encode_weight` and the spec's own special-value register.
 
-    Integer types have one grid, so their ``sv_index`` is ignored, as it is
-    by :func:`encode_weight`.
+    Row ``code - code_range(spec)[0]`` holds a code's terms; the arrays
+    are read-only.  Integer types have one grid, so their ``sv_index`` is
+    ignored, as it is by :func:`encode_weight`.
     """
     key = (spec.name, sv_index if spec.is_fp else 0)
     table = _TERM_TABLES.get(key)
     if table is None:
-        table = _TERM_TABLES[key] = build_term_table(spec, key[1])
+        lo, hi = code_range(spec)
+        rows = [encode_weight(code, spec, sv_index=key[1])
+                for code in range(lo, hi + 1)]
+        fields = (np.array([[getattr(t, name) for t in row] for row in rows],
+                           dtype=np.int64) for name in ("sign", "exp", "man"))
+        table = Terms(*fields,
+                      np.array([t.bsig for t in rows[0]], dtype=np.int64))
+        for array in table:
+            array.flags.writeable = False
+        _TERM_TABLES[key] = table
     return table
 
 
@@ -309,8 +293,6 @@ __all__ = [
     "SpecialValueRegister",
     "NEG_ZERO",
     "booth_encode",
-    "build_term_table",
-    "code_range",
     "fp_code_to_fixed_point",
     "fixed_point_of",
     "lod_decode",

@@ -131,9 +131,8 @@ def cmd_quant_eval(args) -> int:
             rep = error_report(tensor, deq)
             hist = [0, 0, 0, 0]
             if spec.is_bitmod:
-                for cq in channels:
-                    for qg in cq.groups:
-                        hist[qg.sv_index] += 1
+                hist = np.bincount(np.concatenate(
+                    [cq.sv_index for cq in channels]), minlength=4).tolist()
             rows.append({
                 "tensor": path,
                 "dtype": str(spec.name),

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyGrid, InvalidSpecialValueIndex
+from .errors import EmptyGrid, InvalidSpecialValueIndex, UnsupportedDtype
 
 HALF = Fraction(1, 2)
 
@@ -213,3 +213,20 @@ def grid_absmax(grid) -> Fraction:
     if len(grid) == 0:
         raise EmptyGrid("grid is empty")
     return max(abs(min(grid)), abs(max(grid)))
+
+
+def code_range(spec: DataTypeSpec) -> tuple[int, int]:
+    """Lowest and highest code a symmetric dtype stores: the grid indices
+    of an FP type, or -qmax..qmax of a symmetric INT type.  Other bit
+    patterns are invalid.  Asymmetric types, whose codes need a zero-point,
+    raise :class:`UnsupportedDtype`.
+    """
+    if spec.asymmetric:
+        raise UnsupportedDtype(
+            f"{spec.name} is a software baseline only; the PE and the BMOD "
+            "format take symmetric INT and FP types"
+        )
+    if spec.is_fp:
+        return 0, len(spec.grids[0]) - 1
+    qmax = (1 << (spec.bits_per_code - 1)) - 1
+    return -qmax, qmax

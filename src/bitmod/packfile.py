@@ -25,9 +25,9 @@ import struct
 
 import numpy as np
 
-from .dtype import DataType, DataTypeSpec, GroupingConfig, spec_for
+from .dtype import DataType, DataTypeSpec, GroupingConfig, code_range, spec_for
 from .errors import FormatError, UnsupportedDtype
-from .quant import ChannelQuantization, QuantizedGroup, dequantize_tensor
+from .quant import ChannelQuantization, dequantize_tensor
 
 MAGIC = b"BMOD"
 VERSION = 1
@@ -61,14 +61,6 @@ def _unpack_codes(raw, count: int, spec: DataTypeSpec) -> np.ndarray:
     return stored - ((stored & (1 << (bits - 1))) << 1)
 
 
-def _code_range(spec: DataTypeSpec) -> tuple[int, int]:
-    """Lowest and highest code a dtype stores; other bit patterns are invalid."""
-    if spec.is_fp:
-        return 0, len(spec.grids[0]) - 1
-    qmax = (1 << (spec.bits_per_code - 1)) - 1
-    return -qmax, qmax
-
-
 def group_record_bytes(spec: DataTypeSpec, group_size: int) -> int:
     return 2 + (group_size * spec.bits_per_code + 7) // 8
 
@@ -86,10 +78,9 @@ def pack(channels: list[ChannelQuantization], grouping: GroupingConfig,
                         channel_size, grouping.group_size)
     for cq in channels:
         out += struct.pack("<f", cq.channel_scale)
-        meta = np.array([(qg.scale_q, qg.sv_index & 0x3) for qg in cq.groups],
-                        dtype=np.uint8)
-        codes = _pack_codes(np.stack([qg.codes for qg in cq.groups]), spec)
-        out += np.concatenate([meta, codes], axis=1).tobytes()
+        meta = np.stack([cq.scale_q, cq.sv_index & 0x3], axis=1)
+        out += np.concatenate([meta.astype(np.uint8),
+                               _pack_codes(cq.codes, spec)], axis=1).tobytes()
     return bytes(out)
 
 
@@ -118,7 +109,7 @@ def unpack(data: bytes):
     groups_per_channel = -(-d // g)
     rec = group_record_bytes(spec, g)
     n_sv = max(1, len(spec.special_values))
-    lo, hi = _code_range(spec)
+    lo, hi = code_range(spec)
     # Only FP_BASIC and INT*_SYM leave some stored bit patterns unused.
     check_codes = hi - lo + 1 < 1 << spec.bits_per_code
     pos = _HEADER.size
@@ -151,13 +142,11 @@ def unpack(data: bytes):
                               offset=at + 2 + i * spec.bits_per_code // 8)
         if n < groups_per_channel:
             raise FormatError("truncated group record", offset=pos + n * rec)
-        groups = [QuantizedGroup(codes=c, sv_index=s, scale_q=q)
-                  for q, s, c in zip(records[:, 0].tolist(),
-                                     records[:, 1].tolist(), codes)]
         pos += n * rec
         channels.append(ChannelQuantization(
-            groups=groups, channel_scale=channel_scale, dtype=spec,
-            valid_size=d,
+            codes=codes, sv_index=records[:, 1].astype(np.int64),
+            scale_q=records[:, 0].astype(np.int64), delta=None,
+            channel_scale=channel_scale, dtype=spec, valid_size=d,
         ))
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes", offset=pos)

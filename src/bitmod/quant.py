@@ -36,7 +36,7 @@ def check_finite(tensor: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QuantizedGroup:
-    """Storage unit of one weight group.
+    """One weight group, as :func:`bitmod.pe.group_dot` takes it.
 
     ``codes`` index the effective grid for FP types and hold signed
     (symmetric) or unsigned (asymmetric) integers for INT types.
@@ -46,16 +46,42 @@ class QuantizedGroup:
     sv_index: int = 0
     scale_q: int = 0
     zero_point: int | None = None
-    # Unquantized per-group scale; kept until quantize_scales runs.
-    delta: float = 0.0
+    # Unquantized per-group scale; None once only scale_q is known.
+    delta: float | None = None
 
 
 @dataclass
 class ChannelQuantization:
-    groups: list[QuantizedGroup]
+    """One quantized channel: per-group arrays with one row per group.
+
+    ``codes`` has shape ``(n_groups, G)``; ``sv_index``, ``scale_q`` and
+    ``delta`` (the unquantized group scales, ``None`` after
+    :func:`bitmod.packfile.unpack`) have shape ``(n_groups,)``, and so does
+    ``zero_point``, which only asymmetric dtypes have.
+    """
+
+    codes: np.ndarray
+    sv_index: np.ndarray
+    scale_q: np.ndarray
+    delta: np.ndarray | None
     channel_scale: float
     dtype: DataTypeSpec
     valid_size: int  # channel size before zero-padding
+    zero_point: np.ndarray | None = None
+
+    @property
+    def groups(self) -> tuple[QuantizedGroup, ...]:
+        """One :class:`QuantizedGroup` per group, built on each access; its
+        codes are a read-only view of the row."""
+        rows = self.codes.view()
+        rows.flags.writeable = False
+        n = len(rows)
+        delta = [None] * n if self.delta is None else self.delta.tolist()
+        zero_point = ([None] * n if self.zero_point is None
+                      else self.zero_point.tolist())
+        return tuple(QuantizedGroup(c, s, q, z, d) for c, s, q, z, d in zip(
+            rows, self.sv_index.tolist(), self.scale_q.tolist(), zero_point,
+            delta))
 
 
 @dataclass(frozen=True)
@@ -65,17 +91,19 @@ class ErrorReport:
     max_abs_error: float
 
 
-def _divisor(delta, absmax):
-    """``delta`` as a divisor along the last axis; 1 where the group is all
-    zero (or constant), so that its codes come out as for the value 0."""
-    return np.where(absmax == 0, 1.0, delta)[..., None]
+def _divisor(delta):
+    """``delta`` as a divisor along the last axis; 1 where it is 0: the
+    group is all zero (or constant), or so small that its scale underflows,
+    and its codes come out as for the value 0."""
+    return np.where(delta == 0, 1.0, delta)[..., None]
 
 
 def quantize_symmetric(group, bits: int):
     """Symmetric integer quantization along the last axis.
 
     Returns (codes, delta); ``delta`` has the leading shape (a scalar for
-    one group) and is 0 for an all-zero group, whose codes are 0.
+    one group) and is 0 for an all-zero group, whose codes are 0, as are
+    those of a group whose delta underflows to 0.
     """
     if not 2 <= bits <= 8:
         raise ValueError("bits must be in [2, 8]")
@@ -83,7 +111,7 @@ def quantize_symmetric(group, bits: int):
     qmax = (1 << (bits - 1)) - 1
     absmax = np.max(np.abs(w), axis=-1, initial=0.0)
     delta = absmax / qmax
-    codes = np.clip(round_half_away(w / _divisor(delta, absmax)), -qmax, qmax)
+    codes = np.clip(round_half_away(w / _divisor(delta)), -qmax, qmax)
     return codes.astype(np.int64), delta[()]
 
 
@@ -91,8 +119,8 @@ def quantize_asymmetric(group, bits: int):
     """Asymmetric integer quantization along the last axis.
 
     Returns (codes, delta, zero_point), the last two with the leading shape.
-    A constant group is degenerate: codes, delta and zero-point are 0, so
-    it dequantizes to 0.
+    A constant group, or one whose delta underflows to 0, is degenerate:
+    codes, delta and zero-point are 0, so it dequantizes to 0.
     """
     if not 2 <= bits <= 8:
         raise ValueError("bits must be in [2, 8]")
@@ -101,10 +129,10 @@ def quantize_asymmetric(group, bits: int):
     lo = np.min(w, axis=-1)
     rng = np.max(w, axis=-1) - lo
     delta = rng / qmax
-    div = _divisor(delta, rng)
-    z = np.where(rng == 0, 0, round_half_away(-lo / div[..., 0]))
+    div = _divisor(delta)
+    z = np.where(delta == 0, 0, round_half_away(-lo / div[..., 0]))
     codes = np.clip(round_half_away(w / div) + z[..., None], 0, qmax)
-    codes = np.where(rng[..., None] == 0, 0, codes)
+    codes = np.where(delta[..., None] == 0, 0, codes)
     return codes.astype(np.int64), delta[()], z.astype(np.int64)[()]
 
 
@@ -130,7 +158,8 @@ def nonlinear_quantize(group, grid):
 
     Works along the last axis.  Returns (codes, delta) where codes index
     ``grid`` and delta = max|w| / grid_absmax per group (0 for an all-zero
-    group, whose codes all index 0).  For a BitMoD grid that absmax
+    group, whose codes all index 0, as do those of a group whose delta
+    underflows to 0).  For a BitMoD grid that absmax
     includes the merged special value: an EA candidate's scale is max|w|/6
     for FP3 (max|w|/8 for FP4) where the other grids use max|w|/4
     (max|w|/6), so EA also gives the bulk of the group a finer step.
@@ -140,7 +169,7 @@ def nonlinear_quantize(group, grid):
     w = np.asarray(group, dtype=np.float64)
     absmax = np.max(np.abs(w), axis=-1, initial=0.0)
     delta = absmax / float(grid_absmax(grid))
-    codes = nearest_grid_index(w / _divisor(delta, absmax),
+    codes = nearest_grid_index(w / _divisor(delta),
                                np.asarray(grid, dtype=np.float64))
     return codes.astype(np.int64), delta[()]
 
@@ -199,8 +228,7 @@ def quantize_scales(per_group_deltas):
     # when every delta is 0 or below the float32 subnormal range; then
     # nothing representable remains and every scale_q rounds to 0.
     channel_scale = (dmax / 127.0).astype(np.float32).astype(np.float64)
-    scale_q = np.clip(round_half_away(deltas / _divisor(channel_scale,
-                                                        channel_scale)),
+    scale_q = np.clip(round_half_away(deltas / _divisor(channel_scale)),
                       0, 127)
     return scale_q.astype(np.int64), channel_scale[()]
 
@@ -215,37 +243,30 @@ def quantize_channel(values, spec: DataTypeSpec,
     g = grouping.group_size
     rows = np.concatenate([w, np.zeros((-w.size) % g)]).reshape(-1, g)
     sv_index = np.zeros(len(rows), dtype=np.int64)
-    zero_point = [None] * len(rows)
+    zero_point = None
     if spec.is_fp:
         codes, delta, sv_index, _ = _best_grid(rows, spec)
     elif spec.asymmetric:
-        codes, delta, z = quantize_asymmetric(rows, spec.bits_per_code)
-        zero_point = z.tolist()
+        codes, delta, zero_point = quantize_asymmetric(rows, spec.bits_per_code)
     else:
         codes, delta = quantize_symmetric(rows, spec.bits_per_code)
     scale_q, channel_scale = quantize_scales(delta)
-    groups = [QuantizedGroup(codes=c, sv_index=s, scale_q=q, zero_point=z,
-                             delta=d)
-              for c, s, q, z, d in zip(codes, sv_index.tolist(),
-                                       scale_q.tolist(), zero_point,
-                                       delta.tolist())]
-    return ChannelQuantization(groups=groups, channel_scale=float(channel_scale),
-                               dtype=spec, valid_size=w.size)
+    return ChannelQuantization(codes=codes, sv_index=sv_index, scale_q=scale_q,
+                               delta=delta, zero_point=zero_point,
+                               channel_scale=float(channel_scale), dtype=spec,
+                               valid_size=w.size)
 
 
 def dequantize_channel(cq: ChannelQuantization) -> np.ndarray:
     """Reconstruct the channel; padded lanes are dropped."""
     spec = cq.dtype
-    codes = np.stack([qg.codes for qg in cq.groups])
     if spec.is_fp:
-        sv_index = np.array([qg.sv_index for qg in cq.groups])
-        values = spec.grid_table[sv_index[:, None], codes]
+        values = spec.grid_table[cq.sv_index[:, None], cq.codes]
     elif spec.asymmetric:
-        values = codes - np.array([qg.zero_point or 0
-                                   for qg in cq.groups])[:, None]
+        values = cq.codes - cq.zero_point[:, None]
     else:
-        values = codes
-    delta_hat = np.array([qg.scale_q for qg in cq.groups]) * cq.channel_scale
+        values = cq.codes
+    delta_hat = cq.scale_q * cq.channel_scale
     return (values * delta_hat[:, None]).ravel()[: cq.valid_size]
 
 

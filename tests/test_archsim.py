@@ -120,17 +120,15 @@ def test_simulate_layer_rejects_group_not_multiple_of_dot_width(g):
                        GroupingConfig(group_size=g))
 
 
-def test_baseline_iso_area_uses_smaller_tile():
-    layer = LayerShape(m=48, k=128, n=128)
-    iso = baseline_fp16_layer(layer, iso_area=True)
-    same = baseline_fp16_layer(layer, iso_area=False)
-    # 6x8 tile: 48 rows in 2 waves; 8x8 tile: 2 waves of 32 -> same here,
-    # so pick a height where they differ.
+def test_baseline_uses_its_own_smaller_tile():
+    # The default 6x8 baseline tile against an 8x8 one: the smaller tile
+    # needs more row waves, and the bytes moved stay the same.
     tall = LayerShape(m=256, k=128, n=128)
-    iso, same = (baseline_fp16_layer(tall, iso_area=True),
-                 baseline_fp16_layer(tall, iso_area=False))
-    assert iso.compute_cycles > same.compute_cycles
-    assert iso.weight_bytes == same.weight_bytes == 128 * 128 * 2
+    small = baseline_fp16_layer(tall)
+    big = baseline_fp16_layer(tall, ArchConfig(baseline_pe_rows=8,
+                                               baseline_pe_cols=8))
+    assert small.compute_cycles > big.compute_cycles
+    assert small.weight_bytes == big.weight_bytes == 128 * 128 * 2
 
 
 def test_compute_bound_speedup_ratios_exact():

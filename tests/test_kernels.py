@@ -1,5 +1,3 @@
-import numpy as np
-
 from bitmod import _kernels
 
 
@@ -14,10 +12,3 @@ def test_rne_rshift_ties_to_even():
         for s in range(5):
             assert rne(m, s) == -rne(-m, s)
 
-
-def test_dequant_shift_add_is_multiplication():
-    rng = np.random.default_rng(32)
-    for _ in range(200):
-        m = int(rng.integers(-(1 << 31), 1 << 31))
-        sq = int(rng.integers(0, 256))
-        assert _kernels.dequant_shift_add(m, sq) == m * sq

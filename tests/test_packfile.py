@@ -49,10 +49,15 @@ def test_roundtrip_bit_exact(name, g):
     assert spec.name.name == name
     for a, b in zip(channels, got_channels):
         assert a.channel_scale == b.channel_scale  # f32-exact by construction
-        for ga, gb in zip(a.groups, b.groups):
-            assert ga.scale_q == gb.scale_q
-            assert ga.sv_index == gb.sv_index
-            assert np.array_equal(ga.codes, gb.codes)
+        for field in ("codes", "sv_index", "scale_q"):
+            got = getattr(b, field)
+            assert got.dtype == np.int64
+            assert np.array_equal(getattr(a, field), got)
+        assert b.delta is None and b.zero_point is None
+        for i, gb in enumerate(b.groups):
+            assert np.array_equal(gb.codes, b.codes[i])
+            assert (gb.sv_index, gb.scale_q, gb.delta) == (
+                b.sv_index[i], b.scale_q[i], None)
     np.testing.assert_array_equal(dequantize_tensor(channels),
                                   packfile.unpack_to_tensor(data))
 

@@ -9,24 +9,19 @@ from bitmod.bitserial import (
     BitSerialTerm,
     SpecialValueRegister,
     Terms,
-    code_range,
     encode_weight,
     term_table,
-    zero_term,
 )
-from bitmod.dtype import GroupingConfig, spec_for
+from bitmod.dtype import GroupingConfig, code_range, spec_for
 from bitmod.errors import OutOfRange, ShapeMismatch, UnsupportedDtype
 from bitmod.pe import (
     DEQUANT_CYCLES,
-    AccumulatorState,
-    Fp16Operand,
     bit_serial_dequant,
     decode_fp16,
     drain_accumulate,
     encode_group_terms,
     fp16_mac_cycles_per_dot,
     group_dot,
-    pe_cycle,
     throughput_vs_fp16,
 )
 from bitmod.quant import QuantizedGroup, quantize_channel, quantize_symmetric
@@ -62,124 +57,75 @@ def wide_acts_from(rng, g):
     return bits.astype(np.uint16).view(np.float16).astype(np.float64)
 
 
+def int_group(codes):
+    return QuantizedGroup(codes=np.array(codes, dtype=np.int64), scale_q=1)
+
+
+def oracle_group_dot(qg, spec, avals):
+    return pe_oracle.dequant(
+        pe_oracle.group_dot(oracle_weight_terms(qg, spec), oracle_acts(avals),
+                            len(qg.codes), spec.terms_per_code), qg.scale_q)
+
+
 # ---------------------------------------------------------------------------
 # FP16 operand ingestion
 # ---------------------------------------------------------------------------
-
-def test_fp16_operand_fields():
-    op = Fp16Operand.from_float(1.0)
-    assert (op.sign, op.a_e, op.a_m) == (0, 15, 0x400)
-    assert op.value == 1.0
-    op = Fp16Operand.from_float(-1.5)
-    assert (op.sign, op.a_m) == (1, 0x600)
-    assert op.value == -1.5
-
-
-def test_fp16_operand_subnormals_flush():
-    op = Fp16Operand.from_float(2.0 ** -15)
-    assert op.a_m == 0 and op.value == 0.0
-
-
-def test_fp16_operand_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Fp16Operand.from_float(float("nan"))
-    with pytest.raises(ValueError):
-        Fp16Operand.from_float(1e9)  # overflows FP16 to inf
-
 
 def test_decode_fp16_every_bit_pattern():
     values = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(
         np.float16)
     finite = np.isfinite(values)
-    sign, a_e, a_m = decode_fp16(values[finite])
-    for i, x in enumerate(values[finite]):
-        op = Fp16Operand.from_float(x)
-        assert (op.sign, op.a_e, op.a_m) == (sign[i], a_e[i], a_m[i])
+    # Every finite FP16 pattern, then float64 values that round to FP16.
+    rng = np.random.default_rng(21)
+    inputs = np.concatenate([values[finite].astype(np.float64),
+                             rng.standard_normal(500) * 100])
+    sign, a_e, a_m = decode_fp16(inputs)
+    for i, x in enumerate(inputs):
         want = pe_oracle.fp16_operand(x)
-        assert (op.a_e, op.a_m) == want[1:]
-        assert op.sign == want[0] or not op.a_m
-    assert np.all((a_m == 0) == (np.abs(values[finite]) < 2.0 ** -14))
-    for x in values[~finite]:
+        assert (a_e[i], a_m[i]) == want[1:]
+        assert sign[i] == want[0] or not a_m[i]
+    assert np.all((a_m == 0) == (np.abs(inputs.astype(np.float16))
+                                 < 2.0 ** -14))
+    # NaN and infinite patterns, and float64 values that overflow FP16.
+    for x in [*values[~finite], 65520.0, -1e9]:
         with pytest.raises(ValueError):
             decode_fp16([1.0, x])
         with pytest.raises(ValueError):
-            Fp16Operand.from_float(x)
-
-
-def test_fp16_operand_matches_oracle_on_random_floats():
-    rng = np.random.default_rng(21)
-    for x in rng.standard_normal(500) * 100:
-        op = Fp16Operand.from_float(x)
-        assert (op.sign, op.a_e, op.a_m)[1:] == pe_oracle.fp16_operand(x)[1:]
-        if op.a_m:
-            assert op.sign == pe_oracle.fp16_operand(x)[0]
+            decode_fp16(x)
 
 
 # ---------------------------------------------------------------------------
-# single cycles
+# lanes that leave the accumulator unchanged
 # ---------------------------------------------------------------------------
 
-def one(value=1, bsig=0):
-    return BitSerialTerm(sign=1 if value < 0 else 0,
-                         exp=0 if abs(value) == 1 else 1,
-                         man=1, bsig=bsig)
+def test_group_dot_inactive_lanes_keep_state():
+    # A quad of zero codes, or of zero activations, adds no term: the
+    # 8-weight group equals its live quad alone.
+    spec = spec_for("INT4_SYM")
+    live, acts = [3, -7, 5, 1], [1.5, -0.75, 2.0, 0.375]
+    want = oracle_group_dot(int_group(live), spec, acts)
+    for codes, avals in ((live + [0] * 4, acts + [1.0] * 4),
+                         ([0] * 4 + live, [1.0] * 4 + acts),
+                         (live + [6, -5, 7, 2], acts + [0.0, -0.0, 0.0, 0.0])):
+        qg = int_group(codes)
+        gps, _ = group_dot(qg, avals, spec)
+        assert (gps.m_grp, gps.e_grp) == oracle_group_dot(qg, spec, avals) \
+            == want
 
 
-def test_pe_cycle_all_ones():
-    acts = [Fp16Operand.from_float(1.0)] * 4
-    acc = pe_cycle([one()] * 4, acts, AccumulatorState())
-    assert acc.value == 4.0
-
-
-def test_pe_cycle_inactive_lanes_keep_state():
-    acts = [Fp16Operand.from_float(1.0)] * 4
-    acc = AccumulatorState(m_acc=3 << 24, e_acc=-10)
-    out = pe_cycle([zero_term()] * 4, acts, acc)
-    assert out == acc
-
-
-def test_pe_cycle_exact_cancellation_keeps_state():
-    acts = [Fp16Operand.from_float(1.0)] * 4
-    terms = [one(1), one(-1), one(2), one(-2)]
-    acc = AccumulatorState(m_acc=5 << 24, e_acc=3)
-    assert pe_cycle(terms, acts, acc) == acc
-
-
-def test_pe_cycle_validates_shape_and_bsig():
-    acts = [Fp16Operand.from_float(1.0)] * 4
-    with pytest.raises(ShapeMismatch):
-        pe_cycle([one()] * 3, acts[:3], AccumulatorState())
-    with pytest.raises(ShapeMismatch):
-        pe_cycle([one(bsig=0)] * 3 + [one(bsig=2)], acts, AccumulatorState())
-
-
-def test_pe_cycle_matches_oracle_randomized():
-    rng = np.random.default_rng(22)
-    for _ in range(2000):
-        bsig = int(rng.integers(-1, 7))
-        terms = []
-        for _ in range(4):
-            if rng.random() < 0.2:
-                terms.append(zero_term(bsig))
-            else:
-                terms.append(BitSerialTerm(sign=int(rng.integers(2)),
-                                           exp=int(rng.integers(4)),
-                                           man=1, bsig=bsig))
-        avals = rng.standard_normal(4) * 4
-        acts = [Fp16Operand.from_float(v) for v in avals]
-        m0 = int(rng.integers(-(1 << 31), 1 << 31))
-        e0 = int(rng.integers(-40, 10))
-        if m0 and not 24 <= abs(m0).bit_length() - 1 <= 31:
-            m0 <<= 24  # keep the starting state normalized-ish
-            m0 = m0 % (1 << 31)
-        state = AccumulatorState(m0, e0) if m0 else AccumulatorState()
-        got = pe_cycle(terms, acts, state)
-        want = pe_oracle.cycle(
-            (state.m_acc, state.e_acc),
-            [(t.sign, t.exp, t.man, t.bsig) for t in terms],
-            [pe_oracle.fp16_operand(v) for v in avals],
-        )
-        assert (got.m_acc, got.e_acc) == want
+def test_group_dot_exact_cancellation_keeps_state():
+    # Codes 1, -1, 3, -3 Booth-encode to digits that cancel in both term
+    # slots, so against equal activations every adder tree sums to 0.
+    spec = spec_for("INT4_SYM")
+    live, acts = [3, -7, 5, 1], [1.5, -0.75, 2.0, 0.375]
+    want = oracle_group_dot(int_group(live), spec, acts)
+    assert want[0] != 0
+    for codes, avals in ((live + [1, -1, 3, -3], acts + [2.5] * 4),
+                         ([1, -1, 3, -3] + live, [2.5] * 4 + acts)):
+        qg = int_group(codes)
+        gps, _ = group_dot(qg, avals, spec)
+        assert (gps.m_grp, gps.e_grp) == oracle_group_dot(qg, spec, avals) \
+            == want
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +133,15 @@ def test_pe_cycle_matches_oracle_randomized():
 # ---------------------------------------------------------------------------
 
 def test_bit_serial_dequant_exact_and_fixed_latency():
-    acc = AccumulatorState(m_acc=123456789, e_acc=-7)
-    for sq in (0, 1, 77, 127, 255):
-        gps, cycles = bit_serial_dequant(acc, sq)
-        assert cycles == DEQUANT_CYCLES == 8
-        assert gps.m_grp == 123456789 * sq
-        assert gps.e_grp == -7
-    with pytest.raises(ValueError):
-        bit_serial_dequant(acc, 256)
+    for m in (123456789, -(1 << 31), (1 << 32) - 1):
+        for sq in (0, 1, 77, 127, 255, np.uint8(200)):
+            gps, cycles = bit_serial_dequant(m, -7, sq)
+            assert cycles == DEQUANT_CYCLES == 8
+            assert gps.m_grp == m * int(sq) and type(gps.m_grp) is int
+            assert gps.e_grp == -7
+    for sq in (256, -1):
+        with pytest.raises(ValueError):
+            bit_serial_dequant(123456789, -7, sq)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +190,7 @@ def test_group_dot_matches_oracle(name):
             qg = make_group(rng, spec, g, outlier=rng.random() < 0.3)
             avals = acts_from(rng, g) if g < 128 else wide_acts_from(rng, g)
             gps, _ = group_dot(qg, avals, spec)
-            state = pe_oracle.group_dot(
-                oracle_weight_terms(qg, spec), oracle_acts(avals),
-                g, spec.terms_per_code)
-            want = pe_oracle.dequant(state, qg.scale_q)
-            assert (gps.m_grp, gps.e_grp) == want
+            assert (gps.m_grp, gps.e_grp) == oracle_group_dot(qg, spec, avals)
 
 
 @pytest.mark.parametrize("name", ("FP3_BITMOD", "INT8_SYM"))
@@ -265,15 +208,6 @@ def test_group_dot_relative_error(name):
             assert gps.m_grp == 0
             continue
         assert abs(gps.value - exact) / abs(exact) < 2.0 ** -7
-
-
-def test_group_dot_with_explicit_register():
-    rng = np.random.default_rng(27)
-    spec = spec_for("FP3_BITMOD")
-    qg = make_group(rng, spec, 32, outlier=True)
-    avals = acts_from(rng, 32)
-    svreg = SpecialValueRegister.program(spec)
-    assert group_dot(qg, avals, spec, svreg) == group_dot(qg, avals, spec)
 
 
 @pytest.mark.parametrize(("name", "code"), [

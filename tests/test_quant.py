@@ -50,8 +50,14 @@ def test_quantize_symmetric_roundtrip_bound():
 
 
 def test_quantize_symmetric_degenerate_zero_group():
-    codes, delta = quantize_symmetric(np.zeros(8), 4)
-    assert delta == 0.0 and not codes.any()
+    # All zero, or so small that delta underflows to 0: codes are 0.
+    for group, bits in ((np.zeros(8), 4), ([5e-324], 3)):
+        codes, delta = quantize_symmetric(group, bits)
+        assert delta == 0.0 and not codes.any()
+    # On an FP grid the codes all index the value 0.
+    grid = spec_for("FP3_BASIC").basic_values
+    codes, delta = nonlinear_quantize([5e-324, 0.0], grid)
+    assert delta == 0.0 and codes.tolist() == [grid.index(0)] * 2
 
 
 def test_quantize_asymmetric_hand_example():
@@ -63,8 +69,10 @@ def test_quantize_asymmetric_hand_example():
 
 
 def test_quantize_asymmetric_constant_group():
-    codes, delta, z = quantize_asymmetric([5.0, 5.0, 5.0], 4)
-    assert delta == 0.0 and z == 0 and not codes.any()
+    # Constant, or a range so small that delta underflows to 0.
+    for group, bits in (([5.0, 5.0, 5.0], 4), ([0.0, 5e-324], 3)):
+        codes, delta, z = quantize_asymmetric(group, bits)
+        assert delta == 0.0 and z == 0 and not codes.any()
 
 
 def test_quantize_asymmetric_roundtrip_bound():
@@ -241,8 +249,23 @@ def test_quantize_channel_matches_per_group(name):
     w[g:2 * g] = 0.0  # an all-zero group
     cq = quantize_channel(w, spec, GroupingConfig(group_size=g))
     padded = np.concatenate([w, np.zeros(g - 7)])
+    # One array per field, one row per group.
+    assert cq.codes.shape == (6, g) and cq.codes.dtype == np.int64
+    for field in (cq.sv_index, cq.scale_q):
+        assert field.shape == (6,) and field.dtype == np.int64
+    assert cq.delta.shape == (6,) and cq.delta.dtype == np.float64
+    if spec.asymmetric:
+        assert cq.zero_point.shape == (6,) and cq.zero_point.dtype == np.int64
+    else:
+        assert cq.zero_point is None
     assert len(cq.groups) == 6
     for i, qg in enumerate(cq.groups):
+        assert np.array_equal(qg.codes, cq.codes[i])
+        assert not qg.codes.flags.writeable
+        assert (qg.sv_index, qg.scale_q, qg.delta) == (
+            cq.sv_index[i], cq.scale_q[i], cq.delta[i])
+        if spec.asymmetric:
+            assert qg.zero_point == cq.zero_point[i]
         chunk = padded[i * g:(i + 1) * g]
         sv_index, zero_point = 0, None
         if spec.is_bitmod:
