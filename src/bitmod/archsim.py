@@ -1,13 +1,17 @@
 """Cycle- and energy-level accelerator model.
 
 A 4x4 grid of systolic tiles, each with 8x8 bit-serial PEs performing a
-4-way dot product per cycle, output-stationary dataflow, double-buffered
-on-chip SRAM and a bandwidth-abstracted DRAM model.  DRAM transfers overlap
-compute fully, so per-layer latency is max(compute, DRAM) cycles.
+4-way dot product per cycle, output-stationary dataflow and a
+bandwidth-abstracted DRAM model.  DRAM transfers overlap compute fully, so
+per-layer latency is max(compute, DRAM) cycles.  On-chip SRAM is modelled
+only as a per-byte energy on every byte moved, not as a sized buffer:
+nothing here bounds or counts its capacity.
 
 The FP16 baseline accelerator uses one-MAC-per-cycle FP16 PEs and, by
 default, 6x8 PEs per tile for iso-compute-area comparisons (the bit-serial
-PE is smaller, so more of them fit in the same area).
+PE is smaller, so more of them fit in the same area).  Both arrays share one
+GEMM cost model; they differ only in the tile, the cycles per group of K
+and the stored bits per weight.
 
 Energy numbers are placeholder per-event costs supplied via configuration;
 they are NOT silicon measurements, and only ratios between runs that share
@@ -24,12 +28,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .dtype import DataTypeSpec, GroupingConfig
 from .errors import ConfigError, ParseError
-from .pe import DEQUANT_CYCLES, DOT_WIDTH, fp16_mac_cycles_per_dot
+from .pe import DEQUANT_CYCLES, DOT_WIDTH, FP16_MAC_CYCLES_PER_DOT
 from .quant import memory_footprint_bits
 
 FP16_BITS_PER_WEIGHT = Fraction(16)
@@ -48,10 +52,7 @@ class ArchConfig:
     tiles_y: int = 4
     pe_rows: int = 8
     pe_cols: int = 8
-    dot_width: int = DOT_WIDTH
     frequency_hz: float = 1e9
-    act_buffer_bytes: int = 512 * 1024
-    weight_buffer_bytes: int = 512 * 1024
     dram_bandwidth_bytes_per_s: float = 25.6e9  # single-channel DDR4-3200 class
     # Placeholder energy table (joules); not measured silicon data.
     e_pe_cycle: float = 4e-12
@@ -67,9 +68,11 @@ class ArchConfig:
             if type(value) not in types or not _finite(value):
                 kind = "an integer" if types == (int,) else "a finite number"
                 raise ConfigError(f"{name} must be {kind}, got {value!r}")
-        for name in ("tiles_x", "tiles_y", "pe_rows", "pe_cols", "dot_width"):
+        for name in ("tiles_x", "tiles_y", "pe_rows", "pe_cols",
+                     "baseline_pe_rows", "baseline_pe_cols"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive, "
+                                  f"got {getattr(self, name)!r}")
         if self.frequency_hz <= 0 or self.dram_bandwidth_bytes_per_s <= 0:
             raise ConfigError("frequency and DRAM bandwidth must be positive")
         for name in ("e_pe_cycle", "e_sram_byte", "e_dram_byte"):
@@ -104,7 +107,6 @@ class WorkloadSpec:
     layers: tuple[LayerShape, ...]  # layer M is a placeholder; phases set it
     prefill_tokens: int = 256
     decode_tokens: int = 0
-    batch: int = 1
 
 
 @dataclass
@@ -184,10 +186,9 @@ def _repeat_add(s: float, x: float, n: int) -> float:
     return s
 
 
-def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig,
-                   cfg: ArchConfig = ArchConfig()) -> bool:
+def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig) -> bool:
     """Dequantization (8 cycles) must fit under the group compute time."""
-    compute = (grouping.group_size // cfg.dot_width) * spec.terms_per_code
+    compute = (grouping.group_size // DOT_WIDTH) * spec.terms_per_code
     ok = DEQUANT_CYCLES <= compute
     if not ok:
         warnings.warn(
@@ -199,59 +200,51 @@ def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig,
     return ok
 
 
-def _cycles_and_bytes(m: int, k: int, n: int, terms_per_code: int,
-                      bits_per_weight: Fraction, grouping: GroupingConfig,
-                      cfg: ArchConfig, pe_rows: int, pe_cols: int):
-    g = grouping.group_size
-    k_padded = ((k + g - 1) // g) * g
-    row_waves = math.ceil(m / (cfg.tiles_y * pe_rows))
-    col_waves = math.ceil(n / (cfg.tiles_x * pe_cols))
-    group_cycles = (g // cfg.dot_width) * terms_per_code
-    compute = row_waves * col_waves * (k_padded // g) * group_cycles
+def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
+          group: int, group_cycles: int, bits_per_weight: Fraction
+          ) -> SimReport:
+    """One GEMM, ``layer.repeat`` times, on ``cfg``'s tile grid of
+    ``rows`` x ``cols`` PEs that take ``group_cycles`` per ``group`` of K.
+
+    Output-stationary: each wave of output tiles walks all of K, padded to
+    whole groups.
+    """
+    if layer.m <= 0 or layer.k <= 0 or layer.n <= 0:
+        raise ConfigError(f"non-positive GEMM dimension in {layer}")
+    if group % DOT_WIDTH:
+        raise ConfigError(f"group size {group} not divisible "
+                          f"by dot width {DOT_WIDTH}")
+    if layer.repeat == 0:
+        return SimReport()
+    m, k, n = layer.m, layer.k, layer.n
+    waves = (math.ceil(m / (cfg.tiles_y * rows))
+             * math.ceil(n / (cfg.tiles_x * cols)))
+    compute = waves * ((k + group - 1) // group) * group_cycles
     weight_bytes = float(k * n * bits_per_weight / 8)
     act_bytes = float((m * k + m * n) * 2)  # FP16 activations in and out
-    return compute, weight_bytes, act_bytes
-
-
-def _finish(compute, weight_bytes, act_bytes, cfg: ArchConfig,
-            n_pes: int) -> SimReport:
-    bytes_per_cycle = cfg.dram_bandwidth_bytes_per_s / cfg.frequency_hz
-    dram = math.ceil((weight_bytes + act_bytes) / bytes_per_cycle)
-    energy = EnergyBreakdown(
-        compute_j=compute * n_pes * cfg.e_pe_cycle,
-        sram_j=(weight_bytes + act_bytes) * cfg.e_sram_byte,
-        dram_j=(weight_bytes + act_bytes) * cfg.e_dram_byte,
-    )
-    return SimReport(
-        compute_cycles=compute,
-        dram_cycles=dram,
-        total_cycles=max(compute, dram),
-        weight_bytes=weight_bytes,
-        activation_bytes=act_bytes,
-        energy=energy,
-    )
+    moved = weight_bytes + act_bytes
+    dram = math.ceil(moved / (cfg.dram_bandwidth_bytes_per_s / cfg.frequency_hz))
+    n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
+    one = SimReport(compute, dram, max(compute, dram), weight_bytes, act_bytes,
+                    EnergyBreakdown(compute * n_pes * cfg.e_pe_cycle,
+                                    moved * cfg.e_sram_byte,
+                                    moved * cfg.e_dram_byte))
+    out = SimReport()
+    out.accumulate(one, layer.repeat)
+    return out
 
 
 def simulate_layer(layer: LayerShape, spec: DataTypeSpec,
                    grouping: GroupingConfig, cfg: ArchConfig = ArchConfig()
                    ) -> SimReport:
     """Latency, traffic and energy of one GEMM on the bit-serial array."""
-    if layer.m <= 0 or layer.k <= 0 or layer.n <= 0:
-        raise ConfigError(f"non-positive GEMM dimension in {layer}")
-    if grouping.group_size % cfg.dot_width:
-        raise ConfigError(f"group size {grouping.group_size} not divisible "
-                          f"by dot width {cfg.dot_width}")
-    if layer.repeat == 0:
-        return SimReport()
-    check_no_stall(spec, grouping, cfg)
-    compute, wb, ab = _cycles_and_bytes(
-        layer.m, layer.k, layer.n, spec.terms_per_code,
-        memory_footprint_bits(spec, grouping), grouping, cfg,
-        cfg.pe_rows, cfg.pe_cols,
-    )
-    rep = _finish(compute, wb, ab, cfg, cfg.n_pes)
-    out = SimReport()
-    out.accumulate(rep, layer.repeat)
+    g = grouping.group_size
+    out = _gemm(layer, cfg, cfg.pe_rows, cfg.pe_cols, g,
+                (g // DOT_WIDTH) * spec.terms_per_code,
+                memory_footprint_bits(spec, grouping))
+    # After _gemm's checks: a rejected or empty layer warns of no stall.
+    if layer.repeat:
+        check_no_stall(spec, grouping)
     return out
 
 
@@ -259,53 +252,36 @@ def baseline_fp16_layer(layer: LayerShape,
                         cfg: ArchConfig = ArchConfig()) -> SimReport:
     """Same GEMM on the FP16 MAC baseline accelerator.
 
-    The baseline PE finishes one 4-MAC batch in 4 cycles (one MAC per
+    The baseline PE finishes one 4-MAC dot in 4 cycles (one MAC per
     cycle); its iso-area tile (``baseline_pe_rows`` x ``baseline_pe_cols``,
     6x8 by default) replaces the 8x8 bit-serial tile.
     """
-    if layer.m <= 0 or layer.k <= 0 or layer.n <= 0:
-        raise ConfigError(f"non-positive GEMM dimension in {layer}")
-    if layer.repeat == 0:
-        return SimReport()
-    rows, cols = cfg.baseline_pe_rows, cfg.baseline_pe_cols
-    grouping = GroupingConfig(group_size=cfg.dot_width)
-    compute, wb, ab = _cycles_and_bytes(
-        layer.m, layer.k, layer.n, fp16_mac_cycles_per_dot(),
-        FP16_BITS_PER_WEIGHT, grouping, cfg, rows, cols,
-    )
-    n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
-    rep = _finish(compute, wb, ab, cfg, n_pes)
+    return _gemm(layer, cfg, cfg.baseline_pe_rows, cfg.baseline_pe_cols,
+                 DOT_WIDTH, FP16_MAC_CYCLES_PER_DOT, FP16_BITS_PER_WEIGHT)
+
+
+def _phases(w: WorkloadSpec, one_gemm) -> SimReport:
+    """Total of ``one_gemm`` over every layer of the prefill pass and of
+    each decode step."""
     out = SimReport()
-    out.accumulate(rep, layer.repeat)
-    return out
-
-
-def _phased_layers(w: WorkloadSpec):
-    """Yield (layer-with-M, multiplicity) covering prefill and decode."""
-    if w.prefill_tokens > 0:
-        for layer in w.layers:
-            yield replace(layer, m=w.prefill_tokens * w.batch), 1
     # Every decode step re-fetches all weights (no cross-token residency).
-    if w.decode_tokens > 0:
-        for layer in w.layers:
-            yield replace(layer, m=1 * w.batch), w.decode_tokens
+    for m, steps in ((w.prefill_tokens, 1), (1, w.decode_tokens)):
+        if m > 0 and steps > 0:
+            for layer in w.layers:
+                out.accumulate(one_gemm(LayerShape(m, layer.k, layer.n,
+                                                   layer.repeat)), steps)
+    return out
 
 
 def simulate_workload(w: WorkloadSpec, spec: DataTypeSpec,
                       grouping: GroupingConfig,
                       cfg: ArchConfig = ArchConfig()) -> SimReport:
-    out = SimReport()
-    for layer, mult in _phased_layers(w):
-        out.accumulate(simulate_layer(layer, spec, grouping, cfg), mult)
-    return out
+    return _phases(w, lambda layer: simulate_layer(layer, spec, grouping, cfg))
 
 
 def baseline_fp16_sim(w: WorkloadSpec,
                       cfg: ArchConfig = ArchConfig()) -> SimReport:
-    out = SimReport()
-    for layer, mult in _phased_layers(w):
-        out.accumulate(baseline_fp16_layer(layer, cfg), mult)
-    return out
+    return _phases(w, lambda layer: baseline_fp16_layer(layer, cfg))
 
 
 def with_speedup(report: SimReport, baseline: SimReport) -> SimReport:

@@ -29,7 +29,7 @@ from .bitserial import (
     term_value_sum,
 )
 from .dtype import DataType, GroupingConfig, effective_grid, spec_for
-from .errors import BitmodError, ConfigError, TooManySetBits
+from .errors import BitmodError, ConfigError, TooManySetBits, UnsupportedDtype
 from .quant import (
     dequantize_tensor,
     error_report,
@@ -87,8 +87,18 @@ def _load_npy(path: str) -> np.ndarray:
     return arr
 
 
+def _dtype_name(value: str) -> DataType:
+    try:
+        return spec_for(value).name
+    except UnsupportedDtype as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _dtype_list(value: str) -> list[DataType]:
-    return [spec_for(name).name for name in value.split(",") if name]
+    names = [_dtype_name(name) for name in value.split(",") if name]
+    if not names:
+        raise argparse.ArgumentTypeError("expected at least one data type")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +366,14 @@ def _nonnegative_int(value: str) -> int:
 
 def _shape_pair(value: str):
     try:
-        k, d = value.lower().split("x")
-        return int(k), int(d)
+        k, d = (int(n) for n in value.lower().split("x"))
     except ValueError:
-        raise argparse.ArgumentTypeError("shape must look like 1024x1024")
+        raise argparse.ArgumentTypeError(
+            "shape must look like 1024x1024") from None
+    if k < 1 or d < 1:
+        raise argparse.ArgumentTypeError(
+            f"both dimensions must be >= 1, got {value}")
+    return k, d
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a synthetic tensor (NPY)")
     g.add_argument("--dist", choices=synth.DISTRIBUTIONS, default="gaussian")
     g.add_argument("--shape", type=_shape_pair, default=(1024, 1024))
-    g.add_argument("--seed", type=int, default=synth.DEFAULT_SEED)
+    g.add_argument("--seed", type=_nonnegative_int, default=synth.DEFAULT_SEED)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
@@ -414,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("pack", help="quantize a tensor into a BMOD file")
     pk.add_argument("tensor", help="NPY tensor file")
-    pk.add_argument("--dtype", default="FP3_BITMOD")
+    pk.add_argument("--dtype", type=_dtype_name, default=DataType.FP3_BITMOD)
     pk.add_argument("--group-size", type=_positive_int, default=128)
     pk.add_argument("--out", required=True)
     pk.set_defaults(func=cmd_pack)

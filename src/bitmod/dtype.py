@@ -171,7 +171,12 @@ SPECS: dict[DataType, DataTypeSpec] = {
 
 def spec_for(name: DataType | str) -> DataTypeSpec:
     if isinstance(name, str):
-        name = DataType[name.upper().replace("-", "_")]
+        try:
+            name = DataType[name.upper().replace("-", "_")]
+        except KeyError:
+            raise UnsupportedDtype(
+                f"unknown data type {name!r}; expected one of "
+                f"{', '.join(t.name for t in DataType)}") from None
     return SPECS[name]
 
 

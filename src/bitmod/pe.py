@@ -31,6 +31,9 @@ from .quant import QuantizedGroup
 
 DOT_WIDTH = 4
 DEQUANT_CYCLES = 8
+# The baseline FP16 MAC PE does one multiply-accumulate per cycle, so a
+# DOT_WIDTH-wide dot takes this many cycles.
+FP16_MAC_CYCLES_PER_DOT = 4
 
 
 def decode_fp16(values):
@@ -118,11 +121,6 @@ def drain_accumulate(partials, channel_scale: float) -> np.float32:
     return np.float32(math.ldexp(float(total), e_min) * channel_scale)
 
 
-def fp16_mac_cycles_per_dot() -> int:
-    """Cycles for the baseline FP16 MAC PE to finish 4 multiply-accumulates."""
-    return 4
-
-
 def throughput_vs_fp16(spec: DataTypeSpec) -> float:
     """Per-PE throughput ratio over the FP16 MAC baseline."""
-    return fp16_mac_cycles_per_dot() / spec.terms_per_code
+    return FP16_MAC_CYCLES_PER_DOT / spec.terms_per_code

@@ -14,7 +14,7 @@ The nearest-grid tie-break picks the grid value with smaller magnitude
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +34,21 @@ def check_finite(tensor: np.ndarray) -> np.ndarray:
     return tensor
 
 
+def _fields_equal(a, b):
+    """``a == b`` field by field; array fields compare by content, and
+    ``None`` equals only ``None``."""
+    if type(a) is not type(b):
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
 @dataclass
 class QuantizedGroup:
     """One weight group, as :func:`bitmod.pe.group_dot` takes it.
@@ -48,6 +63,8 @@ class QuantizedGroup:
     zero_point: int | None = None
     # Unquantized per-group scale; None once only scale_q is known.
     delta: float | None = None
+
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -68,6 +85,8 @@ class ChannelQuantization:
     dtype: DataTypeSpec
     valid_size: int  # channel size before zero-padding
     zero_point: np.ndarray | None = None
+
+    __eq__ = _fields_equal
 
     @property
     def groups(self) -> tuple[QuantizedGroup, ...]:

@@ -39,11 +39,16 @@ def test_arch_config_defaults_and_validation():
         ArchConfig(tiles_x=0)
     with pytest.raises(ConfigError):
         ArchConfig(dram_bandwidth_bytes_per_s=0)
+    # A zero baseline tile used to divide by zero; a negative one gave
+    # negative baseline cycles.
+    for name, value in (("baseline_pe_rows", 0), ("baseline_pe_cols", -8)):
+        with pytest.raises(ConfigError, match=name):
+            ArchConfig(**{name: value})
 
 
 @pytest.mark.parametrize("overrides", [
     {"tiles_x": "2"}, {"tiles_x": 2.5}, {"pe_rows": True},
-    {"act_buffer_bytes": None}, {"frequency_hz": None},
+    {"baseline_pe_cols": None}, {"frequency_hz": None},
     {"frequency_hz": True}, {"frequency_hz": "1e9"},
     {"dram_bandwidth_bytes_per_s": math.inf}, {"e_dram_byte": math.nan},
     {"e_pe_cycle": 10 ** 400},
@@ -368,9 +373,9 @@ def _add_once(out, rep):
 
 def _oracle_workload(w, one_gemm):
     """Workload total by one addition per block and per decode step."""
-    phases = [(w.prefill_tokens * w.batch, 1)] if w.prefill_tokens else []
+    phases = [(w.prefill_tokens, 1)] if w.prefill_tokens else []
     if w.decode_tokens:
-        phases.append((w.batch, w.decode_tokens))
+        phases.append((1, w.decode_tokens))
     out = SimReport()
     for m, mult in phases:
         for layer in w.layers:

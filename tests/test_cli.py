@@ -190,6 +190,20 @@ def test_negative_energy_cost_is_config_error(tmp_path, capsys):
     assert "e_dram_byte" in err
 
 
+@pytest.mark.parametrize("overrides", [{"baseline_pe_rows": 0},
+                                       {"baseline_pe_cols": -8}])
+def test_nonpositive_baseline_tile_is_config_error(overrides, tmp_path,
+                                                   capsys):
+    # Rows 0 used to end in ZeroDivisionError; cols -8 printed negative
+    # baseline cycles and exited 0.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    code, _, err = run(capsys, "simulate", "toy", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(overrides)) in err
+
+
 def test_pack_unpack_roundtrip(tensor_file, tmp_path, capsys):
     packed = tmp_path / "w.bmod"
     code, out, _ = run(capsys, "pack", str(tensor_file),
@@ -271,9 +285,21 @@ def test_unknown_arch_config_key_is_config_error(tmp_path, capsys):
     ("simulate", "toy", "--prefill-tokens", "-1"),
     ("simulate", "toy", "--decode-tokens", "-256"),
     ("quant-eval", "w.npy", "--seed", "3"),
+    ("quant-eval", "w.npy", "--dtype", "bogus"),
+    ("quant-eval", "w.npy", "--dtype", ","),
+    ("simulate", "toy", "--dtype", "FP3_BITMOD,bogus"),
+    ("simulate", "toy", "--dtype", ","),
+    ("pack", "w.npy", "--out", "w.bmod", "--dtype", "bogus"),
+    ("gen", "--out", "w.npy", "--seed", "-1"),
+    ("gen", "--out", "w.npy", "--shape=-2x4"),
+    ("gen", "--out", "w.npy", "--shape", "0x4"),
 ], ids=["quant-eval-group-size-0", "pack-group-size-negative",
         "simulate-group-size-0", "simulate-prefill-negative",
-        "simulate-decode-negative", "quant-eval-seed-removed"])
+        "simulate-decode-negative", "quant-eval-seed-removed",
+        "quant-eval-dtype-unknown", "quant-eval-dtype-empty",
+        "simulate-dtype-unknown", "simulate-dtype-empty",
+        "pack-dtype-unknown", "gen-seed-negative", "gen-shape-negative",
+        "gen-shape-0"])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as ei:
         main(list(argv))

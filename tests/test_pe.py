@@ -16,11 +16,11 @@ from bitmod.dtype import GroupingConfig, code_range, spec_for
 from bitmod.errors import OutOfRange, ShapeMismatch, UnsupportedDtype
 from bitmod.pe import (
     DEQUANT_CYCLES,
+    FP16_MAC_CYCLES_PER_DOT,
     bit_serial_dequant,
     decode_fp16,
     drain_accumulate,
     encode_group_terms,
-    fp16_mac_cycles_per_dot,
     group_dot,
     throughput_vs_fp16,
 )
@@ -268,7 +268,7 @@ def test_drain_accumulate():
 
 
 def test_throughput_ratios():
-    assert fp16_mac_cycles_per_dot() == 4
+    assert FP16_MAC_CYCLES_PER_DOT == 4
     assert throughput_vs_fp16(spec_for("FP3_BITMOD")) == 2.0
     assert throughput_vs_fp16(spec_for("FP4_BITMOD")) == 2.0
     assert throughput_vs_fp16(spec_for("INT6_SYM")) == pytest.approx(4 / 3)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -296,6 +298,30 @@ def test_channel_padding_dropped():
     assert len(cq.groups) == 2
     assert cq.valid_size == 40
     assert dequantize_channel(cq).shape == (40,)
+
+
+def test_records_compare_by_content():
+    # Array fields used to make == raise "truth value ... is ambiguous".
+    w = np.random.default_rng(5).standard_normal(256)
+    cq = quantize_channel(w, spec_for("FP3_BITMOD"),
+                          GroupingConfig(group_size=128))
+    assert cq == copy.deepcopy(cq)
+    assert cq.groups[0] == cq.groups[0]
+    assert cq.groups[0] != cq.groups[1]
+    for field in ("codes", "sv_index", "delta"):
+        other = copy.deepcopy(cq)
+        if field == "codes":
+            other.codes[0, 0] += 1
+        elif field == "sv_index":
+            other.sv_index[0] = (other.sv_index[0] + 1) % 4
+        else:
+            other.delta[0] *= 2
+        assert other != cq, field
+        assert other.groups[0] != cq.groups[0], field
+        assert other.groups[1] == cq.groups[1], field
+    # None equals only None.
+    assert dataclasses.replace(cq, delta=None) != cq
+    assert dataclasses.replace(cq.groups[0], delta=None) != cq.groups[0]
 
 
 def test_tensor_roundtrip_shape_and_finiteness_checks():
