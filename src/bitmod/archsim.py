@@ -220,7 +220,9 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
     waves = (math.ceil(m / (cfg.tiles_y * rows))
              * math.ceil(n / (cfg.tiles_x * cols)))
     compute = waves * ((k + group - 1) // group) * group_cycles
-    weight_bytes = float(k * n * bits_per_weight / 8)
+    # int / int rounds once, correctly: the float of the exact rational.
+    weight_bytes = (k * n * bits_per_weight.numerator
+                    / (8 * bits_per_weight.denominator))
     act_bytes = float((m * k + m * n) * 2)  # FP16 activations in and out
     moved = weight_bytes + act_bytes
     dram = math.ceil(moved / (cfg.dram_bandwidth_bytes_per_s / cfg.frequency_hz))

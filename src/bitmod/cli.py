@@ -29,7 +29,8 @@ from .bitserial import (
     term_value_sum,
 )
 from .dtype import DataType, GroupingConfig, effective_grid, spec_for
-from .errors import BitmodError, ConfigError, TooManySetBits, UnsupportedDtype
+from .errors import (BitmodError, ConfigError, ParseError, TooManySetBits,
+                     UnsupportedDtype)
 from .quant import (
     dequantize_tensor,
     error_report,
@@ -256,11 +257,15 @@ def _load_arch_config(path: str | None) -> archsim.ArchConfig:
 
 def _load_workload(path: str, args) -> archsim.WorkloadSpec:
     bundled = resources.files("bitmod.shapes").joinpath(f"{path}.shape")
-    if bundled.is_file():
-        text = bundled.read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    try:
+        if bundled.is_file():
+            text = bundled.read_text(encoding="utf-8")
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
     w = archsim.profile_shapes(text)
     return replace(w, prefill_tokens=args.prefill_tokens,
                    decode_tokens=args.decode_tokens)

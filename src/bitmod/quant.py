@@ -4,22 +4,33 @@ Symmetric/asymmetric integer quantization, nonlinear grid quantization,
 per-group special-value adaptation, second-level INT8 quantization of the
 per-group scaling factors, and error metrics.  The quantizers work along
 the last axis, so a channel's groups are quantized as one (n_groups, G)
-array and a single group is an array with one row.
+array and a single group is an array with one row.  A tensor is quantized
+in chunks of whole channels, about ``CHUNK_WEIGHTS`` weights each, all
+groups of a chunk in one pass.
+
+The nearest grid value is found by counting the midpoints of adjacent
+grid values that a scaled weight lies above.  A BitMoD dtype's candidate
+grids that share a grid absmax share their scale, so one count over the
+union of their midpoints serves all of them (two counts for FP3/FP4, not
+four searches); :func:`nearest_grid_index` is the reference it matches.
 
 Rounding convention: ``Round`` in the integer quantizers is
 round-half-away-from-zero, applied uniformly to codes and zero-points.
 The nearest-grid tie-break picks the grid value with smaller magnitude
-(the negative one when magnitudes are equal).
+(the negative one when magnitudes are equal).  Every quantizer raises
+``ValueError`` on NaN or Inf input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
-from .dtype import DataTypeSpec, GroupingConfig, grid_absmax
+from .dtype import DataType, DataTypeSpec, GroupingConfig, grid_absmax
 from .errors import LengthMismatch, UnsupportedDtype
 
 
@@ -128,7 +139,8 @@ def quantize_symmetric(group, bits: int):
         raise ValueError("bits must be in [2, 8]")
     w = np.asarray(group, dtype=np.float64)
     qmax = (1 << (bits - 1)) - 1
-    absmax = np.max(np.abs(w), axis=-1, initial=0.0)
+    # A NaN or an Inf in a group makes its absmax NaN or Inf.
+    absmax = check_finite(np.max(np.abs(w), axis=-1, initial=0.0))
     delta = absmax / qmax
     codes = np.clip(round_half_away(w / _divisor(delta)), -qmax, qmax)
     return codes.astype(np.int64), delta[()]
@@ -145,8 +157,9 @@ def quantize_asymmetric(group, bits: int):
         raise ValueError("bits must be in [2, 8]")
     w = np.asarray(group, dtype=np.float64)
     qmax = (1 << bits) - 1
-    lo = np.min(w, axis=-1)
-    rng = np.max(w, axis=-1) - lo
+    # A NaN in a group makes its min and max NaN, an Inf one of them.
+    lo = check_finite(np.min(w, axis=-1))
+    rng = check_finite(np.max(w, axis=-1)) - lo
     delta = rng / qmax
     div = _divisor(delta)
     z = np.where(delta == 0, 0, round_half_away(-lo / div[..., 0]))
@@ -156,7 +169,10 @@ def quantize_asymmetric(group, bits: int):
 
 
 def nearest_grid_index(scaled: np.ndarray, grid_f: np.ndarray) -> np.ndarray:
-    """Index of the nearest grid value; ties go to the smaller magnitude."""
+    """Index of the nearest grid value; ties go to the smaller magnitude.
+
+    The reference for the midpoint count the quantizers use.
+    """
     n = len(grid_f)
     idx = np.searchsorted(grid_f, scaled)
     lo = np.clip(idx - 1, 0, n - 1)
@@ -169,6 +185,30 @@ def nearest_grid_index(scaled: np.ndarray, grid_f: np.ndarray) -> np.ndarray:
     # negative (lower) one.
     take_hi |= tie & (np.abs(grid_f[hi]) < np.abs(grid_f[lo]))
     return np.where(take_hi, hi, lo)
+
+
+def _midpoints(grid_f: np.ndarray) -> np.ndarray:
+    """Midpoints of adjacent values of a sorted grid."""
+    return (grid_f[:-1] + grid_f[1:]) / 2
+
+
+def _count_above(scaled: np.ndarray, mids) -> np.ndarray:
+    """How many of the sorted midpoints ``mids`` each scaled value passes.
+
+    A value passes a negative midpoint when ``s >= m`` and any other when
+    ``s > m``, so a value on a midpoint goes to the neighbour of smaller
+    magnitude (the lower one at midpoint 0), as in
+    :func:`nearest_grid_index`.  On a grid whose midpoints are ``mids``
+    the count is the index of the nearest value.  On the dtype grids the
+    distances that function compares are exact near a midpoint (Sterbenz),
+    so the two agree on every float but NaN, which the quantizers refuse
+    and which counts 0 here.
+    """
+    count = np.zeros(scaled.shape, dtype=np.min_scalar_type(len(mids)))
+    for m in mids:
+        passed = scaled >= m if m < 0 else scaled > m
+        count += passed.view(np.uint8)
+    return count
 
 
 def nonlinear_quantize(group, grid):
@@ -186,31 +226,90 @@ def nonlinear_quantize(group, grid):
     if 0 not in grid:
         raise ValueError("grid must contain 0")
     w = np.asarray(group, dtype=np.float64)
-    absmax = np.max(np.abs(w), axis=-1, initial=0.0)
+    absmax = check_finite(np.max(np.abs(w), axis=-1, initial=0.0))
     delta = absmax / float(grid_absmax(grid))
-    codes = nearest_grid_index(w / _divisor(delta),
-                               np.asarray(grid, dtype=np.float64))
+    mids = _midpoints(np.asarray(grid, dtype=np.float64)).tolist()
+    codes = _count_above(w / _divisor(delta), mids)
     return codes.astype(np.int64), delta[()]
+
+
+class _SharedScale(NamedTuple):
+    """Consecutive candidate grids of a dtype with the same grid absmax,
+    hence the same scale for a group.
+
+    ``mids`` is the sorted union of their midpoints.  Each interval between
+    them, numbered by the count :func:`_count_above` returns, lies inside
+    one nearest-value cell of every such grid: ``codes[c, j]`` is the
+    index of that cell's value in grid ``grids[c]``, and ``values[c, j]``
+    the value itself.
+    """
+
+    absmax: float
+    mids: tuple[float, ...]
+    grids: tuple[int, ...]
+    codes: np.ndarray
+    values: np.ndarray
+
+
+# Built on first use, keyed by the DataType, whose hash is cheap.
+_SHARED_SCALES: dict[DataType, tuple[_SharedScale, ...]] = {}
+
+
+def _shared_scales(spec: DataTypeSpec) -> tuple[_SharedScale, ...]:
+    """``spec.grid_table`` split into runs of grids that share a scale, in
+    grid order."""
+    scales = _SHARED_SCALES.get(spec.name)
+    if scales is None:
+        table = spec.grid_table
+        absmax = np.abs(table).max(axis=1)
+        scales = []
+        for a, run in groupby(range(len(table)), key=absmax.__getitem__):
+            grids = tuple(run)
+            own = [_midpoints(table[i]) for i in grids]
+            mids = sorted(set(np.concatenate(own).tolist()))
+            # Past the first j union midpoints a value has passed exactly
+            # the grid's own midpoints among them.
+            codes = np.array([np.searchsorted(o, [-np.inf, *mids],
+                                              side="right") for o in own],
+                             dtype=np.int64)
+            values = np.take_along_axis(table[list(grids)], codes, axis=1)
+            codes.flags.writeable = values.flags.writeable = False
+            scales.append(_SharedScale(float(a), tuple(mids), grids, codes,
+                                       values))
+        scales = _SHARED_SCALES[spec.name] = tuple(scales)
+    return scales
 
 
 def _best_grid(rows: np.ndarray, spec: DataTypeSpec):
     """Quantize each row of a (n_groups, G) array onto every grid of
     ``spec`` and keep, per row, the grid of least MSE (the lowest index
-    wins ties).
+    wins ties).  Grids that share a scale share one midpoint count.
 
     Returns (codes, delta, sv_index, mse), each with one entry per row.
     """
-    codes, delta, mse = [], [], []
-    for grid_f in spec.grid_table:
-        c, d = nonlinear_quantize(rows, grid_f)
-        deq = grid_f[c] * d[:, None]
-        codes.append(c)
-        delta.append(d)
-        mse.append(np.mean((rows - deq) ** 2, axis=-1))
-    best = np.argmin(mse, axis=0)
-    pick = (best, np.arange(len(rows)))
-    return (np.stack(codes)[pick], np.stack(delta)[pick], best,
-            np.stack(mse)[pick])
+    absmax = check_finite(np.max(np.abs(rows), axis=-1, initial=0.0))
+    best_mse = None
+    for scale in _shared_scales(spec):
+        delta = absmax / scale.absmax
+        interval = _count_above(rows / _divisor(delta), scale.mids)
+        for i, codes, values in zip(scale.grids, scale.codes, scale.values):
+            # (rows - value * delta) ** 2, in place.
+            err = values.take(interval)
+            np.multiply(err, delta[:, None], out=err)
+            np.subtract(rows, err, out=err)
+            mse = np.mean(np.square(err, out=err), axis=-1)
+            if best_mse is None:
+                best_mse, best_delta = mse, delta
+                best = np.full(len(rows), i, dtype=np.int64)
+                best_codes = codes.take(interval)
+                continue
+            # Grids come in index order, so a tie keeps the lower index.
+            better = mse < best_mse
+            best_mse = np.where(better, mse, best_mse)
+            best_delta = np.where(better, delta, best_delta)
+            best = np.where(better, i, best)
+            np.copyto(best_codes, codes.take(interval), where=better[:, None])
+    return best_codes, best_delta, best, best_mse
 
 
 def adaptive_quant(group, spec: DataTypeSpec):
@@ -252,6 +351,52 @@ def quantize_scales(per_group_deltas):
     return scale_q.astype(np.int64), channel_scale[()]
 
 
+# Weights quantized per numpy pass: whole channels, at least one.  A chunk
+# and its temporaries stay in cache, and peak memory does not grow with
+# the tensor beyond its outputs.
+CHUNK_WEIGHTS = 1 << 14
+
+
+def _quantize_channels(w: np.ndarray, spec: DataTypeSpec,
+                       grouping: GroupingConfig) -> list[ChannelQuantization]:
+    """Quantize each row of a finite 2-D float64 array as one channel,
+    a chunk of rows at a time, then each channel's scales."""
+    n_channels, size = w.shape
+    g = grouping.group_size
+    n_groups = -(-size // g)
+    step = max(1, CHUNK_WEIGHTS // max(1, n_groups * g))
+    channels = []
+    for start in range(0, n_channels, step):
+        block = w[start:start + step]
+        k = len(block)
+        rows = np.zeros((k, n_groups * g))
+        rows[:, :size] = block
+        rows = rows.reshape(-1, g)
+        sv_index = np.zeros(len(rows), dtype=np.int64)
+        zero_point = None
+        if spec.is_fp:
+            codes, delta, sv_index, _ = _best_grid(rows, spec)
+        elif spec.asymmetric:
+            codes, delta, zero_point = quantize_asymmetric(rows,
+                                                           spec.bits_per_code)
+        else:
+            codes, delta = quantize_symmetric(rows, spec.bits_per_code)
+        codes = codes.reshape(k, n_groups, g)
+        sv_index = sv_index.reshape(k, n_groups)
+        delta = delta.reshape(k, n_groups)
+        if zero_point is not None:
+            zero_point = zero_point.reshape(k, n_groups)
+        scale_q, channel_scale = quantize_scales(delta)
+        for i in range(k):
+            channels.append(ChannelQuantization(
+                codes=codes[i], sv_index=sv_index[i], scale_q=scale_q[i],
+                delta=delta[i],
+                zero_point=None if zero_point is None else zero_point[i],
+                channel_scale=float(channel_scale[i]), dtype=spec,
+                valid_size=size))
+    return channels
+
+
 def quantize_channel(values, spec: DataTypeSpec,
                      grouping: GroupingConfig) -> ChannelQuantization:
     """Quantize one weight channel: all of its groups in one pass, then
@@ -259,21 +404,7 @@ def quantize_channel(values, spec: DataTypeSpec,
     w = check_finite(np.asarray(values, dtype=np.float64))
     if w.ndim != 1:
         raise ValueError("channel must be 1-D")
-    g = grouping.group_size
-    rows = np.concatenate([w, np.zeros((-w.size) % g)]).reshape(-1, g)
-    sv_index = np.zeros(len(rows), dtype=np.int64)
-    zero_point = None
-    if spec.is_fp:
-        codes, delta, sv_index, _ = _best_grid(rows, spec)
-    elif spec.asymmetric:
-        codes, delta, zero_point = quantize_asymmetric(rows, spec.bits_per_code)
-    else:
-        codes, delta = quantize_symmetric(rows, spec.bits_per_code)
-    scale_q, channel_scale = quantize_scales(delta)
-    return ChannelQuantization(codes=codes, sv_index=sv_index, scale_q=scale_q,
-                               delta=delta, zero_point=zero_point,
-                               channel_scale=float(channel_scale), dtype=spec,
-                               valid_size=w.size)
+    return _quantize_channels(w[None], spec, grouping)[0]
 
 
 def dequantize_channel(cq: ChannelQuantization) -> np.ndarray:
@@ -291,13 +422,14 @@ def dequantize_channel(cq: ChannelQuantization) -> np.ndarray:
 
 def quantize_tensor(tensor, spec: DataTypeSpec,
                     grouping: GroupingConfig) -> list[ChannelQuantization]:
-    """Quantize a 2-D tensor channel by channel (rows are channels)."""
+    """Quantize a 2-D tensor whose rows are channels, in chunks of whole
+    channels of about ``CHUNK_WEIGHTS`` weights."""
     w = check_finite(np.asarray(tensor, dtype=np.float64))
     if w.ndim != 2:
         raise ValueError("tensor must be 2-D (out_channels x channel_size)")
     if w.size == 0:
         raise ValueError(f"tensor is empty, shape {w.shape}")
-    return [quantize_channel(row, spec, grouping) for row in w]
+    return _quantize_channels(w, spec, grouping)
 
 
 def dequantize_tensor(channels: list[ChannelQuantization]) -> np.ndarray:
@@ -319,6 +451,10 @@ def error_report(original, dequantized) -> ErrorReport:
     )
 
 
+# Keyed by (DataType, group size): the simulator asks once per layer.
+_FOOTPRINTS: dict[tuple[DataType, int], Fraction] = {}
+
+
 def memory_footprint_bits(spec: DataTypeSpec, grouping: GroupingConfig) -> Fraction:
     """Stored bits per weight including per-group metadata.
 
@@ -328,8 +464,10 @@ def memory_footprint_bits(spec: DataTypeSpec, grouping: GroupingConfig) -> Fract
     an 8-bit zero-point per group.
     """
     g = grouping.group_size
-    if spec.asymmetric:
-        overhead = 16 + 8
-    else:
-        overhead = 8 + spec.sv_bits
-    return Fraction(spec.bits_per_code) + Fraction(overhead, g)
+    key = (spec.name, g)
+    bits = _FOOTPRINTS.get(key)
+    if bits is None:
+        overhead = 16 + 8 if spec.asymmetric else 8 + spec.sv_bits
+        bits = _FOOTPRINTS[key] = (Fraction(spec.bits_per_code)
+                                   + Fraction(overhead, g))
+    return bits

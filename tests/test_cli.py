@@ -135,6 +135,16 @@ def test_simulate_shape_file_path_and_errors(tmp_path, capsys):
     assert code == 1 and "name" in err
 
 
+def test_non_utf8_shape_file_is_one_line_error(tmp_path, capsys):
+    # Used to end in a UnicodeDecodeError traceback.
+    bad = tmp_path / "bad.shape"
+    bad.write_bytes(b"\xff\xfename = x\nhidden = 64\nblocks = 2\n")
+    code, out, err = run(capsys, "simulate", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "UTF-8" in err
+
+
 def test_simulate_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

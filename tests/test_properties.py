@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 from bitmod.bitserial import booth_encode, term_value_sum
 from bitmod.dtype import spec_for
 from bitmod.packfile import _pack_codes, _unpack_codes
-from bitmod.quant import quantize_scales, quantize_symmetric
+from bitmod.quant import (
+    _count_above,
+    _midpoints,
+    _shared_scales,
+    nearest_grid_index,
+    quantize_scales,
+    quantize_symmetric,
+)
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())
@@ -73,3 +80,52 @@ def test_symmetric_quantization_error_bound(values, bits):
         qmax = (1 << (bits - 1)) - 1
         bound += qmax * 2.0 ** -1074 / 2
     assert np.all(err <= bound)
+
+
+FP_DTYPES = ("FP3_BASIC", "FP4_BASIC", "FP3_BITMOD", "FP4_BITMOD")
+
+
+def _grid_edges() -> list[float]:
+    """For every FP grid: its exact midpoints and the floats one ulp either
+    side, +-0, +-absmax, its ends, and values beyond both ends."""
+    edges = [0.0, -0.0, 1e300, -1e300]
+    for name in FP_DTYPES:
+        for row in spec_for(name).grid_table:
+            a = float(np.abs(row).max())
+            edges += [a, -a, 2 * a, -2 * a, np.nextafter(row[-1], np.inf),
+                      np.nextafter(row[0], -np.inf)]
+            for m in _midpoints(row).tolist():
+                edges += [m, np.nextafter(m, -np.inf), np.nextafter(m, np.inf)]
+    return edges
+
+
+@given(st.sampled_from(FP_DTYPES),
+       st.lists(st.one_of(st.sampled_from(_grid_edges()), st.floats(
+           allow_nan=False)), min_size=1, max_size=64))
+def test_midpoint_count_matches_nearest_grid_index(name, values):
+    spec = spec_for(name)
+    table = spec.grid_table
+    scaled = np.array(values)
+    want = [nearest_grid_index(scaled, row) for row in table]
+    # One count per shared scale serves each of its grids ...
+    seen = []
+    for scale in _shared_scales(spec):
+        interval = _count_above(scaled, scale.mids)
+        for i, codes, vals in zip(scale.grids, scale.codes, scale.values):
+            assert float(np.abs(table[i]).max()) == scale.absmax
+            assert codes[interval].tolist() == want[i].tolist()
+            assert vals[interval].tolist() == table[i][want[i]].tolist()
+            seen.append(i)
+    assert seen == list(range(len(table)))
+    # ... and a count over one grid's midpoints serves that grid.
+    for row, idx in zip(table, want):
+        assert (_count_above(scaled, _midpoints(row).tolist()).tolist()
+                == idx.tolist())
+
+
+def test_bitmod_candidates_share_two_scales():
+    for name, absmax in (("FP3_BITMOD", (4.0, 6.0)),
+                         ("FP4_BITMOD", (6.0, 8.0))):
+        scales = _shared_scales(spec_for(name))
+        assert [(s.absmax, s.grids) for s in scales] == [
+            (absmax[0], (0, 1)), (absmax[1], (2, 3))]

@@ -8,6 +8,7 @@ import pytest
 from bitmod.dtype import DataType, GroupingConfig, effective_grid, spec_for
 from bitmod.errors import LengthMismatch, UnsupportedDtype
 from bitmod.quant import (
+    CHUNK_WEIGHTS,
     adaptive_quant,
     dequantize_channel,
     dequantize_tensor,
@@ -339,6 +340,56 @@ def test_tensor_roundtrip_shape_and_finiteness_checks():
     for empty in ((2, 0), (0, 8)):
         with pytest.raises(ValueError, match="empty"):
             quantize_tensor(np.zeros(empty), spec, grouping)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("quantize, batches", [
+    (lambda w: adaptive_quant(w, spec_for("FP3_BITMOD")), False),
+    (lambda w: nonlinear_quantize(w, spec_for("FP4_BASIC").basic_values), True),
+    (lambda w: quantize_symmetric(w, 4), True),
+    (lambda w: quantize_asymmetric(w, 4), True),
+], ids=["adaptive", "nonlinear", "symmetric", "asymmetric"])
+def test_quantizers_reject_non_finite_input(quantize, batches, bad):
+    # NaN used to come back as codes [7, 7, 7, 7] with delta and mse NaN
+    # (adaptive_quant) or as codes of -2**63 (quantize_symmetric).
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        quantize(np.array([1.0, bad, 0.5, 2.0]))
+    if batches:  # a bad value in a later group of a batch
+        w = np.ones((2, 4))
+        w[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            quantize(w)
+
+
+def _same_record(a, b):
+    """Field by field, arrays by dtype, shape and bytes."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray), f.name
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+@pytest.mark.parametrize("name", [dt.name for dt in DataType])
+@pytest.mark.parametrize("width, g", [(1000, 128), (200, 32)])
+def test_quantize_tensor_chunks_match_per_channel(name, width, g):
+    # A chunk holds CHUNK_WEIGHTS // padded width whole channels; a tensor
+    # of one chunk less one row, one chunk, and one chunk plus a row must
+    # give each channel what quantizing it alone gives.
+    spec = spec_for(name)
+    grouping = GroupingConfig(group_size=g)
+    step = CHUNK_WEIGHTS // (-(-width // g) * g)
+    rng = np.random.default_rng(16)
+    for k in (1, step - 1, step, step + 1):
+        w = rng.standard_normal((k, width)) * rng.uniform(0.1, 10, (k, 1))
+        w[0, :g] = 0.0  # an all-zero group
+        channels = quantize_tensor(w, spec, grouping)
+        assert len(channels) == k
+        for row, cq in zip(w, channels):
+            _same_record(cq, quantize_channel(row, spec, grouping))
 
 
 def test_negation_symmetry():
