@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import zipfile
 from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import resources
@@ -74,7 +75,13 @@ def _emit_rows(rows: list[dict], columns: list[str], args) -> None:
 
 
 def _load_npy(path: str) -> np.ndarray:
-    arr = np.load(path, allow_pickle=False)
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not an NPY file ({exc})") from None
+    if not isinstance(arr, np.ndarray):  # an .npz archive
+        arr.close()
+        raise ValueError(f"{path}: expected one NPY array, got an archive")
     if arr.dtype == np.float16:
         arr = arr.astype(np.float32)
     if arr.dtype != np.float32:
@@ -137,13 +144,11 @@ def cmd_quant_eval(args) -> int:
         grouping = GroupingConfig(group_size=args.group_size)
         for dt in args.dtypes:
             spec = spec_for(dt)
-            channels = quantize_tensor(tensor, spec, grouping)
-            deq = dequantize_tensor(channels)[:, : tensor.shape[1]]
-            rep = error_report(tensor, deq)
+            qt = quantize_tensor(tensor, spec, grouping)
+            rep = error_report(tensor, dequantize_tensor(qt))
             hist = [0, 0, 0, 0]
             if spec.is_bitmod:
-                hist = np.bincount(np.concatenate(
-                    [cq.sv_index for cq in channels]), minlength=4).tolist()
+                hist = np.bincount(qt.sv_index.ravel(), minlength=4).tolist()
             rows.append({
                 "tensor": path,
                 "dtype": str(spec.name),
@@ -328,8 +333,8 @@ def cmd_pack(args) -> int:
         return 1
     spec = spec_for(args.dtype)
     grouping = GroupingConfig(group_size=args.group_size)
-    channels = quantize_tensor(tensor, spec, grouping)
-    data = packfile.pack(channels, grouping, tensor.shape[1])
+    qt = quantize_tensor(tensor, spec, grouping)
+    data = packfile.pack(qt, grouping, tensor.shape[1])
     with open(args.out, "wb") as fh:
         fh.write(data)
     print(f"wrote {args.out}: {len(data)} bytes "

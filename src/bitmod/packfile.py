@@ -10,8 +10,9 @@ Little-endian layout:
                   codes bit-packed LSB-first at bits_per_code bits each,
                   padded to a byte boundary.
 
-``pack`` writes, and ``unpack`` reads and checks, each channel's group
-records as one (n_groups, record) uint8 block.
+``pack`` writes a :class:`bitmod.quant.QuantizedTensor` in chunks of whole
+channels; ``unpack`` reads and checks one channel's group records at a
+time, as one (n_groups, record) uint8 block.
 
 Asymmetric INT types carry a zero-point the format has no field for; they
 are software baselines, so ``pack`` refuses them and ``unpack`` rejects
@@ -27,7 +28,7 @@ import numpy as np
 
 from .dtype import DataType, DataTypeSpec, GroupingConfig, code_range, spec_for
 from .errors import FormatError, UnsupportedDtype
-from .quant import ChannelQuantization, dequantize_tensor
+from .quant import CHUNK_WEIGHTS, QuantizedTensor, dequantize_tensor
 
 MAGIC = b"BMOD"
 VERSION = 1
@@ -65,27 +66,38 @@ def group_record_bytes(spec: DataTypeSpec, group_size: int) -> int:
     return 2 + (group_size * spec.bits_per_code + 7) // 8
 
 
-def pack(channels: list[ChannelQuantization], grouping: GroupingConfig,
+def pack(qt: QuantizedTensor, grouping: GroupingConfig,
          channel_size: int) -> bytes:
-    """Serialize quantized channels (all sharing one dtype) to BMOD bytes."""
-    if not channels:
+    """Serialize a quantized tensor to BMOD bytes; ``grouping`` and
+    ``channel_size`` must be those it was quantized with."""
+    if len(qt) == 0:
         raise ValueError("no channels to pack")
-    spec = channels[0].dtype
+    spec = qt.dtype
     if spec.asymmetric:
         raise UnsupportedDtype(f"{spec.name} has a zero-point; not packable")
+    if (grouping.group_size, channel_size) != (qt.codes.shape[-1],
+                                               qt.valid_size):
+        raise ValueError(f"group size {grouping.group_size} and channel size "
+                         f"{channel_size} do not match the tensor's "
+                         f"{qt.codes.shape[-1]} and {qt.valid_size}")
     out = bytearray()
-    out += _HEADER.pack(MAGIC, VERSION, spec.name.value, len(channels),
+    out += _HEADER.pack(MAGIC, VERSION, spec.name.value, len(qt),
                         channel_size, grouping.group_size)
-    for cq in channels:
-        out += struct.pack("<f", cq.channel_scale)
-        meta = np.stack([cq.scale_q, cq.sv_index & 0x3], axis=1)
-        out += np.concatenate([meta.astype(np.uint8),
-                               _pack_codes(cq.codes, spec)], axis=1).tobytes()
+    # Chunks of whole channels keep the bit planes small.
+    step = max(1, CHUNK_WEIGHTS // qt.codes[0].size)
+    for start in range(0, len(qt), step):
+        part = qt[start:start + step]
+        meta = np.stack([part.scale_q, part.sv_index & 0x3], axis=-1)
+        records = np.concatenate([meta.astype(np.uint8),
+                                  _pack_codes(part.codes, spec)], axis=-1)
+        scale = part.channel_scale.astype("<f4").view(np.uint8).reshape(-1, 4)
+        out += np.concatenate([scale, records.reshape(len(part), -1)],
+                              axis=1).tobytes()
     return bytes(out)
 
 
 def unpack(data: bytes):
-    """Parse BMOD bytes back into (channels, grouping, spec)."""
+    """Parse BMOD bytes back into (QuantizedTensor, grouping, spec)."""
     if len(data) < _HEADER.size:
         raise FormatError("truncated header", offset=len(data))
     magic, version, dtype_id, k, d, g = _HEADER.unpack_from(data, 0)
@@ -113,8 +125,13 @@ def unpack(data: bytes):
     # Only FP_BASIC and INT*_SYM leave some stored bit patterns unused.
     check_codes = hi - lo + 1 < 1 << spec.bits_per_code
     pos = _HEADER.size
-    channels = []
-    for _ in range(k):
+    # Sized by the channels whose bytes are all there, not by the header.
+    shape = (min(k, (len(data) - pos) // (4 + groups_per_channel * rec)),
+             groups_per_channel)
+    qt = QuantizedTensor(np.empty((*shape, g), np.int64),
+                         np.empty(shape, np.int64), np.empty(shape, np.int64),
+                         None, np.empty(shape[0]), spec, valid_size=d)
+    for c in range(k):
         if pos + 4 > len(data):
             raise FormatError("truncated channel scale", offset=pos)
         (channel_scale,) = struct.unpack_from("<f", data, pos)
@@ -143,16 +160,13 @@ def unpack(data: bytes):
         if n < groups_per_channel:
             raise FormatError("truncated group record", offset=pos + n * rec)
         pos += n * rec
-        channels.append(ChannelQuantization(
-            codes=codes, sv_index=records[:, 1].astype(np.int64),
-            scale_q=records[:, 0].astype(np.int64), delta=None,
-            channel_scale=channel_scale, dtype=spec, valid_size=d,
-        ))
+        qt.channel_scale[c], qt.codes[c] = channel_scale, codes
+        qt.scale_q[c], qt.sv_index[c] = records[:, :2].T
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes", offset=pos)
-    return channels, GroupingConfig(group_size=g), spec
+    return qt, GroupingConfig(group_size=g), spec
 
 
 def unpack_to_tensor(data: bytes) -> np.ndarray:
-    channels, _, _ = unpack(data)
-    return dequantize_tensor(channels)
+    qt, _, _ = unpack(data)
+    return dequantize_tensor(qt)

@@ -5,8 +5,8 @@ per-group special-value adaptation, second-level INT8 quantization of the
 per-group scaling factors, and error metrics.  The quantizers work along
 the last axis, so a channel's groups are quantized as one (n_groups, G)
 array and a single group is an array with one row.  A tensor is quantized
-in chunks of whole channels, about ``CHUNK_WEIGHTS`` weights each, all
-groups of a chunk in one pass.
+into one :class:`QuantizedTensor` (``qt[i]`` is channel ``i``) in chunks of
+whole channels, about ``CHUNK_WEIGHTS`` weights each, one pass per chunk.
 
 The nearest grid value is found by counting the midpoints of adjacent
 grid values that a scaled weight lies above.  A BitMoD dtype's candidate
@@ -23,7 +23,7 @@ The nearest-grid tie-break picks the grid value with smaller magnitude
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import groupby
 from typing import NamedTuple
@@ -79,39 +79,48 @@ class QuantizedGroup:
 
 
 @dataclass
-class ChannelQuantization:
-    """One quantized channel: per-group arrays with one row per group.
+class QuantizedTensor:
+    """Arrays with a leading shape, ``(K,)`` for K channels or ``()`` for
+    one channel ``qt[i]``; ``len(qt)`` is K and ``qt[a:b]`` is a tensor.
 
-    ``codes`` has shape ``(n_groups, G)``; ``sv_index``, ``scale_q`` and
-    ``delta`` (the unquantized group scales, ``None`` after
-    :func:`bitmod.packfile.unpack`) have shape ``(n_groups,)``, and so does
-    ``zero_point``, which only asymmetric dtypes have.
+    ``codes`` is ``(..., n_groups, G)`` and ``channel_scale`` ``(...)``;
+    ``sv_index``, ``scale_q``, ``delta`` (unquantized, ``None`` after
+    ``packfile.unpack``) and ``zero_point`` (asymmetric) ``(..., n_groups)``.
     """
 
     codes: np.ndarray
     sv_index: np.ndarray
     scale_q: np.ndarray
     delta: np.ndarray | None
-    channel_scale: float
+    channel_scale: np.ndarray
     dtype: DataTypeSpec
     valid_size: int  # channel size before zero-padding
     zero_point: np.ndarray | None = None
 
     __eq__ = _fields_equal
 
+    def __len__(self) -> int:
+        return len(self.channel_scale)  # a TypeError for one channel
+
+    def __getitem__(self, key) -> QuantizedTensor:
+        len(self)  # raises for one channel, which has no channel axis
+        return replace(self, **{f.name: v[key] for f in fields(self) if
+                                isinstance(v := getattr(self, f.name),
+                                           np.ndarray)})
+
     @property
     def groups(self) -> tuple[QuantizedGroup, ...]:
-        """One :class:`QuantizedGroup` per group, built on each access; its
-        codes are a read-only view of the row."""
+        """One channel's groups, one :class:`QuantizedGroup` each, built on
+        each access; its codes are a read-only view of the row."""
+        if self.codes.ndim != 2:
+            raise TypeError("groups is a view of one channel")
         rows = self.codes.view()
         rows.flags.writeable = False
-        n = len(rows)
-        delta = [None] * n if self.delta is None else self.delta.tolist()
-        zero_point = ([None] * n if self.zero_point is None
-                      else self.zero_point.tolist())
-        return tuple(QuantizedGroup(c, s, q, z, d) for c, s, q, z, d in zip(
-            rows, self.sv_index.tolist(), self.scale_q.tolist(), zero_point,
-            delta))
+        unset = [None] * len(rows)
+        return tuple(map(
+            QuantizedGroup, rows, self.sv_index.tolist(), self.scale_q.tolist(),
+            unset if self.zero_point is None else self.zero_point.tolist(),
+            unset if self.delta is None else self.delta.tolist()))
 
 
 @dataclass(frozen=True)
@@ -280,12 +289,12 @@ def _shared_scales(spec: DataTypeSpec) -> tuple[_SharedScale, ...]:
     return scales
 
 
-def _best_grid(rows: np.ndarray, spec: DataTypeSpec):
+def _best_grid(rows: np.ndarray, spec: DataTypeSpec, out=None):
     """Quantize each row of a (n_groups, G) array onto every grid of
     ``spec`` and keep, per row, the grid of least MSE (the lowest index
     wins ties).  Grids that share a scale share one midpoint count.
 
-    Returns (codes, delta, sv_index, mse), each with one entry per row.
+    Returns (codes, delta, sv_index, mse) per row; ``out`` gets the codes.
     """
     absmax = check_finite(np.max(np.abs(rows), axis=-1, initial=0.0))
     best_mse = None
@@ -301,7 +310,8 @@ def _best_grid(rows: np.ndarray, spec: DataTypeSpec):
             if best_mse is None:
                 best_mse, best_delta = mse, delta
                 best = np.full(len(rows), i, dtype=np.int64)
-                best_codes = codes.take(interval)
+                # Indices are in range; "raise" would buffer the output.
+                best_codes = codes.take(interval, out=out, mode="clip")
                 continue
             # Grids come in index order, so a tie keeps the lower index.
             better = mse < best_mse
@@ -357,83 +367,67 @@ def quantize_scales(per_group_deltas):
 CHUNK_WEIGHTS = 1 << 14
 
 
-def _quantize_channels(w: np.ndarray, spec: DataTypeSpec,
-                       grouping: GroupingConfig) -> list[ChannelQuantization]:
-    """Quantize each row of a finite 2-D float64 array as one channel,
-    a chunk of rows at a time, then each channel's scales."""
-    n_channels, size = w.shape
-    g = grouping.group_size
-    n_groups = -(-size // g)
-    step = max(1, CHUNK_WEIGHTS // max(1, n_groups * g))
-    channels = []
-    for start in range(0, n_channels, step):
-        block = w[start:start + step]
-        k = len(block)
-        rows = np.zeros((k, n_groups * g))
-        rows[:, :size] = block
-        rows = rows.reshape(-1, g)
-        sv_index = np.zeros(len(rows), dtype=np.int64)
-        zero_point = None
-        if spec.is_fp:
-            codes, delta, sv_index, _ = _best_grid(rows, spec)
-        elif spec.asymmetric:
-            codes, delta, zero_point = quantize_asymmetric(rows,
-                                                           spec.bits_per_code)
-        else:
-            codes, delta = quantize_symmetric(rows, spec.bits_per_code)
-        codes = codes.reshape(k, n_groups, g)
-        sv_index = sv_index.reshape(k, n_groups)
-        delta = delta.reshape(k, n_groups)
-        if zero_point is not None:
-            zero_point = zero_point.reshape(k, n_groups)
-        scale_q, channel_scale = quantize_scales(delta)
-        for i in range(k):
-            channels.append(ChannelQuantization(
-                codes=codes[i], sv_index=sv_index[i], scale_q=scale_q[i],
-                delta=delta[i],
-                zero_point=None if zero_point is None else zero_point[i],
-                channel_scale=float(channel_scale[i]), dtype=spec,
-                valid_size=size))
-    return channels
-
-
-def quantize_channel(values, spec: DataTypeSpec,
-                     grouping: GroupingConfig) -> ChannelQuantization:
-    """Quantize one weight channel: all of its groups in one pass, then
-    their scales."""
-    w = check_finite(np.asarray(values, dtype=np.float64))
-    if w.ndim != 1:
-        raise ValueError("channel must be 1-D")
-    return _quantize_channels(w[None], spec, grouping)[0]
-
-
-def dequantize_channel(cq: ChannelQuantization) -> np.ndarray:
-    """Reconstruct the channel; padded lanes are dropped."""
-    spec = cq.dtype
-    if spec.is_fp:
-        values = spec.grid_table[cq.sv_index[:, None], cq.codes]
-    elif spec.asymmetric:
-        values = cq.codes - cq.zero_point[:, None]
-    else:
-        values = cq.codes
-    delta_hat = cq.scale_q * cq.channel_scale
-    return (values * delta_hat[:, None]).ravel()[: cq.valid_size]
-
-
 def quantize_tensor(tensor, spec: DataTypeSpec,
-                    grouping: GroupingConfig) -> list[ChannelQuantization]:
+                    grouping: GroupingConfig) -> QuantizedTensor:
     """Quantize a 2-D tensor whose rows are channels, in chunks of whole
-    channels of about ``CHUNK_WEIGHTS`` weights."""
+    channels of about ``CHUNK_WEIGHTS`` weights, then all channel scales."""
     w = check_finite(np.asarray(tensor, dtype=np.float64))
     if w.ndim != 2:
         raise ValueError("tensor must be 2-D (out_channels x channel_size)")
     if w.size == 0:
         raise ValueError(f"tensor is empty, shape {w.shape}")
-    return _quantize_channels(w, spec, grouping)
+    n_channels, size = w.shape
+    g = grouping.group_size
+    n_groups = -(-size // g)
+    step = max(1, CHUNK_WEIGHTS // (n_groups * g))
+    # Filled in place: joining per-chunk parts would hold the codes twice.
+    codes = np.empty((n_channels, n_groups, g), dtype=np.int64)
+    sv_index = np.zeros((n_channels, n_groups), dtype=np.int64)
+    delta = np.empty((n_channels, n_groups))
+    zero_point = np.empty_like(sv_index) if spec.asymmetric else None
+    for start in range(0, n_channels, step):
+        block = w[start:start + step]
+        out = slice(start, start + len(block))
+        rows = np.zeros((len(block), n_groups * g))
+        rows[:, :size] = block
+        rows = rows.reshape(-1, g)
+        c = codes[out].reshape(rows.shape)  # a view, written in place
+        if spec.is_fp:
+            _, d, sv, _ = _best_grid(rows, spec, out=c)
+            sv_index[out] = sv.reshape(-1, n_groups)
+        elif spec.asymmetric:
+            c[...], d, z = quantize_asymmetric(rows, spec.bits_per_code)
+            zero_point[out] = z.reshape(-1, n_groups)
+        else:
+            c[...], d = quantize_symmetric(rows, spec.bits_per_code)
+        delta[out] = d.reshape(-1, n_groups)
+    scale_q, channel_scale = quantize_scales(delta)
+    return QuantizedTensor(codes=codes, sv_index=sv_index, scale_q=scale_q,
+                           delta=delta, channel_scale=channel_scale,
+                           dtype=spec, valid_size=size, zero_point=zero_point)
 
 
-def dequantize_tensor(channels: list[ChannelQuantization]) -> np.ndarray:
-    return np.stack([dequantize_channel(cq) for cq in channels])
+def quantize_channel(values, spec: DataTypeSpec,
+                     grouping: GroupingConfig) -> QuantizedTensor:
+    """Quantize one weight channel: ``qt[0]`` of its one-row tensor."""
+    w = np.asarray(values, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError("channel must be 1-D")
+    return quantize_tensor(w[None], spec, grouping)[0]
+
+
+def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
+    """Reconstruct a tensor or one channel ``qt[i]``; padding is dropped."""
+    spec = qt.dtype
+    if spec.is_fp:
+        values = spec.grid_table[qt.sv_index[..., None], qt.codes]
+    elif spec.asymmetric:
+        values = np.subtract(qt.codes, qt.zero_point[..., None],
+                             dtype=np.float64)
+    else:
+        values = qt.codes.astype(np.float64)
+    values *= (qt.scale_q * np.expand_dims(qt.channel_scale, -1))[..., None]
+    return values.reshape(*values.shape[:-2], -1)[..., :qt.valid_size]
 
 
 def error_report(original, dequantized) -> ErrorReport:

@@ -225,8 +225,15 @@ def test_criterion_06_pe_oracle_equivalence(capsys):
             * rng.choice([-1.0, 1.0], size=(per_dtype, 1)) \
             * np.exp2(rng.integers(-4, 5, size=(per_dtype, 1)))
         scale_qs = rng.integers(1, 128, size=per_dtype)
-        for w, avals, sq in zip(w_all, a_all, scale_qs):
-            qg = quantize_channel(w, spec, grouping).groups[0]
+        # One batched call quantizes every row as quantize_channel would;
+        # a seeded sample of rows checks that.
+        qt = quantize_tensor(w_all, spec, grouping)
+        sample = np.random.default_rng([SEED, 6]).choice(per_dtype, 200,
+                                                         replace=False)
+        for i in sample:
+            assert qt[i] == quantize_channel(w_all[i], spec, grouping), i
+        for i, (avals, sq) in enumerate(zip(a_all, scale_qs)):
+            qg = qt[i].groups[0]
             qg.scale_q = int(sq)
             gps, _ = group_dot(qg, avals, spec)
             want = pe_oracle.dequant(

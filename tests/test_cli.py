@@ -268,6 +268,25 @@ def test_empty_tensor_is_one_line_error(verb, shape, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["zero-bytes", "npz-archive", "bad-zip"])
+@pytest.mark.parametrize("verb", ("quant-eval", "pack"))
+def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
+    # These ended in an EOFError, AttributeError or BadZipFile traceback.
+    path = tmp_path / "bad.npy"
+    if kind == "npz-archive":
+        with open(path, "wb") as fh:
+            np.savez(fh, w=np.ones((2, 8), dtype=np.float32))
+    else:  # "bad-zip" has a zip signature and nothing a zip reader accepts
+        path.write_bytes(b"" if kind == "zero-bytes"
+                         else b"PK\x03\x04" + bytes(16))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, verb, str(path), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if verb == "pack":
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides", [{"tiles_x": "2"},
                                        {"frequency_hz": None}])
 def test_wrongly_typed_arch_config_value_is_config_error(overrides, tmp_path,

@@ -14,9 +14,9 @@ def roundtrip_tensor(rng, name, shape, g):
     spec = spec_for(name)
     grouping = GroupingConfig(group_size=g)
     w = rng.standard_normal(shape)
-    channels = quantize_tensor(w, spec, grouping)
-    data = packfile.pack(channels, grouping, shape[1])
-    return w, channels, data
+    qt = quantize_tensor(w, spec, grouping)
+    data = packfile.pack(qt, grouping, shape[1])
+    return w, qt, data
 
 
 def test_header_layout():
@@ -44,42 +44,46 @@ def test_record_size_math():
 ])
 def test_roundtrip_bit_exact(name, g):
     rng = np.random.default_rng(43)
-    w, channels, data = roundtrip_tensor(rng, name, (3, 2 * g), g)
-    got_channels, grouping, spec = packfile.unpack(data)
+    w, qt, data = roundtrip_tensor(rng, name, (3, 2 * g), g)
+    got, grouping, spec = packfile.unpack(data)
     assert spec.name.name == name
-    for a, b in zip(channels, got_channels):
-        assert a.channel_scale == b.channel_scale  # f32-exact by construction
-        for field in ("codes", "sv_index", "scale_q"):
-            got = getattr(b, field)
-            assert got.dtype == np.int64
-            assert np.array_equal(getattr(a, field), got)
-        assert b.delta is None and b.zero_point is None
+    assert got.channel_scale.dtype == np.float64
+    # f32-exact by construction
+    assert np.array_equal(qt.channel_scale, got.channel_scale)
+    for field in ("codes", "sv_index", "scale_q"):
+        arr = getattr(got, field)
+        assert arr.dtype == np.int64
+        assert arr.shape == getattr(qt, field).shape
+        assert arr.shape[:2] == (3, 2)
+        assert np.array_equal(getattr(qt, field), arr)
+    assert got.delta is None and got.zero_point is None
+    for b in got:
         for i, gb in enumerate(b.groups):
             assert np.array_equal(gb.codes, b.codes[i])
             assert (gb.sv_index, gb.scale_q, gb.delta) == (
                 b.sv_index[i], b.scale_q[i], None)
-    np.testing.assert_array_equal(dequantize_tensor(channels),
+    np.testing.assert_array_equal(dequantize_tensor(qt),
                                   packfile.unpack_to_tensor(data))
 
 
 def test_repack_is_byte_identical():
     rng = np.random.default_rng(44)
     _, _, data = roundtrip_tensor(rng, "FP4_BITMOD", (4, 96), 32)
-    channels, grouping, _ = packfile.unpack(data)
-    assert packfile.pack(channels, grouping, 96) == data
+    qt, grouping, _ = packfile.unpack(data)
+    assert packfile.pack(qt, grouping, 96) == data
 
 
 def test_ragged_channel_pads_groups():
     rng = np.random.default_rng(45)
-    w, channels, data = roundtrip_tensor(rng, "FP3_BITMOD", (2, 100), 32)
+    w, qt, data = roundtrip_tensor(rng, "FP3_BITMOD", (2, 100), 32)
     got = packfile.unpack_to_tensor(data)
     assert got.shape == (2, 100)
-    np.testing.assert_array_equal(got, dequantize_tensor(channels))
+    np.testing.assert_array_equal(got, dequantize_tensor(qt))
 
 
 def test_negative_int_codes_survive():
     rng = np.random.default_rng(46)
-    _, channels, data = roundtrip_tensor(rng, "INT8_SYM", (1, 32), 16)
+    _, qt, data = roundtrip_tensor(rng, "INT8_SYM", (1, 32), 16)
     got, _, _ = packfile.unpack(data)
     assert any(int(c) < 0 for qg in got[0].groups for c in qg.codes)
 
@@ -88,9 +92,9 @@ def test_asymmetric_types_not_packable():
     rng = np.random.default_rng(47)
     spec = spec_for("INT4_ASYM")
     grouping = GroupingConfig(group_size=16)
-    channels = quantize_tensor(rng.standard_normal((1, 32)), spec, grouping)
+    qt = quantize_tensor(rng.standard_normal((1, 32)), spec, grouping)
     with pytest.raises(UnsupportedDtype):
-        packfile.pack(channels, grouping, 32)
+        packfile.pack(qt, grouping, 32)
 
 
 def test_format_errors_with_offsets():
@@ -112,6 +116,18 @@ def test_format_errors_with_offsets():
     bad_dtype = data[:6] + struct.pack("<H", 200) + data[8:]
     with pytest.raises(FormatError):
         packfile.unpack(bad_dtype)
+
+
+def test_header_sizes_allocate_nothing_before_their_bytes_exist():
+    # K and D at the u32 maximum describe about 2**64 weights; unpack must
+    # report the missing bytes, not try to allocate room for them.
+    rng = np.random.default_rng(52)
+    _, _, data = roundtrip_tensor(rng, "FP3_BITMOD", (1, 64), 32)
+    buf = bytearray(data)
+    struct.pack_into("<II", buf, 8, 2 ** 32 - 1, 2 ** 32 - 1)
+    with pytest.raises(FormatError, match="truncated group record") as ei:
+        packfile.unpack(bytes(buf))
+    assert ei.value.offset == len(data)
 
 
 def _put(fmt, at, value):
@@ -156,8 +172,23 @@ def test_malformed_fields_raise_format_error(name, edit, offset):
 
 
 def test_pack_requires_channels():
-    with pytest.raises(ValueError):
-        packfile.pack([], GroupingConfig(group_size=16), 0)
+    rng = np.random.default_rng(50)
+    _, qt, _ = roundtrip_tensor(rng, "FP3_BITMOD", (2, 32), 16)
+    with pytest.raises(ValueError, match="no channels"):
+        packfile.pack(qt[:0], GroupingConfig(group_size=16), 32)
+
+
+def test_pack_checks_grouping_and_size_against_tensor():
+    # A smaller channel size used to drop the weights past it from every
+    # channel; a larger one, or another group size, wrote a file that
+    # failed only at unpack.
+    rng = np.random.default_rng(51)
+    _, qt, data = roundtrip_tensor(rng, "FP3_BITMOD", (2, 100), 32)
+    assert packfile.pack(qt, GroupingConfig(group_size=32), 100) == data
+    for g, size in [(16, 100), (64, 100), (32, 99), (32, 101), (32, 96),
+                    (32, 128)]:
+        with pytest.raises(ValueError, match="not match"):
+            packfile.pack(qt, GroupingConfig(group_size=g), size)
 
 
 PACKABLE = ("FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC", "FP4_BASIC",
@@ -187,10 +218,10 @@ def damaged_files(draw):
 @given(damaged_files())
 def test_unpack_damaged_file_raises_only_format_error(data):
     try:
-        channels, _, _ = packfile.unpack(data)
+        qt, _, _ = packfile.unpack(data)
     except FormatError:
         return
     k, d = struct.unpack_from("<II", data, 8)
-    deq = dequantize_tensor(channels)
+    deq = dequantize_tensor(qt)
     assert deq.shape == (k, d)
     assert np.all(np.isfinite(deq))

@@ -24,7 +24,8 @@ from bitmod.pe import (
     group_dot,
     throughput_vs_fp16,
 )
-from bitmod.quant import QuantizedGroup, quantize_channel, quantize_symmetric
+from bitmod.quant import (QuantizedGroup, dequantize_tensor, quantize_channel,
+                          quantize_symmetric)
 
 PE_DTYPES = ("INT8_SYM", "INT6_SYM", "INT4_SYM",
              "FP3_BASIC", "FP4_BASIC", "FP3_BITMOD", "FP4_BITMOD")
@@ -289,6 +290,5 @@ def test_channel_dot_end_to_end_close_to_float():
         gps, _ = group_dot(qg, avals[i * 32:(i + 1) * 32], spec)
         parts.append(gps)
     got = drain_accumulate(parts, cq.channel_scale)
-    from bitmod.quant import dequantize_channel
-    want = float(np.dot(dequantize_channel(cq), avals))
+    want = float(np.dot(dequantize_tensor(cq), avals))
     assert math.isclose(float(got), want, rel_tol=2.0 ** -7)

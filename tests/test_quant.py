@@ -10,7 +10,6 @@ from bitmod.errors import LengthMismatch, UnsupportedDtype
 from bitmod.quant import (
     CHUNK_WEIGHTS,
     adaptive_quant,
-    dequantize_channel,
     dequantize_tensor,
     error_report,
     memory_footprint_bits,
@@ -235,7 +234,7 @@ def test_channel_roundtrip_error_bound(name):
     grouping = GroupingConfig(group_size=32)
     w = rng.standard_normal(96)
     cq = quantize_channel(w, spec, grouping)
-    deq = dequantize_channel(cq)
+    deq = dequantize_tensor(cq)
     assert deq.shape == w.shape
     # Scale quantization perturbs each group scale by <= channel_scale/2;
     # with grid absmax <= 8 the end-to-end error stays bounded.
@@ -298,7 +297,7 @@ def test_channel_padding_dropped():
     cq = quantize_channel(w, spec, grouping)
     assert len(cq.groups) == 2
     assert cq.valid_size == 40
-    assert dequantize_channel(cq).shape == (40,)
+    assert dequantize_tensor(cq).shape == (40,)
 
 
 def test_records_compare_by_content():
@@ -386,10 +385,17 @@ def test_quantize_tensor_chunks_match_per_channel(name, width, g):
     for k in (1, step - 1, step, step + 1):
         w = rng.standard_normal((k, width)) * rng.uniform(0.1, 10, (k, 1))
         w[0, :g] = 0.0  # an all-zero group
-        channels = quantize_tensor(w, spec, grouping)
-        assert len(channels) == k
-        for row, cq in zip(w, channels):
-            _same_record(cq, quantize_channel(row, spec, grouping))
+        qt = quantize_tensor(w, spec, grouping)
+        assert len(qt) == k
+        deq = dequantize_tensor(qt)
+        for i, (row, cq) in enumerate(zip(w, qt, strict=True)):
+            one = quantize_channel(row, spec, grouping)
+            _same_record(cq, one)
+            _same_record(qt[i], one)
+            # A channel dequantizes to its row of the tensor, bit for bit.
+            assert dequantize_tensor(qt[i]).tobytes() == deq[i].tobytes()
+        with pytest.raises(TypeError):
+            len(qt[0])  # one channel has no channel axis
 
 
 def test_negation_symmetry():
@@ -397,8 +403,8 @@ def test_negation_symmetry():
     spec = spec_for("FP3_BITMOD")
     grouping = GroupingConfig(group_size=32)
     w = rng.standard_normal(64)
-    a = dequantize_channel(quantize_channel(w, spec, grouping))
-    b = dequantize_channel(quantize_channel(-w, spec, grouping))
+    a = dequantize_tensor(quantize_channel(w, spec, grouping))
+    b = dequantize_tensor(quantize_channel(-w, spec, grouping))
     np.testing.assert_array_equal(a, -b)
 
 
