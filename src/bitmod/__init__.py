@@ -12,7 +12,6 @@ from .dtype import (
     DataTypeSpec,
     GroupingConfig,
     effective_grid,
-    grid_absmax,
     spec_for,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "DataTypeSpec",
     "GroupingConfig",
     "effective_grid",
-    "grid_absmax",
     "spec_for",
     "__version__",
 ]

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyGrid, InvalidSpecialValueIndex, UnsupportedDtype
+from .errors import InvalidSpecialValueIndex, UnsupportedDtype
 
 HALF = Fraction(1, 2)
 
@@ -211,13 +211,6 @@ def effective_grid(spec: DataTypeSpec, sv_index: int = 0) -> tuple[Fraction, ...
             f"{spec.name} has no special values; sv_index must be 0"
         )
     return spec.grids[sv_index]
-
-
-def grid_absmax(grid) -> Fraction:
-    """max(|min|, |max|) of a non-empty grid."""
-    if len(grid) == 0:
-        raise EmptyGrid("grid is empty")
-    return max(abs(min(grid)), abs(max(grid)))
 
 
 def code_range(spec: DataTypeSpec) -> tuple[int, int]:

@@ -9,10 +9,6 @@ class InvalidSpecialValueIndex(BitmodError):
     pass
 
 
-class EmptyGrid(BitmodError):
-    pass
-
-
 class LengthMismatch(BitmodError):
     pass
 

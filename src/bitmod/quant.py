@@ -1,12 +1,13 @@
 """Quantization and dequantization math.
 
-Symmetric/asymmetric integer quantization, nonlinear grid quantization,
+Symmetric/asymmetric integer quantization, FP grid quantization with
 per-group special-value adaptation, second-level INT8 quantization of the
-per-group scaling factors, and error metrics.  The quantizers work along
-the last axis, so a channel's groups are quantized as one (n_groups, G)
-array and a single group is an array with one row.  A tensor is quantized
-into one :class:`QuantizedTensor` (``qt[i]`` is channel ``i``) in chunks of
-whole channels, about ``CHUNK_WEIGHTS`` weights each, one pass per chunk.
+per-group scaling factors, and error metrics.  :func:`quantize_groups` is
+the one group quantizer for every dtype: it takes groups as the rows of an
+(n, G) array, so a single group is an array with one row.  A tensor is
+quantized into one :class:`QuantizedTensor` (``qt[i]`` is channel ``i``) in
+chunks of whole channels, about ``CHUNK_WEIGHTS`` weights each, one
+:func:`quantize_groups` call per chunk.
 
 The nearest grid value is found by counting the midpoints of adjacent
 grid values that a scaled weight lies above.  A BitMoD dtype's candidate
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtype import DataType, DataTypeSpec, GroupingConfig, grid_absmax
+from .dtype import DataType, DataTypeSpec, GroupingConfig
 from .errors import LengthMismatch, UnsupportedDtype
 
 
@@ -220,28 +221,6 @@ def _count_above(scaled: np.ndarray, mids) -> np.ndarray:
     return count
 
 
-def nonlinear_quantize(group, grid):
-    """Quantize onto an arbitrary sorted grid containing 0: exact
-    rationals, or their float values (a row of ``DataTypeSpec.grid_table``).
-
-    Works along the last axis.  Returns (codes, delta) where codes index
-    ``grid`` and delta = max|w| / grid_absmax per group (0 for an all-zero
-    group, whose codes all index 0, as do those of a group whose delta
-    underflows to 0).  For a BitMoD grid that absmax
-    includes the merged special value: an EA candidate's scale is max|w|/6
-    for FP3 (max|w|/8 for FP4) where the other grids use max|w|/4
-    (max|w|/6), so EA also gives the bulk of the group a finer step.
-    """
-    if 0 not in grid:
-        raise ValueError("grid must contain 0")
-    w = np.asarray(group, dtype=np.float64)
-    absmax = check_finite(np.max(np.abs(w), axis=-1, initial=0.0))
-    delta = absmax / float(grid_absmax(grid))
-    mids = _midpoints(np.asarray(grid, dtype=np.float64)).tolist()
-    codes = _count_above(w / _divisor(delta), mids)
-    return codes.astype(np.int64), delta[()]
-
-
 class _SharedScale(NamedTuple):
     """Consecutive candidate grids of a dtype with the same grid absmax,
     hence the same scale for a group.
@@ -300,7 +279,9 @@ def _best_grid(rows: np.ndarray, spec: DataTypeSpec, out=None):
     best_mse = None
     for scale in _shared_scales(spec):
         delta = absmax / scale.absmax
-        interval = _count_above(rows / _divisor(delta), scale.mids)
+        # Cast once: each take would convert uint8 indices to intp again.
+        interval = _count_above(rows / _divisor(delta),
+                                scale.mids).astype(np.intp)
         for i, codes, values in zip(scale.grids, scale.codes, scale.values):
             # (rows - value * delta) ** 2, in place.
             err = values.take(interval)
@@ -322,15 +303,44 @@ def _best_grid(rows: np.ndarray, spec: DataTypeSpec, out=None):
     return best_codes, best_delta, best, best_mse
 
 
-def adaptive_quant(group, spec: DataTypeSpec):
-    """Pick the special value minimizing group MSE (lowest index on ties).
+def quantize_groups(rows, spec: DataTypeSpec, out=None):
+    """Quantize each row of an (n, G) array as one group of ``spec``.
 
-    Each candidate grid is scaled by its own absmax (see
-    ``nonlinear_quantize``): ER candidates by max|w|/4 for FP3 (max|w|/6
-    for FP4), EA candidates by max|w|/6 (max|w|/8).  EA therefore also
-    quantizes the bulk with a finer step: for FP3 it wins on most Gaussian
-    groups as well as on one-sided outliers, and ER wins on flat,
-    light-tailed groups.
+    FP types try every candidate grid of the dtype (one for a basic type),
+    each scaled by its own absmax: delta = max|w| / grid absmax.  A row
+    keeps the grid of least MSE, the lowest index on ties.  INT types use
+    :func:`quantize_symmetric` or :func:`quantize_asymmetric`.
+
+    Returns (codes, delta, sv_index, zero_point), the last three one per
+    row: ``sv_index`` is all 0 for a dtype without special values and
+    ``zero_point`` is ``None`` for a symmetric one.  The codes are written
+    into ``out`` when it is given.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if spec.is_fp:
+        codes, delta, sv_index, _ = _best_grid(rows, spec, out=out)
+        return codes, delta, sv_index, None
+    zero_point = None
+    if spec.asymmetric:
+        codes, delta, zero_point = quantize_asymmetric(rows,
+                                                       spec.bits_per_code)
+    else:
+        codes, delta = quantize_symmetric(rows, spec.bits_per_code)
+    if out is not None:
+        out[...] = codes
+        codes = out
+    return codes, delta, np.zeros(len(rows), dtype=np.int64), zero_point
+
+
+def adaptive_quant(group, spec: DataTypeSpec):
+    """Pick the special value minimizing group MSE (lowest index on ties):
+    :func:`quantize_groups` of one BitMoD group, with its MSE.
+
+    Each candidate grid is scaled by its own absmax: ER candidates by
+    max|w|/4 for FP3 (max|w|/6 for FP4), EA candidates by max|w|/6
+    (max|w|/8).  EA therefore also quantizes the bulk with a finer step:
+    for FP3 it wins on most Gaussian groups as well as on one-sided
+    outliers, and ER wins on flat, light-tailed groups.
 
     Returns (QuantizedGroup with unquantized delta, chosen special value,
     mse).
@@ -371,7 +381,7 @@ def quantize_tensor(tensor, spec: DataTypeSpec,
                     grouping: GroupingConfig) -> QuantizedTensor:
     """Quantize a 2-D tensor whose rows are channels, in chunks of whole
     channels of about ``CHUNK_WEIGHTS`` weights, then all channel scales."""
-    w = check_finite(np.asarray(tensor, dtype=np.float64))
+    w = np.asarray(tensor)
     if w.ndim != 2:
         raise ValueError("tensor must be 2-D (out_channels x channel_size)")
     if w.size == 0:
@@ -382,25 +392,19 @@ def quantize_tensor(tensor, spec: DataTypeSpec,
     step = max(1, CHUNK_WEIGHTS // (n_groups * g))
     # Filled in place: joining per-chunk parts would hold the codes twice.
     codes = np.empty((n_channels, n_groups, g), dtype=np.int64)
-    sv_index = np.zeros((n_channels, n_groups), dtype=np.int64)
-    delta = np.empty((n_channels, n_groups))
-    zero_point = np.empty_like(sv_index) if spec.asymmetric else None
+    group_fields = []  # (delta, sv_index, zero_point) per chunk, per group
     for start in range(0, n_channels, step):
         block = w[start:start + step]
-        out = slice(start, start + len(block))
+        # The only float64 copy of the input: one chunk, zero-padded.
         rows = np.zeros((len(block), n_groups * g))
         rows[:, :size] = block
         rows = rows.reshape(-1, g)
-        c = codes[out].reshape(rows.shape)  # a view, written in place
-        if spec.is_fp:
-            _, d, sv, _ = _best_grid(rows, spec, out=c)
-            sv_index[out] = sv.reshape(-1, n_groups)
-        elif spec.asymmetric:
-            c[...], d, z = quantize_asymmetric(rows, spec.bits_per_code)
-            zero_point[out] = z.reshape(-1, n_groups)
-        else:
-            c[...], d = quantize_symmetric(rows, spec.bits_per_code)
-        delta[out] = d.reshape(-1, n_groups)
+        out = codes[start:start + len(block)].reshape(rows.shape)  # a view
+        group_fields.append(quantize_groups(rows, spec, out=out)[1:])
+    delta, sv_index, zero_point = (
+        None if parts[0] is None
+        else np.concatenate(parts).reshape(n_channels, n_groups)
+        for parts in zip(*group_fields))
     scale_q, channel_scale = quantize_scales(delta)
     return QuantizedTensor(codes=codes, sv_index=sv_index, scale_q=scale_q,
                            delta=delta, channel_scale=channel_scale,
@@ -431,17 +435,21 @@ def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
 
 
 def error_report(original, dequantized) -> ErrorReport:
-    w = np.asarray(original, dtype=np.float64)
-    w_hat = np.asarray(dequantized, dtype=np.float64)
+    w = np.asarray(original)
+    w_hat = np.asarray(dequantized)
     if w.shape != w_hat.shape:
         raise LengthMismatch(f"{w.shape} vs {w_hat.shape}")
-    err = w - w_hat
-    mse = float(np.mean(err ** 2)) if w.size else 0.0
-    denom = float(np.mean(w ** 2)) if w.size else 0.0
+    if not w.size:
+        return ErrorReport(mse=0.0, normalized_error=0.0, max_abs_error=0.0)
+    # One float64 buffer beside the inputs, reused for every term.
+    err = np.subtract(w, w_hat, dtype=np.float64)
+    max_abs_error = float(np.abs(err, out=err).max())
+    mse = float(np.mean(np.square(err, out=err)))
+    denom = float(np.mean(np.square(w, out=err, dtype=np.float64)))
     return ErrorReport(
         mse=mse,
         normalized_error=mse / denom if denom > 0 else 0.0,
-        max_abs_error=float(np.max(np.abs(err))) if w.size else 0.0,
+        max_abs_error=max_abs_error,
     )
 
 

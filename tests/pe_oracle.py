@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -21,8 +22,10 @@ ACT_SHIFT = 25  # activation value = a_m * 2^(a_e - 25)
 BOOTH_TABLE = {0: 0, 1: 1, 2: 1, 3: 2, 4: -2, 5: -1, 6: -1, 7: 0}
 
 
+@cache
 def booth_terms(value: int, n_terms: int):
-    """Radix-4 Booth recoding into (sign, exp, man, bsig) tuples."""
+    """Radix-4 Booth recoding into a tuple of (sign, exp, man, bsig) tuples;
+    cached, and a tuple so that no caller can change a cached result."""
     width = 2 * n_terms + 1
     field = value & ((1 << width) - 1)  # two's complement at full width
     shifted = field << 1                # makes the b_{-1}=0 slot explicit
@@ -35,11 +38,13 @@ def booth_terms(value: int, n_terms: int):
             out.append((1 if digit < 0 else 0,
                         1 if abs(digit) == 2 else 0,
                         1, 2 * i))
-    return out
+    return tuple(out)
 
 
+@cache
 def fp_terms(value):
-    """Two-term split of an FP grid value via leading-one detection.
+    """Two-term split of an FP grid value via leading-one detection, as a
+    tuple of two (sign, exp, man, bsig) tuples; cached like booth_terms.
 
     ``value`` is the already-resolved grid value (the special value when the
     -0 pattern is active).  Magnitude is expressed in 0.5 units; window one
@@ -69,7 +74,7 @@ def fp_terms(value):
         out.append((0, 0, 0, -1))
     if mh:
         raise ValueError(f"{value} needs more than two set bits")
-    return out
+    return tuple(out)
 
 
 def fp16_operand(x):

@@ -21,10 +21,10 @@ from bitmod.quant import (
     QuantizedGroup,
     adaptive_quant,
     dequantize_tensor,
-    error_report,
     memory_footprint_bits,
-    nonlinear_quantize,
+    nearest_grid_index,
     quantize_channel,
+    quantize_groups,
     quantize_tensor,
 )
 
@@ -115,14 +115,23 @@ def test_criterion_03_no_stall(capsys):
 # 4. grid-inclusion monotonicity and error ordering
 # ---------------------------------------------------------------------------
 
-def _forced_grid_error(w, grids):
+def _group_mse(w, spec):
+    """Per-row MSE of ``quantize_groups`` on the (n, G) groups ``w``."""
+    codes, delta, sv_index, _ = quantize_groups(w, spec)
+    w_hat = spec.grid_table[sv_index[:, None], codes] * delta[:, None]
+    return np.mean((w - w_hat) ** 2, axis=-1)
+
+
+def _forced_grid_mse(w, table):
+    """Per-row MSE on the best of the grids ``table``, each scaled by its
+    own absmax (nonzero rows only)."""
+    absmax = np.max(np.abs(w), axis=-1, keepdims=True)
     best = None
-    for grid in grids:
-        codes, delta = nonlinear_quantize(w, grid)
-        gf = np.array([float(v) for v in grid])
-        rep = error_report(w, gf[codes] * delta)
-        if best is None or rep.mse < best.mse:
-            best = rep
+    for grid in table:
+        delta = absmax / np.max(np.abs(grid))
+        w_hat = grid[nearest_grid_index(w / delta, grid)] * delta
+        mse = np.mean((w - w_hat) ** 2, axis=-1)
+        best = mse if best is None else np.minimum(best, mse)
     return best
 
 
@@ -130,32 +139,29 @@ def test_criterion_04_monotonicity_and_ordering(capsys):
     t0 = time.perf_counter()
     spec = spec_for("FP3_BITMOD")
     basic = spec_for("FP3_BASIC")
-    basic_f = np.array([float(v) for v in basic.basic_values])
-    er_grids = [effective_grid(spec, 0), effective_grid(spec, 1)]
-    ea_grids = [effective_grid(spec, 2), effective_grid(spec, 3)]
 
     violations = 0
     total = 0
-    mix_errors = {"basic": [], "er": [], "ea": []}
     for i, dist in enumerate(synth.DISTRIBUTIONS):
         groups = synth.sample_groups(dist, 3334 if i == 0 else 3333, 128,
                                      seed=SEED + i)
-        for w in groups:
-            total += 1
-            _, _, mse = adaptive_quant(w, spec)
-            codes, delta = nonlinear_quantize(w, basic.basic_values)
-            basic_rep = error_report(w, basic_f[codes] * delta)
-            if mse > basic_rep.mse + 1e-15:
-                violations += 1
-            if dist == "outlier_mixture":
-                mix_errors["basic"].append(basic_rep.normalized_error)
-                mix_errors["er"].append(
-                    _forced_grid_error(w, er_grids).normalized_error)
-                mix_errors["ea"].append(
-                    _forced_grid_error(w, ea_grids).normalized_error)
-    m_basic = float(np.mean(mix_errors["basic"]))
-    m_er = float(np.mean(mix_errors["er"]))
-    m_ea = float(np.mean(mix_errors["ea"]))
+        w = groups.astype(np.float64)
+        total += len(w)
+        mse = _group_mse(w, spec)
+        basic_mse = _group_mse(w, basic)
+        violations += int(np.sum(mse > basic_mse + 1e-15))
+        # The batched MSE is what one-group calls report.
+        sample = np.random.default_rng([SEED, 4, i]).choice(len(w), 50,
+                                                            replace=False)
+        for j in sample:
+            assert adaptive_quant(w[j], spec)[2] == mse[j], (dist, j)
+        if dist == "outlier_mixture":
+            power = np.mean(w ** 2, axis=-1)
+            m_basic = float(np.mean(basic_mse / power))
+            m_er = float(np.mean(_forced_grid_mse(w, spec.grid_table[:2])
+                                 / power))
+            m_ea = float(np.mean(_forced_grid_mse(w, spec.grid_table[2:])
+                                 / power))
     elapsed = time.perf_counter() - t0
     ok = (total == 10000 and violations == 0
           and m_ea < m_er < m_basic and elapsed < 30.0)
@@ -174,9 +180,17 @@ def test_criterion_05_special_value_selection(capsys):
     spec = spec_for("FP3_BITMOD")
     n = 1000
 
-    def er_share_of(groups):
-        return sum(adaptive_quant(w, spec)[0].sv_index in (0, 1)
-                   for w in groups) / n
+    def sv_index_of(groups, tag):
+        sv_index = quantize_groups(groups, spec)[2]
+        # One-group calls choose the same special values.
+        sample = np.random.default_rng([SEED, 5, tag]).choice(n, 50,
+                                                              replace=False)
+        for j in sample:
+            assert adaptive_quant(groups[j], spec)[0].sv_index == sv_index[j]
+        return sv_index
+
+    def er_share_of(groups, tag):  # ER candidates are indices 0 and 1
+        return float(np.mean(sv_index_of(groups, tag) <= 1))
 
     # ER (+-3) adds a level in the coarse upper part of the range, between
     # 2 and 4, so it pays on light-tailed groups whose weights fill that
@@ -187,11 +201,12 @@ def test_criterion_05_special_value_selection(capsys):
     # (ER share 0.15 at SEED).  That share is printed but not gated.
     flat = np.random.default_rng(SEED).uniform(-1, 1, (n, 128)) \
         .astype(np.float32)
-    er_share = er_share_of(flat)
+    er_share = er_share_of(flat, 0)
     gaussian = synth.sample_groups("gaussian", n, 128, seed=SEED)
-    gaussian_er_share = er_share_of(gaussian)
+    gaussian_er_share = er_share_of(gaussian, 1)
     outlier = synth.single_outlier_groups(n, 128, 6.0, seed=SEED + 1)
-    ea_share = sum(adaptive_quant(w, spec)[1] == F(6) for w in outlier) / n
+    ea_share = float(np.mean(sv_index_of(outlier, 2)
+                             == spec.special_values.index(F(6))))
 
     ok = er_share >= 0.60 and ea_share >= 0.60
     report(capsys, 5, ok,

@@ -57,8 +57,8 @@ def test_booth_matches_table_driven_oracle():
     for bits, n_terms in ((8, 4), (6, 3), (4, 2)):
         lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
         for value in range(lo, hi + 1):
-            got = [(t.sign, t.exp, t.man, t.bsig)
-                   for t in booth_encode(value, bits)]
+            got = tuple((t.sign, t.exp, t.man, t.bsig)
+                        for t in booth_encode(value, bits))
             assert got == pe_oracle.booth_terms(value, n_terms)
 
 
@@ -120,7 +120,8 @@ def test_lod_exhaustive_against_oracle():
             if fp.set_bits > 2:
                 continue
             try:
-                got = [(t.sign, t.exp, t.man, t.bsig) for t in lod_decode(fp)]
+                got = tuple((t.sign, t.exp, t.man, t.bsig)
+                            for t in lod_decode(fp))
             except TooManySetBits:
                 with pytest.raises(ValueError):
                     pe_oracle.fp_terms(value)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,9 @@ from bitmod.quant import (
     error_report,
     memory_footprint_bits,
     nearest_grid_index,
-    nonlinear_quantize,
     quantize_asymmetric,
     quantize_channel,
+    quantize_groups,
     quantize_scales,
     quantize_symmetric,
     quantize_tensor,
@@ -57,9 +58,10 @@ def test_quantize_symmetric_degenerate_zero_group():
         codes, delta = quantize_symmetric(group, bits)
         assert delta == 0.0 and not codes.any()
     # On an FP grid the codes all index the value 0.
-    grid = spec_for("FP3_BASIC").basic_values
-    codes, delta = nonlinear_quantize([5e-324, 0.0], grid)
-    assert delta == 0.0 and codes.tolist() == [grid.index(0)] * 2
+    spec = spec_for("FP3_BASIC")
+    codes, delta, _, _ = quantize_groups([[5e-324, 0.0]], spec)
+    grid = spec.basic_values
+    assert delta.tolist() == [0.0] and codes.tolist() == [[grid.index(0)] * 2]
 
 
 def test_quantize_asymmetric_hand_example():
@@ -99,48 +101,39 @@ def test_nearest_grid_index_tie_breaks():
     assert nearest_grid_index(np.array([0.0]), g2).tolist() == [0]
 
 
-def test_nonlinear_quantize_on_grid_input_is_exact():
+def test_quantize_groups_on_grid_input_is_exact():
     spec = spec_for("FP3_BITMOD")
     sv = spec.special_values.index(F(6))
-    grid = effective_grid(spec, sv)
-    w = np.array([-4.0, -2.0, 0.0, 6.0]) * 0.37
-    codes, delta = nonlinear_quantize(w, grid)
-    assert delta == pytest.approx(0.37)
-    deq = grid_f(spec, sv)[codes] * delta
+    w = np.array([[-4.0, -2.0, 0.0, 6.0]]) * 0.37
+    codes, delta, sv_index, zero_point = quantize_groups(w, spec)
+    assert sv_index.tolist() == [sv] and zero_point is None
+    assert delta[0] == pytest.approx(0.37)
+    deq = grid_f(spec, sv)[codes] * delta[:, None]
     np.testing.assert_allclose(deq, w, rtol=0, atol=1e-15)
 
 
-def test_nonlinear_quantize_hand_example():
-    spec = spec_for("FP3_BITMOD")
-    sv = spec.special_values.index(F(-6))
-    grid = effective_grid(spec, sv)
-    codes, delta = nonlinear_quantize([0.9, -0.9, 3.6], grid)
-    assert delta == pytest.approx(0.6)
-    # scaled = [1.5, -1.5, 6]; ties at +-1.5 go to the smaller magnitude,
-    # and 6 clamps to the largest positive grid value 4.
-    deq = grid_f(spec, sv)[codes] * delta
-    np.testing.assert_allclose(deq, [0.6, -0.6, 2.4], atol=1e-15)
+def test_quantize_groups_hand_example():
+    spec = spec_for("FP3_BASIC")
+    codes, delta, sv_index, _ = quantize_groups([[0.9, -0.9, 2.4]], spec)
+    assert delta[0] == pytest.approx(0.6) and sv_index.tolist() == [0]
+    # scaled = [1.5, -1.5, 4]; ties at +-1.5 go to the smaller magnitude.
+    deq = grid_f(spec)[codes] * delta[:, None]
+    np.testing.assert_allclose(deq, [[0.6, -0.6, 2.4]], atol=1e-15)
 
 
-def test_nonlinear_quantize_brute_force_agreement():
-    rng = np.random.default_rng(11)
-    spec = spec_for("FP4_BITMOD")
-    for sv in range(4):
-        grid = effective_grid(spec, sv)
-        gf = grid_f(spec, sv)
-        w = rng.standard_normal(64)
-        codes, delta = nonlinear_quantize(w, grid)
-        brute = np.abs(w[:, None] / delta - gf[None, :]).argmin(axis=1)
+def test_quantize_groups_brute_force_agreement():
+    w = np.random.default_rng(11).standard_normal((64, 64))
+    for name in ("FP4_BASIC", "FP4_BITMOD"):
+        spec = spec_for(name)
+        codes, delta, sv_index, _ = quantize_groups(w, spec)
+        # Each row on the grid it chose.
+        d = np.abs(w[:, :, None] / delta[:, None, None]
+                   - spec.grid_table[sv_index][:, None, :])
+        brute = d.argmin(axis=-1)
         # argmin picks the first (most negative) on ties; only compare
         # where the distances are strictly ordered.
-        d = np.abs(w[:, None] / delta - gf[None, :])
-        strict = np.sum(d == d.min(axis=1, keepdims=True), axis=1) == 1
+        strict = np.sum(d == d.min(axis=-1, keepdims=True), axis=-1) == 1
         assert np.array_equal(codes[strict], brute[strict])
-
-
-def test_nonlinear_quantize_requires_zero():
-    with pytest.raises(ValueError):
-        nonlinear_quantize([1.0], (F(-1), F(1)))
 
 
 def test_adaptive_quant_on_grid_ties_to_index_zero():
@@ -166,13 +159,13 @@ def test_adaptive_quant_never_worse_than_basic():
     rng = np.random.default_rng(4)
     spec = spec_for("FP3_BITMOD")
     basic = spec_for("FP3_BASIC")
-    bf = grid_f(basic)
-    for _ in range(200):
-        w = rng.standard_normal(128)
-        _, _, mse = adaptive_quant(w, spec)
-        codes, delta = nonlinear_quantize(w, basic.basic_values)
-        basic_mse = float(np.mean((w - bf[codes] * delta) ** 2))
-        assert mse <= basic_mse + 1e-15
+    w = rng.standard_normal((200, 128))
+    codes, delta, _, _ = quantize_groups(w, basic)
+    basic_mse = np.mean((w - grid_f(basic)[codes] * delta[:, None]) ** 2,
+                        axis=-1)
+    for row, b in zip(w, basic_mse):
+        _, _, mse = adaptive_quant(row, spec)
+        assert mse <= b + 1e-15
 
 
 def test_adaptive_quant_scaling_invariance():
@@ -268,22 +261,13 @@ def test_quantize_channel_matches_per_group(name):
             cq.sv_index[i], cq.scale_q[i], cq.delta[i])
         if spec.asymmetric:
             assert qg.zero_point == cq.zero_point[i]
-        chunk = padded[i * g:(i + 1) * g]
-        sv_index, zero_point = 0, None
-        if spec.is_bitmod:
-            one, _, _ = adaptive_quant(chunk, spec)
-            codes, delta, sv_index = one.codes, one.delta, one.sv_index
-        elif spec.is_fp:
-            codes, delta = nonlinear_quantize(chunk, spec.basic_values)
-        elif spec.asymmetric:
-            codes, delta, zero_point = quantize_asymmetric(chunk,
-                                                           spec.bits_per_code)
-        else:
-            codes, delta = quantize_symmetric(chunk, spec.bits_per_code)
-        assert np.array_equal(qg.codes, codes)
-        assert qg.sv_index == sv_index
-        assert qg.zero_point == zero_point
-        assert np.float64(qg.delta).tobytes() == np.float64(delta).tobytes()
+        # The group quantized on its own.
+        codes, delta, sv_index, zero_point = quantize_groups(
+            padded[None, i * g:(i + 1) * g], spec)
+        assert np.array_equal(qg.codes, codes[0])
+        assert qg.sv_index == sv_index[0]
+        assert qg.zero_point == (None if zero_point is None else zero_point[0])
+        assert np.float64(qg.delta).tobytes() == delta[0].tobytes()
     assert cq.groups[1].delta == 0.0
     scale_q, channel_scale = quantize_scales([qg.delta for qg in cq.groups])
     assert [qg.scale_q for qg in cq.groups] == scale_q.tolist()
@@ -344,7 +328,8 @@ def test_tensor_roundtrip_shape_and_finiteness_checks():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("quantize, batches", [
     (lambda w: adaptive_quant(w, spec_for("FP3_BITMOD")), False),
-    (lambda w: nonlinear_quantize(w, spec_for("FP4_BASIC").basic_values), True),
+    (lambda w: quantize_groups(np.atleast_2d(w), spec_for("FP4_BASIC")),
+     True),
     (lambda w: quantize_symmetric(w, 4), True),
     (lambda w: quantize_asymmetric(w, 4), True),
 ], ids=["adaptive", "nonlinear", "symmetric", "asymmetric"])
@@ -358,6 +343,48 @@ def test_quantizers_reject_non_finite_input(quantize, batches, bad):
         w[1, 2] = bad
         with pytest.raises(ValueError, match="NaN or Inf"):
             quantize(w)
+
+
+@pytest.mark.parametrize("name", [dt.name for dt in DataType])
+def test_quantize_tensor_rejects_non_finite_in_a_later_chunk(name):
+    # The quantizers check each chunk; nothing checks the whole tensor first.
+    g = 128
+    w = np.ones((CHUNK_WEIGHTS // g + 1, g), dtype=np.float32)
+    w[-1, 3] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        quantize_tensor(w, spec_for(name), GroupingConfig(group_size=g))
+
+
+def _traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes while ``fn`` ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quantize_tensor_memory_beyond_outputs():
+    # A float64 copy of this input is 16 MiB; the chunk buffers are 1/128.
+    w = np.random.default_rng(17).standard_normal((512, 4096)) \
+        .astype(np.float32)
+    qt, peak = _traced_peak(quantize_tensor, w, spec_for("FP3_BITMOD"),
+                            GroupingConfig(group_size=128))
+    outputs = sum(v.nbytes for f in dataclasses.fields(qt)
+                  if isinstance(v := getattr(qt, f.name), np.ndarray))
+    assert peak - outputs < 4 << 20
+
+
+def test_error_report_memory():
+    rng = np.random.default_rng(18)
+    w = rng.standard_normal((512, 4096)).astype(np.float32)
+    w_hat = w + rng.standard_normal(w.shape) * 1e-3
+    rep, peak = _traced_peak(error_report, w, w_hat)
+    assert peak <= w.size * 8 + (1 << 20)
+    err = w.astype(np.float64) - w_hat
+    assert rep.max_abs_error == np.max(np.abs(err))
+    assert rep.mse == np.mean(err ** 2)
 
 
 def _same_record(a, b):
