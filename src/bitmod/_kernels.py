@@ -1,7 +1,7 @@
-"""The bit-serial PE kernel: an int64 numpy lane stage and a Python-int
-accumulator.
+"""The bit-serial PE kernel: an exact float64 numpy lane stage and a
+Python-int accumulator.
 
-All arithmetic is integer:
+Per cycle the hardware computes
 
 * lane product = 11-bit activation mantissa x 1-bit weight mantissa,
 * alignment right-shift to the max lane exponent with round-to-nearest-even
@@ -11,10 +11,18 @@ All arithmetic is integer:
   operand, then renormalization keeping the leading set bit of the 32-bit
   accumulator mantissa in bit window [24, 31].
 
-Weights arrive as :class:`bitmod.bitserial.Terms` arrays and activations
-as the field arrays of :func:`bitmod.pe.decode_fp16`.  Activation scale
-convention: an FP16 operand with biased exponent a_e and 11-bit mantissa a_m
-(hidden bit included) has value a_m * 2^(a_e - 25).
+The lane stage of every cycle of a group runs at once in float64, and
+every step of it is exact.  An activation operand from
+:func:`bitmod.pe.decode_fp16` is ``(-1)^s * a_m * 2^a_e``: 11 significant
+bits, below 2^41.  A term value from :class:`bitmod.bitserial.Terms` is 0
+or +-2^exp with exp <= 3.  Their product has at most 11 significant bits
+and is below 2^44, so it is exact, and ``np.frexp`` reads its exponent
+``a_e + exp + 11`` (0 for a dead lane, at least 12 for a live one).
+Scaling a lane by a power of two to the max exponent of its cycle is
+exact, and ``np.rint`` rounds half to even, so the aligned lanes are the
+hardware's RNE shifts bit for bit; their sum is below 2^13.  Activation
+scale convention: the operand ``a_m * 2^a_e`` has value
+``a_m * 2^(a_e - 25)``.
 """
 
 import numpy as np
@@ -53,44 +61,47 @@ def normalize(m: int, e: int):
     return m, e
 
 
-def run_group_dot(terms, acts):
+def run_group_dot(w, bsig, a):
     """Group dot product before dequantization.
 
-    ``terms`` holds ``(sign, exp, man, bsig)``: int64 arrays of shape
-    ``(G, T)`` and the per-slot ``bsig`` of shape ``(T,)``.  ``acts`` holds
-    the ``(sign, a_e, a_m)`` int64 arrays of the G activations.  Each group
-    of 4 weights takes one cycle per term slot, in quad-major, slot-minor
-    order.  The lane stage of every cycle runs at once in int64; only the
+    ``w`` holds the group's term values lane-major, shape ``(4, G/4, T)``:
+    lane ``l`` of quad ``q`` is weight ``4q + l``.  ``bsig`` is the per-slot
+    significance, shape ``(T,)``, and ``a`` the G activation operands.
+    Each quad takes one cycle per term slot, in quad-major, slot-minor
+    order.  The lane stage of every cycle runs at once; only the
     accumulation is sequential.  Returns the accumulator (m_acc, e_acc).
     """
-    w_sign, w_exp, w_man, bsig = terms
-    a_sign, a_e, a_m = acts
-    g, t = w_man.shape
-    lanes = (g // 4, 4, t)
-    # Signed lane products; zero marks an inactive lane.
-    p = ((a_m - 2 * a_sign * a_m)[:, None]
-         * (w_man - 2 * w_sign * w_man)).reshape(lanes)
-    # Live lane exponents are >= 1 (FP16 normals), so 0 never wins the max.
-    lane_e = (a_e[:, None] + w_exp).reshape(lanes) * (p != 0)
-    max_e = lane_e.max(axis=1)
-    # Align each lane to the max exponent: p / 2**shift rounded to nearest,
-    # ties to even, as (x + 2**(s-1) - 1 + lsb) >> s, where x = 2p,
-    # s = shift + 1 >= 1 and lsb is bit s of x (the result's last bit).  The
-    # flooring shift makes this exact for p < 0 too.
-    x, s = p << 1, max_e[:, None, :] + 1 - lane_e
-    aligned = (x + (1 << (s - 1)) - 1 + ((x >> s) & 1)) >> s
-    tree = aligned.sum(axis=1).ravel()
-    live = np.flatnonzero(tree)
-    e_tree = (max_e + bsig - 25).ravel()[live]
+    v = a.reshape(-1, 4).T[:, :, None] * w
+    max_e = np.frexp(v)[1].max(axis=0)
+    tree = np.rint(np.ldexp(v, 11 - max_e)).sum(axis=0)
+    e_tree = max_e + (bsig - 36)
     m_acc = e_acc = 0
-    for tree_m, e_t in zip(tree[live].tolist(), e_tree.tolist()):
+    for tree_m, e_t in zip(tree.astype(np.int64).ravel().tolist(),
+                           e_tree.ravel().tolist()):
+        if tree_m == 0:
+            continue
         if m_acc == 0:
             m_acc, e_acc = tree_m, e_t
-        elif e_acc >= e_t:
-            m_acc += rne_rshift(tree_m, e_acc - e_t)
         else:
-            m_acc = rne_rshift(m_acc, e_t - e_acc) + tree_m
-            e_acc = e_t
-        m_acc, e_acc = normalize(m_acc, e_acc)
-    return m_acc, e_acc
-
+            # Align the operand at the smaller exponent with RNE
+            # (rne_rshift, inline), then add.
+            if e_acc >= e_t:
+                s, x = e_acc - e_t, tree_m
+            else:
+                s, x, m_acc, e_acc = e_t - e_acc, m_acc, tree_m, e_t
+            if s:
+                q = x >> s
+                rem = x - (q << s)
+                half = 1 << (s - 1)
+                if rem > half or (rem == half and q & 1):
+                    q += 1
+                x = q
+            m_acc += x
+        # normalize, inline except when a carry passes bit 31.
+        k = m_acc.bit_length()
+        if k > 32:
+            m_acc, e_acc = normalize(m_acc, e_acc)
+        elif k < 25 and m_acc:
+            m_acc <<= 25 - k
+            e_acc -= 25 - k
+    return (m_acc, e_acc) if m_acc else (0, 0)  # as normalize(0, e) reads

@@ -237,20 +237,20 @@ def encode_weight(code: int, spec: DataTypeSpec,
 
 
 class Terms(NamedTuple):
-    """Bit-serial terms as int64 arrays, one row per weight code.
+    """Bit-serial terms as arrays, one row per weight code.
 
-    ``sign``, ``exp`` and ``man`` have shape ``(n, terms_per_code)``; term
-    slot ``t`` of every row carries bit-significance ``bsig[t]``.
+    ``sign``, ``exp`` and ``man`` are int64 arrays of shape
+    ``(n, terms_per_code)``; term slot ``t`` of every row carries
+    bit-significance ``bsig[t]``.  ``value`` is each term's signed value
+    without the slot's significance, ``(-1)^sign * man * 2^exp``, as
+    float64: 0 or +-2^exp with exp <= 3, so products with it are exact.
     """
 
     sign: np.ndarray
     exp: np.ndarray
     man: np.ndarray
     bsig: np.ndarray
-
-    def take(self, rows) -> "Terms":
-        return Terms(self.sign.take(rows, axis=0), self.exp.take(rows, axis=0),
-                     self.man.take(rows, axis=0), self.bsig)
+    value: np.ndarray
 
 
 # Built on first use; keyed by the DataType, whose hash is cheap, because
@@ -272,10 +272,12 @@ def term_table(spec: DataTypeSpec, sv_index: int = 0) -> Terms:
         lo, hi = code_range(spec)
         rows = [encode_weight(code, spec, sv_index=key[1])
                 for code in range(lo, hi + 1)]
-        fields = (np.array([[getattr(t, name) for t in row] for row in rows],
-                           dtype=np.int64) for name in ("sign", "exp", "man"))
-        table = Terms(*fields,
-                      np.array([t.bsig for t in rows[0]], dtype=np.int64))
+        sign, exp, man = (np.array([[getattr(t, name) for t in row]
+                                    for row in rows], dtype=np.int64)
+                          for name in ("sign", "exp", "man"))
+        table = Terms(sign, exp, man,
+                      np.array([t.bsig for t in rows[0]], dtype=np.int64),
+                      np.ldexp((1 - 2 * sign) * man, exp))
         for array in table:
             array.flags.writeable = False
         _TERM_TABLES[key] = table

@@ -13,6 +13,11 @@ Numeric model (documented choices, not hardware claims):
 * per-lane alignment to the max lane exponent with round-to-nearest-even
   (3 guard bits preserve exact RNE);
 * FP16 subnormal activations flush to zero at ingestion; NaN/Inf rejected.
+
+Activations enter as exact float64 operands (:func:`decode_fp16`) and
+weights as the exact float64 values of their terms, gathered lane-major
+(:func:`encode_group_terms`); :mod:`bitmod._kernels` states why its
+float64 lane stage is exact.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bitserial import Terms, term_table
+from .bitserial import term_table
 from .dtype import DataTypeSpec, code_range
 from .errors import OutOfRange, ShapeMismatch
 from .quant import QuantizedGroup
@@ -37,21 +42,25 @@ FP16_MAC_CYCLES_PER_DOT = 4
 
 
 def decode_fp16(values):
-    """Decode activations to FP16 operand fields ``(sign, a_e, a_m)``.
+    """Decode activations to FP16 operands, one float64 per value.
 
-    Each value is rounded to FP16; the fields come from its bit pattern as
-    int64 arrays of the input's shape.  Subnormals flush to zero (their
-    sign is kept); a NaN or infinite value, including one that overflows
-    FP16, raises ``ValueError``.
+    Each value is rounded to FP16; its operand is ``(-1)^s * a_m * 2^a_e``,
+    the 11-bit mantissa (hidden bit included) times 2 to the biased
+    exponent, which is the value times 2^25.  Operands are below 2^41, so
+    float64 holds them exactly.  Subnormals flush to zero; a NaN or
+    infinite value, including one that overflows FP16, raises
+    ``ValueError``.
     """
-    with np.errstate(over="ignore"):  # overflow lands on inf, rejected below
-        bits = np.asarray(values, dtype=np.float16).view(np.uint16)
-    bits = bits.astype(np.int64)
-    exp = (bits >> 10) & 0x1F
-    if exp.max(initial=0) == 0x1F:
-        raise ValueError("NaN/Inf activation rejected")
-    a_m = (0x400 | (bits & 0x3FF)) * (exp != 0)
-    return bits >> 15, exp, a_m
+    half = np.asarray(values)
+    if half.dtype != np.float16:
+        with np.errstate(over="ignore"):  # overflow lands on inf, rejected below
+            half = half.astype(np.float16)
+    if (half.view(np.uint16) & 0x7C00).max(initial=0) == 0x7C00:
+        raise ValueError("NaN/Inf activation rejected")  # exponent all ones
+    ops = half.astype(np.float64)
+    ops *= 2.0 ** 25
+    ops[np.abs(ops) < 2.0 ** 11] = 0.0  # subnormals: below 2^-14 * 2^25
+    return ops
 
 
 @dataclass(frozen=True)
@@ -76,19 +85,33 @@ def bit_serial_dequant(m_acc: int, e_acc: int, scale_q: int):
     return GroupPartialSum(m_grp=m_acc * scale_q, e_grp=e_acc), DEQUANT_CYCLES
 
 
-def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec) -> Terms:
-    """Gather a quantized group's terms from the (spec, sv_index) table.
+def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec):
+    """Gather a quantized group's term values from the (spec, sv_index)
+    table, lane-major.
 
-    Returns :class:`Terms` with ``(G, terms_per_code)`` arrays.  A code off
-    the dtype's grid raises :class:`OutOfRange`.
+    Returns ``(w, bsig)``: ``w`` is float64 of shape ``(4, G/4,
+    terms_per_code)``, where lane ``l`` of quad ``q`` is weight ``4q + l``,
+    and ``bsig`` the per-slot significance.  Codes are widened to intp
+    before any arithmetic; a code off the dtype's grid, or not a whole
+    number, raises :class:`OutOfRange`.
     """
     lo, hi = code_range(spec)
-    codes = np.asarray(weights.codes, dtype=np.int64)
-    off_grid = (codes < lo) | (codes > hi)
-    if off_grid.any():
-        raise OutOfRange(f"{spec.name} code {codes[off_grid][0]} off the grid "
+    codes = np.asarray(weights.codes)
+    if np.can_cast(codes.dtype, np.intp):
+        rows = np.subtract(codes, lo, dtype=np.intp)
+        whole = True
+    else:  # floats, uint64: only whole values can be on the grid
+        with np.errstate(invalid="ignore"):
+            rows = codes.astype(np.intp)
+        whole = np.array_equal(rows, codes)
+        rows -= lo
+    # A negative row wraps to a huge unsigned one: one max checks both ends.
+    if not whole or rows.view(np.uintp).max(initial=0) > hi - lo:
+        bad = (rows.view(np.uintp) > hi - lo) | (rows + lo != codes)
+        raise OutOfRange(f"{spec.name} code {codes[bad][0]} off the grid "
                          f"[{lo}, {hi}]")
-    return term_table(spec, weights.sv_index).take(codes - lo)
+    table = term_table(spec, weights.sv_index)
+    return table.value.take(rows.reshape(-1, DOT_WIDTH).T, axis=0), table.bsig
 
 
 def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
@@ -97,14 +120,19 @@ def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
     Returns (GroupPartialSum, compute_cycles); the 8-cycle dequantization
     overlaps the next group and is not added to the cycle count.
     """
-    g = len(weights.codes)
-    if len(acts) != g:
-        raise ShapeMismatch(f"expected {g} activations, got {len(acts)}")
-    if g % DOT_WIDTH != 0:
-        raise ShapeMismatch(f"group size {g} not divisible by dot width 4")
+    shape = np.shape(weights.codes)
+    if len(shape) != 1:
+        raise ShapeMismatch(f"a group's codes must be 1-D, got shape {shape}")
+    g = shape[0]
+    if np.shape(acts) != shape:
+        raise ShapeMismatch(f"expected {g} activations, got shape "
+                            f"{np.shape(acts)}")
+    if g == 0 or g % DOT_WIDTH != 0:
+        raise ShapeMismatch(f"group size {g} not a positive multiple of "
+                            f"dot width {DOT_WIDTH}")
     ops = decode_fp16(acts)
-    terms = encode_group_terms(weights, spec)
-    m_acc, e_acc = _kernels.run_group_dot(terms, ops)
+    w, bsig = encode_group_terms(weights, spec)
+    m_acc, e_acc = _kernels.run_group_dot(w, bsig, ops)
     gps, _ = bit_serial_dequant(m_acc, e_acc, weights.scale_q)
     return gps, (g // DOT_WIDTH) * spec.terms_per_code
 

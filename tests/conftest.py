@@ -1,16 +1,30 @@
+from functools import cache
+
 import numpy as np
 
 import pe_oracle
-from bitmod.dtype import effective_grid
+from bitmod.dtype import effective_grid, spec_for
+
+
+@cache
+def _oracle_code_terms(name, sv_index: int) -> dict:
+    """The reference encoders' terms of every code of (dtype, sv_index),
+    keyed by code: FP codes index the effective grid, INT codes are the
+    signed values of ``bits_per_code`` bits."""
+    spec = spec_for(name)
+    if spec.is_fp:
+        return {code: pe_oracle.fp_terms(value) for code, value
+                in enumerate(effective_grid(spec, sv_index))}
+    half = 1 << (spec.bits_per_code - 1)
+    return {code: pe_oracle.booth_terms(code, spec.terms_per_code)
+            for code in range(-half, half)}
 
 
 def oracle_weight_terms(qg, spec):
     """Encode a quantized group with the reference encoders in pe_oracle."""
-    if spec.is_fp:
-        grid = effective_grid(spec, qg.sv_index)
-        return [pe_oracle.fp_terms(grid[int(c)]) for c in qg.codes]
-    return [pe_oracle.booth_terms(int(c), spec.terms_per_code)
-            for c in qg.codes]
+    table = _oracle_code_terms(spec.name, int(qg.sv_index) if spec.is_fp
+                               else 0)
+    return [table[c] for c in np.asarray(qg.codes).tolist()]
 
 
 def oracle_acts(values):

@@ -8,7 +8,6 @@ from conftest import exact_dot, oracle_acts, oracle_weight_terms
 from bitmod.bitserial import (
     BitSerialTerm,
     SpecialValueRegister,
-    Terms,
     encode_weight,
     term_table,
 )
@@ -80,12 +79,12 @@ def test_decode_fp16_every_bit_pattern():
     rng = np.random.default_rng(21)
     inputs = np.concatenate([values[finite].astype(np.float64),
                              rng.standard_normal(500) * 100])
-    sign, a_e, a_m = decode_fp16(inputs)
+    ops = decode_fp16(inputs)
+    assert ops.dtype == np.float64 and ops.shape == inputs.shape
     for i, x in enumerate(inputs):
-        want = pe_oracle.fp16_operand(x)
-        assert (a_e[i], a_m[i]) == want[1:]
-        assert sign[i] == want[0] or not a_m[i]
-    assert np.all((a_m == 0) == (np.abs(inputs.astype(np.float16))
+        sign, a_e, a_m = pe_oracle.fp16_operand(x)
+        assert ops[i] == (-1) ** sign * a_m * 2 ** a_e
+    assert np.all((ops == 0) == (np.abs(inputs.astype(np.float16))
                                  < 2.0 ** -14))
     # NaN and infinite patterns, and float64 values that overflow FP16.
     for x in [*values[~finite], 65520.0, -1e9]:
@@ -180,6 +179,13 @@ def test_group_dot_rejects_asymmetric_and_bad_shapes():
     with pytest.raises(ShapeMismatch):
         group_dot(QuantizedGroup(codes=np.zeros(8, dtype=np.int64)),
                   [1.0] * 4, sym)
+    # The lane-major layout would broadcast a second axis silently.
+    with pytest.raises(ShapeMismatch):
+        group_dot(QuantizedGroup(codes=np.zeros((4, 4), dtype=np.int64)),
+                  [1.0] * 4, sym)
+    with pytest.raises(ShapeMismatch):
+        group_dot(QuantizedGroup(codes=np.zeros(4, dtype=np.int64)),
+                  [[1.0, 2.0]] * 4, sym)
 
 
 @pytest.mark.parametrize("name", PE_DTYPES)
@@ -223,18 +229,63 @@ def test_group_dot_rejects_off_grid_codes(name, code):
         group_dot(QuantizedGroup(codes=codes, scale_q=1), [1.0] * 8, spec)
 
 
+@pytest.mark.parametrize("codes", ([2.7, 1, 0, 3], [2, 1, 0, 3.5],
+                                   [np.nan, 1, 0, 3], [2, 1, 0, np.inf]))
+def test_group_dot_rejects_non_integer_codes(codes):
+    # Truncating 2.7 to 2 would give the result of [2, 1, 0, 3] silently.
+    spec = spec_for("FP3_BITMOD")
+    qg = QuantizedGroup(codes=np.array(codes), scale_q=1)
+    with pytest.raises(OutOfRange):
+        group_dot(qg, [1.0, 0.5, -2.0, 3.0], spec)
+    whole = QuantizedGroup(codes=np.array([2.0, 1.0, 0.0, 3.0]), scale_q=1)
+    assert group_dot(whole, [1.0, 0.5, -2.0, 3.0], spec) == group_dot(
+        QuantizedGroup(codes=np.array([2, 1, 0, 3]), scale_q=1),
+        [1.0, 0.5, -2.0, 3.0], spec)
+
+
+def test_group_dot_rejects_empty_group():
+    for spec in (spec_for("FP3_BITMOD"), spec_for("INT6_SYM")):
+        with pytest.raises(ShapeMismatch):
+            group_dot(QuantizedGroup(codes=np.zeros(0, dtype=np.int64),
+                                     scale_q=1), [], spec)
+
+
+@pytest.mark.parametrize(("name", "codes"), [
+    # Unwidened, int8 100 - lo (-127) wraps and uint8 codes - lo (-31)
+    # raises OverflowError.
+    ("INT8_SYM", [100, -127, 127, 0, -3, 55, 1, -100]),
+    ("INT6_SYM", [31, 0, 5, 17, 2, 30, 1, 9]),
+    ("FP3_BITMOD", [7, 0, 3, 4, 6, 1, 2, 5])])
+def test_group_dot_code_dtypes_agree(name, codes):
+    spec = spec_for(name)
+    sv_index = 1 if spec.is_bitmod else 0
+    avals = [1.5, -0.75, 2.0, 0.375, 65504.0, 2.0 ** -14, -3.0, 0.0]
+    want = group_dot(QuantizedGroup(codes=codes, sv_index=sv_index,
+                                    scale_q=200), avals, spec)
+    ref = QuantizedGroup(codes=np.array(codes), sv_index=sv_index,
+                         scale_q=200)
+    assert (want[0].m_grp, want[0].e_grp) == oracle_group_dot(ref, spec,
+                                                              avals)
+    dtypes = (np.int8, np.int16, np.int64) + ((np.uint8,) if min(codes) >= 0
+                                              else ())
+    for dt in dtypes:
+        qg = QuantizedGroup(codes=np.array(codes, dtype=dt),
+                            sv_index=sv_index, scale_q=200)
+        assert group_dot(qg, avals, spec) == want, dt
+
+
 def test_encode_group_terms_layout():
     spec = spec_for("INT6_SYM")
-    codes, _ = quantize_symmetric([1.0, -1.0, 0.5, 0.25], 6)
-    terms = encode_group_terms(QuantizedGroup(codes=codes), spec)
-    assert isinstance(terms, Terms)
-    for field in (terms.sign, terms.exp, terms.man):
-        assert field.shape == (4, 3) and field.dtype == np.int64
-    assert terms.bsig.tolist() == [0, 2, 4]
+    codes, _ = quantize_symmetric([1.0, -1.0, 0.5, 0.25, -0.75, 0.0, 0.125,
+                                   -0.5], 6)
+    w, bsig = encode_group_terms(QuantizedGroup(codes=codes), spec)
+    # Lane-major: lane l of quad q is weight 4q + l.
+    assert w.shape == (4, 2, 3) and w.dtype == np.float64
+    assert bsig.tolist() == [0, 2, 4]
     for i, code in enumerate(codes):
-        want = encode_weight(int(code), spec)
-        assert [(terms.sign[i, t], terms.exp[i, t], terms.man[i, t])
-                for t in range(3)] == [(w.sign, w.exp, w.man) for w in want]
+        want = [(-1) ** t.sign * t.man * 2 ** t.exp
+                for t in encode_weight(int(code), spec)]
+        assert w[i % 4, i // 4].tolist() == want
 
 
 @pytest.mark.parametrize("name", PE_DTYPES)
@@ -257,6 +308,8 @@ def test_term_table_matches_encode_weight(name):
                                  int(table.bsig[t]))
                    for t in range(spec.terms_per_code)]
             assert got == want, (name, sv_index, code)
+            assert table.value[code - lo].tolist() == [
+                (-1) ** t.sign * t.man * 2 ** t.exp for t in want]
 
 
 def test_drain_accumulate():

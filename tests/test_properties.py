@@ -1,12 +1,16 @@
 """Property-based checks complementing the exhaustive/enumerated tests."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import pe_oracle
+from conftest import oracle_acts, oracle_weight_terms
 from bitmod.bitserial import booth_encode, term_value_sum
-from bitmod.dtype import spec_for
+from bitmod.dtype import code_range, spec_for
 from bitmod.packfile import _pack_codes, _unpack_codes
+from bitmod.pe import group_dot
 from bitmod.quant import (
+    QuantizedGroup,
     _count_above,
     _midpoints,
     _shared_scales,
@@ -129,3 +133,34 @@ def test_bitmod_candidates_share_two_scales():
         scales = _shared_scales(spec_for(name))
         assert [(s.absmax, s.grids) for s in scales] == [
             (absmax[0], (0, 1)), (absmax[1], (2, 3))]
+
+
+PE_DTYPES = PACKABLE  # the PE takes the same seven symmetric dtypes
+# Any finite FP16 bit pattern (exponent field not all ones), with +-0 and
+# subnormals; and per lane a raw draw that picks an on-grid code.
+FINITE_FP16 = st.integers(0, 0xFFFF).filter(lambda b: b & 0x7C00 != 0x7C00)
+LANES = st.sampled_from((4, 8)).flatmap(lambda g: st.lists(
+    st.tuples(FINITE_FP16, st.integers(0, 255)), min_size=g, max_size=g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PE_DTYPES), LANES, st.integers(0, 3),
+       st.integers(0, 255))
+# 65504 times FP4_BITMOD's special value 8 (weight exponent 3) beside
+# 2^-14 times 1 in one quad: the largest alignment shift, 32 bits.
+@example("FP4_BITMOD", [(0x7BFF, 15), (0x0400, 10), (0x8400, 13),
+                        (0x83FF, 2)], 2, 255)
+def test_group_dot_matches_oracle_on_any_operands(name, lanes, sv, scale_q):
+    spec = spec_for(name)
+    lo, hi = code_range(spec)
+    bits, raw = zip(*lanes)
+    qg = QuantizedGroup(codes=np.array([lo + r % (hi - lo + 1) for r in raw]),
+                        sv_index=sv % max(1, len(spec.special_values)),
+                        scale_q=scale_q)
+    avals = np.array(bits, dtype=np.uint16).view(np.float16)
+    gps, cycles = group_dot(qg, avals, spec)
+    want = pe_oracle.dequant(
+        pe_oracle.group_dot(oracle_weight_terms(qg, spec), oracle_acts(avals),
+                            len(lanes), spec.terms_per_code), scale_q)
+    assert (gps.m_grp, gps.e_grp) == want
+    assert cycles == len(lanes) // 4 * spec.terms_per_code
