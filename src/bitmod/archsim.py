@@ -298,13 +298,13 @@ def with_speedup(report: SimReport, baseline: SimReport) -> SimReport:
 # Shape files: line-oriented `key = value`; '#' starts a comment.
 # Keys: name, hidden, blocks (required); ffn (default 4*hidden), heads,
 # kv_heads (default heads), ffn_gemms (2 or 3, default 2), vocab (adds an
-# LM-head GEMM when present), decode_tokens (default 0).
+# LM-head GEMM when present).  Every integer must be >= 1.  A shape file
+# describes the model only; token counts are the caller's (``bitmod
+# simulate --prefill-tokens/--decode-tokens``).
 # ---------------------------------------------------------------------------
 
 _INT_KEYS = {"hidden", "ffn", "heads", "kv_heads", "blocks", "vocab",
-             "ffn_gemms", "decode_tokens", "prefill_tokens"}
-# Token counts may be 0 (phase skipped); every other integer must be >= 1.
-_COUNT_KEYS = {"decode_tokens", "prefill_tokens"}
+             "ffn_gemms"}
 
 
 def parse_shape_file(text: str) -> dict:
@@ -325,9 +325,8 @@ def parse_shape_file(text: str) -> dict:
             except ValueError:
                 raise ParseError(f"{key} must be an integer, got {val!r}",
                                  line=lineno) from None
-            lo = 0 if key in _COUNT_KEYS else 1
-            if values[key] < lo:
-                raise ParseError(f"{key} must be >= {lo}, got {val}",
+            if values[key] < 1:
+                raise ParseError(f"{key} must be >= 1, got {val}",
                                  line=lineno)
         elif key == "name":
             values[key] = val
@@ -367,12 +366,7 @@ def profile_shapes(text: str) -> WorkloadSpec:
     layers.append(LayerShape(m=0, k=ffn, n=hidden, repeat=blocks))      # down
     if "vocab" in v:
         layers.append(LayerShape(m=0, k=hidden, n=v["vocab"], repeat=1))
-    return WorkloadSpec(
-        name=v["name"],
-        layers=tuple(layers),
-        prefill_tokens=v.get("prefill_tokens", 256),
-        decode_tokens=v.get("decode_tokens", 0),
-    )
+    return WorkloadSpec(name=v["name"], layers=tuple(layers))
 
 
 def workload_weight_bytes(w: WorkloadSpec, bits_per_weight: Fraction) -> float:

@@ -23,17 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .dtype import HALF, DataType, DataTypeSpec, code_range, effective_grid
+from .dtype import HALF, DataTypeSpec, code_range, effective_grid
 from .errors import (
     InvalidSpecialValueIndex,
     OutOfRange,
     TooManySetBits,
     UnrepresentableValue,
-    UnsupportedDtype,
 )
 
 # Sentinel for the redundant negative-zero code pattern of the FP formats.
@@ -210,7 +210,8 @@ def encode_weight(code: int, spec: DataTypeSpec,
     are the signed (symmetric) or unsigned (asymmetric) quantized values.
     Asymmetric codes are re-centered by the zero-point so the terms always
     represent a signed integer.  The result has exactly
-    ``spec.terms_per_code`` entries.
+    ``spec.terms_per_code`` entries: ``ceil(bits / 2)`` Booth digits of
+    ``bits_per_code`` (plus one for the re-centered asymmetric range).
     """
     if spec.is_fp:
         grid = effective_grid(spec, sv_index)
@@ -223,39 +224,22 @@ def encode_weight(code: int, spec: DataTypeSpec,
             fp = fp_code_to_fixed_point(value)
         return lod_decode(fp)
     if spec.asymmetric:
-        terms = booth_encode(code - zero_point, spec.bits_per_code + 1)
-    else:
-        terms = booth_encode(code, spec.bits_per_code)
-    while len(terms) < spec.terms_per_code:
-        terms.append(zero_term(bsig=2 * len(terms)))
-    if len(terms) != spec.terms_per_code:
-        raise UnsupportedDtype(
-            f"{spec.name}: encoder produced {len(terms)} terms, "
-            f"expected {spec.terms_per_code}"
-        )
-    return terms
+        return booth_encode(code - zero_point, spec.bits_per_code + 1)
+    return booth_encode(code, spec.bits_per_code)
 
 
 class Terms(NamedTuple):
-    """Bit-serial terms as arrays, one row per weight code.
+    """Bit-serial terms as the PE reads them, one row per weight code.
 
-    ``sign``, ``exp`` and ``man`` are int64 arrays of shape
-    ``(n, terms_per_code)``; term slot ``t`` of every row carries
-    bit-significance ``bsig[t]``.  ``value`` is each term's signed value
-    without the slot's significance, ``(-1)^sign * man * 2^exp``, as
-    float64: 0 or +-2^exp with exp <= 3, so products with it are exact.
+    ``value`` is float64 of shape ``(n, terms_per_code)``: each term's
+    signed value without its slot's significance, ``(-1)^sign * man *
+    2^exp``, which is 0 or +-2^exp with exp <= 3, so products with it are
+    exact.  Term slot ``t`` of every row carries bit-significance
+    ``bsig[t]``.
     """
 
-    sign: np.ndarray
-    exp: np.ndarray
-    man: np.ndarray
-    bsig: np.ndarray
     value: np.ndarray
-
-
-# Built on first use; keyed by the DataType, whose hash is cheap, because
-# hashing a DataTypeSpec hashes all of its Fraction grids.
-_TERM_TABLES: dict[tuple[DataType, int], Terms] = {}
+    bsig: np.ndarray
 
 
 def term_table(spec: DataTypeSpec, sv_index: int = 0) -> Terms:
@@ -266,21 +250,20 @@ def term_table(spec: DataTypeSpec, sv_index: int = 0) -> Terms:
     are read-only.  Integer types have one grid, so their ``sv_index`` is
     ignored, as it is by :func:`encode_weight`.
     """
-    key = (spec.name, sv_index if spec.is_fp else 0)
-    table = _TERM_TABLES.get(key)
-    if table is None:
-        lo, hi = code_range(spec)
-        rows = [encode_weight(code, spec, sv_index=key[1])
-                for code in range(lo, hi + 1)]
-        sign, exp, man = (np.array([[getattr(t, name) for t in row]
-                                    for row in rows], dtype=np.int64)
-                          for name in ("sign", "exp", "man"))
-        table = Terms(sign, exp, man,
-                      np.array([t.bsig for t in rows[0]], dtype=np.int64),
-                      np.ldexp((1 - 2 * sign) * man, exp))
-        for array in table:
-            array.flags.writeable = False
-        _TERM_TABLES[key] = table
+    return _term_table(spec, sv_index if spec.is_fp else 0)
+
+
+@cache
+def _term_table(spec: DataTypeSpec, sv_index: int) -> Terms:
+    lo, hi = code_range(spec)
+    rows = [encode_weight(code, spec, sv_index=sv_index)
+            for code in range(lo, hi + 1)]
+    table = Terms(np.array([[(-1) ** t.sign * t.man * 2 ** t.exp
+                             for t in row] for row in rows],
+                           dtype=np.float64),
+                  np.array([t.bsig for t in rows[0]], dtype=np.int64))
+    for array in table:
+        array.flags.writeable = False
     return table
 
 

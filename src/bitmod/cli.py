@@ -23,13 +23,8 @@ import numpy as np
 
 from . import KERNEL_BACKEND, __version__
 from . import archsim, packfile, synth
-from .bitserial import (
-    SpecialValueRegister,
-    booth_encode,
-    encode_weight,
-    term_value_sum,
-)
-from .dtype import DataType, GroupingConfig, effective_grid, spec_for
+from .bitserial import SpecialValueRegister, encode_weight, term_value_sum
+from .dtype import DataType, GroupingConfig, spec_for
 from .errors import (BitmodError, ConfigError, ParseError, TooManySetBits,
                      UnsupportedDtype)
 from .quant import (
@@ -75,13 +70,14 @@ def _emit_rows(rows: list[dict], columns: list[str], args) -> None:
 
 
 def _load_npy(path: str) -> np.ndarray:
-    try:
-        arr = np.load(path, allow_pickle=False)
-    except (EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not an NPY file ({exc})") from None
-    if not isinstance(arr, np.ndarray):  # an .npz archive
-        arr.close()
-        raise ValueError(f"{path}: expected one NPY array, got an archive")
+    with open(path, "rb") as fh:
+        try:
+            arr = np.load(fh, allow_pickle=False)
+        except (EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not an NPY file ({exc})") from None
+        if not isinstance(arr, np.ndarray):  # an .npz archive
+            arr.close()
+            raise ValueError(f"{path}: expected one NPY array, got an archive")
     if arr.dtype == np.float16:
         arr = arr.astype(np.float32)
     if arr.dtype != np.float32:
@@ -161,8 +157,6 @@ def cmd_quant_eval(args) -> int:
             })
     rows.sort(key=lambda r: (r["tensor"], r["dtype"]))
     _emit_rows(rows, QUANT_COLUMNS, args)
-    if failures == len(args.tensors):
-        return 1
     return 1 if failures else 0
 
 
@@ -170,74 +164,44 @@ def cmd_quant_eval(args) -> int:
 # bitserial-check
 # ---------------------------------------------------------------------------
 
-def _check_int(spec) -> tuple[int, int, list[str]]:
-    bits = spec.bits_per_code
-    qmax = (1 << (bits - 1)) - 1
-    ok = bad = 0
-    msgs = []
-    for value in range(-qmax - 1, qmax + 1):
-        if term_value_sum(booth_encode(value, bits)) == value:
-            ok += 1
-        else:
-            bad += 1
-            msgs.append(f"{spec.name} code {value}: term sum mismatch")
-    return ok, bad, msgs
-
-
-def _check_fp(spec, svreg) -> tuple[int, int, list[str]]:
-    ok = bad = 0
-    msgs = []
-    n_sv = max(1, len(spec.special_values))
-    n_codes = len(effective_grid(spec, 0))
-    for code in range(n_codes):
-        exact = True
-        for sv_index in range(n_sv):
-            grid = effective_grid(spec, sv_index)
-            try:
-                terms = encode_weight(code, spec, svreg, sv_index)
-            except TooManySetBits as exc:
-                msgs.append(f"{spec.name} sv {sv_index} code {code}: {exc}")
-                exact = False
-                continue
-            if term_value_sum(terms) != grid[code]:
-                msgs.append(
-                    f"{spec.name} sv {sv_index} code {code}: "
-                    f"{term_value_sum(terms)} != {grid[code]}"
-                )
-                exact = False
-        if exact:
-            ok += 1
-        else:
-            bad += 1
-    return ok, bad, msgs
-
-
 def cmd_bitserial_check(args) -> int:
-    checks = []
-    for name in ("INT8_SYM", "INT6_SYM"):
-        checks.append((spec_for(name), None))
-    for name in ("FP4_BITMOD", "FP3_BITMOD"):
+    """Encode every code of every grid of two INT and two BitMoD types and
+    compare the terms' sum with the value the code stands for; a code
+    counts as exact when it is exact on every grid of its type."""
+    ok = total = 0
+    for name in ("INT8_SYM", "INT6_SYM", "FP4_BITMOD", "FP3_BITMOD"):
         spec = spec_for(name)
-        svreg = SpecialValueRegister.program(spec)
-        if args.sv_override is not None:
-            values = list(spec.special_values)
-            values[0] = Fraction(args.sv_override)
-            svreg = SpecialValueRegister(values)
-        checks.append((spec, svreg))
-    total_ok = total = 0
-    all_msgs = []
-    for spec, svreg in checks:
+        svreg = None
         if spec.is_fp:
-            ok, bad, msgs = _check_fp(spec, svreg)
+            values = list(spec.special_values)
+            if args.sv_override is not None:
+                values[0] = Fraction(args.sv_override)
+            svreg = SpecialValueRegister(values)
+            codes = range(len(spec.grids[0]))
         else:
-            ok, bad, msgs = _check_int(spec)
-        total_ok += ok
-        total += ok + bad
-        all_msgs.extend(msgs)
-    for msg in all_msgs:
-        print(msg, file=sys.stderr)
-    print(f"{total_ok}/{total} codes exact")
-    return 0 if total_ok == total else 1
+            half = 1 << (spec.bits_per_code - 1)
+            codes = range(-half, half)
+        for code in codes:
+            exact = True
+            for sv_index, grid in enumerate(spec.grids):
+                want = grid[code] if spec.is_fp else code
+                try:
+                    got = term_value_sum(encode_weight(code, spec, svreg,
+                                                       sv_index))
+                except TooManySetBits as exc:
+                    problem = str(exc)
+                else:
+                    if got == want:
+                        continue
+                    problem = (f"{got} != {want}" if spec.is_fp
+                               else "term sum mismatch")
+                where = f"{spec.name} sv {sv_index}" if spec.is_fp else spec.name
+                print(f"{where} code {code}: {problem}", file=sys.stderr)
+                exact = False
+            ok += exact
+            total += 1
+    print(f"{ok}/{total} codes exact")
+    return 0 if ok == total else 1
 
 
 # ---------------------------------------------------------------------------

@@ -38,22 +38,25 @@ class DataType(Enum):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataTypeSpec:
     """A named quantization grid with precision metadata.
 
     ``basic_values`` are the always-available quantization levels;
     ``special_values`` are the per-group selectable extras of the BitMoD
-    types (empty otherwise).  ``terms_per_code`` is the number of bit-serial
-    terms the PE consumes per weight of this type.
+    types (empty otherwise).  The ten :data:`SPECS` are the only instances:
+    a spec compares and hashes by identity, so it is a cheap cache key, and
+    copies and pickles come back as the same object.
     """
 
     name: DataType
     basic_values: tuple[Fraction, ...]
     special_values: tuple[Fraction, ...] = ()
     bits_per_code: int = 0
-    terms_per_code: int = 0
     asymmetric: bool = False  # integer code-space grid with a zero-point
+
+    def __reduce__(self):
+        return spec_for, (self.name,)
 
     @property
     def is_bitmod(self) -> bool:
@@ -71,6 +74,15 @@ class DataTypeSpec:
     @property
     def sv_bits(self) -> int:
         return 2 if self.is_bitmod else 0
+
+    @cached_property
+    def terms_per_code(self) -> int:
+        """Bit-serial terms the PE consumes per weight: two leading-one
+        terms for an FP code, one radix-4 Booth digit per two bits of an
+        INT code (b + 1 signed bits once a zero-point re-centers it)."""
+        if self.is_fp:
+            return 2
+        return (self.bits_per_code + self.asymmetric + 1) // 2
 
     @cached_property
     def grids(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -115,57 +127,29 @@ FP4_SPECIALS = (Fraction(5), Fraction(-5), Fraction(8), Fraction(-8))
 
 SPECS: dict[DataType, DataTypeSpec] = {
     DataType.INT8_SYM: DataTypeSpec(
-        DataType.INT8_SYM, _sym_int_grid(8), bits_per_code=8, terms_per_code=4
-    ),
+        DataType.INT8_SYM, _sym_int_grid(8), bits_per_code=8),
     DataType.INT6_SYM: DataTypeSpec(
-        DataType.INT6_SYM, _sym_int_grid(6), bits_per_code=6, terms_per_code=3
-    ),
+        DataType.INT6_SYM, _sym_int_grid(6), bits_per_code=6),
     # Asymmetric grids live in code space; the zero-point re-centers them.
-    # terms_per_code covers the worst-case re-centered range (b+1 signed bits).
     DataType.INT6_ASYM: DataTypeSpec(
-        DataType.INT6_ASYM,
-        _asym_code_grid(6),
-        bits_per_code=6,
-        terms_per_code=4,
-        asymmetric=True,
-    ),
+        DataType.INT6_ASYM, _asym_code_grid(6), bits_per_code=6,
+        asymmetric=True),
     DataType.INT4_SYM: DataTypeSpec(
-        DataType.INT4_SYM, _sym_int_grid(4), bits_per_code=4, terms_per_code=2
-    ),
+        DataType.INT4_SYM, _sym_int_grid(4), bits_per_code=4),
     DataType.INT4_ASYM: DataTypeSpec(
-        DataType.INT4_ASYM,
-        _asym_code_grid(4),
-        bits_per_code=4,
-        terms_per_code=3,
-        asymmetric=True,
-    ),
+        DataType.INT4_ASYM, _asym_code_grid(4), bits_per_code=4,
+        asymmetric=True),
     DataType.INT3_ASYM: DataTypeSpec(
-        DataType.INT3_ASYM,
-        _asym_code_grid(3),
-        bits_per_code=3,
-        terms_per_code=2,
-        asymmetric=True,
-    ),
+        DataType.INT3_ASYM, _asym_code_grid(3), bits_per_code=3,
+        asymmetric=True),
     DataType.FP4_BASIC: DataTypeSpec(
-        DataType.FP4_BASIC, FP4_VALUES, bits_per_code=4, terms_per_code=2
-    ),
+        DataType.FP4_BASIC, FP4_VALUES, bits_per_code=4),
     DataType.FP3_BASIC: DataTypeSpec(
-        DataType.FP3_BASIC, FP3_VALUES, bits_per_code=3, terms_per_code=2
-    ),
+        DataType.FP3_BASIC, FP3_VALUES, bits_per_code=3),
     DataType.FP4_BITMOD: DataTypeSpec(
-        DataType.FP4_BITMOD,
-        FP4_VALUES,
-        FP4_SPECIALS,
-        bits_per_code=4,
-        terms_per_code=2,
-    ),
+        DataType.FP4_BITMOD, FP4_VALUES, FP4_SPECIALS, bits_per_code=4),
     DataType.FP3_BITMOD: DataTypeSpec(
-        DataType.FP3_BITMOD,
-        FP3_VALUES,
-        FP3_SPECIALS,
-        bits_per_code=3,
-        terms_per_code=2,
-    ),
+        DataType.FP3_BITMOD, FP3_VALUES, FP3_SPECIALS, bits_per_code=3),
 }
 
 

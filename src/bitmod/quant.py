@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
-from .dtype import DataType, DataTypeSpec, GroupingConfig
+from .dtype import DataTypeSpec, GroupingConfig
 from .errors import LengthMismatch, UnsupportedDtype
 
 
@@ -239,33 +240,26 @@ class _SharedScale(NamedTuple):
     values: np.ndarray
 
 
-# Built on first use, keyed by the DataType, whose hash is cheap.
-_SHARED_SCALES: dict[DataType, tuple[_SharedScale, ...]] = {}
-
-
+@cache
 def _shared_scales(spec: DataTypeSpec) -> tuple[_SharedScale, ...]:
     """``spec.grid_table`` split into runs of grids that share a scale, in
     grid order."""
-    scales = _SHARED_SCALES.get(spec.name)
-    if scales is None:
-        table = spec.grid_table
-        absmax = np.abs(table).max(axis=1)
-        scales = []
-        for a, run in groupby(range(len(table)), key=absmax.__getitem__):
-            grids = tuple(run)
-            own = [_midpoints(table[i]) for i in grids]
-            mids = sorted(set(np.concatenate(own).tolist()))
-            # Past the first j union midpoints a value has passed exactly
-            # the grid's own midpoints among them.
-            codes = np.array([np.searchsorted(o, [-np.inf, *mids],
-                                              side="right") for o in own],
-                             dtype=np.int64)
-            values = np.take_along_axis(table[list(grids)], codes, axis=1)
-            codes.flags.writeable = values.flags.writeable = False
-            scales.append(_SharedScale(float(a), tuple(mids), grids, codes,
-                                       values))
-        scales = _SHARED_SCALES[spec.name] = tuple(scales)
-    return scales
+    table = spec.grid_table
+    absmax = np.abs(table).max(axis=1)
+    scales = []
+    for a, run in groupby(range(len(table)), key=absmax.__getitem__):
+        grids = tuple(run)
+        own = [_midpoints(table[i]) for i in grids]
+        mids = sorted(set(np.concatenate(own).tolist()))
+        # Past the first j union midpoints a value has passed exactly the
+        # grid's own midpoints among them.
+        codes = np.array([np.searchsorted(o, [-np.inf, *mids], side="right")
+                          for o in own], dtype=np.int64)
+        values = np.take_along_axis(table[list(grids)], codes, axis=1)
+        codes.flags.writeable = values.flags.writeable = False
+        scales.append(_SharedScale(float(a), tuple(mids), grids, codes,
+                                   values))
+    return tuple(scales)
 
 
 def _best_grid(rows: np.ndarray, spec: DataTypeSpec, out=None):
@@ -453,10 +447,7 @@ def error_report(original, dequantized) -> ErrorReport:
     )
 
 
-# Keyed by (DataType, group size): the simulator asks once per layer.
-_FOOTPRINTS: dict[tuple[DataType, int], Fraction] = {}
-
-
+@cache  # the simulator asks once per layer
 def memory_footprint_bits(spec: DataTypeSpec, grouping: GroupingConfig) -> Fraction:
     """Stored bits per weight including per-group metadata.
 
@@ -465,11 +456,6 @@ def memory_footprint_bits(spec: DataTypeSpec, grouping: GroupingConfig) -> Fract
     The asymmetric-INT software baseline is modeled with a 16-bit scale and
     an 8-bit zero-point per group.
     """
-    g = grouping.group_size
-    key = (spec.name, g)
-    bits = _FOOTPRINTS.get(key)
-    if bits is None:
-        overhead = 16 + 8 if spec.asymmetric else 8 + spec.sv_bits
-        bits = _FOOTPRINTS[key] = (Fraction(spec.bits_per_code)
-                                   + Fraction(overhead, g))
-    return bits
+    overhead = 16 + 8 if spec.asymmetric else 8 + spec.sv_bits
+    return Fraction(spec.bits_per_code) + Fraction(overhead,
+                                                   grouping.group_size)

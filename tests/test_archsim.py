@@ -222,20 +222,24 @@ def test_parse_shape_file_errors_carry_line_numbers():
         parse_shape_file("\n# only comments\n")
 
 
-@pytest.mark.parametrize("line", ("heads = 0", "blocks = 0", "hidden = -64",
-                                  "decode_tokens = -1", "prefill_tokens = -5"))
+@pytest.mark.parametrize("line", ("heads = 0", "blocks = 0", "hidden = -64"))
 def test_parse_shape_file_rejects_out_of_range_integers(line):
-    # heads = 0 used to raise ZeroDivisionError; negative token counts
-    # acted as 0.
+    # heads = 0 used to raise ZeroDivisionError.
     text = f"name = x\nhidden = 64\nblocks = 1\n{line}\n"
     with pytest.raises(ParseError) as ei:
         profile_shapes(text)
     assert ei.value.line == 4
 
 
-def test_parse_shape_file_allows_zero_tokens():
-    w = profile_shapes(TOY + "prefill_tokens = 0\ndecode_tokens = 0\n")
-    assert (w.prefill_tokens, w.decode_tokens) == (0, 0)
+@pytest.mark.parametrize("line", ("decode_tokens = -1", "prefill_tokens = -5",
+                                  "decode_tokens = 1000"))
+def test_parse_shape_file_rejects_token_keys(line):
+    # Token counts come from the caller; a shape file that set them was
+    # silently overridden.
+    text = f"name = x\nhidden = 64\nblocks = 1\n{line}\n"
+    with pytest.raises(ParseError, match="unknown key") as ei:
+        profile_shapes(text)
+    assert ei.value.line == 4
 
 
 def test_profile_shapes_gemm_list():

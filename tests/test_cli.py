@@ -86,7 +86,7 @@ def test_quant_eval_missing_file_partial_failure(tensor_file, tmp_path, capsys):
 def test_bitserial_check_reports_all_codes_exact(capsys):
     code, out, err = run(capsys, "bitserial-check")
     assert code == 0
-    assert out.strip().endswith("344/344 codes exact")
+    assert (out, err) == ("344/344 codes exact\n", "")
 
 
 def test_bitserial_check_detects_misprogrammed_register(capsys):
@@ -94,8 +94,18 @@ def test_bitserial_check_detects_misprogrammed_register(capsys):
     # must fail loudly rather than mask the encoding gap.
     code, out, err = run(capsys, "bitserial-check", "--sv-override", "7")
     assert code == 1
-    assert "344/344" not in out
-    assert "sv 0" in err
+    assert out == "342/344 codes exact\n"
+    assert err == (
+        "FP4_BITMOD sv 0 code 14: fixed-point magnitude 14/2 has 3 set bits\n"
+        "FP3_BITMOD sv 0 code 6: fixed-point magnitude 14/2 has 3 set bits\n")
+
+
+def test_bitserial_check_reports_wrong_special_value(capsys):
+    # +5 is encodable (two set bits) but is not the grid's +3.
+    code, out, err = run(capsys, "bitserial-check", "--sv-override", "5")
+    assert code == 1
+    assert out == "343/344 codes exact\n"
+    assert err == "FP3_BITMOD sv 0 code 6: 5 != 3\n"
 
 
 def test_simulate_bundled_shape(tmp_path, capsys):
@@ -133,6 +143,17 @@ def test_simulate_shape_file_path_and_errors(tmp_path, capsys):
     bad.write_text("hidden = 64\n")
     code, _, err = run(capsys, "simulate", str(bad))
     assert code == 1 and "name" in err
+
+
+def test_shape_file_token_counts_are_one_line_error(tmp_path, capsys):
+    # Token counts come only from --prefill-tokens/--decode-tokens; a
+    # shape file that set them used to be overridden without a word.
+    shape = tmp_path / "tokens.shape"
+    shape.write_text("name = x\nhidden = 64\nblocks = 2\ndecode_tokens = 8\n")
+    code, out, err = run(capsys, "simulate", str(shape))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown key 'decode_tokens'" in err
 
 
 def test_non_utf8_shape_file_is_one_line_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -58,6 +60,17 @@ def test_precision_metadata(name, bits, terms):
     spec = spec_for(name)
     assert spec.bits_per_code == bits
     assert spec.terms_per_code == terms
+
+
+@pytest.mark.parametrize("dt", list(DataType), ids=str)
+def test_specs_are_singletons(dt):
+    # A spec is a cache key by identity: copies and pickles must come back
+    # as the one instance in SPECS.
+    spec = SPECS[dt]
+    assert copy.copy(spec) is spec
+    assert copy.deepcopy(spec) is spec
+    assert pickle.loads(pickle.dumps(spec)) is spec
+    assert hash(spec) == object.__hash__(spec)
 
 
 def test_spec_for_accepts_enum_and_loose_strings():
