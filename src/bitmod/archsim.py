@@ -207,7 +207,8 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
     ``rows`` x ``cols`` PEs that take ``group_cycles`` per ``group`` of K.
 
     Output-stationary: each wave of output tiles walks all of K, padded to
-    whole groups.
+    whole groups.  A layer whose byte or energy figures overflow the float
+    range raises :class:`ConfigError`.
     """
     if layer.m <= 0 or layer.k <= 0 or layer.n <= 0:
         raise ConfigError(f"non-positive GEMM dimension in {layer}")
@@ -220,19 +221,30 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
     waves = (math.ceil(m / (cfg.tiles_y * rows))
              * math.ceil(n / (cfg.tiles_x * cols)))
     compute = waves * ((k + group - 1) // group) * group_cycles
-    # int / int rounds once, correctly: the float of the exact rational.
-    weight_bytes = (k * n * bits_per_weight.numerator
-                    / (8 * bits_per_weight.denominator))
-    act_bytes = float((m * k + m * n) * 2)  # FP16 activations in and out
-    moved = weight_bytes + act_bytes
-    dram = math.ceil(moved / (cfg.dram_bandwidth_bytes_per_s / cfg.frequency_hz))
-    n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
-    one = SimReport(compute, dram, max(compute, dram), weight_bytes, act_bytes,
-                    EnergyBreakdown(compute * n_pes * cfg.e_pe_cycle,
-                                    moved * cfg.e_sram_byte,
-                                    moved * cfg.e_dram_byte))
     out = SimReport()
-    out.accumulate(one, layer.repeat)
+    try:
+        # int / int rounds once, correctly: the float of the exact rational.
+        weight_bytes = (k * n * bits_per_weight.numerator
+                        / (8 * bits_per_weight.denominator))
+        act_bytes = float((m * k + m * n) * 2)  # FP16 activations in and out
+        moved = weight_bytes + act_bytes
+        dram = math.ceil(moved / (cfg.dram_bandwidth_bytes_per_s
+                                  / cfg.frequency_hz))
+        n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
+        one = SimReport(compute, dram, max(compute, dram), weight_bytes,
+                        act_bytes,
+                        EnergyBreakdown(compute * n_pes * cfg.e_pe_cycle,
+                                        moved * cfg.e_sram_byte,
+                                        moved * cfg.e_dram_byte))
+        out.accumulate(one, layer.repeat)
+        e = out.energy
+        finite = all(map(math.isfinite, (out.weight_bytes, out.activation_bytes,
+                                         e.compute_j, e.sram_j, e.dram_j)))
+    except OverflowError:  # an int beyond the float range, or ceil(inf)
+        finite = False
+    if not finite:
+        raise ConfigError(f"{layer}: byte or energy figures overflow the "
+                          "float range")
     return out
 
 

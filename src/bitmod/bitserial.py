@@ -11,8 +11,9 @@ form ``(-1)^sign * 2^exp * man * 2^bsig``:
   window {I3..I0} (bsig 0) and one over {I2, I1, I0, F0} (bsig -1), with
   the first detected bit masked before the second search.
 
-The code pattern that would denote -0 in the FP encodings is substituted by
-the active entry of the special-value register before decoding.
+The code pattern that would denote -0 in the FP encodings stands for the
+active entry of the special-value register, :func:`encode_weight`'s
+``register`` tuple (the spec's own special values unless given).
 
 A code's terms depend only on (dtype, sv_index, code), so :func:`term_table`
 encodes every code of a grid once, with :func:`encode_weight`, and the PE
@@ -28,16 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtype import HALF, DataTypeSpec, code_range, effective_grid
-from .errors import (
-    InvalidSpecialValueIndex,
-    OutOfRange,
-    TooManySetBits,
-    UnrepresentableValue,
-)
-
-# Sentinel for the redundant negative-zero code pattern of the FP formats.
-NEG_ZERO = object()
+from .dtype import DataTypeSpec, code_range, effective_grid
+from .errors import OutOfRange, TooManySetBits, UnrepresentableValue
 
 
 @dataclass(frozen=True)
@@ -55,15 +48,20 @@ class BitSerialTerm:
         return -v if self.sign else v
 
 
-def zero_term(bsig: int = 0) -> BitSerialTerm:
-    return BitSerialTerm(sign=0, exp=0, man=0, bsig=bsig)
+def _term(sign: int, exp: int, bsig: int) -> BitSerialTerm:
+    """The term ``(-1)^sign * 2^exp`` of slot ``bsig``, or the slot's zero
+    term when ``exp < 0``."""
+    if exp < 0:
+        return BitSerialTerm(sign=0, exp=0, man=0, bsig=bsig)
+    return BitSerialTerm(sign=sign, exp=exp, man=1, bsig=bsig)
 
 
 @dataclass(frozen=True)
 class FixedPointCode:
     """Sign-magnitude fixed point: 1 sign, 4 integer bits, 1 fraction bit.
 
-    ``mag_half`` is the magnitude in units of the 0.5 LSB, 0..31.
+    ``mag_half`` is the magnitude in units of the 0.5 LSB, 0..31: bits 4..1
+    are I3..I0 and bit 0 is F0.
     """
 
     sign: int
@@ -72,11 +70,6 @@ class FixedPointCode:
     def __post_init__(self):
         if not 0 <= self.mag_half < 32:
             raise UnrepresentableValue(f"magnitude {self.mag_half}/2 out of range")
-
-    def bit(self, name: str) -> int:
-        # I3..I0 weigh 8..1; F0 weighs 0.5.
-        pos = {"I3": 4, "I2": 3, "I1": 2, "I0": 1, "F0": 0}[name]
-        return (self.mag_half >> pos) & 1
 
     @property
     def value(self) -> Fraction:
@@ -99,20 +92,8 @@ def fixed_point_of(value) -> FixedPointCode:
     return FixedPointCode(sign=1 if v < 0 else 0, mag_half=int(mag2))
 
 
-class SpecialValueRegister:
-    """Four fixed-point special values; programmed once per data type."""
-
-    def __init__(self, values=()):
-        self.entries: list[FixedPointCode] = [fixed_point_of(v) for v in values]
-
-    @classmethod
-    def program(cls, spec: DataTypeSpec) -> "SpecialValueRegister":
-        return cls(spec.special_values)
-
-    def entry(self, sv_index: int) -> FixedPointCode:
-        if not 0 <= sv_index < len(self.entries):
-            raise InvalidSpecialValueIndex(f"sv_index {sv_index} not programmed")
-        return self.entries[sv_index]
+# Radix-4 Booth digit of the bit triple (b_{2i+1}, b_{2i}, b_{2i-1}).
+_BOOTH_DIGIT = (0, 1, 1, 2, -2, -1, -1, 0)
 
 
 def booth_encode(value: int, bits: int) -> list[BitSerialTerm]:
@@ -126,47 +107,9 @@ def booth_encode(value: int, bits: int) -> list[BitSerialTerm]:
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     if not lo <= value <= hi:
         raise OutOfRange(f"{value} not representable in {bits}-bit two's complement")
-
-    def bit(k: int) -> int:
-        if k < 0:
-            return 0
-        k = min(k, bits - 1)  # sign extension
-        return (value >> k) & 1
-
-    terms = []
-    for i in range((bits + 1) // 2):
-        digit = bit(2 * i - 1) + bit(2 * i) - 2 * bit(2 * i + 1)
-        if digit == 0:
-            terms.append(zero_term(bsig=2 * i))
-        else:
-            terms.append(
-                BitSerialTerm(
-                    sign=1 if digit < 0 else 0,
-                    exp=0 if abs(digit) == 1 else 1,
-                    man=1,
-                    bsig=2 * i,
-                )
-            )
-    return terms
-
-
-def fp_code_to_fixed_point(grid_value, svreg: SpecialValueRegister | None = None,
-                           sv_index: int = 0) -> FixedPointCode:
-    """Decode an FP grid value (or the -0 pattern) to fixed point.
-
-    Pass :data:`NEG_ZERO` for the redundant negative-zero code pattern; it
-    is substituted by the registered special value before decoding.
-    """
-    if grid_value is NEG_ZERO:
-        if svreg is None:
-            raise UnrepresentableValue("-0 pattern requires a programmed SV register")
-        return svreg.entry(sv_index)
-    return fixed_point_of(grid_value)
-
-
-# Window bit order: (name, value-weight exponent within the window).
-_WINDOW1 = (("I3", 3), ("I2", 2), ("I1", 1), ("I0", 0))
-_WINDOW2 = (("I2", 3), ("I1", 2), ("I0", 1), ("F0", 0))
+    ext = value << 1  # b_{-1} = 0; ``>>`` sign-extends past the top bit
+    digits = (_BOOTH_DIGIT[(ext >> 2 * i) & 7] for i in range((bits + 1) // 2))
+    return [_term(int(d < 0), abs(d) - 1, 2 * i) for i, d in enumerate(digits)]
 
 
 def lod_decode(fp: FixedPointCode) -> list[BitSerialTerm]:
@@ -175,57 +118,41 @@ def lod_decode(fp: FixedPointCode) -> list[BitSerialTerm]:
     Term 1 takes the leading set bit of {I3..I0} at bsig 0; that bit is
     masked, and term 2 takes the leading set bit of {I2, I1, I0, F0} at
     bsig -1.  Values with more than two set magnitude bits cannot be
-    represented and raise :class:`TooManySetBits`.
+    represented and raise :class:`TooManySetBits`.  With at most two set
+    bits, the one left for term 2 always lies below the one term 1 took,
+    so both windows together cover every such value.
     """
     if fp.set_bits > 2:
         raise TooManySetBits(
             f"fixed-point magnitude {fp.mag_half}/2 has {fp.set_bits} set bits"
         )
-    remaining = {n: fp.bit(n) for n in ("I3", "I2", "I1", "I0", "F0")}
-    terms = []
-    for window, bsig in ((_WINDOW1, 0), (_WINDOW2, -1)):
-        hit = None
-        for name, exp in window:
-            if remaining[name]:
-                hit = (name, exp)
-                break
-        if hit is None:
-            terms.append(zero_term(bsig=bsig))
-        else:
-            remaining[hit[0]] = 0
-            terms.append(BitSerialTerm(sign=fp.sign, exp=hit[1], man=1, bsig=bsig))
-    if any(remaining.values()):
-        raise TooManySetBits(
-            f"fixed-point magnitude {fp.mag_half}/2 not coverable by two terms"
-        )
-    return terms
+    top = fp.mag_half.bit_length() - 1  # I3..I0 are bits 4..1
+    rest = fp.mag_half - (1 << top) if top >= 1 else fp.mag_half
+    return [_term(fp.sign, top - 1, 0),
+            _term(fp.sign, rest.bit_length() - 1, -1)]
 
 
-def encode_weight(code: int, spec: DataTypeSpec,
-                  svreg: SpecialValueRegister | None = None,
-                  sv_index: int = 0, zero_point: int = 0) -> list[BitSerialTerm]:
-    """Encode one weight code of any supported type into its term list.
+def encode_weight(code: int, spec: DataTypeSpec, register=None,
+                  sv_index: int = 0) -> list[BitSerialTerm]:
+    """Encode one weight code of a symmetric type into its term list.
 
-    FP codes index the effective grid of (spec, sv_index); integer codes
-    are the signed (symmetric) or unsigned (asymmetric) quantized values.
-    Asymmetric codes are re-centered by the zero-point so the terms always
-    represent a signed integer.  The result has exactly
-    ``spec.terms_per_code`` entries: ``ceil(bits / 2)`` Booth digits of
-    ``bits_per_code`` (plus one for the re-centered asymmetric range).
+    FP codes index the effective grid of (spec, sv_index); the special
+    value's slot decodes as ``register[sv_index]`` (``spec.special_values``
+    unless given).  INT codes are signed values, Booth-encoded over the
+    whole two's-complement range of ``bits_per_code``.  The result has
+    exactly ``spec.terms_per_code`` entries.  An FP code off the grid
+    raises :class:`OutOfRange`; an asymmetric type raises
+    :class:`UnsupportedDtype`.
     """
-    if spec.is_fp:
-        grid = effective_grid(spec, sv_index)
-        value = grid[code]
-        if spec.is_bitmod and value == spec.special_values[sv_index]:
-            if svreg is None:
-                svreg = SpecialValueRegister.program(spec)
-            fp = fp_code_to_fixed_point(NEG_ZERO, svreg, sv_index)
-        else:
-            fp = fp_code_to_fixed_point(value)
-        return lod_decode(fp)
-    if spec.asymmetric:
-        return booth_encode(code - zero_point, spec.bits_per_code + 1)
-    return booth_encode(code, spec.bits_per_code)
+    lo, hi = code_range(spec)
+    if not spec.is_fp:
+        return booth_encode(code, spec.bits_per_code)
+    if not lo <= code <= hi:
+        raise OutOfRange(f"{spec.name} code {code} off the grid [{lo}, {hi}]")
+    value = effective_grid(spec, sv_index)[code]
+    if spec.is_bitmod and value == spec.special_values[sv_index]:
+        value = (register or spec.special_values)[sv_index]
+    return lod_decode(fixed_point_of(value))
 
 
 class Terms(NamedTuple):
@@ -275,15 +202,10 @@ __all__ = [
     "BitSerialTerm",
     "FixedPointCode",
     "Terms",
-    "SpecialValueRegister",
-    "NEG_ZERO",
     "booth_encode",
-    "fp_code_to_fixed_point",
     "fixed_point_of",
     "lod_decode",
     "encode_weight",
     "term_table",
     "term_value_sum",
-    "zero_term",
-    "HALF",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import KERNEL_BACKEND, __version__
 from . import archsim, packfile, synth
-from .bitserial import SpecialValueRegister, encode_weight, term_value_sum
+from .bitserial import encode_weight, term_value_sum
 from .dtype import DataType, GroupingConfig, spec_for
 from .errors import (BitmodError, ConfigError, ParseError, TooManySetBits,
                      UnsupportedDtype)
@@ -171,12 +171,10 @@ def cmd_bitserial_check(args) -> int:
     ok = total = 0
     for name in ("INT8_SYM", "INT6_SYM", "FP4_BITMOD", "FP3_BITMOD"):
         spec = spec_for(name)
-        svreg = None
+        register = list(spec.special_values)
         if spec.is_fp:
-            values = list(spec.special_values)
             if args.sv_override is not None:
-                values[0] = Fraction(args.sv_override)
-            svreg = SpecialValueRegister(values)
+                register[0] = Fraction(args.sv_override)
             codes = range(len(spec.grids[0]))
         else:
             half = 1 << (spec.bits_per_code - 1)
@@ -186,7 +184,7 @@ def cmd_bitserial_check(args) -> int:
             for sv_index, grid in enumerate(spec.grids):
                 want = grid[code] if spec.is_fp else code
                 try:
-                    got = term_value_sum(encode_weight(code, spec, svreg,
+                    got = term_value_sum(encode_weight(code, spec, register,
                                                        sv_index))
                 except TooManySetBits as exc:
                     problem = str(exc)

@@ -9,16 +9,14 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 import pe_oracle
 from conftest import exact_dot, oracle_acts, oracle_weight_terms
 from bitmod import archsim, packfile, synth
-from bitmod.bitserial import SpecialValueRegister, encode_weight, term_value_sum
+from bitmod.bitserial import encode_weight, term_value_sum
 from bitmod.dtype import GroupingConfig, effective_grid, spec_for
 from bitmod.pe import group_dot, throughput_vs_fp16
 from bitmod.quant import (
-    QuantizedGroup,
     adaptive_quant,
     dequantize_tensor,
     memory_footprint_bits,
@@ -53,13 +51,12 @@ def test_criterion_01_bitserial_reconstruction(capsys):
             exact += term_value_sum(encode_weight(value, spec)) == value
     for name in ("FP4_BITMOD", "FP3_BITMOD"):
         spec = spec_for(name)
-        reg = SpecialValueRegister.program(spec)
         for sv in range(4):
             grid = effective_grid(spec, sv)
             for code, want in enumerate(grid):
                 checked += 1
                 exact += term_value_sum(
-                    encode_weight(code, spec, reg, sv)) == want
+                    encode_weight(code, spec, sv_index=sv)) == want
     elapsed = time.perf_counter() - t0
     ok = exact == checked == 256 + 64 + 16 * 4 + 8 * 4 and elapsed < 1.0
     report(capsys, 1, ok,

@@ -8,7 +8,6 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bitmod import archsim
 from bitmod.archsim import (
     ArchConfig,
     LayerShape,
@@ -115,6 +114,17 @@ def test_simulate_layer_k_padding_and_repeat():
                           G128).total_cycles == 0
     with pytest.raises(ConfigError):
         simulate_layer(LayerShape(m=0, k=8, n=8), spec, G128)
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda layer: simulate_layer(layer, spec_for("FP3_BITMOD"), G128),
+    baseline_fp16_layer], ids=["bitserial", "fp16"])
+def test_gemm_figures_beyond_float_range_raise_config_error(simulate):
+    # Used to end in an OverflowError from the int-to-float conversions.
+    layer = LayerShape(1, 10**160, 10**160)
+    with pytest.raises(ConfigError, match="overflow") as info:
+        simulate(layer)
+    assert str(layer) in str(info.value)
 
 
 @pytest.mark.parametrize("g", (2, 6, 130))

@@ -4,14 +4,11 @@ import pytest
 
 import pe_oracle
 from bitmod.bitserial import (
-    NEG_ZERO,
     BitSerialTerm,
     FixedPointCode,
-    SpecialValueRegister,
     booth_encode,
     encode_weight,
     fixed_point_of,
-    fp_code_to_fixed_point,
     lod_decode,
     term_value_sum,
 )
@@ -21,6 +18,7 @@ from bitmod.errors import (
     OutOfRange,
     TooManySetBits,
     UnrepresentableValue,
+    UnsupportedDtype,
 )
 
 F = Fraction
@@ -54,7 +52,9 @@ def test_booth_exhaustive_reconstruction(bits, n_terms):
 
 
 def test_booth_matches_table_driven_oracle():
-    for bits, n_terms in ((8, 4), (6, 3), (4, 2)):
+    # Odd widths lean on ``>>`` sign-extending past the top bit.
+    for bits in range(2, 9):
+        n_terms = (bits + 1) // 2
         lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
         for value in range(lo, hi + 1):
             got = tuple((t.sign, t.exp, t.man, t.bsig)
@@ -88,7 +88,7 @@ def test_fixed_point_of():
 
 def test_fixed_point_bits():
     fp = fixed_point_of(F(13, 2))  # 6.5 = 0110.1
-    assert [fp.bit(n) for n in ("I3", "I2", "I1", "I0", "F0")] == [0, 1, 1, 0, 1]
+    assert fp.mag_half == 0b01101  # I3 I2 I1 I0 F0
     assert fp.set_bits == 3
 
 
@@ -138,26 +138,14 @@ def test_lod_covers_every_two_bit_pattern():
     assert t1.value == 8 and t2.value == F(1, 2)
 
 
-def test_special_value_register():
-    spec = spec_for("FP3_BITMOD")
-    reg = SpecialValueRegister.program(spec)
-    assert [e.value for e in reg.entries] == [3, -3, 6, -6]
-    assert fp_code_to_fixed_point(NEG_ZERO, reg, 2).value == 6
-    with pytest.raises(InvalidSpecialValueIndex):
-        reg.entry(4)
-    with pytest.raises(UnrepresentableValue):
-        fp_code_to_fixed_point(NEG_ZERO, None, 0)
-
-
 def test_encode_weight_fp_codes_round_trip_all_svs():
     for name in ("FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC", "FP4_BASIC"):
         spec = spec_for(name)
-        reg = SpecialValueRegister.program(spec) if spec.is_bitmod else None
         n_sv = len(spec.special_values) if spec.is_bitmod else 1
         for sv_index in range(n_sv):
             grid = effective_grid(spec, sv_index)
             for code, value in enumerate(grid):
-                terms = encode_weight(code, spec, reg, sv_index)
+                terms = encode_weight(code, spec, sv_index=sv_index)
                 assert len(terms) == spec.terms_per_code
                 assert term_value_sum(terms) == value
 
@@ -166,7 +154,7 @@ def test_encode_weight_special_slot_uses_register_entry():
     # Mis-programming the register must change the decoded special value
     # and nothing else.
     spec = spec_for("FP3_BITMOD")
-    reg = SpecialValueRegister([5, -3, 6, -6])
+    reg = (5, -3, 6, -6)
     grid = effective_grid(spec, 0)  # contains +3 at the special slot
     for code, value in enumerate(grid):
         got = term_value_sum(encode_weight(code, spec, reg, 0))
@@ -179,8 +167,20 @@ def test_encode_weight_int_paths():
         terms = encode_weight(code, sym)
         assert len(terms) == 3
         assert term_value_sum(terms) == code
-    asym = spec_for("INT4_ASYM")
-    for code in range(16):
-        terms = encode_weight(code, asym, zero_point=11)
-        assert len(terms) == 3
-        assert term_value_sum(terms) == code - 11
+    # Asymmetric codes need a zero-point, which neither the PE nor the
+    # encoder takes.
+    with pytest.raises(UnsupportedDtype):
+        encode_weight(3, spec_for("INT4_ASYM"))
+
+
+def test_encode_weight_rejects_an_unprogrammed_sv_index():
+    with pytest.raises(InvalidSpecialValueIndex):
+        encode_weight(0, spec_for("FP3_BITMOD"), sv_index=4)
+
+
+@pytest.mark.parametrize("name,code", [("FP3_BITMOD", -1), ("FP3_BITMOD", 8),
+                                       ("FP4_BASIC", -1), ("FP4_BASIC", 15)])
+def test_encode_weight_rejects_off_grid_fp_codes(name, code):
+    # A negative code must not wrap to the top of the grid.
+    with pytest.raises(OutOfRange):
+        encode_weight(code, spec_for(name))

@@ -156,6 +156,16 @@ def test_shape_file_token_counts_are_one_line_error(tmp_path, capsys):
     assert "unknown key 'decode_tokens'" in err
 
 
+def test_shape_beyond_float_range_is_one_line_error(tmp_path, capsys):
+    # Used to end in an OverflowError traceback.
+    shape = tmp_path / "huge.shape"
+    shape.write_text(f"name = huge\nhidden = {10**160}\nblocks = 1\n")
+    code, out, err = run(capsys, "simulate", str(shape))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow the float range" in err
+
+
 def test_non_utf8_shape_file_is_one_line_error(tmp_path, capsys):
     # Used to end in a UnicodeDecodeError traceback.
     bad = tmp_path / "bad.shape"

@@ -5,7 +5,7 @@ import pytest
 
 import pe_oracle
 from conftest import exact_dot, oracle_acts, oracle_weight_terms
-from bitmod.bitserial import SpecialValueRegister, encode_weight, term_table
+from bitmod.bitserial import encode_weight, term_table
 from bitmod.dtype import GroupingConfig, code_range, spec_for
 from bitmod.errors import OutOfRange, ShapeMismatch, UnsupportedDtype
 from bitmod.pe import (
@@ -287,7 +287,6 @@ def test_encode_group_terms_layout():
 def test_term_table_matches_encode_weight(name):
     spec = spec_for(name)
     lo, hi = code_range(spec)
-    svreg = SpecialValueRegister.program(spec) if spec.is_bitmod else None
     for sv_index in range(max(1, len(spec.special_values))):
         table = term_table(spec, sv_index)
         n_codes = (len(spec.grids[sv_index]) if spec.is_fp
@@ -298,7 +297,7 @@ def test_term_table_matches_encode_weight(name):
         assert not table.value.flags.writeable
         assert not table.bsig.flags.writeable
         for code in range(lo, hi + 1):
-            want = encode_weight(code, spec, svreg, sv_index)
+            want = encode_weight(code, spec, sv_index=sv_index)
             assert table.bsig.tolist() == [t.bsig for t in want]
             assert table.value[code - lo].tolist() == [
                 (-1) ** t.sign * t.man * 2 ** t.exp for t in want], (
