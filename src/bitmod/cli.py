@@ -307,7 +307,7 @@ def cmd_pack(args) -> int:
 def cmd_unpack(args) -> int:
     with open(args.file, "rb") as fh:
         data = fh.read()
-    tensor = packfile.unpack_to_tensor(data).astype(np.float32)
+    tensor = packfile.unpack_to_tensor(data, np.float32)
     np.save(args.out, tensor)
     print(f"wrote {args.out}: shape {tensor.shape}")
     return 0
@@ -317,7 +317,7 @@ def cmd_unpack(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _int_at_least(value: str, lo: int) -> int:
+def _int_at_least(value: str, lo: int, hi: int | None = None) -> int:
     try:
         n = int(value)
     except ValueError:
@@ -325,6 +325,8 @@ def _int_at_least(value: str, lo: int) -> int:
             f"expected an integer, got {value!r}") from None
     if n < lo:
         raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise argparse.ArgumentTypeError(f"must be <= {hi}, got {n}")
     return n
 
 
@@ -334,6 +336,16 @@ def _positive_int(value: str) -> int:
 
 def _nonnegative_int(value: str) -> int:
     return _int_at_least(value, 0)
+
+
+# The simulator's float columns (bytes, energies) equal sequential float
+# sums, which stop growing with the integer cycle counts past about 2^53
+# steps; at 2^40 they are within about 1e-4 of the exact count.
+MAX_TOKENS = 1 << 40
+
+
+def _token_count(value: str) -> int:
+    return _int_at_least(value, 0, MAX_TOKENS)
 
 
 def _shape_pair(value: str):
@@ -392,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[DataType.INT6_SYM],
                    help="comma-separated data types")
     s.add_argument("--group-size", type=_positive_int, default=128)
-    s.add_argument("--prefill-tokens", type=_nonnegative_int, default=256)
-    s.add_argument("--decode-tokens", type=_nonnegative_int, default=0)
+    s.add_argument("--prefill-tokens", type=_token_count, default=256)
+    s.add_argument("--decode-tokens", type=_token_count, default=0)
     s.add_argument("--config", default=None, help="JSON ArchConfig overrides")
     common(s)
     s.set_defaults(func=cmd_simulate)

@@ -71,6 +71,14 @@ class DataTypeSpec:
             DataType.FP3_BITMOD,
         )
 
+    @cached_property
+    def code_dtype(self) -> np.dtype:
+        """The array dtype of this type's codes: int8 for the signed codes
+        of a symmetric INT type, uint8 for FP grid indices and asymmetric
+        INT codes."""
+        return np.dtype(np.int8 if not (self.is_fp or self.asymmetric)
+                        else np.uint8)
+
     @property
     def sv_bits(self) -> int:
         return 2 if self.is_bitmod else 0

@@ -11,8 +11,9 @@ Little-endian layout:
                   padded to a byte boundary.
 
 ``pack`` writes a :class:`bitmod.quant.QuantizedTensor` in chunks of whole
-channels; ``unpack`` reads and checks one channel's group records at a
-time, as one (n_groups, record) uint8 block.
+channels, about ``quant.CHUNK_WEIGHTS`` weights each; ``unpack`` reads and
+checks the same chunks, each as one (channels, 4 + n_groups * record)
+uint8 view of the file.
 
 Asymmetric INT types carry a zero-point the format has no field for; they
 are software baselines, so ``pack`` refuses them and ``unpack`` rejects
@@ -21,14 +22,14 @@ their dtype ids.
 
 from __future__ import annotations
 
-import math
 import struct
+from functools import lru_cache
 
 import numpy as np
 
 from .dtype import DataType, DataTypeSpec, GroupingConfig, code_range, spec_for
 from .errors import FormatError, UnsupportedDtype
-from .quant import CHUNK_WEIGHTS, QuantizedTensor, dequantize_tensor
+from .quant import QuantizedTensor, channel_chunks, dequantize_tensor
 
 MAGIC = b"BMOD"
 VERSION = 1
@@ -40,26 +41,53 @@ def _pack_codes(codes, spec: DataTypeSpec) -> np.ndarray:
     """Bit-pack codes along the last axis: ``bits_per_code`` bits each,
     LSB first, INT codes in two's complement, each row padded to a byte."""
     bits = spec.bits_per_code
-    stored = (np.asarray(codes) & ((1 << bits) - 1)).astype(np.uint8)
+    # The low ``bits`` bits of each byte: a uint8 or int8 code as stored.
+    stored = np.asarray(codes).astype(np.uint8, copy=False)
     planes = np.unpackbits(stored[..., None], axis=-1, count=bits,
                            bitorder="little")
     return np.packbits(planes.reshape(*stored.shape[:-1], -1), axis=-1,
                        bitorder="little")
 
 
+@lru_cache(maxsize=8)
+def _code_bytes(count: int, bits: int):
+    """Where each of ``count`` packed codes lies: its first byte, the byte
+    after it (the last byte again past the end), its bit offset in the
+    first byte and the left shift that aligns the byte after it."""
+    offset = np.arange(count) * bits
+    first = offset // 8
+    second = np.minimum(first + 1, (count * bits - 1) // 8)
+    shift = (offset % 8).astype(np.uint8)
+    layout = first, second, shift, 8 - shift
+    for a in layout:
+        a.flags.writeable = False  # shared by every caller
+    return layout
+
+
 def _unpack_codes(raw, count: int, spec: DataTypeSpec) -> np.ndarray:
     """Inverse of ``_pack_codes``: the first ``count`` codes of each row of
-    the uint8 array ``raw``; INT codes are sign-extended."""
+    the uint8 array ``raw``, as ``spec.code_dtype``; INT codes are
+    sign-extended."""
     bits = spec.bits_per_code
     raw = np.asarray(raw, dtype=np.uint8)
-    planes = np.unpackbits(raw, axis=-1, count=count * bits,
-                           bitorder="little")
-    weights = 1 << np.arange(bits, dtype=np.uint8)
-    stored = (planes.reshape(*raw.shape[:-1], count, bits) @ weights) \
-        .astype(np.int64)
+    if not raw.size:  # no rows, and ``count`` may be a damaged header's
+        return np.empty((*raw.shape[:-1], count), spec.code_dtype)
+    first, second, shift, up = _code_bytes(count, bits)
+    # A code spans at most two bytes.  The mask clears what the second
+    # byte adds past the code, all of it where the code ends in the first
+    # (a uint8 shift by 8 is 0).
+    codes = np.take(raw, first, axis=-1)
+    codes >>= shift
+    high = np.take(raw, second, axis=-1)
+    high <<= up
+    codes |= high
+    codes &= (1 << bits) - 1
     if spec.is_fp:
-        return stored
-    return stored - ((stored & (1 << (bits - 1))) << 1)
+        return codes
+    # Subtract 2^bits where the sign bit is set; uint8 wraps mod 256, so
+    # the int8 view holds the signed value.
+    codes -= (codes & (1 << (bits - 1))) << 1
+    return codes.view(np.int8)
 
 
 def group_record_bytes(spec: DataTypeSpec, group_size: int) -> int:
@@ -84,9 +112,8 @@ def pack(qt: QuantizedTensor, grouping: GroupingConfig,
     out += _HEADER.pack(MAGIC, VERSION, spec.name.value, len(qt),
                         channel_size, grouping.group_size)
     # Chunks of whole channels keep the bit planes small.
-    step = max(1, CHUNK_WEIGHTS // qt.codes[0].size)
-    for start in range(0, len(qt), step):
-        part = qt[start:start + step]
+    for chunk in channel_chunks(len(qt), qt.codes[0].size):
+        part = qt[chunk]
         meta = np.stack([part.scale_q, part.sv_index & 0x3], axis=-1)
         records = np.concatenate([meta.astype(np.uint8),
                                   _pack_codes(part.codes, spec)], axis=-1)
@@ -96,8 +123,53 @@ def pack(qt: QuantizedTensor, grouping: GroupingConfig,
     return bytes(out)
 
 
+def _read_channels(rows, pos: int, spec: DataTypeSpec, g: int, rec: int):
+    """Read the channels in the uint8 array ``rows``, one per row, each its
+    f32 scale then complete group records of ``rec`` bytes; ``rows[0]``
+    starts at file offset ``pos``.
+
+    Returns (channel scales, records of shape (n, n_groups, rec), codes).
+    Raises :class:`FormatError` for the bad field at the lowest offset: a
+    channel's scale, then its first bad record's ``sv_index``, then that
+    record's first bad code.
+    """
+    n, width = rows.shape
+    scale = rows[:, :4].view("<f4")[:, 0]
+    records = rows[:, 4:].reshape(n, -1, rec)
+    codes = _unpack_codes(records[..., 2:], g, spec)
+    bad_sv = records[..., 1] >= max(1, len(spec.special_values))
+    bad_record = bad_sv
+    lo, hi = code_range(spec)
+    # Only FP_BASIC and INT*_SYM leave some stored bit patterns unused.
+    if hi - lo + 1 < 1 << spec.bits_per_code:
+        bad_code = (codes < lo) | (codes > hi)
+        bad_record = bad_sv | bad_code.any(axis=-1)
+    bad_scale = ~np.isfinite(scale)
+    bad = bad_scale | bad_record.any(axis=-1)
+    if bad.any():
+        c = int(np.argmax(bad))
+        at = pos + c * width
+        if bad_scale[c]:
+            raise FormatError(f"channel scale {float(scale[c])}", offset=at)
+        r = int(np.argmax(bad_record[c]))
+        at += 4 + r * rec
+        if bad_sv[c, r]:
+            raise FormatError(f"sv_index {records[c, r, 1]} out of range "
+                              f"for {spec.name}", offset=at + 1)
+        i = int(np.argmax(bad_code[c, r]))
+        raise FormatError(f"code {codes[c, r, i]} out of range for "
+                          f"{spec.name}",
+                          offset=at + 2 + i * spec.bits_per_code // 8)
+    return scale, records, codes
+
+
 def unpack(data: bytes):
-    """Parse BMOD bytes back into (QuantizedTensor, grouping, spec)."""
+    """Parse BMOD bytes back into (QuantizedTensor, grouping, spec).
+
+    The complete channels are read in chunks of about ``CHUNK_WEIGHTS``
+    weights, each one view of the file checked at once; then a truncated
+    last channel is checked as far as its bytes go.
+    """
     if len(data) < _HEADER.size:
         raise FormatError("truncated header", offset=len(data))
     magic, version, dtype_id, k, d, g = _HEADER.unpack_from(data, 0)
@@ -118,55 +190,42 @@ def unpack(data: bytes):
         raise FormatError("channel size 0", offset=12)
     if g == 0:
         raise FormatError("group size 0", offset=16)
-    groups_per_channel = -(-d // g)
+    n_groups = -(-d // g)
     rec = group_record_bytes(spec, g)
-    n_sv = max(1, len(spec.special_values))
-    lo, hi = code_range(spec)
-    # Only FP_BASIC and INT*_SYM leave some stored bit patterns unused.
-    check_codes = hi - lo + 1 < 1 << spec.bits_per_code
+    width = 4 + n_groups * rec
     pos = _HEADER.size
     # Sized by the channels whose bytes are all there, not by the header.
-    shape = (min(k, (len(data) - pos) // (4 + groups_per_channel * rec)),
-             groups_per_channel)
-    qt = QuantizedTensor(np.empty((*shape, g), np.int64),
-                         np.empty(shape, np.int64), np.empty(shape, np.int64),
-                         None, np.empty(shape[0]), spec, valid_size=d)
-    for c in range(k):
+    n_full = min(k, (len(data) - pos) // width)
+    shape = (n_full, n_groups)
+    qt = QuantizedTensor(np.empty((*shape, g), spec.code_dtype),
+                         np.empty(shape, np.uint8), np.empty(shape, np.uint8),
+                         None, np.empty(n_full), spec, valid_size=d)
+    body = np.frombuffer(data, np.uint8, n_full * width, pos)
+    body = body.reshape(n_full, width)
+    for chunk in channel_chunks(n_full, n_groups * g):
+        scale, records, codes = _read_channels(
+            body[chunk], pos + chunk.start * width, spec, g, rec)
+        qt.channel_scale[chunk], qt.codes[chunk] = scale, codes
+        qt.scale_q[chunk], qt.sv_index[chunk] = records[..., 0], records[..., 1]
+    pos += body.size
+    if n_full < k:
         if pos + 4 > len(data):
             raise FormatError("truncated channel scale", offset=pos)
-        (channel_scale,) = struct.unpack_from("<f", data, pos)
-        if not math.isfinite(channel_scale):
-            raise FormatError(f"channel scale {channel_scale}", offset=pos)
-        pos += 4
-        # The channel's complete group records, checked field by field in
-        # file order before a missing record is reported.
-        n = min(groups_per_channel, (len(data) - pos) // rec)
-        records = np.frombuffer(data, np.uint8, n * rec, pos).reshape(n, rec)
-        codes = _unpack_codes(records[:, 2:], g, spec)
-        bad = records[:, 1] >= n_sv
-        if check_codes:
-            bad_code = (codes < lo) | (codes > hi)
-            bad |= bad_code.any(axis=1)
-        if bad.any():
-            r = int(np.argmax(bad))
-            at = pos + r * rec
-            if records[r, 1] >= n_sv:
-                raise FormatError(f"sv_index {records[r, 1]} out of range "
-                                  f"for {spec.name}", offset=at + 1)
-            i = int(np.argmax(bad_code[r]))
-            raise FormatError(f"code {codes[r, i]} out of range for "
-                              f"{spec.name}",
-                              offset=at + 2 + i * spec.bits_per_code // 8)
-        if n < groups_per_channel:
-            raise FormatError("truncated group record", offset=pos + n * rec)
-        pos += n * rec
-        qt.channel_scale[c], qt.codes[c] = channel_scale, codes
-        qt.scale_q[c], qt.sv_index[c] = records[:, :2].T
+        n = (len(data) - pos - 4) // rec
+        rows = np.frombuffer(data, np.uint8, 4 + n * rec, pos)
+        _read_channels(rows[None], pos, spec, g, rec)
+        raise FormatError("truncated group record", offset=pos + 4 + n * rec)
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes", offset=pos)
     return qt, GroupingConfig(group_size=g), spec
 
 
-def unpack_to_tensor(data: bytes) -> np.ndarray:
+def unpack_to_tensor(data: bytes, dtype=np.float64) -> np.ndarray:
+    """Parse BMOD bytes and dequantize them into a (K, D) array of
+    ``dtype``, a chunk of channels at a time: each value is its float64
+    dequantization, rounded once to ``dtype``."""
     qt, _, _ = unpack(data)
-    return dequantize_tensor(qt)
+    out = np.empty((len(qt), qt.valid_size), dtype)
+    for chunk in channel_chunks(len(qt), qt.codes[0].size):
+        out[chunk] = dequantize_tensor(qt[chunk])
+    return out

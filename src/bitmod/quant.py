@@ -88,6 +88,9 @@ class QuantizedTensor:
     ``codes`` is ``(..., n_groups, G)`` and ``channel_scale`` ``(...)``;
     ``sv_index``, ``scale_q``, ``delta`` (unquantized, ``None`` after
     ``packfile.unpack``) and ``zero_point`` (asymmetric) ``(..., n_groups)``.
+    ``codes`` are ``dtype.code_dtype`` (int8 for symmetric INT, else
+    uint8), ``sv_index`` and ``scale_q`` uint8, ``delta`` and
+    ``channel_scale`` float64 and ``zero_point`` int64.
     """
 
     codes: np.ndarray
@@ -142,9 +145,9 @@ def _divisor(delta):
 def quantize_symmetric(group, bits: int):
     """Symmetric integer quantization along the last axis.
 
-    Returns (codes, delta); ``delta`` has the leading shape (a scalar for
-    one group) and is 0 for an all-zero group, whose codes are 0, as are
-    those of a group whose delta underflows to 0.
+    Returns (int8 codes, delta); ``delta`` has the leading shape (a scalar
+    for one group) and is 0 for an all-zero group, whose codes are 0, as
+    are those of a group whose delta underflows to 0.
     """
     if not 2 <= bits <= 8:
         raise ValueError("bits must be in [2, 8]")
@@ -154,15 +157,16 @@ def quantize_symmetric(group, bits: int):
     absmax = check_finite(np.max(np.abs(w), axis=-1, initial=0.0))
     delta = absmax / qmax
     codes = np.clip(round_half_away(w / _divisor(delta)), -qmax, qmax)
-    return codes.astype(np.int64), delta[()]
+    return codes.astype(np.int8), delta[()]
 
 
 def quantize_asymmetric(group, bits: int):
     """Asymmetric integer quantization along the last axis.
 
-    Returns (codes, delta, zero_point), the last two with the leading shape.
-    A constant group, or one whose delta underflows to 0, is degenerate:
-    codes, delta and zero-point are 0, so it dequantizes to 0.
+    Returns (uint8 codes, delta, zero_point), the last two with the
+    leading shape.  A constant group, or one whose delta underflows to 0,
+    is degenerate: codes, delta and zero-point are 0, so it dequantizes
+    to 0.
     """
     if not 2 <= bits <= 8:
         raise ValueError("bits must be in [2, 8]")
@@ -176,7 +180,7 @@ def quantize_asymmetric(group, bits: int):
     z = np.where(delta == 0, 0, round_half_away(-lo / div[..., 0]))
     codes = np.clip(round_half_away(w / div) + z[..., None], 0, qmax)
     codes = np.where(delta[..., None] == 0, 0, codes)
-    return codes.astype(np.int64), delta[()], z.astype(np.int64)[()]
+    return codes.astype(np.uint8), delta[()], z.astype(np.int64)[()]
 
 
 def nearest_grid_index(scaled: np.ndarray, grid_f: np.ndarray) -> np.ndarray:
@@ -254,7 +258,7 @@ def _shared_scales(spec: DataTypeSpec) -> tuple[_SharedScale, ...]:
         # Past the first j union midpoints a value has passed exactly the
         # grid's own midpoints among them.
         codes = np.array([np.searchsorted(o, [-np.inf, *mids], side="right")
-                          for o in own], dtype=np.int64)
+                          for o in own], dtype=np.uint8)
         values = np.take_along_axis(table[list(grids)], codes, axis=1)
         codes.flags.writeable = values.flags.writeable = False
         scales.append(_SharedScale(float(a), tuple(mids), grids, codes,
@@ -284,7 +288,7 @@ def _best_grid(rows: np.ndarray, spec: DataTypeSpec, out=None):
             mse = np.mean(np.square(err, out=err), axis=-1)
             if best_mse is None:
                 best_mse, best_delta = mse, delta
-                best = np.full(len(rows), i, dtype=np.int64)
+                best = np.full(len(rows), i, dtype=np.uint8)
                 # Indices are in range; "raise" would buffer the output.
                 best_codes = codes.take(interval, out=out, mode="clip")
                 continue
@@ -306,9 +310,9 @@ def quantize_groups(rows, spec: DataTypeSpec, out=None):
     :func:`quantize_symmetric` or :func:`quantize_asymmetric`.
 
     Returns (codes, delta, sv_index, zero_point), the last three one per
-    row: ``sv_index`` is all 0 for a dtype without special values and
-    ``zero_point`` is ``None`` for a symmetric one.  The codes are written
-    into ``out`` when it is given.
+    row: codes of ``spec.code_dtype``, uint8 ``sv_index``, all 0 for a
+    dtype without special values, and ``zero_point``, ``None`` for a
+    symmetric one.  The codes are written into ``out`` when it is given.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if spec.is_fp:
@@ -323,7 +327,7 @@ def quantize_groups(rows, spec: DataTypeSpec, out=None):
     if out is not None:
         out[...] = codes
         codes = out
-    return codes, delta, np.zeros(len(rows), dtype=np.int64), zero_point
+    return codes, delta, np.zeros(len(rows), dtype=np.uint8), zero_point
 
 
 def adaptive_quant(group, spec: DataTypeSpec):
@@ -351,7 +355,7 @@ def adaptive_quant(group, spec: DataTypeSpec):
 def quantize_scales(per_group_deltas):
     """Second-level INT8 quantization of the per-group scaling factors.
 
-    Works along the last axis.  Returns (scale_q int array in [0, 127],
+    Works along the last axis.  Returns (scale_q, uint8 in [0, 127],
     channel_scale), the latter with the leading shape.
     """
     deltas = np.asarray(per_group_deltas, dtype=np.float64)
@@ -362,13 +366,21 @@ def quantize_scales(per_group_deltas):
     channel_scale = (dmax / 127.0).astype(np.float32).astype(np.float64)
     scale_q = np.clip(round_half_away(deltas / _divisor(channel_scale)),
                       0, 127)
-    return scale_q.astype(np.int64), channel_scale[()]
+    return scale_q.astype(np.uint8), channel_scale[()]
 
 
 # Weights quantized per numpy pass: whole channels, at least one.  A chunk
 # and its temporaries stay in cache, and peak memory does not grow with
 # the tensor beyond its outputs.
 CHUNK_WEIGHTS = 1 << 14
+
+
+def channel_chunks(n_channels: int, channel_weights: int):
+    """Slices of whole channels of ``channel_weights`` weights each, about
+    ``CHUNK_WEIGHTS`` weights (at least one channel) per slice."""
+    step = max(1, CHUNK_WEIGHTS // channel_weights)
+    return (slice(start, start + step)
+            for start in range(0, n_channels, step))
 
 
 def quantize_tensor(tensor, spec: DataTypeSpec,
@@ -383,17 +395,16 @@ def quantize_tensor(tensor, spec: DataTypeSpec,
     n_channels, size = w.shape
     g = grouping.group_size
     n_groups = -(-size // g)
-    step = max(1, CHUNK_WEIGHTS // (n_groups * g))
     # Filled in place: joining per-chunk parts would hold the codes twice.
-    codes = np.empty((n_channels, n_groups, g), dtype=np.int64)
+    codes = np.empty((n_channels, n_groups, g), dtype=spec.code_dtype)
     group_fields = []  # (delta, sv_index, zero_point) per chunk, per group
-    for start in range(0, n_channels, step):
-        block = w[start:start + step]
+    for chunk in channel_chunks(n_channels, n_groups * g):
+        block = w[chunk]
         # The only float64 copy of the input: one chunk, zero-padded.
         rows = np.zeros((len(block), n_groups * g))
         rows[:, :size] = block
         rows = rows.reshape(-1, g)
-        out = codes[start:start + len(block)].reshape(rows.shape)  # a view
+        out = codes[chunk].reshape(rows.shape)  # a view
         group_fields.append(quantize_groups(rows, spec, out=out)[1:])
     delta, sv_index, zero_point = (
         None if parts[0] is None

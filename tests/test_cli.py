@@ -11,7 +11,8 @@ import pytest
 from bitmod import archsim
 from bitmod.cli import main
 from bitmod.dtype import GroupingConfig, spec_for
-from bitmod.packfile import unpack_to_tensor
+from bitmod.packfile import unpack, unpack_to_tensor
+from bitmod.quant import dequantize_tensor
 
 
 def run(capsys, *argv):
@@ -222,6 +223,24 @@ def test_simulate_host_time_does_not_grow_with_decode_tokens(capsys):
         assert row["compute_cycles"] == prefill + 10 ** 9 * step
 
 
+def test_float_columns_track_cycles_at_the_token_bound(capsys):
+    # 2^40 decode steps, the largest count the CLI takes: bytes and
+    # energies, sums of 2^40 float additions, drift from the exact count
+    # by about 1e-4 but still grow with the cycles.
+    rows = {}
+    for n in (1, 2 ** 40):
+        code, out, _ = run(capsys, "simulate", "llama-2-7b", "--dtype",
+                           "FP3_BITMOD", "--prefill-tokens", "0",
+                           "--decode-tokens", str(n), "--format", "json")
+        assert code == 0
+        rows[n] = json.loads(out)["rows"]
+    for one, many in zip(rows[1], rows[2 ** 40]):
+        assert many["total_cycles"] == one["total_cycles"] * 2 ** 40
+        for key in ("weight_bytes", "activation_bytes", "energy_compute_J",
+                    "energy_sram_J", "energy_dram_J"):
+            assert many[key] / 2 ** 40 == pytest.approx(one[key], rel=1e-3)
+
+
 def test_negative_energy_cost_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"e_dram_byte": -2e-11}))
@@ -257,6 +276,25 @@ def test_pack_unpack_roundtrip(tensor_file, tmp_path, capsys):
     want = unpack_to_tensor(packed.read_bytes()).astype(np.float32)
     np.testing.assert_array_equal(got, want)
     assert got.shape == (64, 256)
+
+
+@pytest.mark.parametrize("name", ["FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC",
+                                  "FP4_BASIC", "INT8_SYM", "INT6_SYM",
+                                  "INT4_SYM"])
+def test_unpack_writes_whole_tensor_float32_bytes(name, tmp_path, capsys):
+    # `unpack` dequantizes a chunk of channels at a time into float32; the
+    # NPY bytes are those of the whole float64 dequantization cast once.
+    # 300 ragged channels of 3 groups each fill several chunks.
+    w = np.random.default_rng(23).standard_normal((300, 300)) \
+        .astype(np.float32)
+    np.save(tmp_path / "w.npy", w)
+    packed, restored = tmp_path / "w.bmod", tmp_path / "restored.npy"
+    assert run(capsys, "pack", str(tmp_path / "w.npy"), "--dtype", name,
+               "--out", str(packed))[0] == 0
+    assert run(capsys, "unpack", str(packed), "--out", str(restored))[0] == 0
+    qt, _, _ = unpack(packed.read_bytes())
+    np.save(tmp_path / "want.npy", dequantize_tensor(qt).astype(np.float32))
+    assert restored.read_bytes() == (tmp_path / "want.npy").read_bytes()
 
 
 def test_pack_rejects_asymmetric(tensor_file, tmp_path, capsys):
@@ -353,13 +391,16 @@ def test_unknown_arch_config_key_is_config_error(tmp_path, capsys):
     ("gen", "--out", "w.npy", "--seed", "-1"),
     ("gen", "--out", "w.npy", "--shape=-2x4"),
     ("gen", "--out", "w.npy", "--shape", "0x4"),
+    ("simulate", "toy", "--decode-tokens", str(2 ** 40 + 1)),
+    ("simulate", "toy", "--prefill-tokens", str(2 ** 40 + 1)),
 ], ids=["quant-eval-group-size-0", "pack-group-size-negative",
         "simulate-group-size-0", "simulate-prefill-negative",
         "simulate-decode-negative", "quant-eval-seed-removed",
         "quant-eval-dtype-unknown", "quant-eval-dtype-empty",
         "simulate-dtype-unknown", "simulate-dtype-empty",
         "pack-dtype-unknown", "gen-seed-negative", "gen-shape-negative",
-        "gen-shape-0"])
+        "gen-shape-0", "simulate-decode-above-2^40",
+        "simulate-prefill-above-2^40"])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as ei:
         main(list(argv))

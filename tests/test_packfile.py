@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -8,6 +9,10 @@ from bitmod import packfile
 from bitmod.dtype import GroupingConfig, spec_for
 from bitmod.errors import FormatError, UnsupportedDtype
 from bitmod.quant import dequantize_tensor, quantize_tensor
+
+
+PACKABLE = ("FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC", "FP4_BASIC",
+            "INT8_SYM", "INT6_SYM", "INT4_SYM")
 
 
 def roundtrip_tensor(rng, name, shape, g):
@@ -50,9 +55,10 @@ def test_roundtrip_bit_exact(name, g):
     assert got.channel_scale.dtype == np.float64
     # f32-exact by construction
     assert np.array_equal(qt.channel_scale, got.channel_scale)
-    for field in ("codes", "sv_index", "scale_q"):
+    for field, want in (("codes", spec.code_dtype), ("sv_index", np.uint8),
+                        ("scale_q", np.uint8)):
         arr = getattr(got, field)
-        assert arr.dtype == np.int64
+        assert arr.dtype == want
         assert arr.shape == getattr(qt, field).shape
         assert arr.shape[:2] == (3, 2)
         assert np.array_equal(getattr(qt, field), arr)
@@ -64,6 +70,20 @@ def test_roundtrip_bit_exact(name, g):
                 b.sv_index[i], b.scale_q[i], None)
     np.testing.assert_array_equal(dequantize_tensor(qt),
                                   packfile.unpack_to_tensor(data))
+
+
+@pytest.mark.parametrize("name", PACKABLE)
+def test_unpack_gives_quantize_tensor_fields(name):
+    # 200 ragged channels of 300 weights (3 groups of 128) span 5 chunks.
+    rng = np.random.default_rng(53)
+    _, qt, data = roundtrip_tensor(rng, name, (200, 300), 128)
+    got, _, _ = packfile.unpack(data)
+    assert len(got) == 200 and got.codes.shape[1:] == (3, 128)
+    for f in dataclasses.fields(qt):
+        x, y = getattr(qt, f.name), getattr(got, f.name)
+        if isinstance(x, np.ndarray) and y is not None:
+            assert x.dtype == y.dtype, f.name
+    assert got == dataclasses.replace(qt, delta=None)
 
 
 def test_repack_is_byte_identical():
@@ -189,10 +209,6 @@ def test_pack_checks_grouping_and_size_against_tensor():
                     (32, 128)]:
         with pytest.raises(ValueError, match="not match"):
             packfile.pack(qt, GroupingConfig(group_size=g), size)
-
-
-PACKABLE = ("FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC", "FP4_BASIC",
-            "INT8_SYM", "INT6_SYM", "INT4_SYM")
 
 
 @st.composite

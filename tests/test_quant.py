@@ -245,9 +245,11 @@ def test_quantize_channel_matches_per_group(name):
     cq = quantize_channel(w, spec, GroupingConfig(group_size=g))
     padded = np.concatenate([w, np.zeros(g - 7)])
     # One array per field, one row per group.
-    assert cq.codes.shape == (6, g) and cq.codes.dtype == np.int64
+    assert cq.codes.shape == (6, g) and cq.codes.dtype == spec.code_dtype
+    assert spec.code_dtype == (np.int8 if not (spec.is_fp or spec.asymmetric)
+                               else np.uint8)
     for field in (cq.sv_index, cq.scale_q):
-        assert field.shape == (6,) and field.dtype == np.int64
+        assert field.shape == (6,) and field.dtype == np.uint8
     assert cq.delta.shape == (6,) and cq.delta.dtype == np.float64
     if spec.asymmetric:
         assert cq.zero_point.shape == (6,) and cq.zero_point.dtype == np.int64
