@@ -10,10 +10,12 @@ Little-endian layout:
                   codes bit-packed LSB-first at bits_per_code bits each,
                   padded to a byte boundary.
 
-``pack`` writes a :class:`bitmod.quant.QuantizedTensor` in chunks of whole
-channels, about ``quant.CHUNK_WEIGHTS`` weights each; ``unpack`` reads and
-checks the same chunks, each as one (channels, 4 + n_groups * record)
-uint8 view of the file.
+``pack`` checks a :class:`bitmod.quant.QuantizedTensor` against what the
+format holds, then fills one preallocated file body, a (channels,
+4 + n_groups * record) uint8 view, bit-packing the codes in chunks of whole
+channels, about ``quant.CHUNK_WEIGHTS`` weights each, 8 codes to a
+little-endian word.  ``unpack`` reads and checks the same chunks, each as
+one such view of the file.
 
 Asymmetric INT types carry a zero-point the format has no field for; they
 are software baselines, so ``pack`` refuses them and ``unpack`` rejects
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dtype import DataType, DataTypeSpec, GroupingConfig, code_range, spec_for
-from .errors import FormatError, UnsupportedDtype
+from .errors import FormatError, OutOfRange, UnsupportedDtype
 from .quant import QuantizedTensor, channel_chunks, dequantize_tensor
 
 MAGIC = b"BMOD"
@@ -41,12 +43,25 @@ def _pack_codes(codes, spec: DataTypeSpec) -> np.ndarray:
     """Bit-pack codes along the last axis: ``bits_per_code`` bits each,
     LSB first, INT codes in two's complement, each row padded to a byte."""
     bits = spec.bits_per_code
-    # The low ``bits`` bits of each byte: a uint8 or int8 code as stored.
-    stored = np.asarray(codes).astype(np.uint8, copy=False)
-    planes = np.unpackbits(stored[..., None], axis=-1, count=bits,
-                           bitorder="little")
-    return np.packbits(planes.reshape(*stored.shape[:-1], -1), axis=-1,
-                       bitorder="little")
+    codes = np.asarray(codes)
+    *lead, n = codes.shape
+    runs = -(-n // 8)
+    # One byte per code, the low ``bits`` bits as stored, zero-padded to
+    # whole runs of 8 codes.
+    stored = np.zeros((*lead, runs, 8), np.uint8)
+    stored.reshape(*lead, runs * 8)[..., :n] = codes
+    stored &= (1 << bits) - 1
+    # Each run is one little-endian word whose first ``bits`` bytes hold
+    # its 8 codes, LSB first.
+    word = stored[..., 0].astype("<u4" if bits <= 4 else "<u8")
+    for i in range(1, 8):
+        part = stored[..., i].astype(word.dtype)
+        part <<= bits * i
+        word |= part
+    # Gather each run's first ``bits`` bytes, up to the row's last byte.
+    j = np.arange((n * bits + 7) // 8)
+    return np.take(word.view(np.uint8).reshape(*lead, -1),
+                   j // bits * word.itemsize + j % bits, axis=-1)
 
 
 @lru_cache(maxsize=8)
@@ -94,32 +109,72 @@ def group_record_bytes(spec: DataTypeSpec, group_size: int) -> int:
     return 2 + (group_size * spec.bits_per_code + 7) // 8
 
 
+def _sv_count(spec: DataTypeSpec) -> int:
+    """How many ``sv_index`` values a record may hold: one per special
+    value, and 0 alone for a dtype without them."""
+    return max(1, len(spec.special_values))
+
+
+def _check_range(field: str, values, lo: int, hi: int, spec: DataTypeSpec):
+    """Raise :class:`OutOfRange` for the first of ``values``, an array of
+    shape (channels, groups, ...), that is not a whole number in
+    ``lo..hi``."""
+    if values.dtype.kind in "biu":
+        if values.min(initial=lo) >= lo and values.max(initial=hi) <= hi:
+            return
+        bad = (values < lo) | (values > hi)
+    else:  # floats: only whole values in range survive the byte record
+        with np.errstate(invalid="ignore"):
+            bad = ~((values >= lo) & (values <= hi) & (values % 1 == 0))
+        if not bad.any():
+            return
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    raise OutOfRange(f"{field} {values[at]} at channel {at[0]}, "
+                     f"group {at[1]} is outside [{lo}, {hi}] for {spec.name}")
+
+
 def pack(qt: QuantizedTensor, grouping: GroupingConfig,
          channel_size: int) -> bytes:
     """Serialize a quantized tensor to BMOD bytes; ``grouping`` and
-    ``channel_size`` must be those it was quantized with."""
+    ``channel_size`` must be those it was quantized with.
+
+    A field the file cannot hold exactly, or that ``unpack`` would reject,
+    raises :class:`OutOfRange` before any byte is written: a channel scale
+    that is not a finite float32, a ``scale_q`` outside 0..255, an
+    ``sv_index`` or a code outside the dtype's range.
+    """
     if len(qt) == 0:
         raise ValueError("no channels to pack")
     spec = qt.dtype
     if spec.asymmetric:
         raise UnsupportedDtype(f"{spec.name} has a zero-point; not packable")
-    if (grouping.group_size, channel_size) != (qt.codes.shape[-1],
-                                               qt.valid_size):
+    k, n_groups, g = qt.codes.shape
+    if (grouping.group_size, channel_size) != (g, qt.valid_size):
         raise ValueError(f"group size {grouping.group_size} and channel size "
                          f"{channel_size} do not match the tensor's "
-                         f"{qt.codes.shape[-1]} and {qt.valid_size}")
-    out = bytearray()
-    out += _HEADER.pack(MAGIC, VERSION, spec.name.value, len(qt),
-                        channel_size, grouping.group_size)
-    # Chunks of whole channels keep the bit planes small.
-    for chunk in channel_chunks(len(qt), qt.codes[0].size):
-        part = qt[chunk]
-        meta = np.stack([part.scale_q, part.sv_index & 0x3], axis=-1)
-        records = np.concatenate([meta.astype(np.uint8),
-                                  _pack_codes(part.codes, spec)], axis=-1)
-        scale = part.channel_scale.astype("<f4").view(np.uint8).reshape(-1, 4)
-        out += np.concatenate([scale, records.reshape(len(part), -1)],
-                              axis=1).tobytes()
+                         f"{g} and {qt.valid_size}")
+    with np.errstate(over="ignore"):  # a too large scale becomes inf
+        scale = qt.channel_scale.astype("<f4")
+    bad = (scale != qt.channel_scale) | ~np.isfinite(scale)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise OutOfRange(f"channel_scale {qt.channel_scale[c]} at channel "
+                         f"{c} is not a finite float32 value")
+    _check_range("scale_q", qt.scale_q, 0, 255, spec)
+    _check_range("sv_index", qt.sv_index, 0, _sv_count(spec) - 1, spec)
+    _check_range("code", qt.codes, *code_range(spec), spec)
+    rec = group_record_bytes(spec, g)
+    width = 4 + n_groups * rec
+    out = bytearray(_HEADER.size + k * width)
+    _HEADER.pack_into(out, 0, MAGIC, VERSION, spec.name.value, k,
+                      channel_size, g)
+    body = np.frombuffer(out, np.uint8, offset=_HEADER.size).reshape(k, width)
+    body[:, :4] = scale.view(np.uint8).reshape(k, 4)
+    records = body[:, 4:].reshape(k, n_groups, rec)
+    records[..., 0], records[..., 1] = qt.scale_q, qt.sv_index
+    # Chunks of whole channels keep the packer's temporaries small.
+    for chunk in channel_chunks(k, n_groups * g):
+        records[chunk, :, 2:] = _pack_codes(qt.codes[chunk], spec)
     return bytes(out)
 
 
@@ -137,7 +192,7 @@ def _read_channels(rows, pos: int, spec: DataTypeSpec, g: int, rec: int):
     scale = rows[:, :4].view("<f4")[:, 0]
     records = rows[:, 4:].reshape(n, -1, rec)
     codes = _unpack_codes(records[..., 2:], g, spec)
-    bad_sv = records[..., 1] >= max(1, len(spec.special_values))
+    bad_sv = records[..., 1] >= _sv_count(spec)
     bad_record = bad_sv
     lo, hi = code_range(spec)
     # Only FP_BASIC and INT*_SYM leave some stored bit patterns unused.

@@ -1,13 +1,14 @@
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bitmod import packfile
-from bitmod.dtype import GroupingConfig, spec_for
-from bitmod.errors import FormatError, UnsupportedDtype
+from bitmod import packfile, synth
+from bitmod.dtype import GroupingConfig, code_range, spec_for
+from bitmod.errors import FormatError, OutOfRange, UnsupportedDtype
 from bitmod.quant import dequantize_tensor, quantize_tensor
 
 
@@ -84,6 +85,107 @@ def test_unpack_gives_quantize_tensor_fields(name):
         if isinstance(x, np.ndarray) and y is not None:
             assert x.dtype == y.dtype, f.name
     assert got == dataclasses.replace(qt, delta=None)
+
+
+# sha256 of the BMOD bytes of ``synth.sample("outlier_mixture", (8, 300),
+# seed=61)`` per (dtype, group size); 300 weights leave a ragged last group
+# for every size but 100, and 7 splits codes across 8-code runs.
+PINNED_DIGESTS = {
+    ("FP3_BITMOD", 128):
+        "a9b377443f949155a49b0113c2233fd6e49927383d494bf18145de92a19f8713",
+    ("FP3_BITMOD", 32):
+        "9c02e83516fc8d0b9dfc16557d5b95801a14ebc72cc8d37dd6be95a7945b592c",
+    ("FP3_BITMOD", 100):
+        "b8450cd2c8dbc7c097f2826973f1816f296d0619ed91e1350da2cc51f473991a",
+    ("FP3_BITMOD", 7):
+        "a7d285d3b66cc51ac2273d26eda732ac5487b2695f1cada3ffd1919b93cffb6c",
+    ("FP4_BITMOD", 128):
+        "20638689eac58133673423cf1b7df2b990e7ef7fbabac4180c47215954b0c340",
+    ("FP4_BITMOD", 32):
+        "bacdefd8e0d0d4dc54f69eed690cdfb2c58e94ca53ff7394806faa85cab3682a",
+    ("FP4_BITMOD", 100):
+        "21aaa99c9297cc58bb9aae02b346e689df55e1d9563eba4c1241550dec5c1070",
+    ("FP4_BITMOD", 7):
+        "926909f61ee2a997da52f67a34218cb40e189f3b992714b5c6ac77082a47436e",
+    ("FP3_BASIC", 128):
+        "0ba57b34826833b5548dfb9b237dc4581f866d8bd69f89d1a989cdf32a66c0fc",
+    ("FP3_BASIC", 32):
+        "e59c5cfea78f26cfd723efafe7776f3b67eba1293a06e5dd6d386845c13819a0",
+    ("FP3_BASIC", 100):
+        "c5bbbd71ed71a087cd37ecae7f736b5521fea551996a0199e67d0f35e8118b58",
+    ("FP3_BASIC", 7):
+        "f273e8b5565388650c0a30f46dacdaed77be14473fdab0de0b6aa426ea9fc5c3",
+    ("FP4_BASIC", 128):
+        "442ad8f60807069aa1be44c268c7440d4e4fd16603c39cf20dfe9de45087d958",
+    ("FP4_BASIC", 32):
+        "0cc7737edfbe6abd3845474d09ea7516ae5ed35be2d03fbef76df74272256116",
+    ("FP4_BASIC", 100):
+        "7141a2d80304030576395e47cb35c1913ee6ccc7877468670b4ad66e448ddf32",
+    ("FP4_BASIC", 7):
+        "0a62c23c419e889b9ac87be8987773a5642d8563f1ff3e6c05872197886f5f55",
+    ("INT8_SYM", 128):
+        "b155f6571841c08e0e4abc2e322a2b90838b2ba5a3440998b0190d06b33fb763",
+    ("INT8_SYM", 32):
+        "420e49125b6a85717427cce6b9ffbd6a04abf13000a44ffff0333df9d731d87c",
+    ("INT8_SYM", 100):
+        "1fabd7b3b0ecb84951c4be227738f72486767ec707c385892d10710090cebb56",
+    ("INT8_SYM", 7):
+        "8a1ad818a1e15216f349af4eeb126c3273bb52b54db0aadd6ba7a8356f2b1ce7",
+    ("INT6_SYM", 128):
+        "a822b16c562dbb49a02672aac2111a9b70825015c6a9c7e33dea7ecbfb69b90e",
+    ("INT6_SYM", 32):
+        "71017e544bca7852ad3fc2e96bc113b25dcb7fbaffecc30bc4b76fdd80bcfe7e",
+    ("INT6_SYM", 100):
+        "904f8892c364168e32f08c70f1422b115a983115d3b2fd0618f08e877543a808",
+    ("INT6_SYM", 7):
+        "961a76169ac0a3a20fbf4dac0a569ef7451d0d01efe57fca0b8c911dd816252d",
+    ("INT4_SYM", 128):
+        "86614b76f76fd961e862d2c7a99a6a4bffb64775ab331886c2223e67d857decb",
+    ("INT4_SYM", 32):
+        "68928b6fb601f4f89afffb84b0d1ae5e0b1a4096080f239873ac11e151d90d2e",
+    ("INT4_SYM", 100):
+        "36a08685ec5954e127aa1c20ddd080ff92d06317232edfc30b0da7a07d81b0b9",
+    ("INT4_SYM", 7):
+        "cfbf51d873cd2274af077c3f363bb5861036ab5bf2c5d12fd63f80f46957ba80",
+}
+
+
+@pytest.mark.parametrize("name,g", sorted(PINNED_DIGESTS))
+def test_pack_bytes_are_pinned(name, g):
+    w = synth.sample("outlier_mixture", (8, 300), seed=61)
+    grouping = GroupingConfig(group_size=g)
+    qt = quantize_tensor(w, spec_for(name), grouping)
+    data = packfile.pack(qt, grouping, 300)
+    assert hashlib.sha256(data).hexdigest() == PINNED_DIGESTS[name, g]
+
+
+def bitplane_pack_codes(codes, spec):
+    """Reference for ``packfile._pack_codes``: each code's low
+    ``bits_per_code`` bits spread to one byte per bit, LSB first, then
+    packed to bytes again, each row padded to a byte."""
+    stored = np.asarray(codes).astype(np.uint8)
+    planes = np.unpackbits(stored[..., None], axis=-1,
+                           count=spec.bits_per_code, bitorder="little")
+    return np.packbits(planes.reshape(*stored.shape[:-1], -1), axis=-1,
+                       bitorder="little")
+
+
+@pytest.mark.parametrize("name", PACKABLE)
+def test_pack_codes_matches_bitplane_reference(name):
+    spec = spec_for(name)
+    lo, hi = code_range(spec)
+    rng = np.random.default_rng(54)
+    for lead in [(), (3,), (2, 5)]:
+        for n in range(1, 18):
+            codes = rng.integers(lo, hi + 1, (*lead, n)).astype(
+                spec.code_dtype)
+            got = packfile._pack_codes(codes, spec)
+            want = bitplane_pack_codes(codes, spec)
+            assert got.dtype == np.uint8
+            assert got.shape == want.shape == (*lead, (n * spec.bits_per_code
+                                                       + 7) // 8)
+            assert np.array_equal(got, want), (lead, n)
+            assert np.array_equal(packfile._unpack_codes(got, n, spec), codes)
 
 
 def test_repack_is_byte_identical():
@@ -189,6 +291,75 @@ def test_malformed_fields_raise_format_error(name, edit, offset):
     with pytest.raises(FormatError) as ei:
         packfile.unpack(bytes(buf))
     assert ei.value.offset == offset
+
+
+def _edited(qt, field, at, value, dtype=None):
+    arr = getattr(qt, field).astype(dtype or getattr(qt, field).dtype)
+    arr[at] = value
+    return dataclasses.replace(qt, **{field: arr})
+
+
+@pytest.mark.parametrize("name,field,at,value,dtype,match", [
+    ("FP3_BITMOD", "codes", (1, 0, 5), 9, None,
+     "code 9 at channel 1, group 0"),
+    ("FP3_BITMOD", "codes", (0, 1, 0), -1, np.int64,
+     "code -1 at channel 0, group 1"),
+    ("FP3_BITMOD", "sv_index", (1, 1), 5, None,
+     "sv_index 5 at channel 1, group 1 is outside \\[0, 3\\]"),
+    ("FP3_BITMOD", "scale_q", (0, 1), 300, np.int64,
+     "scale_q 300 at channel 0, group 1 is outside \\[0, 255\\]"),
+    ("FP3_BITMOD", "scale_q", (0, 0), 2.5, np.float64, "scale_q 2.5"),
+    ("INT6_SYM", "codes", (1, 1, 3), -32, None,
+     "code -32 at channel 1, group 1 is outside \\[-31, 31\\]"),
+    ("INT8_SYM", "sv_index", (0, 0), 1, None, "sv_index 1"),
+    ("FP3_BITMOD", "channel_scale", 1, float("nan"), None,
+     "channel_scale nan at channel 1"),
+    ("FP3_BITMOD", "channel_scale", 0, 1e300, None, "channel_scale 1e\\+300"),
+    ("INT6_SYM", "channel_scale", 1, float("-inf"), None,
+     "channel_scale -inf"),
+    ("FP4_BITMOD", "channel_scale", 0, 0.1, None, "channel_scale 0.1 at"),
+], ids=["fp3-code-9", "fp3-int64-code-minus-1", "fp3-sv-index-5",
+        "int64-scale-q-300", "float-scale-q-2.5", "int6-code-minus-32",
+        "int-sv-index-1", "nan-channel-scale", "huge-channel-scale",
+        "inf-channel-scale", "channel-scale-not-float32"])
+def test_pack_refuses_fields_the_file_cannot_hold(name, field, at, value,
+                                                  dtype, match):
+    # Unchecked, each would make a file that unpack rejects or reads back
+    # as another value.
+    rng = np.random.default_rng(55)
+    _, qt, _ = roundtrip_tensor(rng, name, (2, 256), 128)
+    with pytest.raises(OutOfRange, match=match):
+        packfile.pack(_edited(qt, field, at, value, dtype),
+                      GroupingConfig(group_size=128), 256)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pack_roundtrips_or_refuses_an_edited_field(data):
+    name = data.draw(st.sampled_from(PACKABLE))
+    g = data.draw(st.sampled_from([8, 16, 32]))
+    shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3 * g)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    _, qt, _ = roundtrip_tensor(rng, name, shape, g)
+    field = data.draw(st.sampled_from(
+        ["channel_scale", "scale_q", "sv_index", "codes"]))
+    arr = getattr(qt, field)
+    at = data.draw(st.tuples(*(st.integers(0, n - 1) for n in arr.shape)))
+    if field == "channel_scale":
+        dtype = None
+        value = data.draw(st.floats() | st.floats(width=32))
+    else:
+        dtype = data.draw(st.sampled_from([arr.dtype, np.dtype(np.int64)]))
+        info = np.iinfo(dtype)
+        value = data.draw(st.integers(max(-300, info.min), min(300, info.max))
+                          | st.integers(info.min, info.max))
+    qt = _edited(qt, field, at, value, dtype)
+    try:
+        packed = packfile.pack(qt, GroupingConfig(group_size=g), shape[1])
+    except OutOfRange:
+        return
+    got, _, _ = packfile.unpack(packed)
+    assert got == dataclasses.replace(qt, delta=None)
 
 
 def test_pack_requires_channels():
