@@ -28,39 +28,6 @@ scale convention: the operand ``a_m * 2^a_e`` has value
 import numpy as np
 
 
-def rne_rshift(m: int, s: int) -> int:
-    """Round m / 2**s to the nearest integer, ties to even.
-
-    The flooring shift makes this exact for either sign of m, and
-    ties-to-even is symmetric, so it equals -rne_rshift(-m, s).
-    """
-    if s <= 0:
-        return m << (-s)
-    q = m >> s
-    rem = m - (q << s)
-    half = 1 << (s - 1)
-    if rem > half or (rem == half and q & 1):
-        q += 1
-    return q
-
-
-def normalize(m: int, e: int):
-    """Keep the accumulator's leading set bit inside [24, 31]."""
-    if m == 0:
-        return 0, 0
-    k = m.bit_length() - 1
-    if k > 31:
-        m = rne_rshift(m, k - 31)
-        e += k - 31
-        if m.bit_length() - 1 > 31:  # rounding carried out
-            m = rne_rshift(m, 1)
-            e += 1
-    elif k < 24:
-        m <<= 24 - k
-        e -= 24 - k
-    return m, e
-
-
 def run_group_dot(w, bsig, a):
     """Group dot product before dequantization.
 
@@ -83,8 +50,7 @@ def run_group_dot(w, bsig, a):
         if m_acc == 0:
             m_acc, e_acc = tree_m, e_t
         else:
-            # Align the operand at the smaller exponent with RNE
-            # (rne_rshift, inline), then add.
+            # Align the operand at the smaller exponent with RNE, then add.
             if e_acc >= e_t:
                 s, x = e_acc - e_t, tree_m
             else:
@@ -97,11 +63,15 @@ def run_group_dot(w, bsig, a):
                     q += 1
                 x = q
             m_acc += x
-        # normalize, inline except when a carry passes bit 31.
+        # Renormalize.  A sum adds a tree, below 2^13, to an accumulator
+        # below 2^32, so it carries at most one bit past bit 31, and its
+        # RNE shift by 1 (up when the dropped half and the kept low bit are
+        # both set) cannot carry again.
         k = m_acc.bit_length()
         if k > 32:
-            m_acc, e_acc = normalize(m_acc, e_acc)
+            m_acc = (m_acc >> 1) + (m_acc & (m_acc >> 1) & 1)
+            e_acc += 1
         elif k < 25 and m_acc:
             m_acc <<= 25 - k
             e_acc -= 25 - k
-    return (m_acc, e_acc) if m_acc else (0, 0)  # as normalize(0, e) reads
+    return (m_acc, e_acc) if m_acc else (0, 0)

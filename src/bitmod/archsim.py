@@ -33,7 +33,8 @@ from fractions import Fraction
 
 from .dtype import DataTypeSpec, GroupingConfig
 from .errors import ConfigError, ParseError
-from .pe import DEQUANT_CYCLES, DOT_WIDTH, FP16_MAC_CYCLES_PER_DOT
+from .pe import (DEQUANT_CYCLES, DOT_WIDTH, FP16_MAC_CYCLES_PER_DOT,
+                 group_cycles)
 from .quant import memory_footprint_bits
 
 FP16_BITS_PER_WEIGHT = Fraction(16)
@@ -188,7 +189,7 @@ def _repeat_add(s: float, x: float, n: int) -> float:
 
 def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig) -> bool:
     """Dequantization (8 cycles) must fit under the group compute time."""
-    compute = (grouping.group_size // DOT_WIDTH) * spec.terms_per_code
+    compute = group_cycles(spec, grouping.group_size)
     ok = DEQUANT_CYCLES <= compute
     if not ok:
         warnings.warn(
@@ -201,10 +202,10 @@ def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig) -> bool:
 
 
 def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
-          group: int, group_cycles: int, bits_per_weight: Fraction
+          group: int, cycles_per_group: int, bits_per_weight: Fraction
           ) -> SimReport:
     """One GEMM, ``layer.repeat`` times, on ``cfg``'s tile grid of
-    ``rows`` x ``cols`` PEs that take ``group_cycles`` per ``group`` of K.
+    ``rows`` x ``cols`` PEs that take ``cycles_per_group`` per ``group`` of K.
 
     Output-stationary: each wave of output tiles walks all of K, padded to
     whole groups.  A layer whose byte or energy figures overflow the float
@@ -220,7 +221,7 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
     m, k, n = layer.m, layer.k, layer.n
     waves = (math.ceil(m / (cfg.tiles_y * rows))
              * math.ceil(n / (cfg.tiles_x * cols)))
-    compute = waves * ((k + group - 1) // group) * group_cycles
+    compute = waves * ((k + group - 1) // group) * cycles_per_group
     out = SimReport()
     try:
         # int / int rounds once, correctly: the float of the exact rational.
@@ -254,8 +255,7 @@ def simulate_layer(layer: LayerShape, spec: DataTypeSpec,
     """Latency, traffic and energy of one GEMM on the bit-serial array."""
     g = grouping.group_size
     out = _gemm(layer, cfg, cfg.pe_rows, cfg.pe_cols, g,
-                (g // DOT_WIDTH) * spec.terms_per_code,
-                memory_footprint_bits(spec, grouping))
+                group_cycles(spec, g), memory_footprint_bits(spec, grouping))
     # After _gemm's checks: a rejected or empty layer warns of no stall.
     if layer.repeat:
         check_no_stall(spec, grouping)

@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtype import DataTypeSpec, code_range, effective_grid
+from .dtype import (DataTypeSpec, check_range, code_range, effective_grid,
+                    sv_range)
 from .errors import OutOfRange, TooManySetBits, UnrepresentableValue
 
 
@@ -147,9 +148,9 @@ def encode_weight(code: int, spec: DataTypeSpec, register=None,
     lo, hi = code_range(spec)
     if not spec.is_fp:
         return booth_encode(code, spec.bits_per_code)
-    if not lo <= code <= hi:
-        raise OutOfRange(f"{spec.name} code {code} off the grid [{lo}, {hi}]")
-    value = effective_grid(spec, sv_index)[code]
+    check_range("code", code, lo, hi, spec)
+    grid = effective_grid(spec, sv_index)
+    value, sv_index = grid[int(code)], int(sv_index)
     if spec.is_bitmod and value == spec.special_values[sv_index]:
         value = (register or spec.special_values)[sv_index]
     return lod_decode(fixed_point_of(value))
@@ -174,10 +175,12 @@ def term_table(spec: DataTypeSpec, sv_index: int = 0) -> Terms:
     :func:`encode_weight` and the spec's own special-value register.
 
     Row ``code - code_range(spec)[0]`` holds a code's terms; the arrays
-    are read-only.  Integer types have one grid, so their ``sv_index`` is
-    ignored, as it is by :func:`encode_weight`.
+    are read-only.  An ``sv_index`` off :func:`bitmod.dtype.sv_range`,
+    which is 0 alone for an integer type, raises
+    :class:`InvalidSpecialValueIndex`.
     """
-    return _term_table(spec, sv_index if spec.is_fp else 0)
+    check_range("sv_index", sv_index, *sv_range(spec), spec)
+    return _term_table(spec, sv_index)
 
 
 @cache

@@ -13,7 +13,10 @@ import argparse
 import csv
 import io
 import json
+import math
+import os
 import sys
+import tokenize
 import zipfile
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -70,10 +73,25 @@ def _emit_rows(rows: list[dict], columns: list[str], args) -> None:
 
 
 def _load_npy(path: str) -> np.ndarray:
+    fmt = np.lib.format
     with open(path, "rb") as fh:
         try:
+            if fh.read(len(fmt.MAGIC_PREFIX)) == fmt.MAGIC_PREFIX:
+                # Refuse a shape the bytes that follow the header cannot
+                # hold before np.load allocates it.  Version 3 differs
+                # from 2 only in the header's text encoding.
+                fh.seek(0)
+                read = (fmt.read_array_header_1_0
+                        if fmt.read_magic(fh) == (1, 0)
+                        else fmt.read_array_header_2_0)
+                shape, _, dtype = read(fh)
+                left = os.fstat(fh.fileno()).st_size - fh.tell()
+                if math.prod(shape) * dtype.itemsize > left:
+                    raise ValueError(f"{path}: NPY header's shape {shape} "
+                                     f"does not fit the {left} bytes after it")
+            fh.seek(0)
             arr = np.load(fh, allow_pickle=False)
-        except (EOFError, zipfile.BadZipFile) as exc:
+        except (EOFError, zipfile.BadZipFile, tokenize.TokenError) as exc:
             raise ValueError(f"{path}: not an NPY file ({exc})") from None
         if not isinstance(arr, np.ndarray):  # an .npz archive
             arr.close()
@@ -255,11 +273,7 @@ def _sim_row(workload, spec_name, bits, rep) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        workload = _load_workload(args.shape_file, args)
-    except (OSError, BitmodError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    workload = _load_workload(args.shape_file, args)
     cfg = _load_arch_config(args.config)
     grouping = GroupingConfig(group_size=args.group_size)
     baseline = archsim.baseline_fp16_sim(workload, cfg)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidSpecialValueIndex, UnsupportedDtype
+from .errors import InvalidSpecialValueIndex, OutOfRange, UnsupportedDtype
 
 HALF = Fraction(1, 2)
 
@@ -191,18 +191,11 @@ class GroupingConfig:
 def effective_grid(spec: DataTypeSpec, sv_index: int = 0) -> tuple[Fraction, ...]:
     """Quantization grid with the selected special value merged in.
 
-    Non-BitMoD types require ``sv_index == 0`` and return the basic grid.
+    Non-BitMoD types have one grid, so ``sv_index`` must be 0; one off
+    :func:`sv_range` raises :class:`InvalidSpecialValueIndex`.
     """
-    if spec.is_bitmod:
-        if not 0 <= sv_index < len(spec.special_values):
-            raise InvalidSpecialValueIndex(
-                f"sv_index {sv_index} out of range for {spec.name}"
-            )
-    elif sv_index != 0:
-        raise InvalidSpecialValueIndex(
-            f"{spec.name} has no special values; sv_index must be 0"
-        )
-    return spec.grids[sv_index]
+    check_range("sv_index", sv_index, *sv_range(spec), spec)
+    return spec.grids[int(sv_index)]
 
 
 def code_range(spec: DataTypeSpec) -> tuple[int, int]:
@@ -220,3 +213,36 @@ def code_range(spec: DataTypeSpec) -> tuple[int, int]:
         return 0, len(spec.grids[0]) - 1
     qmax = (1 << (spec.bits_per_code - 1)) - 1
     return -qmax, qmax
+
+
+# The unsigned 8-bit group scale the PE multiplies by and a record stores.
+SCALE_Q_RANGE = (0, 255)
+
+
+def sv_range(spec: DataTypeSpec) -> tuple[int, int]:
+    """Lowest and highest ``sv_index`` a group may hold: one per special
+    value, and 0 alone for a dtype without them."""
+    return 0, len(spec.grids) - 1
+
+
+def check_range(field: str, values, lo: int, hi: int,
+                spec: DataTypeSpec | None = None) -> None:
+    """Raise :class:`OutOfRange` (for ``sv_index`` its subclass
+    :class:`InvalidSpecialValueIndex`) naming the first of ``values``, a
+    scalar or an array, that is not a whole number in ``lo..hi``, and its
+    channel and group if the array is (channels, groups, ...)."""
+    if type(values) is int and lo <= values <= hi:
+        return
+    values = np.asarray(values)
+    if values.dtype.kind in "biu" and (values.size == 0 or (
+            values.min() >= lo and values.max() <= hi)):
+        return
+    with np.errstate(invalid="ignore"):
+        bad = ~((values >= lo) & (values <= hi) & (values % 1 == 0))
+    if not bad.any():
+        return
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    where = f" at channel {at[0]}, group {at[1]}" if len(at) > 1 else ""
+    error = InvalidSpecialValueIndex if field == "sv_index" else OutOfRange
+    raise error(f"{field} {values[at]}{where} is outside [{lo}, {hi}]"
+                + (f" for {spec.name}" if spec else ""))

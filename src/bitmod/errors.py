@@ -5,16 +5,16 @@ class BitmodError(Exception):
     """Base class for all bitmod errors."""
 
 
-class InvalidSpecialValueIndex(BitmodError):
-    pass
-
-
 class LengthMismatch(BitmodError):
     pass
 
 
 class OutOfRange(BitmodError):
     pass
+
+
+class InvalidSpecialValueIndex(OutOfRange):
+    """An ``sv_index`` outside the dtype's special-value range."""
 
 
 class UnrepresentableValue(BitmodError):

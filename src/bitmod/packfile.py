@@ -29,7 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dtype import DataType, DataTypeSpec, GroupingConfig, code_range, spec_for
+from .dtype import (SCALE_Q_RANGE, DataType, DataTypeSpec, GroupingConfig,
+                    check_range, code_range, spec_for, sv_range)
 from .errors import FormatError, OutOfRange, UnsupportedDtype
 from .quant import QuantizedTensor, channel_chunks, dequantize_tensor
 
@@ -109,30 +110,6 @@ def group_record_bytes(spec: DataTypeSpec, group_size: int) -> int:
     return 2 + (group_size * spec.bits_per_code + 7) // 8
 
 
-def _sv_count(spec: DataTypeSpec) -> int:
-    """How many ``sv_index`` values a record may hold: one per special
-    value, and 0 alone for a dtype without them."""
-    return max(1, len(spec.special_values))
-
-
-def _check_range(field: str, values, lo: int, hi: int, spec: DataTypeSpec):
-    """Raise :class:`OutOfRange` for the first of ``values``, an array of
-    shape (channels, groups, ...), that is not a whole number in
-    ``lo..hi``."""
-    if values.dtype.kind in "biu":
-        if values.min(initial=lo) >= lo and values.max(initial=hi) <= hi:
-            return
-        bad = (values < lo) | (values > hi)
-    else:  # floats: only whole values in range survive the byte record
-        with np.errstate(invalid="ignore"):
-            bad = ~((values >= lo) & (values <= hi) & (values % 1 == 0))
-        if not bad.any():
-            return
-    at = np.unravel_index(np.argmax(bad), bad.shape)
-    raise OutOfRange(f"{field} {values[at]} at channel {at[0]}, "
-                     f"group {at[1]} is outside [{lo}, {hi}] for {spec.name}")
-
-
 def pack(qt: QuantizedTensor, grouping: GroupingConfig,
          channel_size: int) -> bytes:
     """Serialize a quantized tensor to BMOD bytes; ``grouping`` and
@@ -160,9 +137,9 @@ def pack(qt: QuantizedTensor, grouping: GroupingConfig,
         c = int(np.argmax(bad))
         raise OutOfRange(f"channel_scale {qt.channel_scale[c]} at channel "
                          f"{c} is not a finite float32 value")
-    _check_range("scale_q", qt.scale_q, 0, 255, spec)
-    _check_range("sv_index", qt.sv_index, 0, _sv_count(spec) - 1, spec)
-    _check_range("code", qt.codes, *code_range(spec), spec)
+    check_range("scale_q", qt.scale_q, *SCALE_Q_RANGE, spec)
+    check_range("sv_index", qt.sv_index, *sv_range(spec), spec)
+    check_range("code", qt.codes, *code_range(spec), spec)
     rec = group_record_bytes(spec, g)
     width = 4 + n_groups * rec
     out = bytearray(_HEADER.size + k * width)
@@ -192,7 +169,7 @@ def _read_channels(rows, pos: int, spec: DataTypeSpec, g: int, rec: int):
     scale = rows[:, :4].view("<f4")[:, 0]
     records = rows[:, 4:].reshape(n, -1, rec)
     codes = _unpack_codes(records[..., 2:], g, spec)
-    bad_sv = records[..., 1] >= _sv_count(spec)
+    bad_sv = records[..., 1] > sv_range(spec)[1]
     bad_record = bad_sv
     lo, hi = code_range(spec)
     # Only FP_BASIC and INT*_SYM leave some stored bit patterns unused.

@@ -23,15 +23,14 @@ float64 lane stage is exact.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .bitserial import term_table
-from .dtype import DataTypeSpec, code_range
-from .errors import OutOfRange, ShapeMismatch
+from .dtype import SCALE_Q_RANGE, DataTypeSpec, check_range, code_range
+from .errors import ShapeMismatch
 from .quant import QuantizedGroup
 
 DOT_WIDTH = 4
@@ -77,12 +76,18 @@ def bit_serial_dequant(m_acc: int, e_acc: int, scale_q: int):
     """Multiply the accumulator ``(m_acc, e_acc)`` by the unsigned 8-bit
     group scale, exactly; the hardware's shift-and-add takes 8 cycles.
 
-    Returns (GroupPartialSum, DEQUANT_CYCLES).
+    Returns (GroupPartialSum, DEQUANT_CYCLES).  A ``scale_q`` that is not
+    a whole number in 0..255 raises :class:`OutOfRange`.
     """
-    scale_q = operator.index(scale_q)
-    if not 0 <= scale_q <= 255:
-        raise ValueError("scale_q must be an unsigned 8-bit value")
-    return GroupPartialSum(m_grp=m_acc * scale_q, e_grp=e_acc), DEQUANT_CYCLES
+    check_range("scale_q", scale_q, *SCALE_Q_RANGE)
+    return (GroupPartialSum(m_grp=m_acc * int(scale_q), e_grp=e_acc),
+            DEQUANT_CYCLES)
+
+
+def group_cycles(spec: DataTypeSpec, g: int) -> int:
+    """Compute cycles of one group of ``g`` weights: each DOT_WIDTH-wide
+    quad takes one cycle per term slot."""
+    return g // DOT_WIDTH * spec.terms_per_code
 
 
 def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec):
@@ -91,26 +96,17 @@ def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec):
 
     Returns ``(w, bsig)``: ``w`` is float64 of shape ``(4, G/4,
     terms_per_code)``, where lane ``l`` of quad ``q`` is weight ``4q + l``,
-    and ``bsig`` the per-slot significance.  Codes are widened to intp
-    before any arithmetic; a code off the dtype's grid, or not a whole
-    number, raises :class:`OutOfRange`.
+    and ``bsig`` the per-slot significance.  A code off the dtype's grid,
+    or not a whole number, raises :class:`OutOfRange`, and an ``sv_index``
+    off :func:`bitmod.dtype.sv_range` its subclass
+    :class:`InvalidSpecialValueIndex`.
     """
     lo, hi = code_range(spec)
     codes = np.asarray(weights.codes)
-    if np.can_cast(codes.dtype, np.intp):
-        rows = np.subtract(codes, lo, dtype=np.intp)
-        whole = True
-    else:  # floats, uint64: only whole values can be on the grid
-        with np.errstate(invalid="ignore"):
-            rows = codes.astype(np.intp)
-        whole = np.array_equal(rows, codes)
-        rows -= lo
-    # A negative row wraps to a huge unsigned one: one max checks both ends.
-    if not whole or rows.view(np.uintp).max(initial=0) > hi - lo:
-        bad = (rows.view(np.uintp) > hi - lo) | (rows + lo != codes)
-        raise OutOfRange(f"{spec.name} code {codes[bad][0]} off the grid "
-                         f"[{lo}, {hi}]")
+    check_range("code", codes, lo, hi, spec)
     table = term_table(spec, weights.sv_index)
+    # Widened before the subtraction, which would wrap an int8 or uint8.
+    rows = np.subtract(codes, lo, dtype=np.intp, casting="unsafe")
     return table.value.take(rows.reshape(-1, DOT_WIDTH).T, axis=0), table.bsig
 
 
@@ -134,7 +130,7 @@ def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
     w, bsig = encode_group_terms(weights, spec)
     m_acc, e_acc = _kernels.run_group_dot(w, bsig, ops)
     gps, _ = bit_serial_dequant(m_acc, e_acc, weights.scale_q)
-    return gps, (g // DOT_WIDTH) * spec.terms_per_code
+    return gps, group_cycles(spec, g)
 
 
 def drain_accumulate(partials, channel_scale: float) -> np.float32:

@@ -337,23 +337,49 @@ def test_empty_tensor_is_one_line_error(verb, shape, tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["zero-bytes", "npz-archive", "bad-zip"])
+def _damaged_npy_header(kind: str) -> bytes:
+    """A (2, 8) float32 NPY file whose header dict is left unclosed, or
+    a 300-byte one whose header claims shape (10^12, 10^12)."""
+    buf = io.BytesIO()
+    np.save(buf, np.ones((2, 8), dtype=np.float32))
+    data = buf.getvalue()
+    if kind == "unclosed-header":
+        return data.replace(b"}", b" ", 1)
+    shape, huge = b"(2, 8), }", b"(%d, %d), }" % (10 ** 12, 10 ** 12)
+    # The longer shape takes the place of header padding, so the header
+    # length field stays right.
+    data = data.replace(shape + b" " * (len(huge) - len(shape)), huge, 1)
+    return data + bytes(300 - len(data))
+
+
+@pytest.mark.parametrize("kind", ["zero-bytes", "npz-archive", "bad-zip",
+                                  "unclosed-header", "huge-shape"])
 @pytest.mark.parametrize("verb", ("quant-eval", "pack"))
 def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
-    # These ended in an EOFError, AttributeError or BadZipFile traceback.
+    # These ended in an EOFError, AttributeError, BadZipFile,
+    # tokenize.TokenError or MemoryError traceback.
     path = tmp_path / "bad.npy"
     if kind == "npz-archive":
         with open(path, "wb") as fh:
             np.savez(fh, w=np.ones((2, 8), dtype=np.float32))
+    elif kind in ("unclosed-header", "huge-shape"):
+        path.write_bytes(_damaged_npy_header(kind))
     else:  # "bad-zip" has a zip signature and nothing a zip reader accepts
         path.write_bytes(b"" if kind == "zero-bytes"
                          else b"PK\x03\x04" + bytes(16))
     out = tmp_path / "out"
-    code, _, err = run(capsys, verb, str(path), "--out", str(out))
+    # quant-eval goes on to the tensors after a bad one.
+    good = tmp_path / "w.npy"
+    np.save(good, np.ones((2, 8), dtype=np.float32))
+    inputs = (path, good) if verb == "quant-eval" else (path,)
+    code, _, err = run(capsys, verb, *map(str, inputs), "--out", str(out))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     if verb == "pack":
         assert not out.exists()
+    else:
+        rows, _ = parse_csv(out.read_text())
+        assert rows and {r["tensor"] for r in rows} == {str(good)}
 
 
 @pytest.mark.parametrize("overrides", [{"tiles_x": "2"},

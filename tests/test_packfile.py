@@ -333,6 +333,19 @@ def test_pack_refuses_fields_the_file_cannot_hold(name, field, at, value,
                       GroupingConfig(group_size=128), 256)
 
 
+def test_pack_reads_int_codes_of_any_integer_dtype():
+    # uint8 or uint16 INT6_SYM codes raised OverflowError: their min was
+    # taken with initial=-31.
+    rng = np.random.default_rng(56)
+    _, qt, _ = roundtrip_tensor(rng, "INT6_SYM", (2, 256), 128)
+    qt = dataclasses.replace(qt, codes=np.abs(qt.codes))
+    grouping = GroupingConfig(group_size=128)
+    want = packfile.pack(qt, grouping, 256)
+    for dtype in (np.uint8, np.uint16, np.int64, np.float64):
+        edited = dataclasses.replace(qt, codes=qt.codes.astype(dtype))
+        assert packfile.pack(edited, grouping, 256) == want, dtype
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_pack_roundtrips_or_refuses_an_edited_field(data):
@@ -349,10 +362,16 @@ def test_pack_roundtrips_or_refuses_an_edited_field(data):
         dtype = None
         value = data.draw(st.floats() | st.floats(width=32))
     else:
-        dtype = data.draw(st.sampled_from([arr.dtype, np.dtype(np.int64)]))
-        info = np.iinfo(dtype)
-        value = data.draw(st.integers(max(-300, info.min), min(300, info.max))
-                          | st.integers(info.min, info.max))
+        dtype = data.draw(st.sampled_from([arr.dtype, np.dtype(np.int64),
+                                           np.dtype(np.uint16),
+                                           np.dtype(np.float64)]))
+        if dtype.kind == "f":
+            value = data.draw(st.integers(-300, 300) | st.floats())
+        else:
+            info = np.iinfo(dtype)
+            value = data.draw(st.integers(max(-300, info.min),
+                                          min(300, info.max))
+                              | st.integers(info.min, info.max))
     qt = _edited(qt, field, at, value, dtype)
     try:
         packed = packfile.pack(qt, GroupingConfig(group_size=g), shape[1])

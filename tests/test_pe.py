@@ -5,9 +5,11 @@ import pytest
 
 import pe_oracle
 from conftest import exact_dot, oracle_acts, oracle_weight_terms
+from bitmod import bitserial
 from bitmod.bitserial import encode_weight, term_table
 from bitmod.dtype import GroupingConfig, code_range, spec_for
-from bitmod.errors import OutOfRange, ShapeMismatch, UnsupportedDtype
+from bitmod.errors import (InvalidSpecialValueIndex, OutOfRange,
+                           ShapeMismatch, UnsupportedDtype)
 from bitmod.pe import (
     DEQUANT_CYCLES,
     FP16_MAC_CYCLES_PER_DOT,
@@ -15,6 +17,7 @@ from bitmod.pe import (
     decode_fp16,
     drain_accumulate,
     encode_group_terms,
+    group_cycles,
     group_dot,
     throughput_vs_fp16,
 )
@@ -134,8 +137,8 @@ def test_bit_serial_dequant_exact_and_fixed_latency():
             assert cycles == DEQUANT_CYCLES == 8
             assert gps.m_grp == m * int(sq) and type(gps.m_grp) is int
             assert gps.e_grp == -7
-    for sq in (256, -1):
-        with pytest.raises(ValueError):
+    for sq in (256, -1, 2.5):
+        with pytest.raises(OutOfRange):
             bit_serial_dequant(123456789, -7, sq)
 
 
@@ -150,7 +153,7 @@ def test_group_dot_cycle_counts():
         spec = spec_for(name)
         qg = make_group(rng, spec, 128)
         _, cycles = group_dot(qg, acts_from(rng, 128), spec)
-        assert cycles == expect
+        assert cycles == group_cycles(spec, 128) == expect
 
 
 def test_group_dot_on_grid_is_exact():
@@ -236,6 +239,37 @@ def test_group_dot_rejects_non_integer_codes(codes):
     assert group_dot(whole, [1.0, 0.5, -2.0, 3.0], spec) == group_dot(
         QuantizedGroup(codes=np.array([2, 1, 0, 3]), scale_q=1),
         [1.0, 0.5, -2.0, 3.0], spec)
+
+
+@pytest.mark.parametrize(("name", "field", "value", "error"), [
+    ("FP3_BITMOD", "scale_q", 300, OutOfRange),
+    ("FP3_BITMOD", "scale_q", -1, OutOfRange),
+    ("FP3_BITMOD", "scale_q", 2.5, OutOfRange),
+    ("FP3_BITMOD", "sv_index", 4, InvalidSpecialValueIndex),
+    ("FP3_BITMOD", "sv_index", 1.5, InvalidSpecialValueIndex),
+    ("FP3_BASIC", "sv_index", 1, InvalidSpecialValueIndex),
+    ("INT6_SYM", "sv_index", 5, InvalidSpecialValueIndex)])
+def test_group_dot_refuses_what_a_record_cannot_hold(name, field, value,
+                                                     error):
+    # scale_q 300 and -1 raised ValueError, 2.5 TypeError; an INT group's
+    # sv_index 5 passed, though pack refuses it.
+    qg = QuantizedGroup(codes=np.zeros(8, dtype=np.int64), scale_q=1)
+    setattr(qg, field, value)
+    with pytest.raises(error, match=f"{field} {value} is outside"):
+        group_dot(qg, [1.0] * 8, spec_for(name))
+
+
+@pytest.mark.parametrize("order", [(2, 2.0), (2.0, 2)])
+def test_group_dot_whole_float_sv_index_is_that_index(order):
+    # 2.0 raised TypeError until 2 had filled the term-table cache.
+    spec = spec_for("FP3_BITMOD")
+    avals = [1.5, -0.75, 2.0, 0.375, 3.0, -1.0, 0.5, 4.0]
+    results = []
+    bitserial._term_table.cache_clear()
+    for sv_index in order:
+        qg = QuantizedGroup(codes=np.arange(8), sv_index=sv_index, scale_q=3)
+        results.append(group_dot(qg, avals, spec))
+    assert results[0] == results[1]
 
 
 def test_group_dot_rejects_empty_group():
