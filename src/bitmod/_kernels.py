@@ -14,26 +14,28 @@ Per cycle the hardware computes
 The lane stage of every cycle of a group runs at once in float64, and
 every step of it is exact.  An activation operand from
 :func:`bitmod.pe.decode_fp16` is ``(-1)^s * a_m * 2^a_e``: 11 significant
-bits, below 2^41.  A term value from :class:`bitmod.bitserial.Terms` is 0
-or +-2^exp with exp <= 3.  Their product has at most 11 significant bits
-and is below 2^44, so it is exact, and ``np.frexp`` reads its exponent
-``a_e + exp + 11`` (0 for a dead lane, at least 12 for a live one).
+bits, below 2^41.  A term value from :func:`bitmod.bitserial.term_table`
+is its full value, 0 or +-2^k with -1 <= k <= 7.  Their product has at
+most 11 significant bits and is below 2^48, so it is exact, and
+``np.frexp`` reads its exponent ``a_e + k + 11`` (0 for a dead lane, at
+least 11 for a live one, so a dead lane never sets a cycle's max).
 Scaling a lane by a power of two to the max exponent of its cycle is
 exact, and ``np.rint`` rounds half to even, so the aligned lanes are the
 hardware's RNE shifts bit for bit; their sum is below 2^13.  Activation
 scale convention: the operand ``a_m * 2^a_e`` has value
-``a_m * 2^(a_e - 25)``.
+``a_m * 2^(a_e - 25)``, so a tree aligned to max exponent ``max_e`` has
+exponent ``max_e - 11 - 25``.
 """
 
 import numpy as np
 
 
-def run_group_dot(w, bsig, a):
+def run_group_dot(w, a):
     """Group dot product before dequantization.
 
     ``w`` holds the group's term values lane-major, shape ``(4, G/4, T)``:
-    lane ``l`` of quad ``q`` is weight ``4q + l``.  ``bsig`` is the per-slot
-    significance, shape ``(T,)``, and ``a`` the G activation operands.
+    lane ``l`` of quad ``q`` is weight ``4q + l``.  ``a`` holds the G
+    activation operands.
     Each quad takes one cycle per term slot, in quad-major, slot-minor
     order.  The lane stage of every cycle runs at once; only the
     accumulation is sequential.  Returns the accumulator (m_acc, e_acc).
@@ -41,7 +43,7 @@ def run_group_dot(w, bsig, a):
     v = a.reshape(-1, 4).T[:, :, None] * w
     max_e = np.frexp(v)[1].max(axis=0)
     tree = np.rint(np.ldexp(v, 11 - max_e)).sum(axis=0)
-    e_tree = max_e + (bsig - 36)
+    e_tree = max_e - 36
     m_acc = e_acc = 0
     for tree_m, e_t in zip(tree.astype(np.int64).ravel().tolist(),
                            e_tree.ravel().tolist()):

@@ -16,8 +16,8 @@ active entry of the special-value register, :func:`encode_weight`'s
 ``register`` tuple (the spec's own special values unless given).
 
 A code's terms depend only on (dtype, sv_index, code), so :func:`term_table`
-encodes every code of a grid once, with :func:`encode_weight`, and the PE
-gathers a group's terms from that table.
+encodes every code of a grid once, with :func:`encode_weight`, into each
+term's full value, and the PE gathers a group's terms from that table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -140,60 +139,46 @@ def encode_weight(code: int, spec: DataTypeSpec, register=None,
     FP codes index the effective grid of (spec, sv_index); the special
     value's slot decodes as ``register[sv_index]`` (``spec.special_values``
     unless given).  INT codes are signed values, Booth-encoded over the
-    whole two's-complement range of ``bits_per_code``.  The result has
-    exactly ``spec.terms_per_code`` entries.  An FP code off the grid
-    raises :class:`OutOfRange`; an asymmetric type raises
+    whole two's-complement range of ``bits_per_code``, one code past the
+    PE's ``code_range``, so that the reconstruction check covers every
+    pattern (-128 of INT8, -32 of INT6).  The result has exactly
+    ``spec.terms_per_code`` entries.  An FP code off the grid raises
+    :class:`OutOfRange`, an ``sv_index`` off :func:`bitmod.dtype.sv_range`
+    its subclass :class:`InvalidSpecialValueIndex`, and an asymmetric type
     :class:`UnsupportedDtype`.
     """
     lo, hi = code_range(spec)
+    grid = effective_grid(spec, sv_index)
     if not spec.is_fp:
         return booth_encode(code, spec.bits_per_code)
     check_range("code", code, lo, hi, spec)
-    grid = effective_grid(spec, sv_index)
     value, sv_index = grid[int(code)], int(sv_index)
     if spec.is_bitmod and value == spec.special_values[sv_index]:
         value = (register or spec.special_values)[sv_index]
     return lod_decode(fixed_point_of(value))
 
 
-class Terms(NamedTuple):
-    """Bit-serial terms as the PE reads them, one row per weight code.
+def term_table(spec: DataTypeSpec, sv_index: int = 0) -> np.ndarray:
+    """Term values of every on-grid code of (spec, sv_index), encoded once
+    with :func:`encode_weight` and the spec's own special-value register.
 
-    ``value`` is float64 of shape ``(n, terms_per_code)``: each term's
-    signed value without its slot's significance, ``(-1)^sign * man *
-    2^exp``, which is 0 or +-2^exp with exp <= 3, so products with it are
-    exact.  Term slot ``t`` of every row carries bit-significance
-    ``bsig[t]``.
-    """
-
-    value: np.ndarray
-    bsig: np.ndarray
-
-
-def term_table(spec: DataTypeSpec, sv_index: int = 0) -> Terms:
-    """Terms of every on-grid code of (spec, sv_index), encoded once with
-    :func:`encode_weight` and the spec's own special-value register.
-
-    Row ``code - code_range(spec)[0]`` holds a code's terms; the arrays
-    are read-only.  An ``sv_index`` off :func:`bitmod.dtype.sv_range`,
-    which is 0 alone for an integer type, raises
-    :class:`InvalidSpecialValueIndex`.
+    A read-only float64 array of shape ``(n_codes, terms_per_code)``: row
+    ``code - code_range(spec)[0]`` holds ``float(t.value)`` of each of a
+    code's terms, 0 or +-2^k with -1 <= k <= 7, which float64 holds
+    exactly.  An ``sv_index`` off :func:`bitmod.dtype.sv_range`, which is
+    0 alone for an integer type, raises :class:`InvalidSpecialValueIndex`.
     """
     check_range("sv_index", sv_index, *sv_range(spec), spec)
     return _term_table(spec, sv_index)
 
 
 @cache
-def _term_table(spec: DataTypeSpec, sv_index: int) -> Terms:
+def _term_table(spec: DataTypeSpec, sv_index: int) -> np.ndarray:
     lo, hi = code_range(spec)
     rows = [encode_weight(code, spec, sv_index=sv_index)
             for code in range(lo, hi + 1)]
-    table = Terms(np.array([[(-1) ** t.sign * t.man * 2 ** t.exp
-                             for t in row] for row in rows],
-                           dtype=np.float64),
-                  np.array([t.bsig for t in rows[0]], dtype=np.int64))
-    for array in table:
-        array.flags.writeable = False
+    table = np.array([[float(t.value) for t in row] for row in rows])
+    table.flags.writeable = False
     return table
 
 
@@ -204,7 +189,6 @@ def term_value_sum(terms) -> Fraction:
 __all__ = [
     "BitSerialTerm",
     "FixedPointCode",
-    "Terms",
     "booth_encode",
     "fixed_point_of",
     "lod_decode",

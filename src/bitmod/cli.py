@@ -85,6 +85,9 @@ def _load_npy(path: str) -> np.ndarray:
                         if fmt.read_magic(fh) == (1, 0)
                         else fmt.read_array_header_2_0)
                 shape, _, dtype = read(fh)
+                if min(shape, default=0) < 0:
+                    raise ValueError(f"{path}: NPY header's shape {shape} "
+                                     "has a negative dimension")
                 left = os.fstat(fh.fileno()).st_size - fh.tell()
                 if math.prod(shape) * dtype.itemsize > left:
                     raise ValueError(f"{path}: NPY header's shape {shape} "

@@ -94,9 +94,8 @@ def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec):
     """Gather a quantized group's term values from the (spec, sv_index)
     table, lane-major.
 
-    Returns ``(w, bsig)``: ``w`` is float64 of shape ``(4, G/4,
-    terms_per_code)``, where lane ``l`` of quad ``q`` is weight ``4q + l``,
-    and ``bsig`` the per-slot significance.  A code off the dtype's grid,
+    Returns float64 of shape ``(4, G/4, terms_per_code)``, where lane
+    ``l`` of quad ``q`` is weight ``4q + l``.  A code off the dtype's grid,
     or not a whole number, raises :class:`OutOfRange`, and an ``sv_index``
     off :func:`bitmod.dtype.sv_range` its subclass
     :class:`InvalidSpecialValueIndex`.
@@ -107,7 +106,7 @@ def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec):
     table = term_table(spec, weights.sv_index)
     # Widened before the subtraction, which would wrap an int8 or uint8.
     rows = np.subtract(codes, lo, dtype=np.intp, casting="unsafe")
-    return table.value.take(rows.reshape(-1, DOT_WIDTH).T, axis=0), table.bsig
+    return table.take(rows.reshape(-1, DOT_WIDTH).T, axis=0)
 
 
 def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
@@ -127,8 +126,8 @@ def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
         raise ShapeMismatch(f"group size {g} not a positive multiple of "
                             f"dot width {DOT_WIDTH}")
     ops = decode_fp16(acts)
-    w, bsig = encode_group_terms(weights, spec)
-    m_acc, e_acc = _kernels.run_group_dot(w, bsig, ops)
+    w = encode_group_terms(weights, spec)
+    m_acc, e_acc = _kernels.run_group_dot(w, ops)
     gps, _ = bit_serial_dequant(m_acc, e_acc, weights.scale_q)
     return gps, group_cycles(spec, g)
 

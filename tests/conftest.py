@@ -27,8 +27,14 @@ def oracle_weight_terms(qg, spec):
     return [table[c] for c in np.asarray(qg.codes).tolist()]
 
 
+# fp16_operand rounds to FP16 first, so one operand per FP16 value serves
+# every activation that rounds to it.
+_fp16_operand = cache(pe_oracle.fp16_operand)
+
+
 def oracle_acts(values):
-    return [pe_oracle.fp16_operand(v) for v in values]
+    return [_fp16_operand(v)
+            for v in np.asarray(values).astype(np.float16).tolist()]
 
 
 def exact_dot(qg, spec, act_values) -> float:

@@ -176,6 +176,9 @@ def test_encode_weight_int_paths():
 def test_encode_weight_rejects_an_unprogrammed_sv_index():
     with pytest.raises(InvalidSpecialValueIndex):
         encode_weight(0, spec_for("FP3_BITMOD"), sv_index=4)
+    # An INT type has one grid; index 5 returned terms.
+    with pytest.raises(InvalidSpecialValueIndex):
+        encode_weight(0, spec_for("INT6_SYM"), sv_index=5)
 
 
 @pytest.mark.parametrize("name,code", [("FP3_BITMOD", -1), ("FP3_BITMOD", 8),

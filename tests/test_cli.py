@@ -338,13 +338,16 @@ def test_empty_tensor_is_one_line_error(verb, shape, tmp_path, capsys):
 
 
 def _damaged_npy_header(kind: str) -> bytes:
-    """A (2, 8) float32 NPY file whose header dict is left unclosed, or
-    a 300-byte one whose header claims shape (10^12, 10^12)."""
+    """A (2, 8) float32 NPY file whose header dict is left unclosed or
+    whose header claims shape (-2, 8), or a 300-byte one whose header
+    claims shape (10^12, 10^12)."""
     buf = io.BytesIO()
     np.save(buf, np.ones((2, 8), dtype=np.float32))
     data = buf.getvalue()
     if kind == "unclosed-header":
         return data.replace(b"}", b" ", 1)
+    if kind == "negative-dim":
+        return data.replace(b"(2, 8), }", b"(-2, 8),}", 1)
     shape, huge = b"(2, 8), }", b"(%d, %d), }" % (10 ** 12, 10 ** 12)
     # The longer shape takes the place of header padding, so the header
     # length field stays right.
@@ -353,7 +356,8 @@ def _damaged_npy_header(kind: str) -> bytes:
 
 
 @pytest.mark.parametrize("kind", ["zero-bytes", "npz-archive", "bad-zip",
-                                  "unclosed-header", "huge-shape"])
+                                  "unclosed-header", "huge-shape",
+                                  "negative-dim"])
 @pytest.mark.parametrize("verb", ("quant-eval", "pack"))
 def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
     # These ended in an EOFError, AttributeError, BadZipFile,
@@ -362,7 +366,7 @@ def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
     if kind == "npz-archive":
         with open(path, "wb") as fh:
             np.savez(fh, w=np.ones((2, 8), dtype=np.float32))
-    elif kind in ("unclosed-header", "huge-shape"):
+    elif kind in ("unclosed-header", "huge-shape", "negative-dim"):
         path.write_bytes(_damaged_npy_header(kind))
     else:  # "bad-zip" has a zip signature and nothing a zip reader accepts
         path.write_bytes(b"" if kind == "zero-bytes"
@@ -375,6 +379,7 @@ def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
     code, _, err = run(capsys, verb, *map(str, inputs), "--out", str(out))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
     if verb == "pack":
         assert not out.exists()
     else:

@@ -22,4 +22,4 @@ def test_run_group_dot_carry_past_bit_31(sign, lanes, want):
     a = decode_fp16(np.tile(np.array(lanes, dtype=np.float64), CARRY_QUADS))
     # ``want`` was recorded from tests/pe_oracle.group_dot on the same
     # operands.
-    assert _kernels.run_group_dot(w, np.zeros(4, np.int64), a) == want
+    assert _kernels.run_group_dot(w, a) == want

@@ -7,7 +7,8 @@ import pe_oracle
 from conftest import exact_dot, oracle_acts, oracle_weight_terms
 from bitmod import bitserial
 from bitmod.bitserial import encode_weight, term_table
-from bitmod.dtype import GroupingConfig, code_range, spec_for
+from bitmod.dtype import (GroupingConfig, code_range, effective_grid,
+                          spec_for)
 from bitmod.errors import (InvalidSpecialValueIndex, OutOfRange,
                            ShapeMismatch, UnsupportedDtype)
 from bitmod.pe import (
@@ -307,13 +308,11 @@ def test_encode_group_terms_layout():
     spec = spec_for("INT6_SYM")
     codes, _ = quantize_symmetric([1.0, -1.0, 0.5, 0.25, -0.75, 0.0, 0.125,
                                    -0.5], 6)
-    w, bsig = encode_group_terms(QuantizedGroup(codes=codes), spec)
+    w = encode_group_terms(QuantizedGroup(codes=codes), spec)
     # Lane-major: lane l of quad q is weight 4q + l.
     assert w.shape == (4, 2, 3) and w.dtype == np.float64
-    assert bsig.tolist() == [0, 2, 4]
     for i, code in enumerate(codes):
-        want = [(-1) ** t.sign * t.man * 2 ** t.exp
-                for t in encode_weight(int(code), spec)]
+        want = [float(t.value) for t in encode_weight(int(code), spec)]
         assert w[i % 4, i // 4].tolist() == want
 
 
@@ -326,16 +325,26 @@ def test_term_table_matches_encode_weight(name):
         n_codes = (len(spec.grids[sv_index]) if spec.is_fp
                    else 2 ** spec.bits_per_code - 1)
         assert hi - lo + 1 == n_codes
-        assert table.value.shape == (n_codes, spec.terms_per_code)
-        assert table.value.dtype == np.float64
-        assert not table.value.flags.writeable
-        assert not table.bsig.flags.writeable
+        assert table.shape == (n_codes, spec.terms_per_code)
+        assert table.dtype == np.float64
+        assert not table.flags.writeable
         for code in range(lo, hi + 1):
             want = encode_weight(code, spec, sv_index=sv_index)
-            assert table.bsig.tolist() == [t.bsig for t in want]
-            assert table.value[code - lo].tolist() == [
-                (-1) ** t.sign * t.man * 2 ** t.exp for t in want], (
-                    name, sv_index, code)
+            assert table[code - lo].tolist() == [
+                float(t.value) for t in want], (name, sv_index, code)
+
+
+@pytest.mark.parametrize("name", PE_DTYPES)
+def test_term_table_rows_sum_to_their_code(name):
+    # Each row's terms sum to the value its code stands for: the effective
+    # grid's entry for FP, the code itself for INT.
+    spec = spec_for(name)
+    lo, hi = code_range(spec)
+    for sv_index in range(max(1, len(spec.special_values))):
+        want = (effective_grid(spec, sv_index) if spec.is_fp
+                else range(lo, hi + 1))
+        sums = term_table(spec, sv_index).sum(axis=1)
+        assert sums.tolist() == [float(v) for v in want], (name, sv_index)
 
 
 def test_drain_accumulate():
