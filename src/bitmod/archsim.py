@@ -17,11 +17,14 @@ Energy numbers are placeholder per-event costs supplied via configuration;
 they are NOT silicon measurements, and only ratios between runs that share
 a config are meaningful.
 
-A layer repeated over blocks and a phase repeated over decode steps add the
-same per-GEMM report many times.  Those totals are computed in closed form
-(``SimReport.accumulate`` with a count), so host time does not depend on
-``decode_tokens``; the float columns still equal, bit for bit, what that
-many sequential additions give.
+A layer repeated over blocks, a run of adjacent equal GEMMs (Q, K, V and O
+when ``kv_heads = heads``) and a phase repeated over decode steps add the
+same per-GEMM report many times.  Each run of equal GEMMs is simulated once,
+and the totals are computed in closed form (``SimReport.accumulate`` with a
+count), so host time grows only with the logarithm of ``decode_tokens``.
+The float columns still equal, bit for bit, what that many sequential
+additions give: a sum that no partial sum rounds, as in most byte columns,
+is one multiply-add, and the others jump a binade at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import groupby
 
 from .dtype import DataTypeSpec, GroupingConfig
 from .errors import ConfigError, ParseError
@@ -146,28 +150,50 @@ class SimReport:
         e.dram_j = _repeat_add(e.dram_j, o.dram_j, times)
 
 
-# Runs up to this many additions are plain loops: cheaper than the jumps.
-_PLAIN_HEAD = 64
-# s / ulp(s) stays below this in every binade; at it the ulp doubles.
+# Runs up to this many additions are plain loops: cheaper than anything else.
+_PLAIN_RUN = 64
+# s / ulp(s) stays below this in every binade; at it the ulp doubles.  It is
+# also the bound below which every integer is a float.
 _BINADE_ULPS = 1 << 53
 
 
 def _repeat_add(s: float, x: float, n: int) -> float:
     """``s`` after ``n`` sequential ``s += x``, bit for bit, for s, x >= 0.
 
-    Inside one binade (between consecutive powers of two) every step adds
-    the same ``d = round(x / ulp(s))`` ulps, round-half-even as in IEEE
-    addition, so a run of steps is one exact multiply-add.  A plain step is
-    taken when ``x >= s``, when ``x / ulp`` is a tie and ``s / ulp`` is odd
-    (after it ``s / ulp`` is even and stays even), and next to a binade
-    boundary.  O(log n) steps after the plain head.
+    Three paths, each exact:
+
+    * ``n <= 64``: the plain loop itself.
+    * Exact sums: ``s`` and ``x`` are integers over power-of-two
+      denominators; over the finer one they are ``a / D`` and ``c / D``.  If
+      ``a + n * c < 2**53``, every partial sum ``(a + i * c) / D`` is a
+      float, so no addition rounds and ``s + n * x`` (each operation exact
+      for the same reason) is the loop's result.  This covers the byte
+      columns, whose figures have few bits.
+    * Binade jumps: inside one binade (between consecutive powers of two)
+      every step adds the same ``d = round(x / ulp(s))`` ulps,
+      round-half-even as in IEEE addition, so a run of steps is one exact
+      multiply-add.  A jump stops 2 or more ulps below the binade's end,
+      and up to two plain steps after it cross the boundary.  A plain step
+      is also taken while ``s <= 8 * x`` (a binade then holds at most 8
+      steps), and when ``x / ulp`` is a tie and ``s / ulp`` is odd (after
+      it ``s / ulp`` is even and stays even).  About three steps per
+      binade that ``s`` crosses.
+
+    Once ``s`` or ``x`` is infinite, every later sum is ``s + x``.
     """
-    head = min(n, _PLAIN_HEAD)
-    for _ in range(head):
-        s += x
-    n -= head
-    while n > 0 and x > 0.0 and s < math.inf:
-        if x < s:
+    if n <= _PLAIN_RUN:
+        for _ in range(n):
+            s += x
+        return s
+    if not (math.isfinite(s) and math.isfinite(x)):
+        return s + x
+    (a, da), (c, dc) = s.as_integer_ratio(), x.as_integer_ratio()
+    den = max(da, dc)  # both powers of two
+    if a * (den // da) + n * c * (den // dc) < _BINADE_ULPS:
+        return s + n * x
+    while n > 0 and s < math.inf:
+        steps = 1
+        if s > 8 * x:
             u = math.ulp(s)
             ulps = int(s / u)
             q = x / u  # exact, or too small to round to a nonzero d
@@ -181,9 +207,11 @@ def _repeat_add(s: float, x: float, n: int) -> float:
                 if k > 0:
                     s = (ulps + k * d) * u
                     n -= k
-                    continue
-        s += x
-        n -= 1
+                    steps = 2  # s is under d + 2 ulps below the binade's end
+        steps = min(steps, n)
+        for _ in range(steps):
+            s += x
+        n -= steps
     return s
 
 
@@ -276,14 +304,23 @@ def baseline_fp16_layer(layer: LayerShape,
 
 def _phases(w: WorkloadSpec, one_gemm) -> SimReport:
     """Total of ``one_gemm`` over every layer of the prefill pass and of
-    each decode step."""
+    each decode step.
+
+    A run of adjacent layers with equal ``(k, n, repeat)`` (Q, K, V and O
+    when ``kv_heads = heads``) gives one report, added ``steps *
+    run_length`` times: the same float additions in the same order as
+    adding it ``steps`` times for each layer of the run.  The layer's ``m``
+    is a placeholder and is not part of the key.
+    """
+    runs = [(key, sum(1 for _ in group)) for key, group in
+            groupby(w.layers, key=lambda l: (l.k, l.n, l.repeat))]
     out = SimReport()
     # Every decode step re-fetches all weights (no cross-token residency).
     for m, steps in ((w.prefill_tokens, 1), (1, w.decode_tokens)):
         if m > 0 and steps > 0:
-            for layer in w.layers:
-                out.accumulate(one_gemm(LayerShape(m, layer.k, layer.n,
-                                                   layer.repeat)), steps)
+            for (k, n, repeat), run_length in runs:
+                out.accumulate(one_gemm(LayerShape(m, k, n, repeat)),
+                               steps * run_length)
     return out
 
 

@@ -442,7 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate" and not (args.prefill_tokens
+                                           or args.decode_tokens):
+        parser.error("simulate: --prefill-tokens and --decode-tokens are "
+                     "both 0, so there is nothing to simulate")
     try:
         return args.func(args)
     except (BitmodError, OSError) as exc:

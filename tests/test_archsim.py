@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bitmod import archsim
 from bitmod.archsim import (
     ArchConfig,
     LayerShape,
@@ -361,6 +362,29 @@ def test_repeat_add_edge_cases(s, x, n):
     assert _repeat_add(s, x, n).hex() == _loop_add(s, x, n).hex()
 
 
+@pytest.mark.parametrize("s, x, n", [
+    # x = 1.5 = 3/2 over the finer denominator 2: the numerator of
+    # s + n*x is 2**53 - 1 (every partial sum a float: the exact-sum path),
+    # then 2**53 and 2**53 + 1 (the loop paths).
+    (2.0 ** 52 - 152, 1.5, 101),
+    (2.0 ** 52 - 150, 1.5, 100),
+    (2.0 ** 52 - 151, 1.5, 101),
+    (7 * 5e-324, 3 * 5e-324, 1000),  # subnormal dyadic steps, all exact
+    (0.0, 0.1, 65),                  # the shortest run past the plain loop
+    (2.0 ** 53 - 10, 1.0, 100),      # the loop stops at 2**53, not 2**53 + 90
+])
+def test_repeat_add_either_side_of_the_exact_sum_bound(s, x, n):
+    assert _repeat_add(s, x, n).hex() == _loop_add(s, x, n).hex()
+
+
+def test_repeat_add_long_inexact_run_returns_at_once():
+    n = 10 ** 12  # a plain loop would take hours
+    t0 = time.perf_counter()
+    got = _repeat_add(0.0, 0.1, n)  # 0.1 has a full 53-bit mantissa
+    assert time.perf_counter() - t0 < 0.05
+    assert got == pytest.approx(n * 0.1, rel=1e-3)
+
+
 @pytest.mark.parametrize("s, x, want", [
     (3.0, 0.0, 3.0),
     (1.0, 2.0 ** -54, 1.0),   # under half an ulp: no step moves s
@@ -405,6 +429,45 @@ def _oracle_workload(w, one_gemm):
 def _bundled(shape):
     return profile_shapes(resources.files("bitmod.shapes")
                           .joinpath(f"{shape}.shape").read_text())
+
+
+def _hex_fields(rep):
+    row = dataclasses.asdict(rep)
+    row.update(row.pop("energy"))
+    return {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+
+
+GQA = ("name = gqa\nhidden = 256\nffn = 688\nheads = 32\nkv_heads = 8\n"
+       "blocks = 4\nffn_gemms = 3\nvocab = 1000\n")
+A = LayerShape(m=0, k=256, n=512, repeat=3)
+B = LayerShape(m=0, k=512, n=256, repeat=3)
+
+
+@pytest.mark.parametrize("decode", (0, 1, 256))
+@pytest.mark.parametrize("w, calls_per_phase", [
+    # Q, K + V, O, up + gate, down, LM head: K and V form a run, Q and O
+    # do not (kv_heads < heads).
+    (profile_shapes(GQA), 6),
+    # Equal layers that are not adjacent are simulated apart.
+    (WorkloadSpec("aba", (A, B, A)), 3),
+    # Layers that differ only in their placeholder m form one run.
+    (WorkloadSpec("m", (A, dataclasses.replace(A, m=77))), 1),
+    # Layers that differ only in their repeat do not.
+    (WorkloadSpec("r", (A, dataclasses.replace(A, repeat=5))), 2),
+], ids=["gqa", "aba", "m-placeholder", "repeat-differs"])
+def test_runs_of_equal_gemms_equal_sequential_sums(w, calls_per_phase,
+                                                   decode, monkeypatch):
+    w = dataclasses.replace(w, decode_tokens=decode)
+    spec = spec_for("FP3_BITMOD")
+    want = _oracle_workload(w, lambda layer: simulate_layer(layer, spec, G128))
+    calls = []
+    monkeypatch.setattr(archsim, "simulate_layer", lambda *args: (
+        calls.append(args) or simulate_layer(*args)))
+    got = simulate_workload(w, spec, G128)
+    assert _hex_fields(got) == _hex_fields(want)
+    assert len(calls) == calls_per_phase * (1 + (decode > 0))
+    assert (_hex_fields(baseline_fp16_sim(w))
+            == _hex_fields(_oracle_workload(w, baseline_fp16_layer)))
 
 
 # The 100 000-step decode runs for one shape and dtype: the oracle loop

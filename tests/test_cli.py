@@ -424,6 +424,7 @@ def test_unknown_arch_config_key_is_config_error(tmp_path, capsys):
     ("gen", "--out", "w.npy", "--shape", "0x4"),
     ("simulate", "toy", "--decode-tokens", str(2 ** 40 + 1)),
     ("simulate", "toy", "--prefill-tokens", str(2 ** 40 + 1)),
+    ("simulate", "toy", "--prefill-tokens", "0", "--decode-tokens", "0"),
 ], ids=["quant-eval-group-size-0", "pack-group-size-negative",
         "simulate-group-size-0", "simulate-prefill-negative",
         "simulate-decode-negative", "quant-eval-seed-removed",
@@ -431,11 +432,23 @@ def test_unknown_arch_config_key_is_config_error(tmp_path, capsys):
         "simulate-dtype-unknown", "simulate-dtype-empty",
         "pack-dtype-unknown", "gen-seed-negative", "gen-shape-negative",
         "gen-shape-0", "simulate-decode-above-2^40",
-        "simulate-prefill-above-2^40"])
+        "simulate-prefill-above-2^40", "simulate-no-tokens"])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as ei:
         main(list(argv))
     assert ei.value.code == 2
+
+
+def test_simulate_without_tokens_names_both_flags(capsys):
+    # Used to print all-zero rows, an empty speedup and "(ratio infx)",
+    # with exit 0.  The default decode count is 0.
+    with pytest.raises(SystemExit) as ei:
+        main(["simulate", "toy", "--prefill-tokens", "0"])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--prefill-tokens" in captured.err
+    assert "--decode-tokens" in captured.err
 
 
 def test_version_mentions_backend(capsys):
