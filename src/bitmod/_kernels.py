@@ -9,7 +9,10 @@ Per cycle the hardware computes
 * 4-lane signed adder tree,
 * accumulation at the larger exponent with RNE alignment of the smaller
   operand, then renormalization keeping the leading set bit of the 32-bit
-  accumulator mantissa in bit window [24, 31].
+  accumulator mantissa in bit window [24, 31].  Both of these shifts, by
+  ``s >= 1`` bits, round half to even by one formula (``>>`` floors):
+  ``(x + (1 << (s - 1)) - 1 + ((x >> s) & 1)) >> s`` rounds up when the
+  dropped bits are above the half, or at it with the kept low bit set.
 
 The lane stage of every cycle of a group runs at once in float64, and
 every step of it is exact.  An activation operand from
@@ -40,7 +43,7 @@ def run_group_dot(w, a):
     order.  The lane stage of every cycle runs at once; only the
     accumulation is sequential.  Returns the accumulator (m_acc, e_acc).
     """
-    v = a.reshape(-1, 4).T[:, :, None] * w
+    v = a.reshape(-1, len(w)).T[:, :, None] * w
     max_e = np.frexp(v)[1].max(axis=0)
     tree = np.rint(np.ldexp(v, 11 - max_e)).sum(axis=0)
     e_tree = max_e - 36
@@ -58,20 +61,14 @@ def run_group_dot(w, a):
             else:
                 s, x, m_acc, e_acc = e_t - e_acc, m_acc, tree_m, e_t
             if s:
-                q = x >> s
-                rem = x - (q << s)
-                half = 1 << (s - 1)
-                if rem > half or (rem == half and q & 1):
-                    q += 1
-                x = q
+                x = (x + (1 << (s - 1)) - 1 + ((x >> s) & 1)) >> s
             m_acc += x
         # Renormalize.  A sum adds a tree, below 2^13, to an accumulator
         # below 2^32, so it carries at most one bit past bit 31, and its
-        # RNE shift by 1 (up when the dropped half and the kept low bit are
-        # both set) cannot carry again.
+        # RNE shift by 1 cannot carry again.
         k = m_acc.bit_length()
         if k > 32:
-            m_acc = (m_acc >> 1) + (m_acc & (m_acc >> 1) & 1)
+            m_acc = (m_acc + ((m_acc >> 1) & 1)) >> 1
             e_acc += 1
         elif k < 25 and m_acc:
             m_acc <<= 25 - k

@@ -24,7 +24,10 @@ and the totals are computed in closed form (``SimReport.accumulate`` with a
 count), so host time grows only with the logarithm of ``decode_tokens``.
 The float columns still equal, bit for bit, what that many sequential
 additions give: a sum that no partial sum rounds, as in most byte columns,
-is one multiply-add, and the others jump a binade at a time.
+is one multiply-add, and the others jump a binade at a time.  Cycle counts
+are exact for any shape: every ceiling is an integer one.  A byte or energy
+total that overflows the float range, in one GEMM or over a workload,
+raises :class:`ConfigError` naming the layer or the workload.
 """
 
 from __future__ import annotations
@@ -120,10 +123,6 @@ class EnergyBreakdown:
     sram_j: float = 0.0
     dram_j: float = 0.0
 
-    @property
-    def total_j(self) -> float:
-        return self.compute_j + self.sram_j + self.dram_j
-
 
 @dataclass
 class SimReport:
@@ -136,7 +135,8 @@ class SimReport:
     speedup_vs_baseline: float | None = None
 
     def accumulate(self, other: "SimReport", times: int):
-        """Add ``other`` ``times`` times, as that many sequential additions."""
+        """Add ``other`` ``times`` times, as that many sequential additions;
+        raise ``OverflowError`` when a float total is not finite."""
         self.compute_cycles += other.compute_cycles * times
         self.dram_cycles += other.dram_cycles * times
         self.total_cycles += other.total_cycles * times
@@ -148,6 +148,10 @@ class SimReport:
         e.compute_j = _repeat_add(e.compute_j, o.compute_j, times)
         e.sram_j = _repeat_add(e.sram_j, o.sram_j, times)
         e.dram_j = _repeat_add(e.dram_j, o.dram_j, times)
+        if not all(map(math.isfinite, (self.weight_bytes,
+                                       self.activation_bytes, e.compute_j,
+                                       e.sram_j, e.dram_j))):
+            raise OverflowError("a float total overflows the float range")
 
 
 # Runs up to this many additions are plain loops: cheaper than anything else.
@@ -236,8 +240,7 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
     ``rows`` x ``cols`` PEs that take ``cycles_per_group`` per ``group`` of K.
 
     Output-stationary: each wave of output tiles walks all of K, padded to
-    whole groups.  A layer whose byte or energy figures overflow the float
-    range raises :class:`ConfigError`.
+    whole groups.
     """
     if layer.m <= 0 or layer.k <= 0 or layer.n <= 0:
         raise ConfigError(f"non-positive GEMM dimension in {layer}")
@@ -247,10 +250,8 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
     if layer.repeat == 0:
         return SimReport()
     m, k, n = layer.m, layer.k, layer.n
-    waves = (math.ceil(m / (cfg.tiles_y * rows))
-             * math.ceil(n / (cfg.tiles_x * cols)))
-    compute = waves * ((k + group - 1) // group) * cycles_per_group
-    out = SimReport()
+    waves = -(-m // (cfg.tiles_y * rows)) * -(-n // (cfg.tiles_x * cols))
+    compute = waves * -(-k // group) * cycles_per_group
     try:
         # int / int rounds once, correctly: the float of the exact rational.
         weight_bytes = (k * n * bits_per_weight.numerator
@@ -265,15 +266,11 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
                         EnergyBreakdown(compute * n_pes * cfg.e_pe_cycle,
                                         moved * cfg.e_sram_byte,
                                         moved * cfg.e_dram_byte))
+        out = SimReport()
         out.accumulate(one, layer.repeat)
-        e = out.energy
-        finite = all(map(math.isfinite, (out.weight_bytes, out.activation_bytes,
-                                         e.compute_j, e.sram_j, e.dram_j)))
-    except OverflowError:  # an int beyond the float range, or ceil(inf)
-        finite = False
-    if not finite:
+    except OverflowError:  # an int beyond the float range, or an inf
         raise ConfigError(f"{layer}: byte or energy figures overflow the "
-                          "float range")
+                          "float range") from None
     return out
 
 
@@ -315,12 +312,16 @@ def _phases(w: WorkloadSpec, one_gemm) -> SimReport:
     runs = [(key, sum(1 for _ in group)) for key, group in
             groupby(w.layers, key=lambda l: (l.k, l.n, l.repeat))]
     out = SimReport()
-    # Every decode step re-fetches all weights (no cross-token residency).
-    for m, steps in ((w.prefill_tokens, 1), (1, w.decode_tokens)):
-        if m > 0 and steps > 0:
-            for (k, n, repeat), run_length in runs:
-                out.accumulate(one_gemm(LayerShape(m, k, n, repeat)),
-                               steps * run_length)
+    try:
+        # Every decode step re-fetches all weights (no cross-token reuse).
+        for m, steps in ((w.prefill_tokens, 1), (1, w.decode_tokens)):
+            if m > 0 and steps > 0:
+                for (k, n, repeat), run_length in runs:
+                    out.accumulate(one_gemm(LayerShape(m, k, n, repeat)),
+                                   steps * run_length)
+    except OverflowError:  # from accumulate; one_gemm raises ConfigError
+        raise ConfigError(f"workload {w.name!r}: byte or energy totals "
+                          "overflow the float range") from None
     return out
 
 
@@ -347,9 +348,9 @@ def with_speedup(report: SimReport, baseline: SimReport) -> SimReport:
 # Shape files: line-oriented `key = value`; '#' starts a comment.
 # Keys: name, hidden, blocks (required); ffn (default 4*hidden), heads,
 # kv_heads (default heads), ffn_gemms (2 or 3, default 2), vocab (adds an
-# LM-head GEMM when present).  Every integer must be >= 1.  A shape file
-# describes the model only; token counts are the caller's (``bitmod
-# simulate --prefill-tokens/--decode-tokens``).
+# LM-head GEMM when present).  Every integer must be >= 1, and a key may
+# appear only once.  A shape file describes the model only; token counts
+# are the caller's (``bitmod simulate --prefill-tokens/--decode-tokens``).
 # ---------------------------------------------------------------------------
 
 _INT_KEYS = {"hidden", "ffn", "heads", "kv_heads", "blocks", "vocab",
@@ -368,6 +369,8 @@ def parse_shape_file(text: str) -> dict:
             raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
         key, _, val = line.partition("=")
         key, val = key.strip().lower(), val.strip()
+        if key in values:
+            raise ParseError(f"repeated key {key!r}", line=lineno)
         if key in _INT_KEYS:
             try:
                 values[key] = int(val)

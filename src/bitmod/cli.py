@@ -29,7 +29,7 @@ from . import archsim, packfile, synth
 from .bitserial import encode_weight, term_value_sum
 from .dtype import DataType, GroupingConfig, spec_for
 from .errors import (BitmodError, ConfigError, ParseError, TooManySetBits,
-                     UnsupportedDtype)
+                     UnrepresentableValue, UnsupportedDtype)
 from .quant import (
     dequantize_tensor,
     error_report,
@@ -207,7 +207,7 @@ def cmd_bitserial_check(args) -> int:
                 try:
                     got = term_value_sum(encode_weight(code, spec, register,
                                                        sv_index))
-                except TooManySetBits as exc:
+                except (TooManySetBits, UnrepresentableValue) as exc:
                     problem = str(exc)
                 else:
                     if got == want:
@@ -292,8 +292,7 @@ def cmd_simulate(args) -> int:
     _emit_rows(rows, SIM_COLUMNS, args)
     # Weight-vs-activation DRAM traffic summary.
     for row in rows:
-        ratio = (row["weight_bytes"] / row["activation_bytes"]
-                 if row["activation_bytes"] else float("inf"))
+        ratio = row["weight_bytes"] / row["activation_bytes"]
         print(f"{row['dtype']:>14}: weight {row['weight_bytes']:.3e} B, "
               f"activation {row['activation_bytes']:.3e} B "
               f"(ratio {ratio:.1f}x)", file=sys.stderr)

@@ -109,6 +109,19 @@ def test_bitserial_check_reports_wrong_special_value(capsys):
     assert err == "FP3_BITMOD sv 0 code 6: 5 != 3\n"
 
 
+@pytest.mark.parametrize("value", (12, 20, -12))
+def test_bitserial_check_reports_unrepresentable_special_value(value, capsys):
+    # A special value beyond the fixed-point range used to end the whole
+    # check in one error line, with no per-code lines and no count.
+    code, out, err = run(capsys, "bitserial-check", "--sv-override",
+                         str(value))
+    assert code == 1
+    assert out == "342/344 codes exact\n"
+    assert err == (
+        f"FP4_BITMOD sv 0 code 14: |{value}| exceeds the 4-integer-bit range\n"
+        f"FP3_BITMOD sv 0 code 6: |{value}| exceeds the 4-integer-bit range\n")
+
+
 def test_simulate_bundled_shape(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     code, _, err = run(capsys, "simulate", "toy",
@@ -158,13 +171,26 @@ def test_shape_file_token_counts_are_one_line_error(tmp_path, capsys):
 
 
 def test_shape_beyond_float_range_is_one_line_error(tmp_path, capsys):
-    # Used to end in an OverflowError traceback.
+    # 10^160: one GEMM overflows; this used to end in an OverflowError
+    # traceback.  10^150: every GEMM is finite but the sum over 2^40 decode
+    # steps is not; this used to print inf and exit 0.
     shape = tmp_path / "huge.shape"
-    shape.write_text(f"name = huge\nhidden = {10**160}\nblocks = 1\n")
+    for hidden, decode in ((10**160, 0), (10**150, 1 << 40)):
+        shape.write_text(f"name = huge\nhidden = {hidden}\nblocks = 1\n")
+        code, out, err = run(capsys, "simulate", str(shape),
+                             "--decode-tokens", str(decode))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow the float range" in err
+
+
+def test_repeated_shape_key_is_one_line_error(tmp_path, capsys):
+    # Used to take the last value without a word.
+    shape = tmp_path / "twice.shape"
+    shape.write_text("name = x\nhidden = 64\nblocks = 2\nhidden = 128\n")
     code, out, err = run(capsys, "simulate", str(shape))
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "overflow the float range" in err
+    assert err == "error: line 4: repeated key 'hidden'\n"
 
 
 def test_non_utf8_shape_file_is_one_line_error(tmp_path, capsys):
