@@ -83,10 +83,18 @@ class ArchConfig:
                                   f"got {getattr(self, name)!r}")
         if self.frequency_hz <= 0 or self.dram_bandwidth_bytes_per_s <= 0:
             raise ConfigError("frequency and DRAM bandwidth must be positive")
+        if not 0 < self.dram_bytes_per_cycle < math.inf:
+            raise ConfigError("DRAM bytes per cycle, dram_bandwidth_bytes_per_s"
+                              " / frequency_hz, must be finite and positive, "
+                              f"got {self.dram_bytes_per_cycle!r}")
         for name in ("e_pe_cycle", "e_sram_byte", "e_dram_byte"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, "
                                   f"got {getattr(self, name)!r}")
+
+    @property
+    def dram_bytes_per_cycle(self) -> float:
+        return self.dram_bandwidth_bytes_per_s / self.frequency_hz
 
     @property
     def n_pes(self) -> int:
@@ -258,8 +266,7 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
                         / (8 * bits_per_weight.denominator))
         act_bytes = float((m * k + m * n) * 2)  # FP16 activations in and out
         moved = weight_bytes + act_bytes
-        dram = math.ceil(moved / (cfg.dram_bandwidth_bytes_per_s
-                                  / cfg.frequency_hz))
+        dram = math.ceil(moved / cfg.dram_bytes_per_cycle)
         n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
         one = SimReport(compute, dram, max(compute, dram), weight_bytes,
                         act_bytes,

@@ -85,6 +85,9 @@ def _load_npy(path: str) -> np.ndarray:
                         if fmt.read_magic(fh) == (1, 0)
                         else fmt.read_array_header_2_0)
                 shape, _, dtype = read(fh)
+                if dtype.hasobject:
+                    raise ValueError(f"{path}: NPY header's dtype {dtype} "
+                                     "holds Python objects")
                 if min(shape, default=0) < 0:
                     raise ValueError(f"{path}: NPY header's shape {shape} "
                                      "has a negative dimension")
@@ -232,8 +235,8 @@ def _load_arch_config(path: str | None) -> archsim.ArchConfig:
         return archsim.ArchConfig()
     with open(path) as fh:
         try:
-            overrides = json.load(fh)
-        except ValueError as exc:
+            overrides = json.load(fh, object_pairs_hook=_unique_keys)
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(overrides, dict):
         raise ConfigError(f"{path}: expected a JSON object of ArchConfig keys")
@@ -241,6 +244,16 @@ def _load_arch_config(path: str | None) -> archsim.ArchConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown ArchConfig keys {sorted(unknown)}")
     return replace(archsim.ArchConfig(), **overrides)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a repeated key is a :class:`ConfigError`."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _load_workload(path: str, args) -> archsim.WorkloadSpec:

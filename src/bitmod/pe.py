@@ -14,16 +14,20 @@ Numeric model (documented choices, not hardware claims):
   (3 guard bits preserve exact RNE);
 * FP16 subnormal activations flush to zero at ingestion; NaN/Inf rejected.
 
-Activations enter as exact float64 operands (:func:`decode_fp16`) and
+Activations enter as exact float64 operands, gathered by FP16 bit
+pattern from one table built on first use (:func:`decode_fp16`), and
 weights as the exact float64 values of their terms, gathered lane-major
-(:func:`encode_group_terms`); :mod:`bitmod._kernels` states why its
-float64 lane stage is exact.
+(:func:`encode_group_terms`).  :mod:`bitmod._kernels` runs the group on
+float64 throughout and states why each of its values is exact: the lane
+stage, and the accumulator, whose round half to even onto a grid ``2^k``
+is ``x + c - c`` with ``c = 1.5 * 2^(k+52)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -48,17 +52,35 @@ def decode_fp16(values):
     exponent, which is the value times 2^25.  Operands are below 2^41, so
     float64 holds them exactly.  Subnormals flush to zero; a NaN or
     infinite value, including one that overflows FP16, raises
-    ``ValueError``.
+    ``ValueError``.  One gather from a 65 536-entry table, indexed by the
+    FP16 bit pattern, decodes every value.
     """
     half = np.asarray(values)
     if half.dtype != np.float16:
         with np.errstate(over="ignore"):  # overflow lands on inf, rejected below
             half = half.astype(np.float16)
-    if (half.view(np.uint16) & 0x7C00).max(initial=0) == 0x7C00:
-        raise ValueError("NaN/Inf activation rejected")  # exponent all ones
-    ops = half.astype(np.float64)
-    ops *= 2.0 ** 25
-    ops[np.abs(ops) < 2.0 ** 11] = 0.0  # subnormals: below 2^-14 * 2^25
+    ops = _fp16_operands().take(half.view(np.uint16), out=np.empty(half.shape))
+    if np.isnan(ops).any():
+        raise ValueError("NaN/Inf activation rejected")
+    return ops
+
+
+@cache
+def _fp16_operands() -> np.ndarray:
+    """The operand of every FP16 bit pattern, built on first use.
+
+    A read-only float64 array of 65 536 entries: entry ``p`` is the
+    :func:`decode_fp16` operand of the pattern ``p``, or NaN where the
+    exponent field is all ones (NaN and infinity).
+    """
+    bits = np.arange(1 << 16, dtype=np.uint16)
+    exponent = bits & 0x7C00
+    ops = bits.view(np.float16).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # scaling the NaN patterns
+        ops *= 2.0 ** 25
+    ops[exponent == 0] = 0.0  # zeros and subnormals
+    ops[exponent == 0x7C00] = np.nan  # NaN and infinity
+    ops.flags.writeable = False
     return ops
 
 

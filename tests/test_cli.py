@@ -383,15 +383,18 @@ def _damaged_npy_header(kind: str) -> bytes:
 
 @pytest.mark.parametrize("kind", ["zero-bytes", "npz-archive", "bad-zip",
                                   "unclosed-header", "huge-shape",
-                                  "negative-dim"])
+                                  "negative-dim", "object"])
 @pytest.mark.parametrize("verb", ("quant-eval", "pack"))
 def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
     # These ended in an EOFError, AttributeError, BadZipFile,
-    # tokenize.TokenError or MemoryError traceback.
+    # tokenize.TokenError or MemoryError traceback; an object array's
+    # error did not name the file.
     path = tmp_path / "bad.npy"
     if kind == "npz-archive":
         with open(path, "wb") as fh:
             np.savez(fh, w=np.ones((2, 8), dtype=np.float32))
+    elif kind == "object":
+        np.save(path, np.ones((2, 8), dtype=object), allow_pickle=True)
     elif kind in ("unclosed-header", "huge-shape", "negative-dim"):
         path.write_bytes(_damaged_npy_header(kind))
     else:  # "bad-zip" has a zip signature and nothing a zip reader accepts
@@ -423,6 +426,32 @@ def test_wrongly_typed_arch_config_value_is_config_error(overrides, tmp_path,
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(overrides)) in err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"frequency_hz": 1e308, "dram_bandwidth_bytes_per_s": 1e-308},
+    {"frequency_hz": 1e-300}], ids=["zero", "infinite"])
+def test_dram_bytes_per_cycle_out_of_range_is_config_error(overrides, tmp_path,
+                                                           capsys):
+    # Bytes per cycle of 0 (the quotient underflows) ended in a
+    # ZeroDivisionError traceback; of inf, every row had 0 DRAM cycles and
+    # the run exited 0.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    code, _, err = run(capsys, "simulate", "toy", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bytes per cycle" in err
+
+
+def test_repeated_arch_config_key_is_config_error(tmp_path, capsys):
+    # The last value used to win silently.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tiles_x": 1, "tiles_x": 2}')
+    code, _, err = run(capsys, "simulate", "toy", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "repeated key 'tiles_x'" in err and str(cfg) in err
 
 
 def test_unknown_arch_config_key_is_config_error(tmp_path, capsys):

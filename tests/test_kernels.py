@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+import pe_oracle
+from conftest import oracle_acts, oracle_weight_terms
 from bitmod import _kernels
-from bitmod.pe import decode_fp16
+from bitmod.dtype import code_range, spec_for
+from bitmod.pe import decode_fp16, group_dot
+from bitmod.quant import QuantizedGroup
+
+PE_DTYPES = ("INT8_SYM", "INT6_SYM", "INT4_SYM",
+             "FP3_BASIC", "FP4_BASIC", "FP3_BITMOD", "FP4_BITMOD")
 
 # 132000 quads of four term slots at one significance, weight +-8 in every
 # lane: 528000 cycles whose sum passes 2^32 once, so the accumulator carries
@@ -23,3 +30,31 @@ def test_run_group_dot_carry_past_bit_31(sign, lanes, want):
     # ``want`` was recorded from tests/pe_oracle.group_dot on the same
     # operands.
     assert _kernels.run_group_dot(w, a) == want
+
+
+@pytest.mark.parametrize("direction", ("falling", "rising"))
+@pytest.mark.parametrize("name", PE_DTYPES)
+def test_run_group_dot_activation_ramp(name, direction, monkeypatch):
+    # Activations whose binades fall from 2^14 to 2^-14 leave a large
+    # accumulator on a grid coarser than the later trees', so the general
+    # path rounds each tree onto the accumulator's grid.  Rising ones keep
+    # each tree's grid above the accumulator's, the fast path.
+    general, align_add = [], _kernels._align_add
+    monkeypatch.setattr(_kernels, "_align_add",
+                        lambda *args: general.append(args) or align_add(*args))
+    rng = np.random.default_rng(26)
+    spec = spec_for(name)
+    lo, hi = code_range(spec)
+    g = 128
+    qg = QuantizedGroup(codes=rng.integers(lo, hi + 1, g), scale_q=201)
+    binades = np.linspace(14, -14, g)
+    if direction == "rising":
+        binades = binades[::-1]
+    acts = rng.choice([-1.0, 1.0], g) * rng.uniform(1, 2, g) * 2.0 ** binades
+    gps, _ = group_dot(qg, acts, spec)
+    want = pe_oracle.dequant(
+        pe_oracle.group_dot(oracle_weight_terms(qg, spec), oracle_acts(acts),
+                            g, spec.terms_per_code), qg.scale_q)
+    assert (gps.m_grp, gps.e_grp) == want
+    if direction == "falling":
+        assert general
