@@ -76,35 +76,25 @@ class ArchConfig:
             if type(value) not in types or not _finite(value):
                 kind = "an integer" if types == (int,) else "a finite number"
                 raise ConfigError(f"{name} must be {kind}, got {value!r}")
-        for name in ("tiles_x", "tiles_y", "pe_rows", "pe_cols",
-                     "baseline_pe_rows", "baseline_pe_cols"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, "
-                                  f"got {getattr(self, name)!r}")
-        if self.frequency_hz <= 0 or self.dram_bandwidth_bytes_per_s <= 0:
-            raise ConfigError("frequency and DRAM bandwidth must be positive")
+            if value < 0 or (value == 0 and name not in _MAY_BE_ZERO):
+                bound = ">= 0" if name in _MAY_BE_ZERO else "positive"
+                raise ConfigError(f"{name} must be {bound}, got {value!r}")
         if not 0 < self.dram_bytes_per_cycle < math.inf:
             raise ConfigError("DRAM bytes per cycle, dram_bandwidth_bytes_per_s"
                               " / frequency_hz, must be finite and positive, "
                               f"got {self.dram_bytes_per_cycle!r}")
-        for name in ("e_pe_cycle", "e_sram_byte", "e_dram_byte"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, "
-                                  f"got {getattr(self, name)!r}")
 
     @property
     def dram_bytes_per_cycle(self) -> float:
         return self.dram_bandwidth_bytes_per_s / self.frequency_hz
-
-    @property
-    def n_pes(self) -> int:
-        return self.tiles_x * self.tiles_y * self.pe_rows * self.pe_cols
 
 
 # Value types each ArchConfig field accepts, by its annotation.  The type is
 # compared exactly, so a bool (an int subclass) is refused.
 _FIELD_TYPES = tuple((f.name, {"int": (int,), "float": (int, float)}[f.type])
                      for f in fields(ArchConfig))
+# The per-event energies may be 0; every other field must be positive.
+_MAY_BE_ZERO = ("e_pe_cycle", "e_sram_byte", "e_dram_byte")
 
 
 @dataclass(frozen=True)
@@ -427,8 +417,3 @@ def profile_shapes(text: str) -> WorkloadSpec:
         layers.append(LayerShape(m=0, k=hidden, n=v["vocab"], repeat=1))
     return WorkloadSpec(name=v["name"], layers=tuple(layers))
 
-
-def workload_weight_bytes(w: WorkloadSpec, bits_per_weight: Fraction) -> float:
-    """One full fetch of every weight tensor in the workload."""
-    return float(sum(l.k * l.n * l.repeat for l in w.layers)
-                 * bits_per_weight / 8)

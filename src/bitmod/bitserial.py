@@ -61,7 +61,10 @@ class FixedPointCode:
     """Sign-magnitude fixed point: 1 sign, 4 integer bits, 1 fraction bit.
 
     ``mag_half`` is the magnitude in units of the 0.5 LSB, 0..31: bits 4..1
-    are I3..I0 and bit 0 is F0.
+    are I3..I0 and bit 0 is F0, so magnitudes run from 0 to 15.5 in steps
+    of 0.5.  This is the one range rule of the encoder; any other
+    ``mag_half`` raises :class:`UnrepresentableValue`.  Only a magnitude
+    with at most two set bits splits into terms (:func:`lod_decode`).
     """
 
     sign: int
@@ -69,7 +72,8 @@ class FixedPointCode:
 
     def __post_init__(self):
         if not 0 <= self.mag_half < 32:
-            raise UnrepresentableValue(f"magnitude {self.mag_half}/2 out of range")
+            raise UnrepresentableValue(
+                f"fixed-point magnitude {self.mag_half}/2 is outside 0..15.5")
 
     @property
     def value(self) -> Fraction:
@@ -82,13 +86,17 @@ class FixedPointCode:
 
 
 def fixed_point_of(value) -> FixedPointCode:
-    """Convert a rational grid value to the sign-magnitude fixed-point layout."""
+    """Convert a rational grid value to the sign-magnitude fixed-point layout.
+
+    The layout holds magnitudes 0..15.5 in steps of 0.5, and
+    :func:`lod_decode` splits one only when it has at most two set bits.
+    A value finer than the 0.5 LSB raises :class:`UnrepresentableValue`
+    here; :class:`FixedPointCode` refuses one beyond 15.5.
+    """
     v = Fraction(value)
     mag2 = abs(v) * 2
     if mag2.denominator != 1:
         raise UnrepresentableValue(f"{value} is finer than the 0.5 LSB")
-    if mag2 > 16:
-        raise UnrepresentableValue(f"|{value}| exceeds the 4-integer-bit range")
     return FixedPointCode(sign=1 if v < 0 else 0, mag_half=int(mag2))
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dtype import (SCALE_Q_RANGE, DataType, DataTypeSpec, GroupingConfig,
                     check_range, code_range, spec_for, sv_range)
-from .errors import FormatError, OutOfRange, UnsupportedDtype
+from .errors import FormatError, OutOfRange
 from .quant import QuantizedTensor, channel_chunks, dequantize_tensor
 
 MAGIC = b"BMOD"
@@ -118,13 +118,14 @@ def pack(qt: QuantizedTensor, grouping: GroupingConfig,
     A field the file cannot hold exactly, or that ``unpack`` would reject,
     raises :class:`OutOfRange` before any byte is written: a channel scale
     that is not a finite float32, a ``scale_q`` outside 0..255, an
-    ``sv_index`` or a code outside the dtype's range.
+    ``sv_index`` or a code outside the dtype's range.  An asymmetric
+    dtype raises :class:`UnsupportedDtype`, from
+    :func:`bitmod.dtype.code_range`.
     """
     if len(qt) == 0:
         raise ValueError("no channels to pack")
     spec = qt.dtype
-    if spec.asymmetric:
-        raise UnsupportedDtype(f"{spec.name} has a zero-point; not packable")
+    lo, hi = code_range(spec)
     k, n_groups, g = qt.codes.shape
     if (grouping.group_size, channel_size) != (g, qt.valid_size):
         raise ValueError(f"group size {grouping.group_size} and channel size "
@@ -139,7 +140,7 @@ def pack(qt: QuantizedTensor, grouping: GroupingConfig,
                          f"{c} is not a finite float32 value")
     check_range("scale_q", qt.scale_q, *SCALE_Q_RANGE, spec)
     check_range("sv_index", qt.sv_index, *sv_range(spec), spec)
-    check_range("code", qt.codes, *code_range(spec), spec)
+    check_range("code", qt.codes, lo, hi, spec)
     rec = group_record_bytes(spec, g)
     width = 4 + n_groups * rec
     out = bytearray(_HEADER.size + k * width)

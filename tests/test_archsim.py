@@ -2,7 +2,6 @@ import dataclasses
 import math
 import sys
 import time
-from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -23,7 +22,6 @@ from bitmod.archsim import (
     simulate_layer,
     simulate_workload,
     with_speedup,
-    workload_weight_bytes,
 )
 from bitmod.dtype import GroupingConfig, spec_for
 from bitmod.errors import ConfigError, ParseError
@@ -33,17 +31,35 @@ G128 = GroupingConfig(group_size=128)
 
 
 def test_arch_config_defaults_and_validation():
-    cfg = ArchConfig()
-    assert cfg.n_pes == 4 * 4 * 8 * 8
-    with pytest.raises(ConfigError):
-        ArchConfig(tiles_x=0)
-    with pytest.raises(ConfigError):
-        ArchConfig(dram_bandwidth_bytes_per_s=0)
     # A zero baseline tile used to divide by zero; a negative one gave
-    # negative baseline cycles.
-    for name, value in (("baseline_pe_rows", 0), ("baseline_pe_cols", -8)):
-        with pytest.raises(ConfigError, match=name):
+    # negative baseline cycles.  A zero frequency or DRAM bandwidth gave
+    # one message that named neither field.
+    for name, value in (("tiles_x", 0), ("frequency_hz", 0),
+                        ("dram_bandwidth_bytes_per_s", 0),
+                        ("baseline_pe_rows", 0), ("baseline_pe_cols", -8)):
+        with pytest.raises(ConfigError, match=f"^{name} must be positive"):
             ArchConfig(**{name: value})
+
+
+def test_arch_config_names_the_first_bad_field():
+    # One rule per field, checked in field order: type, then bound.
+    with pytest.raises(ConfigError, match="^tiles_y must be positive"):
+        ArchConfig(tiles_y=0, frequency_hz=-1, baseline_pe_cols="8")
+    with pytest.raises(ConfigError, match="^e_sram_byte must be >= 0"):
+        ArchConfig(e_sram_byte=-1e-12, baseline_pe_rows="6")
+
+
+def test_compute_energy_counts_each_arrays_own_pes():
+    # The bit-serial array has 4x4 tiles of 8x8 PEs, the FP16 baseline 4x4
+    # tiles of 6x8; each pays e_pe_cycle per PE per compute cycle.
+    cfg = ArchConfig()
+    layer = LayerShape(m=64, k=1024, n=512)
+    rep = simulate_layer(layer, spec_for("FP3_BITMOD"), G128, cfg)
+    assert rep.energy.compute_j == (rep.compute_cycles * (4 * 4 * 8 * 8)
+                                    * cfg.e_pe_cycle)
+    base = baseline_fp16_layer(layer, cfg)
+    assert base.energy.compute_j == (base.compute_cycles * (4 * 4 * 6 * 8)
+                                     * cfg.e_pe_cycle)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -225,10 +241,10 @@ def test_workload_phases_decode_refetches_weights():
     generative = simulate_workload(
         WorkloadSpec("g", layers, prefill_tokens=256, decode_tokens=64),
         spec, G128)
-    per_fetch = workload_weight_bytes(
-        WorkloadSpec("w", layers), memory_footprint_bits(spec, G128))
-    assert prefill_only.weight_bytes == pytest.approx(per_fetch)
-    assert generative.weight_bytes == pytest.approx(per_fetch * 65)
+    per_fetch = simulate_layer(LayerShape(256, 512, 512), spec,
+                               G128).weight_bytes
+    assert prefill_only.weight_bytes == per_fetch
+    assert generative.weight_bytes == per_fetch * 65
 
 
 def test_energy_accumulates_and_scales_with_bytes():
@@ -321,7 +337,7 @@ def test_bundled_llama_shape_weight_count():
         .read_text()
     w = profile_shapes(text)
     n_weights = sum(l.k * l.n * l.repeat for l in w.layers)
-    fp16_bytes = workload_weight_bytes(w, Fraction(16))
+    fp16_bytes = baseline_fp16_sim(w).weight_bytes
     assert fp16_bytes == n_weights * 2
     # Llama-2-7B linear layers hold ~6.6B parameters (13.2 GB in FP16).
     assert 12e9 < fp16_bytes < 15e9

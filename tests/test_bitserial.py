@@ -78,10 +78,11 @@ def test_fixed_point_of():
     fp = fixed_point_of(-6)
     assert (fp.sign, fp.mag_half) == (1, 12)
     assert fixed_point_of(8).mag_half == 16
+    assert fixed_point_of(12).mag_half == 24
     with pytest.raises(UnrepresentableValue):
         fixed_point_of(F(1, 4))  # finer than the 0.5 LSB
     with pytest.raises(UnrepresentableValue):
-        fixed_point_of(9)  # beyond the 4 integer bits
+        fixed_point_of(16)  # beyond 15.5, the top of the 4 integer bits
     with pytest.raises(UnrepresentableValue):
         FixedPointCode(sign=0, mag_half=32)
 
@@ -136,6 +137,24 @@ def test_lod_covers_every_two_bit_pattern():
     # so any magnitude with at most two set bits decodes exactly.
     t1, t2 = lod_decode(FixedPointCode(sign=0, mag_half=0b10001))  # 8.5
     assert t1.value == 8 and t2.value == F(1, 2)
+
+
+def test_encoder_range_matches_oracle():
+    # The encoder and the independent oracle accept the same fixed-point
+    # range, 0..15.5, and split each value in it the same way.  Each
+    # half-integer in -16.5..16.5 goes through the special slot of
+    # FP3_BITMOD (code 6 at sv_index 0).
+    spec = spec_for("FP3_BITMOD")
+    for v in (F(h, 2) for h in range(-33, 34)):
+        register = (v,) + spec.special_values[1:]
+        try:
+            got = tuple((t.sign, t.exp, t.man, t.bsig)
+                        for t in encode_weight(6, spec, register, 0))
+        except (UnrepresentableValue, TooManySetBits):
+            with pytest.raises(ValueError):
+                pe_oracle.fp_terms(v)
+        else:
+            assert got == pe_oracle.fp_terms(v), v
 
 
 def test_encode_weight_fp_codes_round_trip_all_svs():

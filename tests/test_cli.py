@@ -109,7 +109,19 @@ def test_bitserial_check_reports_wrong_special_value(capsys):
     assert err == "FP3_BITMOD sv 0 code 6: 5 != 3\n"
 
 
-@pytest.mark.parametrize("value", (12, 20, -12))
+@pytest.mark.parametrize("value", (12, -12))
+def test_bitserial_check_reports_wrong_two_bit_special_value(value, capsys):
+    # |12| = 8 + 4 is inside the fixed-point range 0..15.5 and has two set
+    # bits, so it encodes; it is only the wrong value for both grids.
+    code, out, err = run(capsys, "bitserial-check", "--sv-override",
+                         str(value))
+    assert code == 1
+    assert out == "342/344 codes exact\n"
+    assert err == (f"FP4_BITMOD sv 0 code 14: {value} != 5\n"
+                   f"FP3_BITMOD sv 0 code 6: {value} != 3\n")
+
+
+@pytest.mark.parametrize("value", (16, 20))
 def test_bitserial_check_reports_unrepresentable_special_value(value, capsys):
     # A special value beyond the fixed-point range used to end the whole
     # check in one error line, with no per-code lines and no count.
@@ -117,9 +129,9 @@ def test_bitserial_check_reports_unrepresentable_special_value(value, capsys):
                          str(value))
     assert code == 1
     assert out == "342/344 codes exact\n"
-    assert err == (
-        f"FP4_BITMOD sv 0 code 14: |{value}| exceeds the 4-integer-bit range\n"
-        f"FP3_BITMOD sv 0 code 6: |{value}| exceeds the 4-integer-bit range\n")
+    problem = f"fixed-point magnitude {2 * value}/2 is outside 0..15.5"
+    assert err == (f"FP4_BITMOD sv 0 code 14: {problem}\n"
+                   f"FP3_BITMOD sv 0 code 6: {problem}\n")
 
 
 def test_simulate_bundled_shape(tmp_path, capsys):
@@ -277,11 +289,13 @@ def test_negative_energy_cost_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides", [{"baseline_pe_rows": 0},
-                                       {"baseline_pe_cols": -8}])
+                                       {"baseline_pe_cols": -8},
+                                       {"frequency_hz": 0}])
 def test_nonpositive_baseline_tile_is_config_error(overrides, tmp_path,
                                                    capsys):
     # Rows 0 used to end in ZeroDivisionError; cols -8 printed negative
-    # baseline cycles and exited 0.
+    # baseline cycles and exited 0.  Frequency 0, like every field, now
+    # has the same one-line error naming it; it used to name no field.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     code, _, err = run(capsys, "simulate", "toy", "--config", str(cfg))
