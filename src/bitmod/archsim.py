@@ -20,11 +20,14 @@ a config are meaningful.
 A layer repeated over blocks, a run of adjacent equal GEMMs (Q, K, V and O
 when ``kv_heads = heads``) and a phase repeated over decode steps add the
 same per-GEMM report many times.  Each run of equal GEMMs is simulated once,
-and the totals are computed in closed form (``SimReport.accumulate`` with a
-count), so host time grows only with the logarithm of ``decode_tokens``.
-The float columns still equal, bit for bit, what that many sequential
-additions give: a sum that no partial sum rounds, as in most byte columns,
-is one multiply-add, and the others jump a binade at a time.  Cycle counts
+a GEMM builds its ``repeat`` totals straight into the report it returns,
+and ``SimReport.accumulate`` adds a report with a count, so host time grows
+only with the logarithm of ``decode_tokens``.  Both move the five float
+totals together: a count up to 64 is one plain loop of five additions, and
+a larger one is computed in closed form per total.  The float columns
+still equal, bit for bit, what that many sequential additions give: a sum
+that no partial sum rounds, as in most byte columns, is one multiply-add,
+and the others jump a binade at a time, in float arithmetic.  Cycle counts
 are exact for any shape: every ceiling is an integer one.  A byte or energy
 total that overflows the float range, in one GEMM or over a workload,
 raises :class:`ConfigError` naming the layer or the workload.
@@ -138,18 +141,37 @@ class SimReport:
         self.compute_cycles += other.compute_cycles * times
         self.dram_cycles += other.dram_cycles * times
         self.total_cycles += other.total_cycles * times
-        self.weight_bytes = _repeat_add(self.weight_bytes, other.weight_bytes,
-                                        times)
-        self.activation_bytes = _repeat_add(self.activation_bytes,
-                                            other.activation_bytes, times)
-        e, o = self.energy, other.energy
-        e.compute_j = _repeat_add(e.compute_j, o.compute_j, times)
-        e.sram_j = _repeat_add(e.sram_j, o.sram_j, times)
-        e.dram_j = _repeat_add(e.dram_j, o.dram_j, times)
-        if not all(map(math.isfinite, (self.weight_bytes,
-                                       self.activation_bytes, e.compute_j,
-                                       e.sram_j, e.dram_j))):
+        o = other.energy
+        self._add_floats(other.weight_bytes, other.activation_bytes,
+                         o.compute_j, o.sram_j, o.dram_j, times)
+
+    def _add_floats(self, weight_bytes: float, activation_bytes: float,
+                    compute_j: float, sram_j: float, dram_j: float,
+                    times: int):
+        """Add the five float figures ``times`` times each, as that many
+        sequential additions; raise ``OverflowError`` when a total is not
+        finite.  The fields never meet, so one loop over all five adds
+        what five loops would."""
+        e = self.energy
+        w, a, c, s, d = (self.weight_bytes, self.activation_bytes,
+                         e.compute_j, e.sram_j, e.dram_j)
+        if times <= _PLAIN_RUN:
+            for _ in range(times):
+                w += weight_bytes
+                a += activation_bytes
+                c += compute_j
+                s += sram_j
+                d += dram_j
+        else:
+            w = _repeat_add(w, weight_bytes, times)
+            a = _repeat_add(a, activation_bytes, times)
+            c = _repeat_add(c, compute_j, times)
+            s = _repeat_add(s, sram_j, times)
+            d = _repeat_add(d, dram_j, times)
+        if not all(map(math.isfinite, (w, a, c, s, d))):
             raise OverflowError("a float total overflows the float range")
+        self.weight_bytes, self.activation_bytes = w, a
+        e.compute_j, e.sram_j, e.dram_j = c, s, d
 
 
 # Runs up to this many additions are plain loops: cheaper than anything else.
@@ -157,6 +179,10 @@ _PLAIN_RUN = 64
 # s / ulp(s) stays below this in every binade; at it the ulp doubles.  It is
 # also the bound below which every integer is a float.
 _BINADE_ULPS = 1 << 53
+# A jump leaves s at most this many ulps into its binade.
+_BINADE_ROOM = float(_BINADE_ULPS - 2)
+# q + _RNE - _RNE is q >= 0 rounded to an integer, half to even, below 2**51.
+_RNE = 1.5 * 2.0 ** 52
 
 
 def _repeat_add(s: float, x: float, n: int) -> float:
@@ -181,6 +207,20 @@ def _repeat_add(s: float, x: float, n: int) -> float:
       it ``s / ulp`` is even and stays even).  About three steps per
       binade that ``s`` crosses.
 
+    The jumps run in float arithmetic, and every value in them is exact:
+
+    * ``ulps = s / ulp(s)``: ``s`` is a multiple of its ulp, fewer than
+      2**53 of them.
+    * ``q = x / ulp`` is below 2**50, as ``x < s / 8``, so
+      ``d = q + 1.5 * 2**52 - 1.5 * 2**52`` is ``q`` rounded half to even:
+      the sum lies where the float spacing is 1, and ``1.5 * 2**52`` is
+      even.
+    * ``k = (2**53 - 2 - ulps) // d``: float floor division of integers
+      below 2**53 is exact.  ``n`` stays an int of any size: Python
+      compares it with the float ``k`` exactly.
+    * ``ulps + k * d`` is at most ``2**53 - 2``, and scaling it by the
+      power of two ``ulp`` is exact.
+
     Once ``s`` or ``x`` is infinite, every later sum is ``s + x``.
     """
     if n <= _PLAIN_RUN:
@@ -197,18 +237,20 @@ def _repeat_add(s: float, x: float, n: int) -> float:
         steps = 1
         if s > 8 * x:
             u = math.ulp(s)
-            ulps = int(s / u)
+            ulps = s / u
             q = x / u  # exact, or too small to round to a nonzero d
-            d = round(q)  # ties to even, as IEEE addition rounds
-            if not (abs(q - d) == 0.5 and ulps & 1):
-                if d == 0:
+            d = q + _RNE - _RNE  # ties to even, as IEEE addition rounds
+            if not (abs(q - d) == 0.5 and ulps % 2):
+                if not d:
                     return s  # no step moves s
                 # A run that ends 2 or more ulps below the binade's end
                 # keeps every exact sum inside it, so each step adds d ulps.
-                k = min(n, (_BINADE_ULPS - 2 - ulps) // d)
+                k = (_BINADE_ROOM - ulps) // d
+                if k > n:
+                    k = n
                 if k > 0:
                     s = (ulps + k * d) * u
-                    n -= k
+                    n -= int(k)
                     steps = 2  # s is under d + 2 ulps below the binade's end
         steps = min(steps, n)
         for _ in range(steps):
@@ -258,13 +300,11 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
         moved = weight_bytes + act_bytes
         dram = math.ceil(moved / cfg.dram_bytes_per_cycle)
         n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
-        one = SimReport(compute, dram, max(compute, dram), weight_bytes,
-                        act_bytes,
-                        EnergyBreakdown(compute * n_pes * cfg.e_pe_cycle,
-                                        moved * cfg.e_sram_byte,
-                                        moved * cfg.e_dram_byte))
-        out = SimReport()
-        out.accumulate(one, layer.repeat)
+        r = layer.repeat
+        out = SimReport(compute * r, dram * r, max(compute, dram) * r)
+        out._add_floats(weight_bytes, act_bytes,
+                        compute * n_pes * cfg.e_pe_cycle,
+                        moved * cfg.e_sram_byte, moved * cfg.e_dram_byte, r)
     except OverflowError:  # an int beyond the float range, or an inf
         raise ConfigError(f"{layer}: byte or energy figures overflow the "
                           "float range") from None

@@ -1,15 +1,19 @@
 import dataclasses
+import json
 import math
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bitmod import archsim
 from bitmod.archsim import (
+    _PLAIN_RUN,
     ArchConfig,
+    EnergyBreakdown,
     LayerShape,
     SimReport,
     WorkloadSpec,
@@ -454,6 +458,48 @@ def test_repeat_add_returns_at_once_when_s_stops_moving(s, x, want):
     assert time.perf_counter() - t0 < 0.05
 
 
+def test_repeat_add_counts_past_2_53():
+    # From 0 in steps of 3: 2**53 // 3 exact steps, one that rounds to
+    # 2**53, 2**51 steps of 4 (3 is a tie of 1.5 ulps, rounded to the even
+    # 2) up to 2**54, then steps of 4 (0.75 ulps) until 2**55.  A count of
+    # 2**53 + 1 ends among the last, and a float would hold it as 2**53.
+    n = 2 ** 53 + 1
+    ends_at_2_54 = 2 ** 53 // 3 + 1 + 2 ** 51
+    assert _repeat_add(0.0, 3.0, n) == 2 ** 54 + 4 * (n - ends_at_2_54)
+    # At 2**55, 3 is under half an ulp: no count moves s further.
+    assert _repeat_add(0.0, 3.0, 10 ** 40) == 2 ** 55
+
+
+def _float_totals(rep):
+    e = rep.energy
+    return (rep.weight_bytes, rep.activation_bytes, e.compute_j, e.sram_j,
+            e.dram_j)
+
+
+def _report(floats, cycles=0):
+    w, a, c, s, d = floats
+    return SimReport(cycles, cycles, cycles, w, a, EnergyBreakdown(c, s, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_addend_pairs(), min_size=5, max_size=5),
+       st.integers(0, 2 * _PLAIN_RUN) | st.integers(0, 5_000))
+@example([(0.5, 0.1), (3.0, 2.0 ** -40), (1e-12, 4e-12), (7.0, 1.5),
+          (1.0, 1.0)], _PLAIN_RUN + 1)
+@example([(1.0, 1.0)] * 4 + [(2.0 ** 1023, 2.0 ** 1020)], _PLAIN_RUN)
+def test_accumulate_equals_per_field_sequential_additions(pairs, times):
+    total = _report([s for s, _ in pairs], cycles=3)
+    step = _report([x for _, x in pairs], cycles=5)
+    want = [_loop_add(s, x, times) for s, x in pairs]
+    if not all(map(math.isfinite, want)):
+        with pytest.raises(OverflowError):
+            total.accumulate(step, times)
+        return
+    total.accumulate(step, times)
+    assert [v.hex() for v in _float_totals(total)] == [v.hex() for v in want]
+    assert total.compute_cycles == total.total_cycles == 3 + 5 * times
+
+
 def _add_once(out, rep):
     """One sequential addition of every column."""
     out.compute_cycles += rep.compute_cycles
@@ -511,7 +557,10 @@ B = LayerShape(m=0, k=512, n=256, repeat=3)
     (WorkloadSpec("m", (A, dataclasses.replace(A, m=77))), 1),
     # Layers that differ only in their repeat do not.
     (WorkloadSpec("r", (A, dataclasses.replace(A, repeat=5))), 2),
-], ids=["gqa", "aba", "m-placeholder", "repeat-differs"])
+    # Each GEMM's own repeat totals on both sides of the plain-loop cutoff.
+    (WorkloadSpec("repeats", tuple(dataclasses.replace(A, repeat=r)
+                                   for r in (0, 1, 64, 65))), 4),
+], ids=["gqa", "aba", "m-placeholder", "repeat-differs", "repeats"])
 def test_runs_of_equal_gemms_equal_sequential_sums(w, calls_per_phase,
                                                    decode, monkeypatch):
     w = dataclasses.replace(w, decode_tokens=decode)
@@ -545,3 +594,34 @@ def test_closed_form_totals_equal_sequential_sums(shape, decode, dtype_name):
         want = _oracle_workload(
             w, lambda layer: simulate_layer(layer, spec, G128))
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+# The benchmark's recorded simulate-sweep rows: {llama-2-7b, opt-1.3b} x
+# {INT6_SYM, INT8_SYM, FP4_BITMOD, FP3_BITMOD} x decode {0, 256, 100000}
+# at G = 128.  Only the file is read.
+SWEEP = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                    / "reference" / "sweep.json").read_text())["rows"]
+SWEEP_KEYS = [f"{shape}/{name}/{decode}"
+              for shape in ("llama-2-7b", "opt-1.3b")
+              for name in ("INT6_SYM", "INT8_SYM", "FP4_BITMOD", "FP3_BITMOD")
+              for decode in (0, 256, 100000)]
+
+
+def _sweep_row(rep):
+    row = dataclasses.asdict(rep)
+    row.update((f"energy_{k}", v) for k, v in row.pop("energy").items())
+    return row
+
+
+def test_sweep_reference_holds_every_config():
+    assert sorted(SWEEP) == sorted(SWEEP_KEYS)
+
+
+@pytest.mark.parametrize("key", SWEEP_KEYS)
+def test_simulate_rows_equal_recorded_sweep(key):
+    shape, name, decode = key.split("/")
+    w = dataclasses.replace(_bundled(shape), decode_tokens=int(decode))
+    base = baseline_fp16_sim(w)
+    rep = with_speedup(simulate_workload(w, spec_for(name), G128), base)
+    assert _sweep_row(rep) == SWEEP[key]["dtype"]
+    assert _sweep_row(base) == SWEEP[key]["baseline"]
