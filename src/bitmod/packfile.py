@@ -15,7 +15,11 @@ format holds, then fills one preallocated file body, a (channels,
 4 + n_groups * record) uint8 view, bit-packing the codes in chunks of whole
 channels, about ``quant.CHUNK_WEIGHTS`` weights each, 8 codes to a
 little-endian word.  ``unpack`` reads and checks the same chunks, each as
-one such view of the file.
+one such view of the file.  It reads a row's codes as fixed-width fields
+of whole codes: one byte (two 4-bit codes, or one 8-bit code) or 12 bits
+(four 3-bit codes, or two 6-bit codes; two fields in three bytes).  Each
+field is one index into a table of its codes, already sign-extended for
+INT types, built on first use per code width and signedness.
 
 Asymmetric INT types carry a zero-point the format has no field for; they
 are software baselines, so ``pack`` refuses them and ``unpack`` rejects
@@ -25,7 +29,7 @@ their dtype ids.
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -65,45 +69,56 @@ def _pack_codes(codes, spec: DataTypeSpec) -> np.ndarray:
                    j // bits * word.itemsize + j % bits, axis=-1)
 
 
-@lru_cache(maxsize=8)
-def _code_bytes(count: int, bits: int):
-    """Where each of ``count`` packed codes lies: its first byte, the byte
-    after it (the last byte again past the end), its bit offset in the
-    first byte and the left shift that aligns the byte after it."""
-    offset = np.arange(count) * bits
-    first = offset // 8
-    second = np.minimum(first + 1, (count * bits - 1) // 8)
-    shift = (offset % 8).astype(np.uint8)
-    layout = first, second, shift, 8 - shift
-    for a in layout:
-        a.flags.writeable = False  # shared by every caller
-    return layout
+def _field_bits(bits: int) -> int:
+    """The width of the fields ``_unpack_codes`` reads: 8 bits, one byte,
+    for 4- and 8-bit codes; 12 bits, two fields in three bytes, for 3- and
+    6-bit codes."""
+    return 8 if 8 % bits == 0 else 12
+
+
+@cache
+def _field_table(bits: int, signed: bool) -> np.ndarray:
+    """The codes of every field value, LSB first as ``_pack_codes`` writes
+    them, sign-extended if ``signed``.  Entry ``v`` holds the
+    ``_field_bits(bits) // bits`` code bytes of field ``v`` as one unsigned
+    integer, so that one ``take`` gathers a field's codes at once."""
+    width = _field_bits(bits)
+    codes = np.arange(1 << width)[:, None] >> bits * np.arange(width // bits)
+    codes &= (1 << bits) - 1
+    if signed:
+        codes -= (codes & (1 << (bits - 1))) << 1
+    table = codes.astype(np.int8 if signed else np.uint8)
+    table = table.view(f"u{table.shape[1]}")[:, 0]
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def _unpack_codes(raw, count: int, spec: DataTypeSpec) -> np.ndarray:
     """Inverse of ``_pack_codes``: the first ``count`` codes of each row of
     the uint8 array ``raw``, as ``spec.code_dtype``; INT codes are
-    sign-extended."""
+    sign-extended.  Each row is read as fields of whole codes, each one
+    index into ``_field_table``."""
     bits = spec.bits_per_code
     raw = np.asarray(raw, dtype=np.uint8)
+    *lead, n = raw.shape
     if not raw.size:  # no rows, and ``count`` may be a damaged header's
-        return np.empty((*raw.shape[:-1], count), spec.code_dtype)
-    first, second, shift, up = _code_bytes(count, bits)
-    # A code spans at most two bytes.  The mask clears what the second
-    # byte adds past the code, all of it where the code ends in the first
-    # (a uint8 shift by 8 is 0).
-    codes = np.take(raw, first, axis=-1)
-    codes >>= shift
-    high = np.take(raw, second, axis=-1)
-    high <<= up
-    codes |= high
-    codes &= (1 << bits) - 1
-    if spec.is_fp:
-        return codes
-    # Subtract 2^bits where the sign bit is set; uint8 wraps mod 256, so
-    # the int8 view holds the signed value.
-    codes -= (codes & (1 << (bits - 1))) << 1
-    return codes.view(np.int8)
+        return np.empty((*lead, count), spec.code_dtype)
+    if _field_bits(bits) == 8:
+        fields = raw
+    else:
+        # Rows zero-padded to whole 3-byte runs, one contiguous copy.  A
+        # run's first field is the low 12 bits of the little-endian uint16
+        # at its first byte, its second the high 12 bits of the one at its
+        # second byte.
+        runs = np.zeros((*lead, 3 * -(-n // 3)), np.uint8)
+        runs[..., :n] = raw
+        fields = np.empty((runs.size // 3, 2), np.intp)
+        first, second = (np.ndarray(len(fields), "<u2", runs, offset=i,
+                                    strides=3) for i in (0, 1))
+        np.bitwise_and(first, 0xFFF, out=fields[:, 0])
+        np.right_shift(second, 4, out=fields[:, 1])
+    codes = _field_table(bits, not spec.is_fp).take(fields)
+    return codes.view(spec.code_dtype).reshape(*lead, -1)[..., :count]
 
 
 def group_record_bytes(spec: DataTypeSpec, group_size: int) -> int:

@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtype import DataTypeSpec, GroupingConfig
+from .dtype import (DataTypeSpec, GroupingConfig, check_range, code_range,
+                    sv_range)
 from .errors import LengthMismatch, UnsupportedDtype
 
 
@@ -425,17 +426,49 @@ def quantize_channel(values, spec: DataTypeSpec,
     return quantize_tensor(w[None], spec, grouping)[0]
 
 
+def _dequantize_fp(qt: QuantizedTensor) -> np.ndarray:
+    """The (channels, n_groups, G) float64 values of an FP tensor, a chunk
+    of channels at a time: each code's grid value, gathered by its index
+    ``sv_index * n_grid + code`` in the flattened ``grid_table`` straight
+    into the output, then scaled there in place."""
+    spec = qt.dtype
+    *_, n_groups, g = qt.codes.shape
+    codes = qt.codes.reshape(-1, n_groups, g)
+    sv_index = qt.sv_index.reshape(-1, n_groups)
+    # A flat index would read the next grid's values for an off-grid code.
+    check_range("sv_index", sv_index, *sv_range(spec), spec)
+    check_range("code", codes, *code_range(spec), spec)
+    scale_q = qt.scale_q.reshape(-1, n_groups)
+    channel_scale = qt.channel_scale.reshape(-1, 1)
+    n_grid = spec.grid_table.shape[1]
+    table = spec.grid_table.reshape(-1)
+    values = np.empty(codes.shape)
+    for chunk in channel_chunks(len(codes), n_groups * g):
+        out = values[chunk]
+        index = sv_index[chunk, :, None] * n_grid + codes[chunk]
+        # Indices are in range; "raise" would buffer the output.
+        table.take(index, out=out, mode="clip")
+        out *= (scale_q[chunk] * channel_scale[chunk])[..., None]
+    return values
+
+
 def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct a tensor or one channel ``qt[i]``; padding is dropped."""
+    """Reconstruct a tensor or one channel ``qt[i]``; padding is dropped.
+
+    A weight is its grid value (FP) or its code less any zero-point (INT),
+    times ``scale_q * channel_scale`` of its group.  An FP code or
+    ``sv_index`` off the dtype's grids raises :class:`OutOfRange`.
+    """
     spec = qt.dtype
     if spec.is_fp:
-        values = spec.grid_table[qt.sv_index[..., None], qt.codes]
-    elif spec.asymmetric:
-        values = np.subtract(qt.codes, qt.zero_point[..., None],
-                             dtype=np.float64)
+        values = _dequantize_fp(qt).reshape(qt.codes.shape)
     else:
-        values = qt.codes.astype(np.float64)
-    values *= (qt.scale_q * np.expand_dims(qt.channel_scale, -1))[..., None]
+        if spec.asymmetric:
+            values = np.subtract(qt.codes, qt.zero_point[..., None],
+                                 dtype=np.float64)
+        else:
+            values = qt.codes.astype(np.float64)
+        values *= (qt.scale_q * np.expand_dims(qt.channel_scale, -1))[..., None]
     return values.reshape(*values.shape[:-2], -1)[..., :qt.valid_size]
 
 

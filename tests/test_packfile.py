@@ -188,6 +188,38 @@ def test_pack_codes_matches_bitplane_reference(name):
             assert np.array_equal(packfile._unpack_codes(got, n, spec), codes)
 
 
+def bitplane_unpack_codes(raw, count, spec):
+    """Reference for ``packfile._unpack_codes``: each row's bits, LSB
+    first, cut into ``count`` codes of ``bits_per_code`` bits, INT codes
+    read as two's complement."""
+    bits = spec.bits_per_code
+    planes = np.unpackbits(raw, axis=-1, bitorder="little")
+    planes = planes[..., :count * bits].reshape(*raw.shape[:-1], count, bits)
+    codes = (planes.astype(np.int64) << np.arange(bits)).sum(axis=-1)
+    if not spec.is_fp:
+        codes -= (codes >> (bits - 1)) << bits
+    return codes.astype(spec.code_dtype)
+
+
+@pytest.mark.parametrize("name", PACKABLE)
+def test_unpack_codes_matches_bitplane_reference(name):
+    # Every stored bit pattern, and random bits past the last code.  The
+    # codes are a non-contiguous slice of whole records, as ``unpack``
+    # reads them, and most counts leave rows that are not whole 3-byte runs.
+    spec = spec_for(name)
+    rng = np.random.default_rng(55)
+    for count in range(1, 301):
+        lead = [(), (3,), (2, 3)][count % 3]
+        nbytes = (count * spec.bits_per_code + 7) // 8
+        records = rng.integers(0, 256, (*lead, 2 + nbytes), dtype=np.uint8)
+        raw = records[..., 2:]
+        got = packfile._unpack_codes(raw, count, spec)
+        assert got.dtype == spec.code_dtype
+        assert got.shape == (*lead, count)
+        assert np.array_equal(got, bitplane_unpack_codes(raw, count, spec)), \
+            count
+
+
 def test_repack_is_byte_identical():
     rng = np.random.default_rng(44)
     _, _, data = roundtrip_tensor(rng, "FP4_BITMOD", (4, 96), 32)

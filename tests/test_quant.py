@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from bitmod.dtype import DataType, GroupingConfig, effective_grid, spec_for
-from bitmod.errors import LengthMismatch, UnsupportedDtype
+from bitmod.errors import LengthMismatch, OutOfRange, UnsupportedDtype
 from bitmod.quant import (
     CHUNK_WEIGHTS,
     adaptive_quant,
@@ -425,6 +426,78 @@ def test_quantize_tensor_chunks_match_per_channel(name, width, g):
             assert dequantize_tensor(qt[i]).tobytes() == deq[i].tobytes()
         with pytest.raises(TypeError):
             len(qt[0])  # one channel has no channel axis
+
+
+def fancy_index_dequantize(qt):
+    """The oracle for ``dequantize_tensor``: its earlier whole-tensor
+    formula, an FP grid value by a two-array fancy index."""
+    spec = qt.dtype
+    if spec.is_fp:
+        values = spec.grid_table[qt.sv_index[..., None], qt.codes]
+    elif spec.asymmetric:
+        values = np.subtract(qt.codes, qt.zero_point[..., None],
+                             dtype=np.float64)
+    else:
+        values = qt.codes.astype(np.float64)
+    values *= (qt.scale_q * np.expand_dims(qt.channel_scale, -1))[..., None]
+    return values.reshape(*values.shape[:-2], -1)[..., :qt.valid_size]
+
+
+def _same_array(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [dt.name for dt in DataType])
+@pytest.mark.parametrize("width, g", [(300, 32), (512, 128)])
+def test_dequantize_tensor_matches_fancy_index(name, width, g):
+    # Channels of 10 groups of 32 (the last one part padding) or 4 of 128;
+    # the tensor spans 4 chunks, and its slices start and end inside one.
+    spec = spec_for(name)
+    step = CHUNK_WEIGHTS // (-(-width // g) * g)
+    k = 3 * step + 5
+    rng = np.random.default_rng(19)
+    w = rng.standard_normal((k, width)) * rng.uniform(0.1, 10, (k, 1))
+    w[0, :g] = 0.0  # an all-zero group
+    qt = quantize_tensor(w, spec, GroupingConfig(group_size=g))
+    _same_array(dequantize_tensor(qt), fancy_index_dequantize(qt))
+    for i in (0, step, k - 1):
+        _same_array(dequantize_tensor(qt[i]), fancy_index_dequantize(qt[i]))
+    for a, b in ((1, step + 2), (step - 1, k)):
+        _same_array(dequantize_tensor(qt[a:b]),
+                    fancy_index_dequantize(qt[a:b]))
+
+
+@pytest.mark.parametrize("field, value, at, message", [
+    # Code 9 of grid 0 is past its 8 values; a flat index would read
+    # grid 1's code 1.
+    ("codes", 9, (2, 1, 5), "code 9 at channel 2, group 1 is outside "
+                            "[0, 7] for FP3_BITMOD"),
+    ("sv_index", 4, (1, 3), "sv_index 4 at channel 1, group 3 is outside "
+                            "[0, 3] for FP3_BITMOD"),
+])
+def test_dequantize_tensor_refuses_off_grid_fields(field, value, at, message):
+    w = np.random.default_rng(20).standard_normal((3, 256))
+    qt = quantize_tensor(w, spec_for("FP3_BITMOD"), GroupingConfig(32))
+    qt.sv_index[...], qt.codes[...] = 0, 0
+    getattr(qt, field)[at] = value
+    with pytest.raises(OutOfRange, match=rf"^{re.escape(message)}$"):
+        dequantize_tensor(qt)
+    # One channel is read as channel 0 of a one-channel tensor.
+    one = message.replace(f"channel {at[0]}", "channel 0")
+    with pytest.raises(OutOfRange, match=rf"^{re.escape(one)}$"):
+        dequantize_tensor(qt[at[0]])
+
+
+def test_dequantize_tensor_memory_beyond_output():
+    # Beyond its output, the chunked gather holds one chunk's uint8 index
+    # and the intp copy ``take`` makes of it, 9 bytes a weight; a gather of
+    # the whole tensor at once would hold 9 bytes for each of its weights.
+    w = np.random.default_rng(21).standard_normal((256, 4096))
+    qt = quantize_tensor(w, spec_for("FP3_BITMOD"), GroupingConfig(128))
+    out, peak = _traced_peak(dequantize_tensor, qt)
+    _same_array(out, fancy_index_dequantize(qt))
+    assert peak - out.nbytes < 10 * CHUNK_WEIGHTS
 
 
 def test_negation_symmetry():
