@@ -150,8 +150,9 @@ class SimReport:
                     times: int):
         """Add the five float figures ``times`` times each, as that many
         sequential additions; raise ``OverflowError`` when a total is not
-        finite.  The fields never meet, so one loop over all five adds
-        what five loops would."""
+        finite.  Up to ``_PLAIN_RUN`` times is one plain loop: the fields
+        never meet, so one loop over all five adds what five loops would.
+        More is :func:`_repeat_add` per field."""
         e = self.energy
         w, a, c, s, d = (self.weight_bytes, self.activation_bytes,
                          e.compute_j, e.sram_j, e.dram_j)
@@ -174,7 +175,8 @@ class SimReport:
         e.compute_j, e.sram_j, e.dram_j = c, s, d
 
 
-# Runs up to this many additions are plain loops: cheaper than anything else.
+# SimReport._add_floats adds runs up to this long in a plain loop, cheaper
+# there than _repeat_add.
 _PLAIN_RUN = 64
 # s / ulp(s) stays below this in every binade; at it the ulp doubles.  It is
 # also the bound below which every integer is a float.
@@ -188,9 +190,10 @@ _RNE = 1.5 * 2.0 ** 52
 def _repeat_add(s: float, x: float, n: int) -> float:
     """``s`` after ``n`` sequential ``s += x``, bit for bit, for s, x >= 0.
 
-    Three paths, each exact:
+    Two paths, each exact for any ``n``; ``SimReport._add_floats`` calls
+    it only past ``_PLAIN_RUN`` additions, below which its plain loop is
+    cheaper:
 
-    * ``n <= 64``: the plain loop itself.
     * Exact sums: ``s`` and ``x`` are integers over power-of-two
       denominators; over the finer one they are ``a / D`` and ``c / D``.  If
       ``a + n * c < 2**53``, every partial sum ``(a + i * c) / D`` is a
@@ -221,11 +224,10 @@ def _repeat_add(s: float, x: float, n: int) -> float:
     * ``ulps + k * d`` is at most ``2**53 - 2``, and scaling it by the
       power of two ``ulp`` is exact.
 
-    Once ``s`` or ``x`` is infinite, every later sum is ``s + x``.
+    Zero additions leave ``s`` as it is; once ``s`` or ``x`` is infinite,
+    every later sum is ``s + x``.
     """
-    if n <= _PLAIN_RUN:
-        for _ in range(n):
-            s += x
+    if not n:
         return s
     if not (math.isfinite(s) and math.isfinite(x)):
         return s + x

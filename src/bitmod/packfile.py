@@ -125,6 +125,14 @@ def group_record_bytes(spec: DataTypeSpec, group_size: int) -> int:
     return 2 + (group_size * spec.bits_per_code + 7) // 8
 
 
+def _channels(rows, rec: int):
+    """Views of the channels stored one per row of the uint8 array
+    ``rows``: their ``<f4`` scales, and their group records of ``rec``
+    bytes as an (n, n_groups, rec) array."""
+    n = len(rows)
+    return rows[:, :4].view("<f4")[:, 0], rows[:, 4:].reshape(n, -1, rec)
+
+
 def pack(qt: QuantizedTensor, grouping: GroupingConfig,
          channel_size: int) -> bytes:
     """Serialize a quantized tensor to BMOD bytes; ``grouping`` and
@@ -162,8 +170,8 @@ def pack(qt: QuantizedTensor, grouping: GroupingConfig,
     _HEADER.pack_into(out, 0, MAGIC, VERSION, spec.name.value, k,
                       channel_size, g)
     body = np.frombuffer(out, np.uint8, offset=_HEADER.size).reshape(k, width)
-    body[:, :4] = scale.view(np.uint8).reshape(k, 4)
-    records = body[:, 4:].reshape(k, n_groups, rec)
+    scales, records = _channels(body, rec)
+    scales[:] = scale
     records[..., 0], records[..., 1] = qt.scale_q, qt.sv_index
     # Chunks of whole channels keep the packer's temporaries small.
     for chunk in channel_chunks(k, n_groups * g):
@@ -181,9 +189,8 @@ def _read_channels(rows, pos: int, spec: DataTypeSpec, g: int, rec: int):
     channel's scale, then its first bad record's ``sv_index``, then that
     record's first bad code.
     """
-    n, width = rows.shape
-    scale = rows[:, :4].view("<f4")[:, 0]
-    records = rows[:, 4:].reshape(n, -1, rec)
+    width = rows.shape[1]
+    scale, records = _channels(rows, rec)
     codes = _unpack_codes(records[..., 2:], g, spec)
     bad_sv = records[..., 1] > sv_range(spec)[1]
     bad_record = bad_sv

@@ -426,50 +426,49 @@ def quantize_channel(values, spec: DataTypeSpec,
     return quantize_tensor(w[None], spec, grouping)[0]
 
 
-def _dequantize_fp(qt: QuantizedTensor) -> np.ndarray:
-    """The (channels, n_groups, G) float64 values of an FP tensor, a chunk
-    of channels at a time: each code's grid value, gathered by its index
-    ``sv_index * n_grid + code`` in the flattened ``grid_table`` straight
-    into the output, then scaled there in place."""
+def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
+    """Reconstruct a tensor or one channel ``qt[i]``; padding is dropped.
+
+    Every dtype takes one path.  A weight is its grid value, less its
+    group's zero-point for an asymmetric INT type, times its group's
+    ``scale_q * channel_scale``; an INT grid holds its own codes.  A chunk
+    of whole channels at a time, each code's grid value is gathered by its
+    index ``sv_index * n_grid + code - lo`` in the flattened
+    ``grid_table`` straight into one float64 output, then scaled there in
+    place.  ``lo..hi`` is :func:`code_range`, or ``0..n_grid - 1`` for an
+    asymmetric type; a code off it, or an ``sv_index`` off
+    :func:`sv_range`, raises :class:`OutOfRange`
+    (:class:`InvalidSpecialValueIndex` for ``sv_index``).
+    """
     spec = qt.dtype
     *_, n_groups, g = qt.codes.shape
+    # One channel is read as a one-channel tensor.
     codes = qt.codes.reshape(-1, n_groups, g)
     sv_index = qt.sv_index.reshape(-1, n_groups)
+    n_grid = spec.grid_table.shape[1]
+    lo, hi = (0, n_grid - 1) if spec.asymmetric else code_range(spec)
     # A flat index would read the next grid's values for an off-grid code.
     check_range("sv_index", sv_index, *sv_range(spec), spec)
-    check_range("code", codes, *code_range(spec), spec)
+    check_range("code", codes, lo, hi, spec)
+    # Each group's column of code 0 in the flattened table: a code's
+    # column in its grid is code - lo.
+    zero_column = sv_index * n_grid + (-lo)
     scale_q = qt.scale_q.reshape(-1, n_groups)
     channel_scale = qt.channel_scale.reshape(-1, 1)
-    n_grid = spec.grid_table.shape[1]
     table = spec.grid_table.reshape(-1)
     values = np.empty(codes.shape)
     for chunk in channel_chunks(len(codes), n_groups * g):
         out = values[chunk]
-        index = sv_index[chunk, :, None] * n_grid + codes[chunk]
+        # As uint8: every index is below 256, so the wraparound of a
+        # negative code cancels in the sum.
+        index = np.add(codes[chunk], zero_column[chunk, :, None],
+                       dtype=np.uint8, casting="unsafe")
         # Indices are in range; "raise" would buffer the output.
         table.take(index, out=out, mode="clip")
-        out *= (scale_q[chunk] * channel_scale[chunk])[..., None]
-    return values
-
-
-def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct a tensor or one channel ``qt[i]``; padding is dropped.
-
-    A weight is its grid value (FP) or its code less any zero-point (INT),
-    times ``scale_q * channel_scale`` of its group.  An FP code or
-    ``sv_index`` off the dtype's grids raises :class:`OutOfRange`.
-    """
-    spec = qt.dtype
-    if spec.is_fp:
-        values = _dequantize_fp(qt).reshape(qt.codes.shape)
-    else:
         if spec.asymmetric:
-            values = np.subtract(qt.codes, qt.zero_point[..., None],
-                                 dtype=np.float64)
-        else:
-            values = qt.codes.astype(np.float64)
-        values *= (qt.scale_q * np.expand_dims(qt.channel_scale, -1))[..., None]
-    return values.reshape(*values.shape[:-2], -1)[..., :qt.valid_size]
+            out -= qt.zero_point.reshape(-1, n_groups)[chunk, :, None]
+        out *= (scale_q[chunk] * channel_scale[chunk])[..., None]
+    return values.reshape(*qt.codes.shape[:-2], -1)[..., :qt.valid_size]
 
 
 def error_report(original, dequantized) -> ErrorReport:

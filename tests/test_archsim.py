@@ -418,6 +418,10 @@ def test_repeat_add_equals_sequential_additions(pair, n):
     (2.0 ** 1023, 2.0 ** 1020, 100),   # overflows to inf
     (2.0 ** 53 - 71, 1.0, 2000),       # the jump must stop short of 2**53
     (2.0 ** 53 - 190, 3.0, 2000),      # past 2**53, 3 = 1.5 ulps lands odd
+    # An infinite operand, from no addition (s itself) to three.
+    *[(s, x, n) for s, x in [(math.inf, 1.0), (math.inf, 0.0),
+                             (1.0, math.inf), (0.0, math.inf),
+                             (math.inf, math.inf)] for n in range(4)],
 ])
 def test_repeat_add_edge_cases(s, x, n):
     assert _repeat_add(s, x, n).hex() == _loop_add(s, x, n).hex()

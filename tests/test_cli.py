@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from bitmod import archsim
 from bitmod.cli import main
-from bitmod.dtype import GroupingConfig, spec_for
+from bitmod.dtype import DataType, GroupingConfig, spec_for
 from bitmod.packfile import unpack, unpack_to_tensor
 from bitmod.quant import dequantize_tensor
 
@@ -82,6 +83,31 @@ def test_quant_eval_missing_file_partial_failure(tensor_file, tmp_path, capsys):
                        "--out", str(tmp_path / "r.csv"))
     assert code == 1
     assert "error" in err
+
+
+# sha256 of the JSON ``quant-eval`` rows of all ten dtypes, less the tensor
+# path, on ``gen --dist outlier_mixture --shape 64x300 --seed 25`` per
+# group size; 300 weights leave a ragged last group at both sizes.
+PINNED_QUANT_EVAL = {
+    128: "c5f1433187c8110a6654437b822513a395bc7714269da8db076ed23c9fb17229",
+    32: "95a140557406c51faaea5bc94072536925392f0d49b16481a373bca7fa09d8c7",
+}
+
+
+@pytest.mark.parametrize("g", sorted(PINNED_QUANT_EVAL))
+def test_quant_eval_rows_are_pinned(g, tmp_path, capsys):
+    path = tmp_path / "w.npy"
+    run(capsys, "gen", "--dist", "outlier_mixture", "--shape", "64x300",
+        "--seed", "25", "--out", str(path))
+    code, out, _ = run(capsys, "quant-eval", str(path), "--dtype",
+                       ",".join(t.name for t in DataType), "--group-size",
+                       str(g), "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 10
+    body = json.dumps([{k: v for k, v in r.items() if k != "tensor"}
+                       for r in rows], sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == PINNED_QUANT_EVAL[g]
 
 
 def test_bitserial_check_reports_all_codes_exact(capsys):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from bitmod.dtype import DataType, GroupingConfig, effective_grid, spec_for
-from bitmod.errors import LengthMismatch, OutOfRange, UnsupportedDtype
+from bitmod.errors import (InvalidSpecialValueIndex, LengthMismatch,
+                           OutOfRange, UnsupportedDtype)
 from bitmod.quant import (
     CHUNK_WEIGHTS,
     adaptive_quant,
@@ -475,29 +476,42 @@ def test_dequantize_tensor_matches_fancy_index(name, width, g):
                             "[0, 7] for FP3_BITMOD"),
     ("sv_index", 4, (1, 3), "sv_index 4 at channel 1, group 3 is outside "
                             "[0, 3] for FP3_BITMOD"),
+    # INT types take the same path: -128 is an int8 but no code of the
+    # symmetric grid, 16 a uint8 past the 4-bit codes.
+    ("codes", -128, (2, 7, 31), "code -128 at channel 2, group 7 is "
+                                "outside [-127, 127] for INT8_SYM"),
+    ("codes", 16, (1, 0, 3), "code 16 at channel 1, group 0 is outside "
+                             "[0, 15] for INT4_ASYM"),
+    ("sv_index", 1, (2, 5), "sv_index 1 at channel 2, group 5 is outside "
+                            "[0, 0] for INT6_SYM"),
 ])
 def test_dequantize_tensor_refuses_off_grid_fields(field, value, at, message):
+    spec = spec_for(message.split()[-1])  # the message ends with the dtype
+    error = InvalidSpecialValueIndex if field == "sv_index" else OutOfRange
     w = np.random.default_rng(20).standard_normal((3, 256))
-    qt = quantize_tensor(w, spec_for("FP3_BITMOD"), GroupingConfig(32))
+    qt = quantize_tensor(w, spec, GroupingConfig(32))
     qt.sv_index[...], qt.codes[...] = 0, 0
     getattr(qt, field)[at] = value
-    with pytest.raises(OutOfRange, match=rf"^{re.escape(message)}$"):
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
         dequantize_tensor(qt)
     # One channel is read as channel 0 of a one-channel tensor.
     one = message.replace(f"channel {at[0]}", "channel 0")
-    with pytest.raises(OutOfRange, match=rf"^{re.escape(one)}$"):
+    with pytest.raises(error, match=rf"^{re.escape(one)}$"):
         dequantize_tensor(qt[at[0]])
 
 
 def test_dequantize_tensor_memory_beyond_output():
     # Beyond its output, the chunked gather holds one chunk's uint8 index
-    # and the intp copy ``take`` makes of it, 9 bytes a weight; a gather of
-    # the whole tensor at once would hold 9 bytes for each of its weights.
+    # and the intp copy ``take`` makes of it, 9 bytes a weight, and one
+    # byte per group; a gather of the whole tensor at once would hold 9
+    # bytes for each of its weights.
+    # INT types take the same path, an asymmetric one with its zero-point.
     w = np.random.default_rng(21).standard_normal((256, 4096))
-    qt = quantize_tensor(w, spec_for("FP3_BITMOD"), GroupingConfig(128))
-    out, peak = _traced_peak(dequantize_tensor, qt)
-    _same_array(out, fancy_index_dequantize(qt))
-    assert peak - out.nbytes < 10 * CHUNK_WEIGHTS
+    for name in ("FP3_BITMOD", "INT6_SYM", "INT4_ASYM"):
+        qt = quantize_tensor(w, spec_for(name), GroupingConfig(128))
+        out, peak = _traced_peak(dequantize_tensor, qt)
+        _same_array(out, fancy_index_dequantize(qt))
+        assert peak - out.nbytes < 10 * CHUNK_WEIGHTS, name
 
 
 def test_negation_symmetry():
