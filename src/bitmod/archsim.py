@@ -19,18 +19,21 @@ a config are meaningful.
 
 A layer repeated over blocks, a run of adjacent equal GEMMs (Q, K, V and O
 when ``kv_heads = heads``) and a phase repeated over decode steps add the
-same per-GEMM report many times.  Each run of equal GEMMs is simulated once,
-a GEMM builds its ``repeat`` totals straight into the report it returns,
-and ``SimReport.accumulate`` adds a report with a count, so host time grows
-only with the logarithm of ``decode_tokens``.  Both move the five float
-totals together: a count up to 64 is one plain loop of five additions, and
-a larger one is computed in closed form per total.  The float columns
-still equal, bit for bit, what that many sequential additions give: a sum
-that no partial sum rounds, as in most byte columns, is one multiply-add,
-and the others jump a binade at a time, in float arithmetic.  Cycle counts
-are exact for any shape: every ceiling is an integer one.  A byte or energy
-total that overflows the float range, in one GEMM or over a workload,
-raises :class:`ConfigError` naming the layer or the workload.
+same per-GEMM figures many times.  A workload is added in one pass over
+plain numbers: its runs of equal GEMMs are found once per
+:class:`WorkloadSpec`, each run's GEMM is costed once per phase as two
+cycle counts and five float figures (two byte columns, three energies)
+summed over its ``repeat``, and :func:`_accumulate` adds those figures to
+the workload's totals with a count, so host time grows only with the
+logarithm of ``decode_tokens``.  A count up to 64 is one plain loop of
+five additions, and a larger one is computed in closed form per total.
+The float columns still equal, bit for bit, what that many sequential
+additions give: a sum that no partial sum rounds, as in most byte columns,
+is one multiply-add, and the others jump a binade at a time, in float
+arithmetic.  Cycle counts are exact for any shape: every ceiling is an
+integer one.  A byte or energy total that overflows the float range, in
+one GEMM or over a workload, raises :class:`ConfigError` naming the layer
+or the workload.  One layer is the same pass over one GEMM.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 
 from .dtype import DataTypeSpec, GroupingConfig
@@ -117,6 +121,26 @@ class WorkloadSpec:
     prefill_tokens: int = 256
     decode_tokens: int = 0
 
+    @cached_property
+    def _gemms(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """``(m, k, n, repeat, times)`` for each run of adjacent layers with
+        equal ``(k, n, repeat)`` (Q, K, V and O when ``kv_heads = heads``)
+        in each phase that has work: the prefill pass (``m`` is
+        ``prefill_tokens``, one step) and the decode steps (``m`` is 1).
+        ``times``, the run's length times the phase's steps, is how often
+        the run's GEMM is added.
+
+        A layer's ``m`` is a placeholder and is not part of the key.  Built
+        on first use and kept outside the fields, so equality, hashing and
+        ``repr`` ignore it, and ``dataclasses.replace`` builds it afresh.
+        """
+        runs = [(*key, len(list(group))) for key, group in
+                groupby(self.layers, key=lambda l: (l.k, l.n, l.repeat))]
+        # Every decode step re-fetches all weights (no cross-token reuse).
+        phases = ((self.prefill_tokens, 1), (1, self.decode_tokens))
+        return tuple((m, k, n, repeat, steps * length) for m, steps in phases
+                     if m > 0 and steps > 0 for k, n, repeat, length in runs)
+
 
 @dataclass
 class EnergyBreakdown:
@@ -135,48 +159,41 @@ class SimReport:
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
     speedup_vs_baseline: float | None = None
 
-    def accumulate(self, other: "SimReport", times: int):
-        """Add ``other`` ``times`` times, as that many sequential additions;
-        raise ``OverflowError`` when a float total is not finite."""
-        self.compute_cycles += other.compute_cycles * times
-        self.dram_cycles += other.dram_cycles * times
-        self.total_cycles += other.total_cycles * times
-        o = other.energy
-        self._add_floats(other.weight_bytes, other.activation_bytes,
-                         o.compute_j, o.sram_j, o.dram_j, times)
 
-    def _add_floats(self, weight_bytes: float, activation_bytes: float,
-                    compute_j: float, sram_j: float, dram_j: float,
-                    times: int):
-        """Add the five float figures ``times`` times each, as that many
-        sequential additions; raise ``OverflowError`` when a total is not
-        finite.  Up to ``_PLAIN_RUN`` times is one plain loop: the fields
-        never meet, so one loop over all five adds what five loops would.
-        More is :func:`_repeat_add` per field."""
-        e = self.energy
-        w, a, c, s, d = (self.weight_bytes, self.activation_bytes,
-                         e.compute_j, e.sram_j, e.dram_j)
-        if times <= _PLAIN_RUN:
-            for _ in range(times):
-                w += weight_bytes
-                a += activation_bytes
-                c += compute_j
-                s += sram_j
-                d += dram_j
-        else:
-            w = _repeat_add(w, weight_bytes, times)
-            a = _repeat_add(a, activation_bytes, times)
-            c = _repeat_add(c, compute_j, times)
-            s = _repeat_add(s, sram_j, times)
-            d = _repeat_add(d, dram_j, times)
-        if not all(map(math.isfinite, (w, a, c, s, d))):
-            raise OverflowError("a float total overflows the float range")
-        self.weight_bytes, self.activation_bytes = w, a
-        e.compute_j, e.sram_j, e.dram_j = c, s, d
+# A GEMM's or a workload's five float figures, in SimReport's order:
+# weight_bytes, activation_bytes, then the compute, SRAM and DRAM energies.
+_NO_FIGURES = (0.0,) * 5
 
 
-# SimReport._add_floats adds runs up to this long in a plain loop, cheaper
-# there than _repeat_add.
+def _accumulate(totals: tuple[float, ...], figures: tuple[float, ...],
+                times: int) -> tuple[float, ...]:
+    """``totals`` after adding ``figures`` to them ``times`` times, as that
+    many sequential additions per total; raise ``OverflowError`` when a
+    total is not finite.
+
+    Up to ``_PLAIN_RUN`` times is one plain loop: the totals never meet, so
+    one loop over all five adds what five loops would.  More is
+    :func:`_repeat_add` per total.
+    """
+    w, a, c, s, d = totals
+    if times <= _PLAIN_RUN:
+        dw, da, dc, ds, dd = figures
+        for _ in range(times):
+            w += dw
+            a += da
+            c += dc
+            s += ds
+            d += dd
+    else:
+        w, a, c, s, d = map(_repeat_add, totals, figures, [times] * 5)
+    # x - x is 0.0 for a finite x and NaN otherwise.
+    if (w - w) + (a - a) + (c - c) + (s - s) + (d - d):
+        raise OverflowError("a float total overflows the float range")
+    return w, a, c, s, d
+
+
+# _accumulate adds runs up to this long in a plain loop, cheaper there than
+# _repeat_add.
 _PLAIN_RUN = 64
 # s / ulp(s) stays below this in every binade; at it the ulp doubles.  It is
 # also the bound below which every integer is a float.
@@ -190,8 +207,8 @@ _RNE = 1.5 * 2.0 ** 52
 def _repeat_add(s: float, x: float, n: int) -> float:
     """``s`` after ``n`` sequential ``s += x``, bit for bit, for s, x >= 0.
 
-    Two paths, each exact for any ``n``; ``SimReport._add_floats`` calls
-    it only past ``_PLAIN_RUN`` additions, below which its plain loop is
+    Two paths, each exact for any ``n``; :func:`_accumulate` calls it
+    only past ``_PLAIN_RUN`` additions, below which its plain loop is
     cheaper:
 
     * Exact sums: ``s`` and ``x`` are integers over power-of-two
@@ -275,23 +292,24 @@ def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig) -> bool:
     return ok
 
 
-def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
-          group: int, cycles_per_group: int, bits_per_weight: Fraction
-          ) -> SimReport:
-    """One GEMM, ``layer.repeat`` times, on ``cfg``'s tile grid of
-    ``rows`` x ``cols`` PEs that take ``cycles_per_group`` per ``group`` of K.
+def _gemm(m: int, k: int, n: int, repeat: int, cfg: ArchConfig, rows: int,
+          cols: int, group: int, cycles_per_group: int,
+          bits_per_weight: Fraction) -> tuple[int, int, tuple[float, ...]]:
+    """One (m x k) by (k x n) GEMM on ``cfg``'s tile grid of ``rows`` x
+    ``cols`` PEs that take ``cycles_per_group`` per ``group`` of K.
 
-    Output-stationary: each wave of output tiles walks all of K, padded to
-    whole groups.
+    Returns the compute and DRAM cycles of one GEMM, and its five float
+    figures summed ``repeat`` times from 0.0.  Output-stationary: each wave
+    of output tiles walks all of K, padded to whole groups.
     """
-    if layer.m <= 0 or layer.k <= 0 or layer.n <= 0:
-        raise ConfigError(f"non-positive GEMM dimension in {layer}")
+    if m <= 0 or k <= 0 or n <= 0:
+        raise ConfigError("non-positive GEMM dimension in "
+                          f"{LayerShape(m, k, n, repeat)}")
     if group % DOT_WIDTH:
         raise ConfigError(f"group size {group} not divisible "
                           f"by dot width {DOT_WIDTH}")
-    if layer.repeat == 0:
-        return SimReport()
-    m, k, n = layer.m, layer.k, layer.n
+    if repeat == 0:
+        return 0, 0, _NO_FIGURES
     waves = -(-m // (cfg.tiles_y * rows)) * -(-n // (cfg.tiles_x * cols))
     compute = waves * -(-k // group) * cycles_per_group
     try:
@@ -302,77 +320,77 @@ def _gemm(layer: LayerShape, cfg: ArchConfig, rows: int, cols: int,
         moved = weight_bytes + act_bytes
         dram = math.ceil(moved / cfg.dram_bytes_per_cycle)
         n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
-        r = layer.repeat
-        out = SimReport(compute * r, dram * r, max(compute, dram) * r)
-        out._add_floats(weight_bytes, act_bytes,
-                        compute * n_pes * cfg.e_pe_cycle,
-                        moved * cfg.e_sram_byte, moved * cfg.e_dram_byte, r)
+        figures = _accumulate(_NO_FIGURES, (
+            weight_bytes, act_bytes, compute * n_pes * cfg.e_pe_cycle,
+            moved * cfg.e_sram_byte, moved * cfg.e_dram_byte), repeat)
     except OverflowError:  # an int beyond the float range, or an inf
-        raise ConfigError(f"{layer}: byte or energy figures overflow the "
-                          "float range") from None
-    return out
+        raise ConfigError(f"{LayerShape(m, k, n, repeat)}: byte or energy "
+                          "figures overflow the float range") from None
+    return compute, dram, figures
+
+
+def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
+              grouping: GroupingConfig = None) -> SimReport:
+    """Total of each ``(m, k, n, repeat)`` GEMM of ``gemms``, added
+    ``times`` times, on the bit-serial array for ``spec`` and ``grouping``,
+    or on the FP16 baseline when ``spec`` is None.
+
+    Adding a GEMM's figures ``times`` times is the same float additions in
+    the same order as adding them once per layer of a run and per step of
+    a phase.  A stalling ``spec`` warns after each GEMM that passes its
+    checks and has work.
+    """
+    if spec is None:
+        # One 4-MAC dot in 4 cycles (one MAC per cycle) on the iso-area
+        # baseline tile, 6x8 PEs by default against the bit-serial 8x8.
+        array = (cfg, cfg.baseline_pe_rows, cfg.baseline_pe_cols, DOT_WIDTH,
+                 FP16_MAC_CYCLES_PER_DOT, FP16_BITS_PER_WEIGHT)
+    else:
+        g = grouping.group_size
+        array = (cfg, cfg.pe_rows, cfg.pe_cols, g, group_cycles(spec, g),
+                 memory_footprint_bits(spec, grouping))
+    compute = dram = total = 0
+    floats = _NO_FIGURES
+    for m, k, n, repeat, times in gemms:
+        c, d, figures = _gemm(m, k, n, repeat, *array)
+        if repeat and spec is not None:
+            check_no_stall(spec, grouping)
+        compute += c * repeat * times
+        dram += d * repeat * times
+        total += max(c, d) * repeat * times
+        try:
+            floats = _accumulate(floats, figures, times)
+        except OverflowError:
+            raise ConfigError(f"workload {name!r}: byte or energy totals "
+                              "overflow the float range") from None
+    w, a, c, s, d = floats
+    return SimReport(compute, dram, total, w, a, EnergyBreakdown(c, s, d))
 
 
 def simulate_layer(layer: LayerShape, spec: DataTypeSpec,
                    grouping: GroupingConfig, cfg: ArchConfig = ArchConfig()
                    ) -> SimReport:
     """Latency, traffic and energy of one GEMM on the bit-serial array."""
-    g = grouping.group_size
-    out = _gemm(layer, cfg, cfg.pe_rows, cfg.pe_cols, g,
-                group_cycles(spec, g), memory_footprint_bits(spec, grouping))
-    # After _gemm's checks: a rejected or empty layer warns of no stall.
-    if layer.repeat:
-        check_no_stall(spec, grouping)
-    return out
+    gemm = (layer.m, layer.k, layer.n, layer.repeat, 1)
+    return _simulate(str(layer), (gemm,), cfg, spec, grouping)
 
 
 def baseline_fp16_layer(layer: LayerShape,
                         cfg: ArchConfig = ArchConfig()) -> SimReport:
-    """Same GEMM on the FP16 MAC baseline accelerator.
-
-    The baseline PE finishes one 4-MAC dot in 4 cycles (one MAC per
-    cycle); its iso-area tile (``baseline_pe_rows`` x ``baseline_pe_cols``,
-    6x8 by default) replaces the 8x8 bit-serial tile.
-    """
-    return _gemm(layer, cfg, cfg.baseline_pe_rows, cfg.baseline_pe_cols,
-                 DOT_WIDTH, FP16_MAC_CYCLES_PER_DOT, FP16_BITS_PER_WEIGHT)
-
-
-def _phases(w: WorkloadSpec, one_gemm) -> SimReport:
-    """Total of ``one_gemm`` over every layer of the prefill pass and of
-    each decode step.
-
-    A run of adjacent layers with equal ``(k, n, repeat)`` (Q, K, V and O
-    when ``kv_heads = heads``) gives one report, added ``steps *
-    run_length`` times: the same float additions in the same order as
-    adding it ``steps`` times for each layer of the run.  The layer's ``m``
-    is a placeholder and is not part of the key.
-    """
-    runs = [(key, sum(1 for _ in group)) for key, group in
-            groupby(w.layers, key=lambda l: (l.k, l.n, l.repeat))]
-    out = SimReport()
-    try:
-        # Every decode step re-fetches all weights (no cross-token reuse).
-        for m, steps in ((w.prefill_tokens, 1), (1, w.decode_tokens)):
-            if m > 0 and steps > 0:
-                for (k, n, repeat), run_length in runs:
-                    out.accumulate(one_gemm(LayerShape(m, k, n, repeat)),
-                                   steps * run_length)
-    except OverflowError:  # from accumulate; one_gemm raises ConfigError
-        raise ConfigError(f"workload {w.name!r}: byte or energy totals "
-                          "overflow the float range") from None
-    return out
+    """Same GEMM on the FP16 MAC baseline accelerator."""
+    gemm = (layer.m, layer.k, layer.n, layer.repeat, 1)
+    return _simulate(str(layer), (gemm,), cfg)
 
 
 def simulate_workload(w: WorkloadSpec, spec: DataTypeSpec,
                       grouping: GroupingConfig,
                       cfg: ArchConfig = ArchConfig()) -> SimReport:
-    return _phases(w, lambda layer: simulate_layer(layer, spec, grouping, cfg))
+    return _simulate(w.name, w._gemms, cfg, spec, grouping)
 
 
 def baseline_fp16_sim(w: WorkloadSpec,
                       cfg: ArchConfig = ArchConfig()) -> SimReport:
-    return _phases(w, lambda layer: baseline_fp16_layer(layer, cfg))
+    return _simulate(w.name, w._gemms, cfg)
 
 
 def with_speedup(report: SimReport, baseline: SimReport) -> SimReport:

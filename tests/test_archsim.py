@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import math
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -13,10 +15,10 @@ from bitmod import archsim
 from bitmod.archsim import (
     _PLAIN_RUN,
     ArchConfig,
-    EnergyBreakdown,
     LayerShape,
     SimReport,
     WorkloadSpec,
+    _accumulate,
     _repeat_add,
     baseline_fp16_layer,
     baseline_fp16_sim,
@@ -168,9 +170,9 @@ def test_compute_cycles_exact_past_2_53(simulate, tile_rows, tile_cols,
 
 
 def test_accumulate_raises_on_a_float_total_beyond_range():
-    total = SimReport(weight_bytes=1e308)
+    big = (1e308, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(OverflowError):
-        total.accumulate(SimReport(weight_bytes=1e308), 1)
+        _accumulate(big, big, 1)
 
 
 @pytest.mark.parametrize("simulate", [
@@ -474,17 +476,6 @@ def test_repeat_add_counts_past_2_53():
     assert _repeat_add(0.0, 3.0, 10 ** 40) == 2 ** 55
 
 
-def _float_totals(rep):
-    e = rep.energy
-    return (rep.weight_bytes, rep.activation_bytes, e.compute_j, e.sram_j,
-            e.dram_j)
-
-
-def _report(floats, cycles=0):
-    w, a, c, s, d = floats
-    return SimReport(cycles, cycles, cycles, w, a, EnergyBreakdown(c, s, d))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_addend_pairs(), min_size=5, max_size=5),
        st.integers(0, 2 * _PLAIN_RUN) | st.integers(0, 5_000))
@@ -492,16 +483,15 @@ def _report(floats, cycles=0):
           (1.0, 1.0)], _PLAIN_RUN + 1)
 @example([(1.0, 1.0)] * 4 + [(2.0 ** 1023, 2.0 ** 1020)], _PLAIN_RUN)
 def test_accumulate_equals_per_field_sequential_additions(pairs, times):
-    total = _report([s for s, _ in pairs], cycles=3)
-    step = _report([x for _, x in pairs], cycles=5)
+    totals = tuple(s for s, _ in pairs)
+    figures = tuple(x for _, x in pairs)
     want = [_loop_add(s, x, times) for s, x in pairs]
     if not all(map(math.isfinite, want)):
         with pytest.raises(OverflowError):
-            total.accumulate(step, times)
+            _accumulate(totals, figures, times)
         return
-    total.accumulate(step, times)
-    assert [v.hex() for v in _float_totals(total)] == [v.hex() for v in want]
-    assert total.compute_cycles == total.total_cycles == 3 + 5 * times
+    got = _accumulate(totals, figures, times)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _add_once(out, rep):
@@ -571,8 +561,9 @@ def test_runs_of_equal_gemms_equal_sequential_sums(w, calls_per_phase,
     spec = spec_for("FP3_BITMOD")
     want = _oracle_workload(w, lambda layer: simulate_layer(layer, spec, G128))
     calls = []
-    monkeypatch.setattr(archsim, "simulate_layer", lambda *args: (
-        calls.append(args) or simulate_layer(*args)))
+    gemm = archsim._gemm
+    monkeypatch.setattr(archsim, "_gemm", lambda *args: (
+        calls.append(args) or gemm(*args)))
     got = simulate_workload(w, spec, G128)
     assert _hex_fields(got) == _hex_fields(want)
     assert len(calls) == calls_per_phase * (1 + (decode > 0))
@@ -629,3 +620,79 @@ def test_simulate_rows_equal_recorded_sweep(key):
     rep = with_speedup(simulate_workload(w, spec_for(name), G128), base)
     assert _sweep_row(rep) == SWEEP[key]["dtype"]
     assert _sweep_row(base) == SWEEP[key]["baseline"]
+
+
+# Every simulate row beyond the benchmark's sweep: the three bundled shapes,
+# the seven PE dtypes and the FP16 baseline, prefill-only, decode-only,
+# one-token and long runs, on the default array and on a 1x1-tile, 1x1-PE
+# array with 1e9 B/s of DRAM.  The digest covers every int and every
+# float's hex, and was recorded before the workload pass was rewritten.
+PIN_DTYPES = ("INT8_SYM", "INT6_SYM", "INT4_SYM", "FP4_BASIC", "FP3_BASIC",
+              "FP4_BITMOD", "FP3_BITMOD")
+PIN_CONFIGS = ({}, {"tiles_x": 1, "tiles_y": 1, "pe_rows": 1, "pe_cols": 1,
+                    "baseline_pe_rows": 1, "baseline_pe_cols": 1,
+                    "dram_bandwidth_bytes_per_s": 1e9})
+PIN_TOKENS = ((256, 0), (0, 1), (1, 1), (256, 256), (0, 2 ** 40))
+PIN_SHA256 = "a47def0976703ddf36c2aae90c6322929912c659658f506d693b6aed6b47c73b"
+
+
+def _pin_columns(rep):
+    e = rep.energy
+    floats = (rep.weight_bytes, rep.activation_bytes, e.compute_j, e.sram_j,
+              e.dram_j)
+    speedup = rep.speedup_vs_baseline
+    return [rep.compute_cycles, rep.dram_cycles, rep.total_cycles,
+            *(v.hex() for v in floats),
+            None if speedup is None else speedup.hex()]
+
+
+def test_simulate_rows_equal_pinned_digest():
+    rows = []
+    for shape in ("toy", "opt-1.3b", "llama-2-7b"):
+        for overrides in PIN_CONFIGS:
+            cfg = ArchConfig(**overrides)
+            for prefill, decode in PIN_TOKENS:
+                w = dataclasses.replace(_bundled(shape),
+                                        prefill_tokens=prefill,
+                                        decode_tokens=decode)
+                base = baseline_fp16_sim(w, cfg)
+                rows.append([shape, prefill, decode, "FP16_BASELINE",
+                             *_pin_columns(base)])
+                for name in PIN_DTYPES:
+                    rep = with_speedup(
+                        simulate_workload(w, spec_for(name), G128, cfg), base)
+                    rows.append([shape, prefill, decode, name,
+                                 *_pin_columns(rep)])
+    assert len(rows) == 3 * 2 * 5 * 8
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == PIN_SHA256
+
+
+def test_workload_gemms_are_built_once_and_stay_out_of_the_fields():
+    w = _bundled("toy")
+    same = dataclasses.replace(w)
+    gemms = w._gemms
+    simulate_workload(w, spec_for("FP3_BITMOD"), G128)
+    baseline_fp16_sim(w)
+    assert w._gemms is gemms
+    assert (w == same and hash(w) == hash(same) and repr(w) == repr(same))
+    # A replaced token count gets its own list.
+    decode = dataclasses.replace(w, decode_tokens=3)
+    assert decode._gemms == gemms + tuple((1, k, n, r, 3 * length)
+                                          for _, k, n, r, length in gemms)
+
+
+@pytest.mark.parametrize("simulate, warns", [
+    (lambda w: simulate_workload(w, spec_for("FP3_BITMOD"),
+                                 GroupingConfig(group_size=8)), True),
+    (lambda w: simulate_workload(w, spec_for("FP3_BITMOD"), G128), False),
+    (baseline_fp16_sim, False),
+], ids=["stalls", "no-stall", "fp16"])
+@pytest.mark.parametrize("repeat", (0, 2))
+def test_stall_warning_only_after_a_simulated_gemm(simulate, warns, repeat):
+    w = WorkloadSpec("w", (LayerShape(0, 128, 8, repeat),), 4, 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simulate(w)
+    # One warning per simulated GEMM: the prefill pass and the decode step.
+    assert len(caught) == (2 if warns and repeat else 0)

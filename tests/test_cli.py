@@ -8,6 +8,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bitmod import archsim
 from bitmod.cli import main
@@ -544,6 +545,83 @@ def test_simulate_without_tokens_names_both_flags(capsys):
     assert captured.out == ""
     assert "--prefill-tokens" in captured.err
     assert "--decode-tokens" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the simulator's text inputs: every input ends in exit 0, one
+# `error:` line and exit 1, or a usage error and exit 2, never a traceback
+# ---------------------------------------------------------------------------
+
+# Up to 10^150: big enough that one GEMM's figures (hidden and blocks both
+# huge) or a workload's totals (hidden huge over 2^40 decode steps)
+# overflow the float range.
+_FUZZ_INTS = st.one_of(st.integers(-2, 300), st.integers(1, 10 ** 150))
+_FUZZ_TOKENS = st.sampled_from(("0", "1", "256", str(2 ** 40)))
+_FUZZ = settings(max_examples=40, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _simulate_exit(capsys, *argv):
+    """Run ``bitmod simulate`` in-process; check that it ends in exit 0,
+    1 or 2 with at most one error line, and return the exit code."""
+    try:
+        code = main(["simulate", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert sum("error:" in line for line in err.splitlines()) <= 1
+    assert "Traceback" not in err
+    return code
+
+
+@st.composite
+def _shape_texts(draw):
+    lines = draw(st.lists(st.one_of(
+        st.builds("{} = {}".format,
+                  st.sampled_from(sorted(archsim._INT_KEYS)), _FUZZ_INTS),
+        st.builds("name = {}".format, st.text(max_size=8)),
+        st.text(max_size=16)), max_size=6))
+    if draw(st.booleans()):  # the required keys, so most files simulate
+        lines += ["name = fuzz", f"hidden = {draw(_FUZZ_INTS)}",
+                  f"blocks = {draw(_FUZZ_INTS)}"]
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@_FUZZ
+@given(text=_shape_texts(), prefill=_FUZZ_TOKENS, decode=_FUZZ_TOKENS)
+@example(text=f"name = x\nhidden = {10 ** 150}\nblocks = {10 ** 150}",
+         prefill="256", decode="0")
+@example(text=f"name = x\nhidden = {10 ** 150}\nblocks = 1", prefill="0",
+         decode=str(2 ** 40))
+def test_fuzzed_shape_file_ends_in_one_line_or_usage_error(
+        tmp_path, capsys, text, prefill, decode):
+    shape = tmp_path / "fuzz.shape"
+    shape.write_text(text, encoding="utf-8")
+    _simulate_exit(capsys, str(shape), "--prefill-tokens", prefill,
+                   "--decode-tokens", decode)
+
+
+_ARCH_KEYS = [f.name for f in dataclasses.fields(archsim.ArchConfig)]
+
+
+@_FUZZ
+@given(text=st.one_of(
+    st.dictionaries(st.sampled_from(_ARCH_KEYS + ["bogus"]),
+                    st.one_of(_FUZZ_INTS, st.floats(), st.booleans(),
+                              st.none(), st.text(max_size=4)),
+                    max_size=4).map(json.dumps),
+    st.text(max_size=12)), decode=_FUZZ_TOKENS)
+@example(text=json.dumps({"e_pe_cycle": 10 ** 150, "tiles_x": 10 ** 150,
+                          "pe_cols": 10 ** 150}), decode="0")
+@example(text=json.dumps({"e_pe_cycle": 10 ** 150, "tiles_x": 10 ** 150}),
+         decode=str(2 ** 40))
+def test_fuzzed_arch_config_ends_in_one_line_or_usage_error(
+        tmp_path, capsys, text, decode):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    _simulate_exit(capsys, "toy", "--config", str(cfg), "--decode-tokens",
+                   decode)
 
 
 def test_version_mentions_backend(capsys):
