@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tokenize
-import zipfile
 from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import resources
@@ -73,46 +72,47 @@ def _emit_rows(rows: list[dict], columns: list[str], args) -> None:
 
 
 def _load_npy(path: str) -> np.ndarray:
+    """Read a 2-D float32 or float16 NPY file as float32.
+
+    The header is checked before the array is read, so a shape the bytes
+    after it cannot hold allocates nothing; every refusal is one
+    ``ValueError`` line that names the file.
+    """
     fmt = np.lib.format
     with open(path, "rb") as fh:
         try:
-            if fh.read(len(fmt.MAGIC_PREFIX)) == fmt.MAGIC_PREFIX:
-                # Refuse a shape the bytes that follow the header cannot
-                # hold before np.load allocates it.  Version 3 differs
-                # from 2 only in the header's text encoding.
-                fh.seek(0)
-                read = (fmt.read_array_header_1_0
-                        if fmt.read_magic(fh) == (1, 0)
-                        else fmt.read_array_header_2_0)
-                shape, _, dtype = read(fh)
-                if dtype.hasobject:
-                    raise ValueError(f"{path}: NPY header's dtype {dtype} "
-                                     "holds Python objects")
-                if min(shape, default=0) < 0:
-                    raise ValueError(f"{path}: NPY header's shape {shape} "
-                                     "has a negative dimension")
-                left = os.fstat(fh.fileno()).st_size - fh.tell()
-                if math.prod(shape) * dtype.itemsize > left:
-                    raise ValueError(f"{path}: NPY header's shape {shape} "
-                                     f"does not fit the {left} bytes after it")
-            fh.seek(0)
-            arr = np.load(fh, allow_pickle=False)
-        except (EOFError, zipfile.BadZipFile, tokenize.TokenError) as exc:
-            raise ValueError(f"{path}: not an NPY file ({exc})") from None
-        if not isinstance(arr, np.ndarray):  # an .npz archive
-            arr.close()
-            raise ValueError(f"{path}: expected one NPY array, got an archive")
-    if arr.dtype == np.float16:
-        arr = arr.astype(np.float32)
-    if arr.dtype != np.float32:
-        raise ValueError(f"{path}: expected float32/float16, got {arr.dtype}")
-    if arr.ndim != 2:
-        raise ValueError(f"{path}: expected a 2-D tensor, got shape {arr.shape}")
-    if 0 in arr.shape:
-        raise ValueError(f"{path}: tensor is empty, shape {arr.shape}")
+            version = fmt.read_magic(fh)
+            if version not in ((1, 0), (2, 0), (3, 0)):
+                raise ValueError(f"unknown version {version}")
+            # Version 3 differs from 2 only in the header's text encoding,
+            # UTF-8 for latin-1, which agree on ASCII headers.
+            read = (fmt.read_array_header_1_0 if version == (1, 0)
+                    else fmt.read_array_header_2_0)
+            shape, fortran_order, dtype = read(fh)
+        except (ValueError, tokenize.TokenError) as exc:
+            reason = str(exc).partition("\n")[0]
+            raise ValueError(f"{path}: not an NPY file ({reason})") from None
+        if dtype not in (np.float16, np.float32):
+            raise ValueError(f"{path}: expected float32/float16, got {dtype}")
+        # numpy's header check takes a bool for an int.
+        if len(shape) != 2 or any(isinstance(n, bool) for n in shape):
+            raise ValueError(f"{path}: expected a 2-D tensor, got shape "
+                             f"{shape}")
+        if min(shape) < 0:
+            raise ValueError(f"{path}: NPY header's shape {shape} has a "
+                             "negative dimension")
+        if 0 in shape:
+            raise ValueError(f"{path}: tensor is empty, shape {shape}")
+        count = math.prod(shape)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count * dtype.itemsize > left:
+            raise ValueError(f"{path}: NPY header's shape {shape} does not "
+                             f"fit the {left} bytes after it")
+        arr = np.fromfile(fh, dtype=dtype, count=count)
+    arr = arr.reshape(shape, order="F" if fortran_order else "C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: tensor contains NaN/Inf")
-    return arr
+    return arr.astype(np.float32, copy=False)
 
 
 def _dtype_name(value: str) -> DataType:
@@ -135,8 +135,13 @@ def _dtype_list(value: str) -> list[DataType]:
 
 def cmd_gen(args) -> int:
     k, d = args.shape
-    arr = synth.sample(args.dist, (k, d), seed=args.seed)
-    np.save(args.out, arr)
+    try:
+        arr = synth.sample(args.dist, (k, d), seed=args.seed)
+    except (ValueError, MemoryError) as exc:  # numpy cannot hold the shape
+        print(f"error: shape {k}x{d}: {exc}", file=sys.stderr)
+        return 1
+    with open(args.out, "wb") as fh:  # np.save would add ".npy" to a path
+        np.save(fh, arr)
     print(f"wrote {args.out}: {args.dist} {k}x{d} (seed {args.seed})")
     return 0
 
@@ -337,7 +342,8 @@ def cmd_unpack(args) -> int:
     with open(args.file, "rb") as fh:
         data = fh.read()
     tensor = packfile.unpack_to_tensor(data, np.float32)
-    np.save(args.out, tensor)
+    with open(args.out, "wb") as fh:
+        np.save(fh, tensor)
     print(f"wrote {args.out}: shape {tensor.shape}")
     return 0
 

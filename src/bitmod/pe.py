@@ -155,17 +155,18 @@ def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
 
 
 def drain_accumulate(partials, channel_scale: float) -> np.float32:
-    """Align and sum group partial sums exactly, then apply the channel scale."""
+    """Sum group partial sums exactly, rounding once half to even, then
+    apply the channel scale.
+
+    A partial is ``m_grp * 2^e_grp`` with ``|m_grp| < 2^33 * 255 < 2^41``,
+    so float64 holds it exactly.  Its accumulator is a multiple of a
+    rounding grid no finer than ``2^-25``, and the grid ``2^e_grp`` lies at
+    most 24 bits below the accumulator's leading one, so ``e_grp >= -49``.
+    Each of a group's at most G trees is below ``2^25`` (four FP16 lanes of
+    at most 65504 * 2^7), so a channel of D weights sums to below about
+    ``D * 2^33``.  The exact sum is thus a normal, finite float64 before it
+    is rounded, and :func:`math.fsum` rounds it once, half to even.
+    """
     if not partials:
         raise ValueError("at least one partial sum required")
-    live = [p for p in partials if p.m_grp != 0]
-    if not live:
-        return np.float32(0.0)
-    e_min = min(p.e_grp for p in live)
-    total = sum(p.m_grp << (p.e_grp - e_min) for p in live)
-    return np.float32(math.ldexp(float(total), e_min) * channel_scale)
-
-
-def throughput_vs_fp16(spec: DataTypeSpec) -> float:
-    """Per-PE throughput ratio over the FP16 MAC baseline."""
-    return FP16_MAC_CYCLES_PER_DOT / spec.terms_per_code
+    return np.float32(math.fsum(p.value for p in partials) * channel_scale)

@@ -13,7 +13,9 @@ The nearest grid value is found by counting the midpoints of adjacent
 grid values that a scaled weight lies above.  A BitMoD dtype's candidate
 grids that share a grid absmax share their scale, so one count over the
 union of their midpoints serves all of them (two counts for FP3/FP4, not
-four searches); :func:`nearest_grid_index` is the reference it matches.
+four searches).  The tests check the count against
+``nearest_grid_index``, a search for the nearest value in
+``tests/conftest.py``.
 
 Rounding convention: ``Round`` in the integer quantizers is
 round-half-away-from-zero, applied uniformly to codes and zero-points.
@@ -184,25 +186,6 @@ def quantize_asymmetric(group, bits: int):
     return codes.astype(np.uint8), delta[()], z.astype(np.int64)[()]
 
 
-def nearest_grid_index(scaled: np.ndarray, grid_f: np.ndarray) -> np.ndarray:
-    """Index of the nearest grid value; ties go to the smaller magnitude.
-
-    The reference for the midpoint count the quantizers use.
-    """
-    n = len(grid_f)
-    idx = np.searchsorted(grid_f, scaled)
-    lo = np.clip(idx - 1, 0, n - 1)
-    hi = np.clip(idx, 0, n - 1)
-    d_lo = np.abs(scaled - grid_f[lo])
-    d_hi = np.abs(grid_f[hi] - scaled)
-    take_hi = d_hi < d_lo
-    tie = d_hi == d_lo
-    # Tie: smaller |grid value| wins; equal magnitudes fall back to the
-    # negative (lower) one.
-    take_hi |= tie & (np.abs(grid_f[hi]) < np.abs(grid_f[lo]))
-    return np.where(take_hi, hi, lo)
-
-
 def _midpoints(grid_f: np.ndarray) -> np.ndarray:
     """Midpoints of adjacent values of a sorted grid."""
     return (grid_f[:-1] + grid_f[1:]) / 2
@@ -213,12 +196,12 @@ def _count_above(scaled: np.ndarray, mids) -> np.ndarray:
 
     A value passes a negative midpoint when ``s >= m`` and any other when
     ``s > m``, so a value on a midpoint goes to the neighbour of smaller
-    magnitude (the lower one at midpoint 0), as in
-    :func:`nearest_grid_index`.  On a grid whose midpoints are ``mids``
-    the count is the index of the nearest value.  On the dtype grids the
-    distances that function compares are exact near a midpoint (Sterbenz),
-    so the two agree on every float but NaN, which the quantizers refuse
-    and which counts 0 here.
+    magnitude (the lower one at midpoint 0), the module's tie-break.
+    On a grid whose midpoints are ``mids`` the count is the index of the
+    nearest value.  On the dtype grids the distances to the two neighbours
+    are exact near a midpoint (Sterbenz), so the count agrees with a
+    nearest-value search on every float but NaN, which the quantizers
+    refuse and which counts 0 here.
     """
     count = np.zeros(scaled.shape, dtype=np.min_scalar_type(len(mids)))
     for m in mids:
@@ -415,15 +398,6 @@ def quantize_tensor(tensor, spec: DataTypeSpec,
     return QuantizedTensor(codes=codes, sv_index=sv_index, scale_q=scale_q,
                            delta=delta, channel_scale=channel_scale,
                            dtype=spec, valid_size=size, zero_point=zero_point)
-
-
-def quantize_channel(values, spec: DataTypeSpec,
-                     grouping: GroupingConfig) -> QuantizedTensor:
-    """Quantize one weight channel: ``qt[0]`` of its one-row tensor."""
-    w = np.asarray(values, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("channel must be 1-D")
-    return quantize_tensor(w[None], spec, grouping)[0]
 
 
 def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:

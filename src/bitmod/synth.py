@@ -34,17 +34,3 @@ def sample(dist: str, shape, seed: int = DEFAULT_SEED,
                          f"choose from {DISTRIBUTIONS}")
     return x.astype(np.float32)
 
-
-def sample_groups(dist: str, n_groups: int, group_size: int,
-                  seed: int = DEFAULT_SEED) -> np.ndarray:
-    return sample(dist, (n_groups, group_size), seed=seed)
-
-
-def single_outlier_groups(n_groups: int, group_size: int, sigma_mult: float = 6.0,
-                          seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Gaussian groups with one entry forced to +sigma_mult standard deviations."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_groups, group_size))
-    cols = rng.integers(0, group_size, size=n_groups)
-    x[np.arange(n_groups), cols] = sigma_mult
-    return x.astype(np.float32)

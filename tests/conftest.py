@@ -46,3 +46,33 @@ def exact_dot(qg, spec, act_values) -> float:
         w = np.asarray(qg.codes, dtype=np.float64)
     a = np.float16(np.asarray(act_values, dtype=np.float64)).astype(np.float64)
     return float(np.dot(w, a)) * qg.scale_q
+
+
+def nearest_grid_index(scaled: np.ndarray, grid_f: np.ndarray) -> np.ndarray:
+    """Index of the nearest grid value; ties go to the smaller magnitude.
+
+    The reference for the midpoint count the quantizers use.
+    """
+    n = len(grid_f)
+    idx = np.searchsorted(grid_f, scaled)
+    lo = np.clip(idx - 1, 0, n - 1)
+    hi = np.clip(idx, 0, n - 1)
+    d_lo = np.abs(scaled - grid_f[lo])
+    d_hi = np.abs(grid_f[hi] - scaled)
+    take_hi = d_hi < d_lo
+    tie = d_hi == d_lo
+    # Tie: smaller |grid value| wins; equal magnitudes fall back to the
+    # negative (lower) one.
+    take_hi |= tie & (np.abs(grid_f[hi]) < np.abs(grid_f[lo]))
+    return np.where(take_hi, hi, lo)
+
+
+def single_outlier_groups(n_groups: int, group_size: int, sigma_mult: float,
+                          seed: int) -> np.ndarray:
+    """Gaussian groups, each with one entry forced to +sigma_mult standard
+    deviations."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_groups, group_size))
+    cols = rng.integers(0, group_size, size=n_groups)
+    x[np.arange(n_groups), cols] = sigma_mult
+    return x.astype(np.float32)

@@ -11,17 +11,16 @@ from fractions import Fraction
 import numpy as np
 
 import pe_oracle
-from conftest import exact_dot, oracle_acts, oracle_weight_terms
+from conftest import (exact_dot, nearest_grid_index, oracle_acts,
+                      oracle_weight_terms, single_outlier_groups)
 from bitmod import archsim, packfile, synth
 from bitmod.bitserial import encode_weight, term_value_sum
 from bitmod.dtype import GroupingConfig, effective_grid, spec_for
-from bitmod.pe import group_dot, throughput_vs_fp16
+from bitmod.pe import FP16_MAC_CYCLES_PER_DOT, group_dot
 from bitmod.quant import (
     adaptive_quant,
     dequantize_tensor,
     memory_footprint_bits,
-    nearest_grid_index,
-    quantize_channel,
     quantize_groups,
     quantize_tensor,
 )
@@ -75,14 +74,15 @@ def test_criterion_02_cycle_budgets(capsys):
     got = {}
     for name in ("FP4_BITMOD", "FP3_BITMOD", "INT6_SYM", "INT8_SYM"):
         spec = spec_for(name)
-        qg = quantize_channel(rng.standard_normal(128), spec, grouping).groups[0]
+        qg = quantize_tensor(rng.standard_normal((1, 128)), spec,
+                             grouping)[0].groups[0]
         _, cycles = group_dot(qg, rng.standard_normal(128), spec)
         got[name] = cycles
     cycles_ok = (got["FP4_BITMOD"] == got["FP3_BITMOD"] == 64
                  and got["INT6_SYM"] == 96 and got["INT8_SYM"] == 128)
-    ratios_ok = (throughput_vs_fp16(spec_for("FP3_BITMOD")) == 2.0
-                 and throughput_vs_fp16(spec_for("FP4_BITMOD")) == 2.0
-                 and throughput_vs_fp16(spec_for("INT6_SYM")) == 4 / 3)
+    ratios = [FP16_MAC_CYCLES_PER_DOT / spec_for(name).terms_per_code
+              for name in ("FP3_BITMOD", "FP4_BITMOD", "INT6_SYM")]
+    ratios_ok = ratios == [2.0, 2.0, 4 / 3]
     elapsed = time.perf_counter() - t0
     ok = cycles_ok and ratios_ok and elapsed < 1.0
     report(capsys, 2, ok,
@@ -140,8 +140,8 @@ def test_criterion_04_monotonicity_and_ordering(capsys):
     violations = 0
     total = 0
     for i, dist in enumerate(synth.DISTRIBUTIONS):
-        groups = synth.sample_groups(dist, 3334 if i == 0 else 3333, 128,
-                                     seed=SEED + i)
+        groups = synth.sample(dist, (3334 if i == 0 else 3333, 128),
+                              seed=SEED + i)
         w = groups.astype(np.float64)
         total += len(w)
         mse = _group_mse(w, spec)
@@ -199,9 +199,9 @@ def test_criterion_05_special_value_selection(capsys):
     flat = np.random.default_rng(SEED).uniform(-1, 1, (n, 128)) \
         .astype(np.float32)
     er_share = er_share_of(flat, 0)
-    gaussian = synth.sample_groups("gaussian", n, 128, seed=SEED)
+    gaussian = synth.sample("gaussian", (n, 128), seed=SEED)
     gaussian_er_share = er_share_of(gaussian, 1)
-    outlier = synth.single_outlier_groups(n, 128, 6.0, seed=SEED + 1)
+    outlier = single_outlier_groups(n, 128, 6.0, seed=SEED + 1)
     ea_share = float(np.mean(sv_index_of(outlier, 2)
                              == spec.special_values.index(F(6))))
 
@@ -237,13 +237,14 @@ def test_criterion_06_pe_oracle_equivalence(capsys):
             * rng.choice([-1.0, 1.0], size=(per_dtype, 1)) \
             * np.exp2(rng.integers(-4, 5, size=(per_dtype, 1)))
         scale_qs = rng.integers(1, 128, size=per_dtype)
-        # One batched call quantizes every row as quantize_channel would;
+        # One batched call quantizes every row as a one-row call would;
         # a seeded sample of rows checks that.
         qt = quantize_tensor(w_all, spec, grouping)
         sample = np.random.default_rng([SEED, 6]).choice(per_dtype, 200,
                                                          replace=False)
         for i in sample:
-            assert qt[i] == quantize_channel(w_all[i], spec, grouping), i
+            assert qt[i] == quantize_tensor(w_all[i][None], spec,
+                                            grouping)[0], i
         for i, (avals, sq) in enumerate(zip(a_all, scale_qs)):
             qg = qt[i].groups[0]
             qg.scale_q = int(sq)
@@ -280,7 +281,8 @@ def test_criterion_07_scale_quantization_bound(capsys):
         spec = spec_for(name)
         for _ in range(25):
             w = rng.standard_normal(1024) * float(np.exp(rng.normal()))
-            cq = quantize_channel(w, spec, GroupingConfig(group_size=128))
+            cq = quantize_tensor(w[None], spec,
+                                 GroupingConfig(group_size=128))[0]
             for qg in cq.groups:
                 checked += 1
                 err = abs(qg.delta - qg.scale_q * cq.channel_scale)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import struct
 import time
 from importlib import resources
 
@@ -45,6 +46,44 @@ def test_gen_is_deterministic(tmp_path, capsys):
     np.testing.assert_array_equal(np.load(a), np.load(b))
     arr = np.load(a)
     assert arr.shape == (8, 32) and arr.dtype == np.float32
+
+
+@pytest.mark.parametrize("verb", ("gen", "unpack"))
+def test_out_path_is_written_as_given(verb, tensor_file, tmp_path, capsys):
+    # np.save used to add ".npy" to an --out path without it, while the
+    # message named the path as given.
+    out = tmp_path / "out"
+    if verb == "gen":
+        argv = ("gen", "--shape", "2x8", "--out", str(out))
+    else:
+        packed = tmp_path / "w.bmod"
+        assert run(capsys, "pack", str(tensor_file), "--out",
+                   str(packed))[0] == 0
+        argv = ("unpack", str(packed), "--out", str(out))
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout.startswith(f"wrote {out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir() if "out" in p.name) \
+        == ["out"]
+    assert np.load(out).shape == ((2, 8) if verb == "gen" else (64, 256))
+
+
+@pytest.mark.parametrize("failure", ("too-big", "no-memory"))
+def test_gen_shape_numpy_cannot_hold_is_one_line_error(failure, tmp_path,
+                                                       capsys, monkeypatch):
+    # A shape past numpy's size limit ended in a ValueError traceback.
+    # numpy refuses it before allocating; the MemoryError of a shape within
+    # the limit but beyond the host's memory is raised here by a stand-in.
+    shape = f"{10 ** 13}x{10 ** 13}"
+    if failure == "no-memory":
+        def sample(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+        monkeypatch.setattr("bitmod.synth.sample", sample)
+        shape = "100000x100000"
+    out = tmp_path / "w.npy"
+    code, _, err = run(capsys, "gen", "--shape", shape, "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"error: shape {shape}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_quant_eval_csv(tensor_file, tmp_path, capsys):
@@ -405,42 +444,60 @@ def test_empty_tensor_is_one_line_error(verb, shape, tmp_path, capsys):
 
 
 def _damaged_npy_header(kind: str) -> bytes:
-    """A (2, 8) float32 NPY file whose header dict is left unclosed or
-    whose header claims shape (-2, 8), or a 300-byte one whose header
-    claims shape (10^12, 10^12)."""
+    """A (2, 8) float32 NPY file with one field of its header changed:
+    the dict left unclosed, the format version 9.0, the dtype unknown, a
+    shape of (-2, 8), (True, 8) or (0, 10^23), or 10 000 spaces more than
+    numpy reads; or a 300-byte one whose header claims shape
+    (10^12, 10^12)."""
     buf = io.BytesIO()
     np.save(buf, np.ones((2, 8), dtype=np.float32))
     data = buf.getvalue()
     if kind == "unclosed-header":
         return data.replace(b"}", b" ", 1)
-    if kind == "negative-dim":
-        return data.replace(b"(2, 8), }", b"(-2, 8),}", 1)
-    shape, huge = b"(2, 8), }", b"(%d, %d), }" % (10 ** 12, 10 ** 12)
-    # The longer shape takes the place of header padding, so the header
+    if kind == "long-header":  # version 2, whose length field has 4 bytes
+        header = data[10:data.index(b"\n")] + b" " * 10000 + b"\n"
+        return (b"\x93NUMPY\x02\x00" + struct.pack("<I", len(header))
+                + header + data[data.index(b"\n") + 1:])
+    if kind == "version-9":
+        return data[:6] + b"\x09\x00" + data[8:]
+    if kind == "unknown-dtype":
+        return data.replace(b"'<f4'", b"'<f5'", 1)
+    shape = b"(2, 8), }"
+    changed = {"negative-dim": b"(-2, 8),}", "bool-dim": b"(True, 8), }",
+               "zero-and-huge-dim": b"(0, %d), }" % 10 ** 23,
+               "huge-shape": b"(%d, %d), }" % (10 ** 12, 10 ** 12)}[kind]
+    # A longer shape takes the place of header padding, so the header
     # length field stays right.
-    data = data.replace(shape + b" " * (len(huge) - len(shape)), huge, 1)
-    return data + bytes(300 - len(data))
+    data = data.replace(shape + b" " * (len(changed) - len(shape)), changed,
+                        1)
+    return data + bytes(300 - len(data)) if kind == "huge-shape" else data
 
 
 @pytest.mark.parametrize("kind", ["zero-bytes", "npz-archive", "bad-zip",
                                   "unclosed-header", "huge-shape",
-                                  "negative-dim", "object"])
+                                  "negative-dim", "object", "bool-dim",
+                                  "zero-and-huge-dim", "version-9",
+                                  "unknown-dtype", "long-header"])
 @pytest.mark.parametrize("verb", ("quant-eval", "pack"))
 def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
     # These ended in an EOFError, AttributeError, BadZipFile,
-    # tokenize.TokenError or MemoryError traceback; an object array's
-    # error did not name the file.
+    # tokenize.TokenError, MemoryError, TypeError (bool-dim) or
+    # OverflowError (zero-and-huge-dim) traceback; the errors of an object
+    # array, an unknown format version and an unknown dtype did not name
+    # the file, and a header longer than numpy reads gave a three-line
+    # error.
     path = tmp_path / "bad.npy"
     if kind == "npz-archive":
         with open(path, "wb") as fh:
             np.savez(fh, w=np.ones((2, 8), dtype=np.float32))
     elif kind == "object":
         np.save(path, np.ones((2, 8), dtype=object), allow_pickle=True)
-    elif kind in ("unclosed-header", "huge-shape", "negative-dim"):
-        path.write_bytes(_damaged_npy_header(kind))
-    else:  # "bad-zip" has a zip signature and nothing a zip reader accepts
+    elif kind in ("zero-bytes", "bad-zip"):
+        # "bad-zip" has a zip signature and nothing a zip reader accepts.
         path.write_bytes(b"" if kind == "zero-bytes"
                          else b"PK\x03\x04" + bytes(16))
+    else:
+        path.write_bytes(_damaged_npy_header(kind))
     out = tmp_path / "out"
     # quant-eval goes on to the tensors after a bad one.
     good = tmp_path / "w.npy"
@@ -548,8 +605,9 @@ def test_simulate_without_tokens_names_both_flags(capsys):
 
 
 # ---------------------------------------------------------------------------
-# fuzzing the simulator's text inputs: every input ends in exit 0, one
-# `error:` line and exit 1, or a usage error and exit 2, never a traceback
+# fuzzing the input surfaces (shape files, --config JSON, NPY headers and
+# integer arguments): every input ends in exit 0, one `error:` line and
+# exit 1, or a usage error and exit 2, never a traceback
 # ---------------------------------------------------------------------------
 
 # Up to 10^150: big enough that one GEMM's figures (hidden and blocks both
@@ -561,18 +619,18 @@ _FUZZ = settings(max_examples=40, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def _simulate_exit(capsys, *argv):
-    """Run ``bitmod simulate`` in-process; check that it ends in exit 0,
-    1 or 2 with at most one error line, and return the exit code."""
+def _cli_exit(capsys, *argv):
+    """Run ``bitmod`` in-process; check that it ends in exit 0, 1 or 2
+    with at most one error line, and return the exit code and stderr."""
     try:
-        code = main(["simulate", *argv])
+        code = main(list(argv))
     except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert sum("error:" in line for line in err.splitlines()) <= 1
     assert "Traceback" not in err
-    return code
+    return code, err
 
 
 @st.composite
@@ -598,8 +656,8 @@ def test_fuzzed_shape_file_ends_in_one_line_or_usage_error(
         tmp_path, capsys, text, prefill, decode):
     shape = tmp_path / "fuzz.shape"
     shape.write_text(text, encoding="utf-8")
-    _simulate_exit(capsys, str(shape), "--prefill-tokens", prefill,
-                   "--decode-tokens", decode)
+    _cli_exit(capsys, "simulate", str(shape), "--prefill-tokens", prefill,
+              "--decode-tokens", decode)
 
 
 _ARCH_KEYS = [f.name for f in dataclasses.fields(archsim.ArchConfig)]
@@ -620,8 +678,99 @@ def test_fuzzed_arch_config_ends_in_one_line_or_usage_error(
         tmp_path, capsys, text, decode):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
-    _simulate_exit(capsys, "toy", "--config", str(cfg), "--decode-tokens",
-                   decode)
+    _cli_exit(capsys, "simulate", "toy", "--config", str(cfg),
+              "--decode-tokens", decode)
+
+
+_NPY_DESCRS = ("'<f4'", "'<f2'", "'>f4'", "'<f8'", "'|u1'", "'|O'", "'|V0'",
+               "'<U0'", "[]", "[('a', '<f4')]", "('<f4', (2,))",
+               "('<f4', ())", "'<f5'", "5")
+_NPY_DIMS = st.one_of(st.integers(-2, 24).map(str),
+                      st.integers(0, 10 ** 30).map(str),
+                      st.sampled_from(("True", "2.5", "'x'", "None")))
+
+
+@st.composite
+def _npy_files(draw):
+    """NPY bytes: a version, a header of the three keys (some values off
+    their type or range, a key sometimes missing) or of any text, a header
+    length that is sometimes wrong, and up to 2 KB of data."""
+    version = draw(st.sampled_from(((1, 0), (2, 0), (3, 0), (9, 9))))
+    if draw(st.booleans()):
+        dims = draw(st.lists(_NPY_DIMS, max_size=3))
+        fields = {"descr": draw(st.sampled_from(_NPY_DESCRS)),
+                  "fortran_order": draw(st.sampled_from(
+                      ("False", "True", "0", "None"))),
+                  "shape": "(" + "".join(f"{n}, " for n in dims) + ")"}
+        keys = draw(st.permutations(sorted(fields)))[:draw(st.integers(2, 3))]
+        header = "{" + ", ".join(f"'{k}': {fields[k]}" for k in keys) + "}\n"
+    else:
+        header = draw(st.text(max_size=40))
+    text = header.encode("utf-8")
+    length = draw(st.one_of(st.just(len(text)), st.integers(0, 300)))
+    size = "<H" if version == (1, 0) else "<I"
+    data = draw(st.one_of(st.binary(max_size=256), st.integers(0, 512).map(
+        lambda n: np.linspace(-1, 1, n, dtype=np.float32).tobytes())))
+    return (b"\x93NUMPY" + bytes(version) + struct.pack(size, length) + text
+            + data)
+
+
+@_FUZZ
+@given(data=_npy_files(), verb=st.sampled_from(("quant-eval", "pack")))
+def test_fuzzed_npy_header_ends_in_one_line_error(tmp_path, capsys, data,
+                                                  verb):
+    path = tmp_path / "fuzz.npy"
+    path.write_bytes(data)
+    code, err = _cli_exit(capsys, verb, str(path), "--out",
+                          str(tmp_path / "out"))
+    assert code in (0, 1)
+    assert code == 0 or str(path) in err
+
+
+# Words that int() takes (a sign, blanks, an underscore, an Arabic-Indic
+# digit) or refuses (beyond its 4300-digit limit too).
+_INT_WORDS = st.sampled_from(("", "x", "1.5", "0x10", "1e3", "+7", " 9 ",
+                              "1_0", "\u0663", "9" * 5000))
+_ANY_INT = st.one_of(st.integers(-3, 300).map(str),
+                     st.integers(-10 ** 30, 10 ** 30).map(str), _INT_WORDS)
+# A group size far above the channel size pads every channel to one whole
+# group; up to 4096 that stays small.
+_GROUP_SIZES = st.one_of(st.integers(-10 ** 30, 4096).map(str), _INT_WORDS)
+# A tensor dimension: small, or so large that numpy refuses the float64
+# draw before allocating it (2^61 values take 2^64 bytes, past its limit).
+_DIMS = st.one_of(st.integers(-2, 64).map(str),
+                  st.integers(2 ** 61, 10 ** 30).map(str), _INT_WORDS)
+
+
+@st.composite
+def _integer_argvs(draw):
+    """A verb and its integer options, with ``{in}`` and ``{out}`` for
+    the input tensor and the output path."""
+    verb = draw(st.sampled_from(("gen", "quant-eval", "pack", "simulate",
+                                 "bitserial-check")))
+    if verb == "gen":
+        return ["gen", f"--shape={draw(_DIMS)}x{draw(_DIMS)}",
+                f"--seed={draw(_ANY_INT)}", "--out", "{out}"]
+    if verb == "bitserial-check":
+        return [verb, f"--sv-override={draw(_ANY_INT)}"]
+    group_size = f"--group-size={draw(_GROUP_SIZES)}"
+    if verb == "simulate":
+        return [verb, "toy", group_size,
+                f"--prefill-tokens={draw(_ANY_INT)}",
+                f"--decode-tokens={draw(_ANY_INT)}"]
+    dtype = draw(st.sampled_from(("INT8_SYM", "INT4_ASYM", "FP3_BITMOD")))
+    return [verb, "{in}", group_size, f"--dtype={dtype}", "--out", "{out}"]
+
+
+@_FUZZ
+@given(argv=_integer_argvs())
+def test_fuzzed_integer_arguments_end_in_one_line_or_usage_error(
+        tmp_path, capsys, argv):
+    tensor = tmp_path / "w.npy"
+    np.save(tensor, np.linspace(-1, 1, 3 * 40, dtype=np.float32)
+            .reshape(3, 40))
+    _cli_exit(capsys, *(str({"{in}": tensor, "{out}": tmp_path / "out"}
+                            .get(a, a)) for a in argv))
 
 
 def test_version_mentions_backend(capsys):

@@ -1,8 +1,10 @@
-"""Every top-level import in the package and the tests is used.
+"""Every top-level import in the package and the tests is used, and every
+public top-level definition in the package is used outside the tests.
 
-A stdlib-only scan: a name bound by a module-level ``import`` or ``from
+Stdlib-only scans: a name bound by a module-level ``import`` or ``from
 ... import`` must be read somewhere in its module, or be listed in the
-module's ``__all__``.
+module's ``__all__``; a public name a package module defines must be read
+by the package or named by the benchmark in ``perfbench/``.
 """
 
 import ast
@@ -37,3 +39,56 @@ def test_no_unused_top_level_imports():
     unused = {str(path.relative_to(ROOT)): names for path in SOURCES
               if (names := unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+# Top-level definitions that nothing in the package reads, kept on purpose.
+READ_ONLY_BY_TESTS = {
+    # The FP16 twin of simulate_layer; the workload oracle in
+    # test_archsim.py adds it layer by layer.
+    "archsim.baseline_fp16_layer",
+}
+
+
+def _loads(tree: ast.AST) -> set[str]:
+    """Names and attributes that ``tree`` reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _public_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target])
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_definition_is_read_by_the_package_or_the_benchmark():
+    # A name counts as read when the package reads it outside its own
+    # definition, or when perfbench names it: as a name, an attribute or a
+    # string, since its trace targets name functions in strings.
+    named = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        named |= _loads(tree)
+        named |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)}
+    statements = [(path.stem, stmt, _loads(stmt))
+                  for path in sorted((ROOT / "src" / "bitmod").glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    unread = []
+    for module, stmt, _ in statements:
+        for name in _public_names(stmt):
+            if name not in named and not any(
+                    name in reads for _, other, reads in statements
+                    if other is not stmt):
+                unread.append(f"{module}.{name}")
+    assert len(statements) > 100
+    assert sorted(unread) == sorted(READ_ONLY_BY_TESTS)

@@ -5,7 +5,7 @@ import pytest
 
 import pe_oracle
 from conftest import exact_dot, oracle_acts, oracle_weight_terms
-from bitmod import bitserial
+from bitmod import bitserial, synth
 from bitmod.bitserial import encode_weight, term_table
 from bitmod.dtype import (GroupingConfig, code_range, effective_grid,
                           spec_for)
@@ -20,10 +20,9 @@ from bitmod.pe import (
     encode_group_terms,
     group_cycles,
     group_dot,
-    throughput_vs_fp16,
 )
-from bitmod.quant import (QuantizedGroup, dequantize_tensor, quantize_channel,
-                          quantize_symmetric)
+from bitmod.quant import (QuantizedGroup, dequantize_tensor,
+                          quantize_symmetric, quantize_tensor)
 
 PE_DTYPES = ("INT8_SYM", "INT6_SYM", "INT4_SYM",
              "FP3_BASIC", "FP4_BASIC", "FP3_BITMOD", "FP4_BITMOD")
@@ -33,8 +32,8 @@ def make_group(rng, spec, g, outlier=False, shift=0.0):
     w = rng.standard_normal(g) + shift
     if outlier:
         w[rng.integers(g)] *= 6.0
-    cq = quantize_channel(w, spec, GroupingConfig(group_size=g))
-    return cq.groups[0]
+    qt = quantize_tensor(w[None], spec, GroupingConfig(group_size=g))
+    return qt[0].groups[0]
 
 
 def acts_from(rng, g, positive=False):
@@ -356,12 +355,66 @@ def test_drain_accumulate():
         drain_accumulate([], 1.0)
 
 
+def _bigint_drain(partials, channel_scale):
+    """The reference drain: shift each partial's integer mantissa to the
+    smallest exponent, sum the Python ints exactly, and round once."""
+    live = [p for p in partials if p.m_grp != 0]
+    if not live:
+        return np.float32(0.0)
+    e_min = min(p.e_grp for p in live)
+    total = sum(p.m_grp << (p.e_grp - e_min) for p in live)
+    return np.float32(math.ldexp(float(total), e_min) * channel_scale)
+
+
+def test_drain_accumulate_keeps_what_cancellation_leaves():
+    # Partials at the bounds of drain_accumulate's docstring: 2^52 and
+    # -2^52 cancel, and a float64 running sum would lose the 2^-49 left.
+    from bitmod.pe import GroupPartialSum
+    big, tiny = GroupPartialSum(2 ** 40, 12), GroupPartialSum(1, -49)
+    neg = GroupPartialSum(-(2 ** 40), 12)
+    for parts in ([big, tiny, neg], [tiny, big, neg], [big, neg, tiny]):
+        assert drain_accumulate(parts, 1.0) == np.float32(2.0 ** -49)
+        assert drain_accumulate(parts, 0.5).tobytes() == \
+            _bigint_drain(parts, 0.5).tobytes()
+
+
+@pytest.mark.parametrize("g", (32, 128))
+@pytest.mark.parametrize("name", PE_DTYPES)
+def test_drain_accumulate_matches_bigint_drain_at_fp16_extremes(name, g):
+    # Activations at FP16's smallest normal and largest finite magnitudes,
+    # all of one sign or of random signs, and normals over six decades.
+    spec = spec_for(name)
+    rows, width = 20, 512
+    qt = quantize_tensor(synth.sample("outlier_mixture", (rows, width),
+                                      seed=11), spec, GroupingConfig(g))
+    rng = np.random.default_rng(12)
+    signs = rng.choice([-1.0, 1.0], width)
+    act_sets = {"+-2^-14": signs * 2.0 ** -14,
+                "+65504": np.full(width, 65504.0), "+-65504": signs * 65504.0}
+    for scale in (1.0, 1e-4, 1e3):
+        act_sets[f"normal*{scale:g}"] = rng.standard_normal(width) * scale
+    for label, acts in act_sets.items():
+        acts = acts.astype(np.float16)
+        for r in range(rows):
+            cq = qt[r]
+            partials = [group_dot(qg, acts[i * g:(i + 1) * g], spec)[0]
+                        for i, qg in enumerate(cq.groups)]
+            # The bounds drain_accumulate's docstring states.
+            for p in partials:
+                assert abs(p.m_grp) < 2 ** 41
+                assert p.m_grp == 0 or p.e_grp >= -49
+            total = math.fsum(p.value for p in partials)
+            assert abs(total) < width * 2.0 ** 33
+            got = drain_accumulate(partials, cq.channel_scale)
+            want = _bigint_drain(partials, cq.channel_scale)
+            assert got.tobytes() == want.tobytes(), (label, r)
+
+
 def test_throughput_ratios():
     assert FP16_MAC_CYCLES_PER_DOT == 4
-    assert throughput_vs_fp16(spec_for("FP3_BITMOD")) == 2.0
-    assert throughput_vs_fp16(spec_for("FP4_BITMOD")) == 2.0
-    assert throughput_vs_fp16(spec_for("INT6_SYM")) == pytest.approx(4 / 3)
-    assert throughput_vs_fp16(spec_for("INT8_SYM")) == 1.0
+    for name, ratio in (("FP3_BITMOD", 2.0), ("FP4_BITMOD", 2.0),
+                        ("INT6_SYM", pytest.approx(4 / 3)), ("INT8_SYM", 1.0)):
+        assert FP16_MAC_CYCLES_PER_DOT / spec_for(name).terms_per_code == ratio
 
 
 def test_channel_dot_end_to_end_close_to_float():
@@ -372,7 +425,7 @@ def test_channel_dot_end_to_end_close_to_float():
     grouping = GroupingConfig(group_size=32)
     w = rng.standard_normal(128) + 3.0
     avals = acts_from(rng, 128, positive=True)
-    cq = quantize_channel(w, spec, grouping)
+    cq = quantize_tensor(w[None], spec, grouping)[0]
     parts = []
     for i, qg in enumerate(cq.groups):
         gps, _ = group_dot(qg, avals[i * 32:(i + 1) * 32], spec)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import pe_oracle
-from conftest import oracle_acts, oracle_weight_terms
+from conftest import nearest_grid_index, oracle_acts, oracle_weight_terms
 from bitmod.bitserial import booth_encode, term_value_sum
 from bitmod.dtype import code_range, spec_for
 from bitmod.packfile import _pack_codes, _unpack_codes
@@ -14,7 +14,6 @@ from bitmod.quant import (
     _count_above,
     _midpoints,
     _shared_scales,
-    nearest_grid_index,
     quantize_scales,
     quantize_symmetric,
 )

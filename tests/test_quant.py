@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import nearest_grid_index
 from bitmod.dtype import DataType, GroupingConfig, effective_grid, spec_for
 from bitmod.errors import (InvalidSpecialValueIndex, LengthMismatch,
                            OutOfRange, UnsupportedDtype)
@@ -16,9 +17,7 @@ from bitmod.quant import (
     dequantize_tensor,
     error_report,
     memory_footprint_bits,
-    nearest_grid_index,
     quantize_asymmetric,
-    quantize_channel,
     quantize_groups,
     quantize_scales,
     quantize_symmetric,
@@ -228,7 +227,7 @@ def test_channel_roundtrip_error_bound(name):
     spec = spec_for(name)
     grouping = GroupingConfig(group_size=32)
     w = rng.standard_normal(96)
-    cq = quantize_channel(w, spec, grouping)
+    cq = quantize_tensor(w[None], spec, grouping)[0]
     deq = dequantize_tensor(cq)
     assert deq.shape == w.shape
     # Scale quantization perturbs each group scale by <= channel_scale/2;
@@ -244,7 +243,7 @@ def test_quantize_channel_matches_per_group(name):
     rng = np.random.default_rng(15)
     w = rng.standard_normal(5 * g + 7) * 3  # ragged tail of 7 weights
     w[g:2 * g] = 0.0  # an all-zero group
-    cq = quantize_channel(w, spec, GroupingConfig(group_size=g))
+    cq = quantize_tensor(w[None], spec, GroupingConfig(group_size=g))[0]
     padded = np.concatenate([w, np.zeros(g - 7)])
     # One array per field, one row per group.
     assert cq.codes.shape == (6, g) and cq.codes.dtype == spec.code_dtype
@@ -282,7 +281,7 @@ def test_channel_padding_dropped():
     spec = spec_for("FP3_BITMOD")
     grouping = GroupingConfig(group_size=32)
     w = np.linspace(-1, 1, 40)
-    cq = quantize_channel(w, spec, grouping)
+    cq = quantize_tensor(w[None], spec, grouping)[0]
     assert len(cq.groups) == 2
     assert cq.valid_size == 40
     assert dequantize_tensor(cq).shape == (40,)
@@ -291,8 +290,8 @@ def test_channel_padding_dropped():
 def test_records_compare_by_content():
     # Array fields used to make == raise "truth value ... is ambiguous".
     w = np.random.default_rng(5).standard_normal(256)
-    cq = quantize_channel(w, spec_for("FP3_BITMOD"),
-                          GroupingConfig(group_size=128))
+    cq = quantize_tensor(w[None], spec_for("FP3_BITMOD"),
+                         GroupingConfig(group_size=128))[0]
     assert cq == copy.deepcopy(cq)
     assert cq.groups[0] == cq.groups[0]
     assert cq.groups[0] != cq.groups[1]
@@ -420,7 +419,7 @@ def test_quantize_tensor_chunks_match_per_channel(name, width, g):
         assert len(qt) == k
         deq = dequantize_tensor(qt)
         for i, (row, cq) in enumerate(zip(w, qt, strict=True)):
-            one = quantize_channel(row, spec, grouping)
+            one = quantize_tensor(row[None], spec, grouping)[0]
             _same_record(cq, one)
             _same_record(qt[i], one)
             # A channel dequantizes to its row of the tensor, bit for bit.
@@ -519,8 +518,8 @@ def test_negation_symmetry():
     spec = spec_for("FP3_BITMOD")
     grouping = GroupingConfig(group_size=32)
     w = rng.standard_normal(64)
-    a = dequantize_tensor(quantize_channel(w, spec, grouping))
-    b = dequantize_tensor(quantize_channel(-w, spec, grouping))
+    a = dequantize_tensor(quantize_tensor(w[None], spec, grouping)[0])
+    b = dequantize_tensor(quantize_tensor(-w[None], spec, grouping)[0])
     np.testing.assert_array_equal(a, -b)
 
 
