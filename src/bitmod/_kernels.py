@@ -11,35 +11,40 @@ Per cycle the hardware computes
   operand, then renormalization keeping the leading set bit of the 32-bit
   accumulator mantissa in bit window [24, 31].
 
+One rounding rule serves both stages.  Round half to even to a multiple
+of ``2^k`` is ``x + c - c`` with ``c = 1.5 * 2^(k+52)``: for
+``|x| < 2^(k+51)`` the sum ``x + c`` lies in ``[2^(k+52), 2^(k+53))``,
+where float64's spacing is ``2^k``, so the FPU's own round-to-nearest-even
+rounds it onto the ``2^k`` grid; ``c`` is an even multiple of ``2^k``, so
+ties go to the even multiple of ``2^k``, and subtracting ``c`` is exact.
+The kernel names each grid by its ``c``: a larger ``c`` is a coarser grid,
+and ``|x| * 1.5 * 2^28 < c``, a product float64 holds exactly, is
+``|x| < 2^(k+24)``.
+
 The lane stage of every cycle of a group runs at once in float64, and
 every step of it is exact.  An activation operand from
-:func:`bitmod.pe.decode_fp16` is ``(-1)^s * a_m * 2^a_e``: 11 significant
-bits, below 2^41.  A term value from :func:`bitmod.bitserial.term_table`
-is its full value, 0 or +-2^k with -1 <= k <= 7.  Their product has at
-most 11 significant bits and is below 2^48, so it is exact, and
-``np.frexp`` reads its exponent ``a_e + k + 11`` (0 for a dead lane, at
-least 11 for a live one, so a dead lane never sets a cycle's max).
-Scaling a lane by a power of two to the max exponent of its cycle is
-exact, and ``np.rint`` rounds half to even, so the aligned lanes are the
-hardware's RNE shifts bit for bit; their sum is below 2^13.  Activation
-scale convention: the operand ``a_m * 2^a_e`` has value
-``a_m * 2^(a_e - 25)``, so a tree aligned to max exponent ``max_e`` sits
-on the grid ``2^f``, ``f = max_e - 36``, and its value ``t`` is an
-integer below 2^13 times ``2^f``, exact in float64.
+:func:`bitmod.pe.decode_fp16` is ``(-1)^s * a_m * 2^a_e``, the value times
+2^25: 11 significant bits, below 2^41.  A term value from
+:func:`bitmod.bitserial.term_table` is its full value, 0 or +-2^k with
+-1 <= k <= 7.  Their product ``v`` has at most 11 significant bits and is
+below 2^48, so it is exact, and ``np.frexp`` reads its exponent
+``a_e + k + 11`` (0 for a dead lane, at least 11 for a live one, so a dead
+lane never sets a cycle's max).  With ``max_e`` the largest of a cycle's
+four, every lane has ``|v| < 2^max_e``, and the hardware's RNE shift onto
+the cycle's grid ``2^f``, ``f = max_e - 11``, is the rule above with
+``cv = 1.5 * 2^(max_e + 41)``: ``v + cv`` lies in
+``[2^(max_e + 41), 2^(max_e + 42))``, where the spacing is ``2^f``.  A
+tree, the sum of the four rounded lanes, is an integer below 2^13 times
+``2^f``, exact in float64, and ``cv`` is the ``c`` of its grid.  Trees,
+their ``c`` and the accumulator stay in operand units; the returned
+exponent subtracts the 25.
 
 The accumulator is a float64 value ``acc = m * 2^e`` with ``|m| < 2^33``,
 so float64 holds it exactly, and every sum of two values on one grid
 ``2^k`` below ``2^(k+33)`` is exact too.  Its grid ``e`` is the grid of
 its last rounding, or finer where the hardware's renormalization shifts
 the mantissa left to keep 25 bits: ``e = min(e_last, ilog2|acc| - 24)``.
-Round half to even to a multiple of ``2^k`` is ``x + c - c`` with
-``c = 1.5 * 2^(k+52)``: for ``|x| < 2^(k+51)`` the sum ``x + c`` lies in
-``[2^(k+52), 2^(k+53))``, where float64's spacing is ``2^k``, so the
-FPU's own round-to-nearest-even rounds it onto the ``2^k`` grid; ``c`` is
-an even multiple of ``2^k``, so ties go to the even multiple of ``x``,
-and subtracting ``c`` is exact.  The kernel names each grid by its ``c``:
-a larger ``c`` is a coarser grid, and ``|x| * 1.5 * 2^28 < c``, a product
-float64 holds exactly, is ``|x| < 2^(k+24)``.
+A tree of 0 leaves it as it is.
 
 Fast path: ``|acc| < 2^(f+24)`` puts the accumulator's grid below the
 tree's, so the step rounds ``acc`` onto ``2^f`` and adds ``t``; the sum
@@ -57,6 +62,7 @@ import numpy as np
 
 _C = 1.5 * 2.0 ** 52  # c of the grid 2^0; c of 2^k is _C * 2^k
 _B = 1.5 * 2.0 ** 28  # |x| * _B < c of the grid 2^k: |x| < 2^(k+24)
+_LANE_C = 1.5 * 2.0 ** 41  # _LANE_C * 2^max_e: c of the grid 2^(max_e - 11)
 
 
 def run_group_dot(w, a):
@@ -71,12 +77,13 @@ def run_group_dot(w, a):
     Returns the accumulator (m_acc, e_acc).
     """
     v = a.reshape(-1, len(w)).T[:, :, None] * w
-    max_e = np.frexp(v)[1].max(axis=0)
-    tree = np.rint(np.ldexp(v, 11 - max_e)).sum(axis=0)
-    live = tree != 0
-    unit = np.ldexp(1.0, max_e[live] - 36)  # each live tree's grid 2^f
+    cv = np.ldexp(_LANE_C, np.frexp(v)[1].max(axis=0))
+    v += cv
+    v -= cv
     acc, c_acc = 0.0, _C
-    for t, c in zip((tree[live] * unit).tolist(), (unit * _C).tolist()):
+    for t, c in zip(v.sum(axis=0).ravel().tolist(), cv.ravel().tolist()):
+        if not t:
+            continue
         if abs(acc) * _B < c:  # |acc| < 2^(f+24): the fast path
             acc = acc + c - c + t
             c_acc = c
@@ -85,7 +92,7 @@ def run_group_dot(w, a):
     if not acc:
         return (0, 0)
     e = math.frexp(_grid(acc, c_acc))[1] - 53
-    return int(math.ldexp(acc, -e)), e
+    return int(math.ldexp(acc, -e)), e - 25
 
 
 def _grid(acc, c_acc):

@@ -170,11 +170,15 @@ def term_table(spec: DataTypeSpec, sv_index: int = 0) -> np.ndarray:
     """Term values of every on-grid code of (spec, sv_index), encoded once
     with :func:`encode_weight` and the spec's own special-value register.
 
-    A read-only float64 array of shape ``(n_codes, terms_per_code)``: row
-    ``code - code_range(spec)[0]`` holds ``float(t.value)`` of each of a
-    code's terms, 0 or +-2^k with -1 <= k <= 7, which float64 holds
-    exactly.  An ``sv_index`` off :func:`bitmod.dtype.sv_range`, which is
-    0 alone for an integer type, raises :class:`InvalidSpecialValueIndex`.
+    A read-only float64 array of shape ``(256, terms_per_code)``, indexed
+    by the code's low byte: row ``code % 256`` holds ``float(t.value)`` of
+    each of a code's terms, 0 or +-2^k with -1 <= k <= 7, which float64
+    holds exactly.  Every code range fits in one byte, so ``table[code]``
+    (a negative code counting from the end, as numpy indexes) is the
+    code's row for any on-grid code of any integer type; the rows of no
+    code hold 0.  An ``sv_index`` off :func:`bitmod.dtype.sv_range`, which
+    is 0 alone for an integer type, raises
+    :class:`InvalidSpecialValueIndex`.
     """
     check_range("sv_index", sv_index, *sv_range(spec), spec)
     return _term_table(spec, sv_index)
@@ -183,9 +187,10 @@ def term_table(spec: DataTypeSpec, sv_index: int = 0) -> np.ndarray:
 @cache
 def _term_table(spec: DataTypeSpec, sv_index: int) -> np.ndarray:
     lo, hi = code_range(spec)
-    rows = [encode_weight(code, spec, sv_index=sv_index)
-            for code in range(lo, hi + 1)]
-    table = np.array([[float(t.value) for t in row] for row in rows])
+    table = np.zeros((256, spec.terms_per_code))
+    for code in range(lo, hi + 1):
+        table[code] = [float(t.value)
+                       for t in encode_weight(code, spec, sv_index=sv_index)]
     table.flags.writeable = False
     return table
 

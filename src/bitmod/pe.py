@@ -17,10 +17,12 @@ Numeric model (documented choices, not hardware claims):
 Activations enter as exact float64 operands, gathered by FP16 bit
 pattern from one table built on first use (:func:`decode_fp16`), and
 weights as the exact float64 values of their terms, gathered lane-major
-(:func:`encode_group_terms`).  :mod:`bitmod._kernels` runs the group on
-float64 throughout and states why each of its values is exact: the lane
-stage, and the accumulator, whose round half to even onto a grid ``2^k``
-is ``x + c - c`` with ``c = 1.5 * 2^(k+52)``.
+in one step by the codes themselves from the 256-row term table, which is
+indexed by a code's low byte (:func:`encode_group_terms`).
+:mod:`bitmod._kernels` runs the group on float64 throughout and states
+why each of its values is exact: the lane stage and the accumulator both
+round half to even onto a grid ``2^k`` as ``x + c - c`` with
+``c = 1.5 * 2^(k+52)``.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ def decode_fp16(values):
     if half.dtype != np.float16:
         with np.errstate(over="ignore"):  # overflow lands on inf, rejected below
             half = half.astype(np.float16)
-    ops = _fp16_operands().take(half.view(np.uint16), out=np.empty(half.shape))
-    if np.isnan(ops).any():
+    # take gives a 0-d input's operand as a scalar; asarray makes it 0-d.
+    ops = np.asarray(_fp16_operands().take(half.view(np.uint16)))
+    if math.isnan(ops.max(initial=0.0)):
         raise ValueError("NaN/Inf activation rejected")
     return ops
 
@@ -120,15 +123,16 @@ def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec):
     ``l`` of quad ``q`` is weight ``4q + l``.  A code off the dtype's grid,
     or not a whole number, raises :class:`OutOfRange`, and an ``sv_index``
     off :func:`bitmod.dtype.sv_range` its subclass
-    :class:`InvalidSpecialValueIndex`.
+    :class:`InvalidSpecialValueIndex`.  Once the codes are checked, one
+    ``take`` indexes the table by the codes as they are: a negative code
+    counts from the table's end, which is the row of its low byte.
     """
-    lo, hi = code_range(spec)
     codes = np.asarray(weights.codes)
-    check_range("code", codes, lo, hi, spec)
+    check_range("code", codes, *code_range(spec), spec)
     table = term_table(spec, weights.sv_index)
-    # Widened before the subtraction, which would wrap an int8 or uint8.
-    rows = np.subtract(codes, lo, dtype=np.intp, casting="unsafe")
-    return table.take(rows.reshape(-1, DOT_WIDTH).T, axis=0)
+    if codes.dtype.kind not in "biu":  # whole floats, which cannot index
+        codes = codes.astype(np.intp)
+    return table.take(codes.reshape(-1, DOT_WIDTH).T, axis=0)
 
 
 def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):

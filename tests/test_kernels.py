@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import pe_oracle
 from conftest import oracle_acts, oracle_weight_terms
 from bitmod import _kernels
 from bitmod.dtype import code_range, spec_for
-from bitmod.pe import decode_fp16, group_dot
+from bitmod.pe import decode_fp16, encode_group_terms, group_dot
 from bitmod.quant import QuantizedGroup
 
 PE_DTYPES = ("INT8_SYM", "INT6_SYM", "INT4_SYM",
@@ -58,3 +60,53 @@ def test_run_group_dot_activation_ramp(name, direction, monkeypatch):
     assert (gps.m_grp, gps.e_grp) == want
     if direction == "falling":
         assert general
+
+
+def oracle_accumulator(qg, spec, acts):
+    return pe_oracle.group_dot(oracle_weight_terms(qg, spec), oracle_acts(acts),
+                               len(qg.codes), spec.terms_per_code)
+
+
+@pytest.mark.parametrize(("acts", "want"), [
+    ([1024, 0.5, 1.5, 2.5], 1028),
+    ([1024, -1.5, 0.5, 0.25], 1022),
+    ([1024, 0.5, 1.5, 2.5, 0, 0, 0, 0, 1024, -1.5, 0.5, 0.25], 1028 + 1022)])
+def test_lane_rounding_ties_and_dead_cycles(acts, want):
+    # INT4_SYM code 1 is the terms (1, 0): slot 0 holds each lane's
+    # activation, slot 1 is a dead cycle.  A lane of 1024 puts its cycle
+    # on the grid 1, so lanes of 0.5, 1.5, 2.5 and -1.5 are ties: half a
+    # step past 0 and 2 they round down to the even multiple, past 1 and
+    # -1 away from 0.  In the third group, quad 1 is four zero lanes
+    # between the two live quads.
+    spec = spec_for("INT4_SYM")
+    qg = QuantizedGroup(codes=np.ones(len(acts), dtype=np.int8), scale_q=1)
+    m, e = _kernels.run_group_dot(encode_group_terms(qg, spec),
+                                  decode_fp16(acts))
+    assert (m, e) == oracle_accumulator(qg, spec, acts)
+    assert math.ldexp(m, e) == want
+
+
+def test_cancelled_tree_leaves_a_finer_accumulator_alone():
+    # Quad 0 leaves 1 + 2^-10 on the grid 2^-10.  Quad 1's lanes of +-1024
+    # cancel on the grid 1; rounding the accumulator onto that grid, as a
+    # step with this tree would, drops the 2^-10.
+    spec = spec_for("INT4_SYM")
+    qg = QuantizedGroup(codes=np.array([1, 0, 0, 0, 1, -1, 0, 0]), scale_q=1)
+    acts = [1 + 2.0 ** -10, 0, 0, 0, 1024, 1024, 0, 0]
+    m, e = _kernels.run_group_dot(encode_group_terms(qg, spec),
+                                  decode_fp16(acts))
+    assert (m, e) == oracle_accumulator(qg, spec, acts)
+    assert math.ldexp(m, e) == 1 + 2.0 ** -10
+
+
+@pytest.mark.parametrize(("codes", "acts"), [
+    ([1, -1, 1, -1] * 2, [3.0, 3.0, 5.0, 5.0] * 2),  # each tree cancels
+    ([1, 2, 3, 4] * 2, [0.0, -0.0, 2.0 ** -15, 0.0] * 2)])  # flushed or 0
+def test_group_of_zero_trees_is_zero(codes, acts):
+    spec = spec_for("INT4_SYM")
+    qg = QuantizedGroup(codes=np.array(codes), scale_q=7)
+    w, a = encode_group_terms(qg, spec), decode_fp16(acts)
+    assert _kernels.run_group_dot(w, a) == (0, 0) \
+        == oracle_accumulator(qg, spec, acts)
+    gps, _ = group_dot(qg, acts, spec)
+    assert (gps.m_grp, gps.e_grp) == (0, 0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,13 +219,22 @@ def test_group_dot_relative_error(name):
 @pytest.mark.parametrize(("name", "code"), [
     ("FP3_BITMOD", -1), ("FP3_BITMOD", 8), ("FP3_BASIC", -3),
     ("FP3_BASIC", 7), ("FP4_BASIC", 15), ("INT6_SYM", -32), ("INT6_SYM", 32),
-    ("INT8_SYM", -128)])
+    ("INT8_SYM", -128),
+    # Off the grid, but their low byte is an on-grid code's: 259 and 3,
+    # 261 and 5, -253 and 3, 256 and 0.
+    ("FP3_BITMOD", 259), ("INT6_SYM", 261), ("INT6_SYM", -253),
+    ("INT4_SYM", 256)])
 def test_group_dot_rejects_off_grid_codes(name, code):
     spec = spec_for(name)
-    codes = np.zeros(8, dtype=np.int64)
-    codes[5] = code
-    with pytest.raises(OutOfRange):
-        group_dot(QuantizedGroup(codes=codes, scale_q=1), [1.0] * 8, spec)
+    lo, hi = code_range(spec)
+    message = re.escape(f"code {code} is outside [{lo}, {hi}] for {name}")
+    for dt in (np.int8, np.uint8, np.int16, np.int64):
+        if not np.iinfo(dt).min <= code <= np.iinfo(dt).max:
+            continue
+        codes = np.zeros(8, dtype=dt)
+        codes[5] = code
+        with pytest.raises(OutOfRange, match=message):
+            group_dot(QuantizedGroup(codes=codes, scale_q=1), [1.0] * 8, spec)
 
 
 @pytest.mark.parametrize("codes", ([2.7, 1, 0, 3], [2, 1, 0, 3.5],
@@ -324,13 +334,16 @@ def test_term_table_matches_encode_weight(name):
         n_codes = (len(spec.grids[sv_index]) if spec.is_fp
                    else 2 ** spec.bits_per_code - 1)
         assert hi - lo + 1 == n_codes
-        assert table.shape == (n_codes, spec.terms_per_code)
+        # Indexed by the code's low byte; the rows of no code hold 0.
+        assert table.shape == (256, spec.terms_per_code)
         assert table.dtype == np.float64
         assert not table.flags.writeable
         for code in range(lo, hi + 1):
             want = encode_weight(code, spec, sv_index=sv_index)
-            assert table[code - lo].tolist() == [
+            assert table[code % 256].tolist() == [
                 float(t.value) for t in want], (name, sv_index, code)
+        rows = np.arange(lo, hi + 1) % 256
+        assert not np.delete(table, rows, axis=0).any(), (name, sv_index)
 
 
 @pytest.mark.parametrize("name", PE_DTYPES)
@@ -342,7 +355,7 @@ def test_term_table_rows_sum_to_their_code(name):
     for sv_index in range(max(1, len(spec.special_values))):
         want = (effective_grid(spec, sv_index) if spec.is_fp
                 else range(lo, hi + 1))
-        sums = term_table(spec, sv_index).sum(axis=1)
+        sums = term_table(spec, sv_index)[np.arange(lo, hi + 1)].sum(axis=1)
         assert sums.tolist() == [float(v) for v in want], (name, sv_index)
 
 
