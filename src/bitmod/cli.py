@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tokenize
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import resources
@@ -334,7 +335,7 @@ def cmd_pack(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(data)
     print(f"wrote {args.out}: {len(data)} bytes "
-          f"({float(memory_footprint_bits(spec, grouping)):.4f} bits/weight)")
+          f"({8 * len(data) / tensor.size:.4f} bits/weight)")
     return 0
 
 
@@ -459,6 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _show_warning(message, *_):
+    """A warning as one line, like an error, without Python's source echo."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -466,11 +472,13 @@ def main(argv=None) -> int:
                                            or args.decode_tokens):
         parser.error("simulate: --prefill-tokens and --decode-tokens are "
                      "both 0, so there is nothing to simulate")
-    try:
-        return args.func(args)
-    except (BitmodError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores the hook for in-process callers
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (BitmodError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

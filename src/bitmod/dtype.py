@@ -44,15 +44,15 @@ class DataTypeSpec:
 
     ``basic_values`` are the always-available quantization levels;
     ``special_values`` are the per-group selectable extras of the BitMoD
-    types (empty otherwise).  The ten :data:`SPECS` are the only instances:
-    a spec compares and hashes by identity, so it is a cheap cache key, and
-    copies and pickles come back as the same object.
+    types (empty otherwise).  The precision metadata, ``bits_per_code``
+    among it, is derived from these.  The ten :data:`SPECS` are the only
+    instances: a spec compares and hashes by identity, so it is a cheap
+    cache key, and copies and pickles come back as the same object.
     """
 
     name: DataType
     basic_values: tuple[Fraction, ...]
     special_values: tuple[Fraction, ...] = ()
-    bits_per_code: int = 0
     asymmetric: bool = False  # integer code-space grid with a zero-point
 
     def __reduce__(self):
@@ -82,6 +82,12 @@ class DataTypeSpec:
     @property
     def sv_bits(self) -> int:
         return 2 if self.is_bitmod else 0
+
+    @cached_property
+    def bits_per_code(self) -> int:
+        """Stored bits per code: the width that indexes every value of a
+        grid (all grids of a dtype are the same length)."""
+        return (len(self.grids[0]) - 1).bit_length()
 
     @cached_property
     def terms_per_code(self) -> int:
@@ -133,32 +139,19 @@ FP3_SPECIALS = (Fraction(3), Fraction(-3), Fraction(6), Fraction(-6))
 FP4_SPECIALS = (Fraction(5), Fraction(-5), Fraction(8), Fraction(-8))
 
 
-SPECS: dict[DataType, DataTypeSpec] = {
-    DataType.INT8_SYM: DataTypeSpec(
-        DataType.INT8_SYM, _sym_int_grid(8), bits_per_code=8),
-    DataType.INT6_SYM: DataTypeSpec(
-        DataType.INT6_SYM, _sym_int_grid(6), bits_per_code=6),
+SPECS: dict[DataType, DataTypeSpec] = {spec.name: spec for spec in (
+    DataTypeSpec(DataType.INT8_SYM, _sym_int_grid(8)),
+    DataTypeSpec(DataType.INT6_SYM, _sym_int_grid(6)),
     # Asymmetric grids live in code space; the zero-point re-centers them.
-    DataType.INT6_ASYM: DataTypeSpec(
-        DataType.INT6_ASYM, _asym_code_grid(6), bits_per_code=6,
-        asymmetric=True),
-    DataType.INT4_SYM: DataTypeSpec(
-        DataType.INT4_SYM, _sym_int_grid(4), bits_per_code=4),
-    DataType.INT4_ASYM: DataTypeSpec(
-        DataType.INT4_ASYM, _asym_code_grid(4), bits_per_code=4,
-        asymmetric=True),
-    DataType.INT3_ASYM: DataTypeSpec(
-        DataType.INT3_ASYM, _asym_code_grid(3), bits_per_code=3,
-        asymmetric=True),
-    DataType.FP4_BASIC: DataTypeSpec(
-        DataType.FP4_BASIC, FP4_VALUES, bits_per_code=4),
-    DataType.FP3_BASIC: DataTypeSpec(
-        DataType.FP3_BASIC, FP3_VALUES, bits_per_code=3),
-    DataType.FP4_BITMOD: DataTypeSpec(
-        DataType.FP4_BITMOD, FP4_VALUES, FP4_SPECIALS, bits_per_code=4),
-    DataType.FP3_BITMOD: DataTypeSpec(
-        DataType.FP3_BITMOD, FP3_VALUES, FP3_SPECIALS, bits_per_code=3),
-}
+    DataTypeSpec(DataType.INT6_ASYM, _asym_code_grid(6), asymmetric=True),
+    DataTypeSpec(DataType.INT4_SYM, _sym_int_grid(4)),
+    DataTypeSpec(DataType.INT4_ASYM, _asym_code_grid(4), asymmetric=True),
+    DataTypeSpec(DataType.INT3_ASYM, _asym_code_grid(3), asymmetric=True),
+    DataTypeSpec(DataType.FP4_BASIC, FP4_VALUES),
+    DataTypeSpec(DataType.FP3_BASIC, FP3_VALUES),
+    DataTypeSpec(DataType.FP4_BITMOD, FP4_VALUES, FP4_SPECIALS),
+    DataTypeSpec(DataType.FP3_BITMOD, FP3_VALUES, FP3_SPECIALS),
+)}
 
 
 def spec_for(name: DataType | str) -> DataTypeSpec:

@@ -254,7 +254,7 @@ def unpack(data: bytes):
     shape = (n_full, n_groups)
     qt = QuantizedTensor(np.empty((*shape, g), spec.code_dtype),
                          np.empty(shape, np.uint8), np.empty(shape, np.uint8),
-                         None, np.empty(n_full), spec, valid_size=d)
+                         np.empty(n_full), spec, valid_size=d)
     body = np.frombuffer(data, np.uint8, n_full * width, pos)
     body = body.reshape(n_full, width)
     for chunk in channel_chunks(n_full, n_groups * g):

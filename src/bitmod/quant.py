@@ -67,18 +67,15 @@ def _fields_equal(a, b):
 
 @dataclass
 class QuantizedGroup:
-    """One weight group, as :func:`bitmod.pe.group_dot` takes it.
-
-    ``codes`` index the effective grid for FP types and hold signed
-    (symmetric) or unsigned (asymmetric) integers for INT types.
+    """One weight group, the three fields :func:`bitmod.pe.group_dot`
+    reads: ``codes``, which index the effective grid for FP types and are
+    signed integers for symmetric INT types, the special-value index
+    ``sv_index`` and the 8-bit group scale ``scale_q``.
     """
 
     codes: np.ndarray
     sv_index: int = 0
     scale_q: int = 0
-    zero_point: int | None = None
-    # Unquantized per-group scale; None once only scale_q is known.
-    delta: float | None = None
 
     __eq__ = _fields_equal
 
@@ -88,18 +85,19 @@ class QuantizedTensor:
     """Arrays with a leading shape, ``(K,)`` for K channels or ``()`` for
     one channel ``qt[i]``; ``len(qt)`` is K and ``qt[a:b]`` is a tensor.
 
-    ``codes`` is ``(..., n_groups, G)`` and ``channel_scale`` ``(...)``;
-    ``sv_index``, ``scale_q``, ``delta`` (unquantized, ``None`` after
-    ``packfile.unpack``) and ``zero_point`` (asymmetric) ``(..., n_groups)``.
+    The fields are those of a BMOD file, plus ``zero_point`` for the
+    asymmetric INT baselines, which the file cannot hold; so
+    ``packfile.unpack(packfile.pack(qt, ...))[0] == qt`` for every
+    packable dtype.  ``codes`` is ``(..., n_groups, G)`` and ``channel_scale`` ``(...)``;
+    ``sv_index``, ``scale_q`` and ``zero_point`` ``(..., n_groups)``.
     ``codes`` are ``dtype.code_dtype`` (int8 for symmetric INT, else
-    uint8), ``sv_index`` and ``scale_q`` uint8, ``delta`` and
-    ``channel_scale`` float64 and ``zero_point`` int64.
+    uint8), ``sv_index`` and ``scale_q`` uint8, ``channel_scale`` float64
+    and ``zero_point`` int64.
     """
 
     codes: np.ndarray
     sv_index: np.ndarray
     scale_q: np.ndarray
-    delta: np.ndarray | None
     channel_scale: np.ndarray
     dtype: DataTypeSpec
     valid_size: int  # channel size before zero-padding
@@ -124,11 +122,8 @@ class QuantizedTensor:
             raise TypeError("groups is a view of one channel")
         rows = self.codes.view()
         rows.flags.writeable = False
-        unset = [None] * len(rows)
-        return tuple(map(
-            QuantizedGroup, rows, self.sv_index.tolist(), self.scale_q.tolist(),
-            unset if self.zero_point is None else self.zero_point.tolist(),
-            unset if self.delta is None else self.delta.tolist()))
+        return tuple(map(QuantizedGroup, rows, self.sv_index.tolist(),
+                         self.scale_q.tolist()))
 
 
 @dataclass(frozen=True)
@@ -324,15 +319,16 @@ def adaptive_quant(group, spec: DataTypeSpec):
     for FP3 it wins on most Gaussian groups as well as on one-sided
     outliers, and ER wins on flat, light-tailed groups.
 
-    Returns (QuantizedGroup with unquantized delta, chosen special value,
-    mse).
+    Returns (QuantizedGroup, chosen special value, mse).  The group holds
+    the codes and ``sv_index``; its ``scale_q`` is 0, since group scales
+    are quantized per channel, from :func:`quantize_groups`' deltas.
     """
     if not spec.is_bitmod:
         raise UnsupportedDtype(f"{spec.name} has no special values to adapt")
     rows = np.asarray(group, dtype=np.float64)[None]
-    codes, delta, best, mse = _best_grid(rows, spec)
+    codes, _, best, mse = _best_grid(rows, spec)
     sv_index = int(best[0])
-    qg = QuantizedGroup(codes=codes[0], sv_index=sv_index, delta=float(delta[0]))
+    qg = QuantizedGroup(codes=codes[0], sv_index=sv_index)
     return qg, spec.special_values[sv_index], float(mse[0])
 
 
@@ -396,8 +392,8 @@ def quantize_tensor(tensor, spec: DataTypeSpec,
         for parts in zip(*group_fields))
     scale_q, channel_scale = quantize_scales(delta)
     return QuantizedTensor(codes=codes, sv_index=sv_index, scale_q=scale_q,
-                           delta=delta, channel_scale=channel_scale,
-                           dtype=spec, valid_size=size, zero_point=zero_point)
+                           channel_scale=channel_scale, dtype=spec,
+                           valid_size=size, zero_point=zero_point)
 
 
 def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:

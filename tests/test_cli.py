@@ -5,6 +5,7 @@ import io
 import json
 import struct
 import time
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -281,6 +282,24 @@ def test_non_utf8_shape_file_is_one_line_error(tmp_path, capsys):
     assert "UTF-8" in err
 
 
+def test_simulate_stall_warning_is_one_line(capsys):
+    hook = warnings.showwarning
+    code, out, err = run(capsys, "simulate", "toy", "--dtype", "FP3_BITMOD",
+                         "--group-size", "4")
+    assert code == 0
+    assert [r["dtype"] for r in parse_csv(out)[0]] == ["FP16_BASELINE",
+                                                       "FP3_BITMOD"]
+    # One line for the prefill and decode GEMMs, then the traffic summary;
+    # no source line is echoed.
+    first, *summary = err.splitlines()
+    assert first == ("warning: group size 4 with FP3_BITMOD gives only 2 "
+                     "compute cycles per group; the 8-cycle bit-serial "
+                     "dequantization would stall the pipeline")
+    assert [line.split(":")[0].strip() for line in summary] == [
+        "FP16_BASELINE", "FP3_BITMOD"]
+    assert warnings.showwarning is hook
+
+
 def test_simulate_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -401,6 +420,24 @@ def test_unpack_writes_whole_tensor_float32_bytes(name, tmp_path, capsys):
     qt, _, _ = unpack(packed.read_bytes())
     np.save(tmp_path / "want.npy", dequantize_tensor(qt).astype(np.float32))
     assert restored.read_bytes() == (tmp_path / "want.npy").read_bytes()
+
+
+@pytest.mark.parametrize("shape, g, size, rate", [
+    ("64x300", "128", 9876, "4.1150"),
+    ("2x128", "1000000", 750032, "23438.5000"),
+])
+def test_pack_prints_the_files_own_rate(shape, g, size, rate, tmp_path,
+                                        capsys):
+    # 8 * bytes / weights counts the header, the channel scales and the
+    # padding, which the nominal memory_footprint_bits (3.0781 and 3 bits
+    # here) leaves out.
+    w, packed = tmp_path / "w.npy", tmp_path / "w.bmod"
+    assert run(capsys, "gen", "--shape", shape, "--seed", "3", "--out",
+               str(w))[0] == 0
+    code, out, _ = run(capsys, "pack", str(w), "--group-size", g, "--out",
+                       str(packed))
+    assert code == 0 and packed.stat().st_size == size
+    assert out == f"wrote {packed}: {size} bytes ({rate} bits/weight)\n"
 
 
 def test_pack_rejects_asymmetric(tensor_file, tmp_path, capsys):

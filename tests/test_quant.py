@@ -230,9 +230,10 @@ def test_channel_roundtrip_error_bound(name):
     cq = quantize_tensor(w[None], spec, grouping)[0]
     deq = dequantize_tensor(cq)
     assert deq.shape == w.shape
+    delta = quantize_groups(w.reshape(-1, 32), spec)[1]
     # Scale quantization perturbs each group scale by <= channel_scale/2;
     # with grid absmax <= 8 the end-to-end error stays bounded.
-    bound = 4.0 * max(qg.delta for qg in cq.groups) + 8 * cq.channel_scale
+    bound = 4.0 * max(delta) + 8 * cq.channel_scale
     assert np.max(np.abs(w - deq)) <= bound
 
 
@@ -251,28 +252,29 @@ def test_quantize_channel_matches_per_group(name):
                                else np.uint8)
     for field in (cq.sv_index, cq.scale_q):
         assert field.shape == (6,) and field.dtype == np.uint8
-    assert cq.delta.shape == (6,) and cq.delta.dtype == np.float64
     if spec.asymmetric:
         assert cq.zero_point.shape == (6,) and cq.zero_point.dtype == np.int64
     else:
         assert cq.zero_point is None
     assert len(cq.groups) == 6
+    deltas = []
     for i, qg in enumerate(cq.groups):
         assert np.array_equal(qg.codes, cq.codes[i])
         assert not qg.codes.flags.writeable
-        assert (qg.sv_index, qg.scale_q, qg.delta) == (
-            cq.sv_index[i], cq.scale_q[i], cq.delta[i])
-        if spec.asymmetric:
-            assert qg.zero_point == cq.zero_point[i]
+        assert (qg.sv_index, qg.scale_q) == (cq.sv_index[i], cq.scale_q[i])
         # The group quantized on its own.
         codes, delta, sv_index, zero_point = quantize_groups(
             padded[None, i * g:(i + 1) * g], spec)
         assert np.array_equal(qg.codes, codes[0])
         assert qg.sv_index == sv_index[0]
-        assert qg.zero_point == (None if zero_point is None else zero_point[0])
-        assert np.float64(qg.delta).tobytes() == delta[0].tobytes()
-    assert cq.groups[1].delta == 0.0
-    scale_q, channel_scale = quantize_scales([qg.delta for qg in cq.groups])
+        if spec.asymmetric:
+            assert cq.zero_point[i] == zero_point[0]
+        else:
+            assert zero_point is None
+        assert delta.shape == (1,) and delta.dtype == np.float64
+        deltas.append(delta[0])
+    assert deltas[1] == 0.0
+    scale_q, channel_scale = quantize_scales(deltas)
     assert [qg.scale_q for qg in cq.groups] == scale_q.tolist()
     assert cq.channel_scale == channel_scale
 
@@ -295,20 +297,23 @@ def test_records_compare_by_content():
     assert cq == copy.deepcopy(cq)
     assert cq.groups[0] == cq.groups[0]
     assert cq.groups[0] != cq.groups[1]
-    for field in ("codes", "sv_index", "delta"):
+    for field in ("codes", "sv_index", "scale_q"):
         other = copy.deepcopy(cq)
         if field == "codes":
             other.codes[0, 0] += 1
         elif field == "sv_index":
             other.sv_index[0] = (other.sv_index[0] + 1) % 4
         else:
-            other.delta[0] *= 2
+            other.scale_q[0] ^= 1
         assert other != cq, field
         assert other.groups[0] != cq.groups[0], field
         assert other.groups[1] == cq.groups[1], field
     # None equals only None.
-    assert dataclasses.replace(cq, delta=None) != cq
-    assert dataclasses.replace(cq.groups[0], delta=None) != cq.groups[0]
+    aq = quantize_tensor(w[None], spec_for("INT4_ASYM"),
+                         GroupingConfig(group_size=128))
+    assert aq == copy.deepcopy(aq)
+    assert dataclasses.replace(aq, zero_point=None) != aq
+    assert aq != dataclasses.replace(aq, zero_point=None)
 
 
 def test_tensor_roundtrip_shape_and_finiteness_checks():
