@@ -337,8 +337,8 @@ def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
 
     Adding a GEMM's figures ``times`` times is the same float additions in
     the same order as adding them once per layer of a run and per step of
-    a phase.  A stalling ``spec`` warns after each GEMM that passes its
-    checks and has work.
+    a phase.  A stalling ``spec`` warns once, after the first GEMM that
+    passes its checks and has work.
     """
     if spec is None:
         # One 4-MAC dot in 4 cycles (one MAC per cycle) on the iso-area
@@ -351,10 +351,12 @@ def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
                  memory_footprint_bits(spec, grouping))
     compute = dram = total = 0
     floats = _NO_FIGURES
+    unchecked = spec is not None
     for m, k, n, repeat, times in gemms:
         c, d, figures = _gemm(m, k, n, repeat, *array)
-        if repeat and spec is not None:
+        if repeat and unchecked:
             check_no_stall(spec, grouping)
+            unchecked = False
         compute += c * repeat * times
         dram += d * repeat * times
         total += max(c, d) * repeat * times

@@ -227,8 +227,11 @@ def check_range(field: str, values, lo: int, hi: int,
     if type(values) is int and lo <= values <= hi:
         return
     values = np.asarray(values)
-    if values.dtype.kind in "biu" and (values.size == 0 or (
-            values.min() >= lo and values.max() <= hi)):
+    kind = values.dtype.kind
+    # Unsigned and boolean values cannot lie below a bound of 0 or less.
+    if kind in "biu" and (values.size == 0 or (
+            ((kind != "i" and lo <= 0) or values.min() >= lo)
+            and values.max() <= hi)):
         return
     with np.errstate(invalid="ignore"):
         bad = ~((values >= lo) & (values <= hi) & (values % 1 == 0))

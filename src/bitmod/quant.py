@@ -13,9 +13,11 @@ The nearest grid value is found by counting the midpoints of adjacent
 grid values that a scaled weight lies above.  A BitMoD dtype's candidate
 grids that share a grid absmax share their scale, so one count over the
 union of their midpoints serves all of them (two counts for FP3/FP4, not
-four searches).  The tests check the count against
-``nearest_grid_index``, a search for the nearest value in
-``tests/conftest.py``.
+four searches).  The group keeps the grid of least MSE, and its codes are
+gathered once, from that grid's code row.  The tests check the count
+against ``nearest_grid_index``, a search for the nearest value, and the
+search against ``per_grid_best_grid``, which gathers every grid's codes,
+both in ``tests/conftest.py``.
 
 Rounding convention: ``Round`` in the integer quantizers is
 round-half-away-from-zero, applied uniformly to codes and zero-points.
@@ -245,39 +247,64 @@ def _shared_scales(spec: DataTypeSpec) -> tuple[_SharedScale, ...]:
     return tuple(scales)
 
 
+@cache
+def _grid_codes(spec: DataTypeSpec):
+    """Every candidate grid's :class:`_SharedScale` code row, in grid
+    order, as one flat read-only ``table``; returns (table, start, scale).
+    Grid ``i``'s code for interval ``j`` of its shared scale is
+    ``table[start[i] + j]``, and ``scale[i]`` is the position of that
+    shared scale in :func:`_shared_scales`."""
+    scales = _shared_scales(spec)
+    rows = [codes for scale in scales for codes in scale.codes]
+    fields = (np.concatenate(rows), np.cumsum([0, *map(len, rows[:-1])]),
+              np.array([k for k, s in enumerate(scales) for _ in s.grids]))
+    for a in fields:
+        a.flags.writeable = False
+    return fields
+
+
 def _best_grid(rows: np.ndarray, spec: DataTypeSpec, out=None):
     """Quantize each row of a (n_groups, G) array onto every grid of
     ``spec`` and keep, per row, the grid of least MSE (the lowest index
-    wins ties).  Grids that share a scale share one midpoint count.
+    wins ties).  Grids that share a scale share one midpoint count; each
+    row's codes are gathered once, from its winning grid's code row.
 
     Returns (codes, delta, sv_index, mse) per row; ``out`` gets the codes.
     """
+    n, g = rows.shape
     absmax = check_finite(np.max(np.abs(rows), axis=-1, initial=0.0))
-    best_mse = None
-    for scale in _shared_scales(spec):
-        delta = absmax / scale.absmax
-        # Cast once: each take would convert uint8 indices to intp again.
-        interval = _count_above(rows / _divisor(delta),
-                                scale.mids).astype(np.intp)
-        for i, codes, values in zip(scale.grids, scale.codes, scale.values):
+    scales = _shared_scales(spec)
+    deltas = np.empty((len(scales), n))
+    intervals = np.empty((len(scales), n, g), dtype=np.intp)
+    mse = np.empty((len(spec.grids), n))
+    # Per weight, so that each pass below is one loop over the chunk rather
+    # than one per row; both buffers serve every scale and grid.
+    delta_w, err = np.empty((2, n, g))
+    for scale, delta, interval in zip(scales, deltas, intervals):
+        np.divide(absmax, scale.absmax, out=delta)
+        np.copyto(err, _divisor(delta))
+        # intp, so that no take below converts the uint8 count again.
+        interval[...] = _count_above(np.divide(rows, err, out=err),
+                                     scale.mids)
+        np.copyto(delta_w, delta[:, None])
+        for i, values in zip(scale.grids, scale.values):
             # (rows - value * delta) ** 2, in place.
-            err = values.take(interval)
-            np.multiply(err, delta[:, None], out=err)
+            values.take(interval, out=err, mode="clip")
+            np.multiply(err, delta_w, out=err)
             np.subtract(rows, err, out=err)
-            mse = np.mean(np.square(err, out=err), axis=-1)
-            if best_mse is None:
-                best_mse, best_delta = mse, delta
-                best = np.full(len(rows), i, dtype=np.uint8)
-                # Indices are in range; "raise" would buffer the output.
-                best_codes = codes.take(interval, out=out, mode="clip")
-                continue
-            # Grids come in index order, so a tie keeps the lower index.
-            better = mse < best_mse
-            best_mse = np.where(better, mse, best_mse)
-            best_delta = np.where(better, delta, best_delta)
-            best = np.where(better, i, best)
-            np.copyto(best_codes, codes.take(interval), where=better[:, None])
-    return best_codes, best_delta, best, best_mse
+            np.add.reduce(np.square(err, out=err), axis=-1, out=mse[i])
+    # Means are compared, not sums: at a G that is not a power of two, two
+    # sums can round to one mean, a tie.
+    mse /= g
+    best = mse.argmin(axis=0)  # the first, lowest index on ties
+    table, start, scale_of = _grid_codes(spec)
+    r = np.arange(n)
+    won = scale_of[best]
+    index = intervals[won, r]
+    index += start[best][:, None]
+    # Indices are in range; "raise" would buffer the output.
+    codes = table.take(index, out=out, mode="clip")
+    return codes, deltas[won, r], best.astype(np.uint8), mse[best, r]
 
 
 def quantize_groups(rows, spec: DataTypeSpec, out=None):

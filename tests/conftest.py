@@ -4,6 +4,7 @@ import numpy as np
 
 import pe_oracle
 from bitmod.dtype import effective_grid, spec_for
+from bitmod.quant import _count_above, _divisor, _shared_scales, check_finite
 
 
 @cache
@@ -65,6 +66,37 @@ def nearest_grid_index(scaled: np.ndarray, grid_f: np.ndarray) -> np.ndarray:
     # negative (lower) one.
     take_hi |= tie & (np.abs(grid_f[hi]) < np.abs(grid_f[lo]))
     return np.where(take_hi, hi, lo)
+
+
+def per_grid_best_grid(rows: np.ndarray, spec):
+    """``quant._best_grid`` grid by grid: each candidate grid's codes are
+    gathered and kept where its mean squared error is strictly lower, so
+    the lowest index wins ties.
+
+    The reference for the one gather from the winning grid's code row.
+    """
+    absmax = check_finite(np.max(np.abs(rows), axis=-1, initial=0.0))
+    best_mse = None
+    for scale in _shared_scales(spec):
+        delta = absmax / scale.absmax
+        interval = _count_above(rows / _divisor(delta),
+                                scale.mids).astype(np.intp)
+        for i, codes, values in zip(scale.grids, scale.codes, scale.values):
+            err = values.take(interval)
+            np.multiply(err, delta[:, None], out=err)
+            np.subtract(rows, err, out=err)
+            mse = np.mean(np.square(err, out=err), axis=-1)
+            if best_mse is None:
+                best_mse, best_delta = mse, delta
+                best = np.full(len(rows), i, dtype=np.uint8)
+                best_codes = codes.take(interval)
+                continue
+            better = mse < best_mse
+            best_mse = np.where(better, mse, best_mse)
+            best_delta = np.where(better, delta, best_delta)
+            best = np.where(better, i, best)
+            np.copyto(best_codes, codes.take(interval), where=better[:, None])
+    return best_codes, best_delta, best, best_mse
 
 
 def single_outlier_groups(n_groups: int, group_size: int, sigma_mult: float,

@@ -7,12 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import nearest_grid_index
+from conftest import nearest_grid_index, per_grid_best_grid
+from bitmod import synth
 from bitmod.dtype import DataType, GroupingConfig, effective_grid, spec_for
 from bitmod.errors import (InvalidSpecialValueIndex, LengthMismatch,
                            OutOfRange, UnsupportedDtype)
 from bitmod.quant import (
     CHUNK_WEIGHTS,
+    _best_grid,
     adaptive_quant,
     dequantize_tensor,
     error_report,
@@ -135,6 +137,47 @@ def test_quantize_groups_brute_force_agreement():
         # where the distances are strictly ordered.
         strict = np.sum(d == d.min(axis=-1, keepdims=True), axis=-1) == 1
         assert np.array_equal(codes[strict], brute[strict])
+
+
+def best_grid_rows(spec, g: int, seed: int) -> np.ndarray:
+    """Seeded (n, g) groups for ``spec``: outlier, Gaussian and flat ones;
+    mirrored ones, each the negated reverse of itself up to a shuffle; all
+    zero; scaled by 1e-310 (a subnormal delta) and by 1e150; and groups
+    exactly on each grid's values or midpoints, times a delta."""
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((8, g))
+    half = rng.standard_normal((256, g // 2))
+    mirrored = rng.permuted(np.concatenate([half, -half[:, ::-1]], axis=1),
+                            axis=1)
+    parts = [synth.sample("outlier_mixture", (8, g), rng=rng), gauss,
+             rng.uniform(-1, 1, (8, g)), mirrored, np.zeros((2, g)),
+             gauss[:4] * 1e-310, gauss[:4] * 1e150]
+    for values in spec.grid_table:
+        for points in (values, (values[:-1] + values[1:]) / 2):
+            for delta in (0.37, 0.125):
+                row = rng.choice(points, g)
+                # The grid's absmax sets the delta.
+                row[rng.integers(g)] = values[np.abs(values).argmax()]
+                parts.append(row[None] * delta)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("name", ["FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC",
+                                  "FP4_BASIC"])
+@pytest.mark.parametrize("g", [128, 32, 100, 12])
+def test_best_grid_matches_per_grid_reference(name, g):
+    # Mirrored groups give grid pairs whose error sums differ in the last
+    # place and round to one mean at G = 100 and 12: a tie, which keeps
+    # the lower index.
+    spec = spec_for(name)
+    rows = best_grid_rows(spec, g, seed=g)
+    want = per_grid_best_grid(rows, spec)
+    out = np.empty(rows.shape, dtype=np.uint8)
+    got = _best_grid(rows, spec, out=out)
+    assert got[0] is out
+    for field, a, b in zip(("codes", "delta", "sv_index", "mse"), got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes()), field
 
 
 def test_adaptive_quant_on_grid_ties_to_index_zero():
