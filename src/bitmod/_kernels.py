@@ -26,7 +26,10 @@ every step of it is exact.  An activation operand from
 :func:`bitmod.pe.decode_fp16` is ``(-1)^s * a_m * 2^a_e``, the value times
 2^25: 11 significant bits, below 2^41.  A term value from
 :func:`bitmod.bitserial.term_table` is its full value, 0 or +-2^k with
--1 <= k <= 7.  Their product ``v`` has at most 11 significant bits and is
+-1 <= k <= 7.  (The tables also hold NaN, for a NaN or infinite
+activation and for a byte that is no code; the NaN rule below covers a
+group with one.  This paragraph and the next three are about a group
+without.)  Their product ``v`` has at most 11 significant bits and is
 below 2^48, so it is exact, and ``np.frexp`` reads its exponent
 ``a_e + k + 11`` (0 for a dead lane, at least 11 for a live one, so a dead
 lane never sets a cycle's max).  With ``max_e`` the largest of a cycle's
@@ -54,6 +57,22 @@ steps of a 128-weight group.  Any other step takes the general path: it
 rounds both operands onto the larger of the two grids (one of them is on
 it already), adds them, and rounds the sum onto the next grid up when it
 carries past bit 31, which cannot carry again.
+
+NaN rule: :func:`run_group_dot` raises ``ValueError`` when its accumulator
+ends NaN, and that happens exactly when some operand or term was NaN.
+Without one, every value above is finite, so the accumulator is too.
+With one:
+
+* its lane product is NaN, since NaN times anything, 0 included, is NaN;
+  ``np.frexp`` gives NaN the exponent 0, so the cycle's ``cv`` stays
+  finite, the lane stays NaN through ``+ cv - cv``, and the cycle's tree,
+  a sum with a NaN term, is NaN;
+* a NaN tree is truthy, so the loop does not skip it, and either path
+  adds it into the accumulator, which becomes NaN;
+* every ``<`` test on a NaN accumulator is false, so each later nonzero
+  tree takes the general path, whose sums keep it NaN (its carry test, a
+  ``>=``, is false too), and a tree of 0 leaves it as it is;
+* ``not acc`` is false for NaN, so the end test reaches it.
 """
 
 import math
@@ -74,7 +93,8 @@ def run_group_dot(w, a):
     Each quad takes one cycle per term slot, in quad-major, slot-minor
     order.  The lane stage of every cycle runs at once; only the
     accumulation is sequential, over the cycles whose tree is not 0.
-    Returns the accumulator (m_acc, e_acc).
+    Returns the accumulator (m_acc, e_acc).  Raises ``ValueError`` if an
+    operand or a term is NaN (the module's NaN rule).
     """
     v = a.reshape(-1, len(w)).T[:, :, None] * w
     cv = np.ldexp(_LANE_C, np.frexp(v)[1].max(axis=0))
@@ -91,6 +111,8 @@ def run_group_dot(w, a):
             acc, c_acc = _align_add(acc, c_acc, t, c)
     if not acc:
         return (0, 0)
+    if math.isnan(acc):
+        raise ValueError("NaN operand or term")
     e = math.frexp(_grid(acc, c_acc))[1] - 53
     return int(math.ldexp(acc, -e)), e - 25
 

@@ -176,9 +176,10 @@ def term_table(spec: DataTypeSpec, sv_index: int = 0) -> np.ndarray:
     holds exactly.  Every code range fits in one byte, so ``table[code]``
     (a negative code counting from the end, as numpy indexes) is the
     code's row for any on-grid code of any integer type; the rows of no
-    code hold 0.  An ``sv_index`` off :func:`bitmod.dtype.sv_range`, which
-    is 0 alone for an integer type, raises
-    :class:`InvalidSpecialValueIndex`.
+    code hold NaN, so a one-byte code off the grid gathers NaN terms,
+    which the PE kernel refuses.  An ``sv_index`` off
+    :func:`bitmod.dtype.sv_range`, which is 0 alone for an integer type,
+    raises :class:`InvalidSpecialValueIndex`.
     """
     check_range("sv_index", sv_index, *sv_range(spec), spec)
     return _term_table(spec, sv_index)
@@ -187,7 +188,7 @@ def term_table(spec: DataTypeSpec, sv_index: int = 0) -> np.ndarray:
 @cache
 def _term_table(spec: DataTypeSpec, sv_index: int) -> np.ndarray:
     lo, hi = code_range(spec)
-    table = np.zeros((256, spec.terms_per_code))
+    table = np.full((256, spec.terms_per_code), np.nan)
     for code in range(lo, hi + 1):
         table[code] = [float(t.value)
                        for t in encode_weight(code, spec, sv_index=sv_index)]

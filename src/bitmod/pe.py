@@ -23,6 +23,15 @@ indexed by a code's low byte (:func:`encode_group_terms`).
 why each of its values is exact: the lane stage and the accumulator both
 round half to even onto a grid ``2^k`` as ``x + c - c`` with
 ``c = 1.5 * 2^(k+52)``.
+
+NaN rule: both tables hold NaN where they hold nothing valid, the operand
+table at every NaN and infinite FP16 pattern and the term table at every
+row of no code.  So a NaN or infinite activation gathers a NaN operand,
+and a code off the grid, if it is of the dtype's own ``code_dtype``, a
+NaN term.  The kernel refuses a group whose accumulator ends NaN, which
+it does exactly when some operand or term was NaN (:mod:`bitmod._kernels`
+proves it), and :func:`group_dot` scans nothing before the work: only on
+an error does it run the checks that name the first bad field.
 """
 
 from __future__ import annotations
@@ -54,18 +63,25 @@ def decode_fp16(values):
     exponent, which is the value times 2^25.  Operands are below 2^41, so
     float64 holds them exactly.  Subnormals flush to zero; a NaN or
     infinite value, including one that overflows FP16, raises
-    ``ValueError``.  One gather from a 65 536-entry table, indexed by the
-    FP16 bit pattern, decodes every value.
+    ``ValueError``: the gather, :func:`_gather_fp16`, then its check that
+    no operand is NaN.  :func:`group_dot` runs the gather alone.
     """
-    half = np.asarray(values)
-    if half.dtype != np.float16:
-        with np.errstate(over="ignore"):  # overflow lands on inf, rejected below
-            half = half.astype(np.float16)
-    # take gives a 0-d input's operand as a scalar; asarray makes it 0-d.
-    ops = np.asarray(_fp16_operands().take(half.view(np.uint16)))
+    ops = _gather_fp16(values)
     if math.isnan(ops.max(initial=0.0)):
         raise ValueError("NaN/Inf activation rejected")
     return ops
+
+
+def _gather_fp16(values) -> np.ndarray:
+    """The operands of :func:`decode_fp16`, unchecked: one gather from
+    :func:`_fp16_operands`, indexed by the FP16 bit pattern, so a NaN or
+    infinite value gathers NaN."""
+    half = np.asarray(values)
+    if half.dtype != np.float16:
+        with np.errstate(over="ignore"):  # overflow lands on inf, so NaN
+            half = half.astype(np.float16)
+    # take gives a 0-d input's operand as a scalar; asarray makes it 0-d.
+    return np.asarray(_fp16_operands().take(half.view(np.uint16)))
 
 
 @cache
@@ -120,19 +136,21 @@ def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec):
     table, lane-major.
 
     Returns float64 of shape ``(4, G/4, terms_per_code)``, where lane
-    ``l`` of quad ``q`` is weight ``4q + l``.  A code off the dtype's grid,
-    or not a whole number, raises :class:`OutOfRange`, and an ``sv_index``
-    off :func:`bitmod.dtype.sv_range` its subclass
-    :class:`InvalidSpecialValueIndex`.  Once the codes are checked, one
-    ``take`` indexes the table by the codes as they are: a negative code
-    counts from the table's end, which is the row of its low byte.
+    ``l`` of quad ``q`` is weight ``4q + l``.  Codes of the dtype's own
+    ``code_dtype`` (one byte) index the table as they are, without a
+    check: a negative code counts from the table's end, which is the row
+    of its low byte, and a byte that is no code gathers its NaN row.
+    Codes of any other dtype are checked and then cast to ``code_dtype``:
+    one off the dtype's grid, or not a whole number, raises
+    :class:`OutOfRange`.  An ``sv_index`` off :func:`bitmod.dtype.sv_range`
+    raises its subclass :class:`InvalidSpecialValueIndex`.
     """
     codes = np.asarray(weights.codes)
-    check_range("code", codes, *code_range(spec), spec)
-    table = term_table(spec, weights.sv_index)
-    if codes.dtype.kind not in "biu":  # whole floats, which cannot index
-        codes = codes.astype(np.intp)
-    return table.take(codes.reshape(-1, DOT_WIDTH).T, axis=0)
+    if codes.dtype != spec.code_dtype:
+        check_range("code", codes, *code_range(spec), spec)
+        codes = codes.astype(spec.code_dtype)
+    return term_table(spec, weights.sv_index).take(
+        codes.reshape(-1, DOT_WIDTH).T, axis=0)
 
 
 def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
@@ -140,6 +158,14 @@ def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
 
     Returns (GroupPartialSum, compute_cycles); the 8-cycle dequantization
     overlaps the next group and is not added to the cycle count.
+
+    The group is checked by its result (the module's NaN rule): operands
+    and terms are gathered unchecked, and a NaN or infinite activation or
+    an off-grid code makes the kernel raise.  On that error, or any error
+    of the gather, the checks run in order, activations
+    (:func:`decode_fp16`), then codes, then ``sv_index``, and the first
+    that fails raises; ``scale_q`` is checked last, by
+    :func:`bit_serial_dequant`.
     """
     shape = np.shape(weights.codes)
     if len(shape) != 1:
@@ -151,9 +177,15 @@ def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
     if g == 0 or g % DOT_WIDTH != 0:
         raise ShapeMismatch(f"group size {g} not a positive multiple of "
                             f"dot width {DOT_WIDTH}")
-    ops = decode_fp16(acts)
-    w = encode_group_terms(weights, spec)
-    m_acc, e_acc = _kernels.run_group_dot(w, ops)
+    try:
+        ops = _gather_fp16(acts)
+        m_acc, e_acc = _kernels.run_group_dot(
+            encode_group_terms(weights, spec), ops)
+    except Exception:  # name the first bad field, as the checks order it
+        decode_fp16(acts)
+        check_range("code", weights.codes, *code_range(spec), spec)
+        term_table(spec, weights.sv_index)
+        raise
     gps, _ = bit_serial_dequant(m_acc, e_acc, weights.scale_q)
     return gps, group_cycles(spec, g)
 

@@ -52,6 +52,12 @@ def check_finite(tensor: np.ndarray) -> np.ndarray:
     return tensor
 
 
+def _check_nonempty(tensor: np.ndarray) -> np.ndarray:
+    if tensor.size == 0:
+        raise ValueError(f"tensor is empty, shape {tensor.shape}")
+    return tensor
+
+
 def _fields_equal(a, b):
     """``a == b`` field by field; array fields compare by content, and
     ``None`` equals only ``None``."""
@@ -352,7 +358,7 @@ def adaptive_quant(group, spec: DataTypeSpec):
     """
     if not spec.is_bitmod:
         raise UnsupportedDtype(f"{spec.name} has no special values to adapt")
-    rows = np.asarray(group, dtype=np.float64)[None]
+    rows = _check_nonempty(np.asarray(group, dtype=np.float64))[None]
     codes, _, best, mse = _best_grid(rows, spec)
     sv_index = int(best[0])
     qg = QuantizedGroup(codes=codes[0], sv_index=sv_index)
@@ -397,8 +403,7 @@ def quantize_tensor(tensor, spec: DataTypeSpec,
     w = np.asarray(tensor)
     if w.ndim != 2:
         raise ValueError("tensor must be 2-D (out_channels x channel_size)")
-    if w.size == 0:
-        raise ValueError(f"tensor is empty, shape {w.shape}")
+    _check_nonempty(w)
     n_channels, size = w.shape
     g = grouping.group_size
     n_groups = -(-size // g)

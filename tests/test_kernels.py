@@ -110,3 +110,33 @@ def test_group_of_zero_trees_is_zero(codes, acts):
         == oracle_accumulator(qg, spec, acts)
     gps, _ = group_dot(qg, acts, spec)
     assert (gps.m_grp, gps.e_grp) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ("FP3_BITMOD", "INT6_SYM"))
+def test_one_nan_operand_or_term_raises(name):
+    # The module's NaN rule: one NaN anywhere ends the accumulator NaN,
+    # whether it meets a live factor or a 0, and whatever path the steps
+    # after it take.  Activations falling over 28 binades send later
+    # trees down the general path.
+    spec = spec_for(name)
+    rng = np.random.default_rng(33)
+    lo, hi = code_range(spec)
+    codes = rng.integers(lo, hi + 1, 64).astype(spec.code_dtype)
+    acts = rng.standard_normal(64) * 2.0 ** np.linspace(14, -14, 64)
+    acts[::5] = 0.0
+    w = encode_group_terms(QuantizedGroup(codes=codes), spec)
+    a = decode_fp16(acts)
+    assert _kernels.run_group_dot(w, a) == oracle_accumulator(
+        QuantizedGroup(codes=codes), spec, acts)
+    for terms in (w, np.zeros_like(w)):
+        for i in range(len(a)):
+            bad = a.copy()
+            bad[i] = np.nan
+            with pytest.raises(ValueError, match="NaN operand or term"):
+                _kernels.run_group_dot(terms, bad)
+    for operands in (a, np.zeros_like(a)):
+        for cell in np.ndindex(w.shape):
+            bad = w.copy()
+            bad[cell] = np.nan
+            with pytest.raises(ValueError, match="NaN operand or term"):
+                _kernels.run_group_dot(bad, operands)

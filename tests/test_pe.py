@@ -9,7 +9,7 @@ from conftest import exact_dot, oracle_acts, oracle_weight_terms
 from bitmod import bitserial, synth
 from bitmod.bitserial import encode_weight, term_table
 from bitmod.dtype import (GroupingConfig, code_range, effective_grid,
-                          spec_for)
+                          spec_for, sv_range)
 from bitmod.errors import (InvalidSpecialValueIndex, OutOfRange,
                            ShapeMismatch, UnsupportedDtype)
 from bitmod.pe import (
@@ -269,6 +269,110 @@ def test_group_dot_refuses_what_a_record_cannot_hold(name, field, value,
         group_dot(qg, [1.0] * 8, spec_for(name))
 
 
+def seeded_codes(rng, spec, g):
+    lo, hi = code_range(spec)
+    return rng.integers(lo, hi + 1, g).astype(spec.code_dtype)
+
+
+def zero_codes(spec, sv_index, g):
+    """``g`` codes of value 0, whose terms are all 0."""
+    zero = effective_grid(spec, sv_index).index(0) if spec.is_fp else 0
+    return np.full(g, zero, dtype=spec.code_dtype)
+
+
+@pytest.mark.parametrize("name", ("FP3_BITMOD", "INT6_SYM"))
+def test_group_dot_rejects_nan_inf_activations(name):
+    # Every NaN/Inf FP16 pattern in lane 0 of an 8-weight group, and NaN,
+    # Inf and values that overflow FP16 at every position of a 128-weight
+    # group; against seeded codes, and against codes of value 0, where no
+    # live term meets the bad lane.
+    spec = spec_for(name)
+    rng = np.random.default_rng(31)
+    sv_index = 2 if spec.is_bitmod else 0
+    bits = np.arange(1 << 16).astype(np.uint16)
+    patterns = bits[bits & 0x7C00 == 0x7C00]
+    assert len(patterns) == 2048
+    cases = []
+    for p in patterns:
+        acts = acts_from(rng, 8).astype(np.float16)
+        acts.view(np.uint16)[0] = p
+        cases.append(acts)
+    for x in (np.nan, np.inf, 65520.0, -1e9):
+        for i in range(128):
+            acts = acts_from(rng, 128)
+            acts[i] = x
+            cases.append(acts)
+    for acts in cases:
+        g = len(acts)
+        for codes in (seeded_codes(rng, spec, g),
+                      zero_codes(spec, sv_index, g)):
+            qg = QuantizedGroup(codes=codes, sv_index=sv_index, scale_q=77)
+            with pytest.raises(ValueError,
+                               match="NaN/Inf activation rejected"):
+                group_dot(qg, acts, spec)
+
+
+@pytest.mark.parametrize("name", PE_DTYPES)
+def test_group_dot_rejects_every_byte_that_is_no_code(name):
+    # Codes of the dtype's own code_dtype index the term table as they are.
+    spec = spec_for(name)
+    lo, hi = code_range(spec)
+    byte = np.iinfo(spec.code_dtype)
+    rng = np.random.default_rng(32)
+    acts = acts_from(rng, 8)
+    for sv_index in range(sv_range(spec)[1] + 1):
+        for code in range(byte.min, byte.max + 1):
+            if lo <= code <= hi:
+                continue
+            message = re.escape(f"code {code} is outside [{lo}, {hi}] "
+                                f"for {name}")
+            for lane in range(4):
+                codes = seeded_codes(rng, spec, 8)
+                codes[lane] = code
+                qg = QuantizedGroup(codes=codes, sv_index=sv_index,
+                                    scale_q=5)
+                with pytest.raises(OutOfRange, match=message) as raised:
+                    group_dot(qg, acts, spec)
+                assert type(raised.value) is OutOfRange
+
+
+@pytest.mark.parametrize("code_dtype", ("own", np.int64))
+@pytest.mark.parametrize(("name", "off_grid", "bad_sv"), [
+    ("FP3_BITMOD", 8, 4), ("INT6_SYM", -32, 1)])
+@pytest.mark.parametrize(("fields", "error", "message"), [
+    (("act", "code"), ValueError, "NaN/Inf activation rejected"),
+    (("act", "sv_index"), ValueError, "NaN/Inf activation rejected"),
+    (("code", "sv_index"), OutOfRange, "code {code} is outside [{lo}, {hi}]"
+                                       " for {name}"),
+    (("code", "scale_q"), OutOfRange, "code {code} is outside [{lo}, {hi}]"
+                                      " for {name}")])
+def test_group_dot_which_bad_field_is_named(name, off_grid, bad_sv,
+                                            code_dtype, fields, error,
+                                            message):
+    # Of two bad fields, the one checked first names the error: the
+    # activations, then the codes, then sv_index, then scale_q.
+    spec = spec_for(name)
+    lo, hi = code_range(spec)
+    codes = np.array([1, 2, 3, 0, 1, 2, 3, 0],
+                     dtype=spec.code_dtype if code_dtype == "own"
+                     else code_dtype)
+    acts = [1.5, -0.75, 2.0, 0.375, 3.0, -1.0, 0.5, 4.0]
+    qg = QuantizedGroup(codes=codes, sv_index=0, scale_q=1)
+    if "act" in fields:
+        acts[5] = math.nan
+    if "code" in fields:
+        codes[2] = off_grid
+    if "sv_index" in fields:
+        qg.sv_index = bad_sv
+    if "scale_q" in fields:
+        qg.scale_q = 300
+    with pytest.raises(error) as info:
+        group_dot(qg, acts, spec)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(code=off_grid, lo=lo, hi=hi,
+                                             name=name)
+
+
 @pytest.mark.parametrize("order", [(2, 2.0), (2.0, 2)])
 def test_group_dot_whole_float_sv_index_is_that_index(order):
     # 2.0 raised TypeError until 2 had filled the term-table cache.
@@ -334,7 +438,7 @@ def test_term_table_matches_encode_weight(name):
         n_codes = (len(spec.grids[sv_index]) if spec.is_fp
                    else 2 ** spec.bits_per_code - 1)
         assert hi - lo + 1 == n_codes
-        # Indexed by the code's low byte; the rows of no code hold 0.
+        # Indexed by the code's low byte; the rows of no code hold NaN.
         assert table.shape == (256, spec.terms_per_code)
         assert table.dtype == np.float64
         assert not table.flags.writeable
@@ -343,7 +447,8 @@ def test_term_table_matches_encode_weight(name):
             assert table[code % 256].tolist() == [
                 float(t.value) for t in want], (name, sv_index, code)
         rows = np.arange(lo, hi + 1) % 256
-        assert not np.delete(table, rows, axis=0).any(), (name, sv_index)
+        assert np.isnan(np.delete(table, rows, axis=0)).all(), (name,
+                                                                sv_index)
 
 
 @pytest.mark.parametrize("name", PE_DTYPES)

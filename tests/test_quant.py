@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,16 @@ def test_adaptive_quant_rejects_non_bitmod():
     with pytest.raises(UnsupportedDtype):
         adaptive_quant(np.ones(4), spec_for("FP3_BASIC"))
 
+
+
+def test_adaptive_quant_rejects_an_empty_group():
+    # An empty group gave an MSE of NaN with a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for empty in ([], np.zeros(0)):
+            with pytest.raises(ValueError,
+                               match=re.escape("tensor is empty, shape (0,)")):
+                adaptive_quant(empty, spec_for("FP3_BITMOD"))
 
 def test_quantize_scales_hand_example():
     scale_q, cs = quantize_scales([0.127, 0.254])
