@@ -279,14 +279,15 @@ def _repeat_add(s: float, x: float, n: int) -> float:
 
 
 def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig) -> bool:
-    """Dequantization (8 cycles) must fit under the group compute time."""
+    """Dequantization (``DEQUANT_CYCLES``) must fit under the group
+    compute time."""
     compute = group_cycles(spec, grouping.group_size)
     ok = DEQUANT_CYCLES <= compute
     if not ok:
         warnings.warn(
             f"group size {grouping.group_size} with {spec.name} gives only "
-            f"{compute} compute cycles per group; the 8-cycle bit-serial "
-            "dequantization would stall the pipeline",
+            f"{compute} compute cycles per group; the {DEQUANT_CYCLES}-cycle "
+            "bit-serial dequantization would stall the pipeline",
             stacklevel=2,
         )
     return ok
@@ -301,6 +302,14 @@ def _gemm(m: int, k: int, n: int, repeat: int, cfg: ArchConfig, rows: int,
     Returns the compute and DRAM cycles of one GEMM, and its five float
     figures summed ``repeat`` times from 0.0.  Output-stationary: each wave
     of output tiles walks all of K, padded to whole groups.
+
+    Weights cost ``bits_per_weight`` each, for the bit-serial array
+    :func:`bitmod.quant.memory_footprint_bits`: ``bits_per_code`` bits a
+    weight and ``8 + sv_bits`` bits a group.  That is the layout the
+    simulator charges, not the BMOD file's: it leaves out the file's
+    16-bit group records (``scale_q`` and ``sv_index`` a byte each), the
+    byte padding of each record's codes, the float32 scale of each channel
+    and the 20-byte header (:mod:`bitmod.packfile`).
     """
     if m <= 0 or k <= 0 or n <= 0:
         raise ConfigError("non-positive GEMM dimension in "

@@ -422,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dtype", dest="dtypes", type=_dtype_list,
                    default=[DataType.FP3_BITMOD, DataType.FP3_BASIC],
                    help="comma-separated data types")
-    q.add_argument("--group-size", type=_positive_int, default=128)
+    q.add_argument("--group-size", type=_positive_int,
+                   default=GroupingConfig.group_size)
     common(q)
     q.set_defaults(func=cmd_quant_eval)
 
@@ -439,8 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dtype", dest="dtypes", type=_dtype_list,
                    default=[DataType.INT6_SYM],
                    help="comma-separated data types")
-    s.add_argument("--group-size", type=_positive_int, default=128)
-    s.add_argument("--prefill-tokens", type=_token_count, default=256)
+    s.add_argument("--group-size", type=_positive_int,
+                   default=GroupingConfig.group_size)
+    s.add_argument("--prefill-tokens", type=_token_count,
+                   default=archsim.WorkloadSpec.prefill_tokens)
     s.add_argument("--decode-tokens", type=_token_count, default=0)
     s.add_argument("--config", default=None, help="JSON ArchConfig overrides")
     common(s)
@@ -449,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("pack", help="quantize a tensor into a BMOD file")
     pk.add_argument("tensor", help="NPY tensor file")
     pk.add_argument("--dtype", type=_dtype_name, default=DataType.FP3_BITMOD)
-    pk.add_argument("--group-size", type=_positive_int, default=128)
+    pk.add_argument("--group-size", type=_positive_int,
+                    default=GroupingConfig.group_size)
     pk.add_argument("--out", required=True)
     pk.set_defaults(func=cmd_pack)
 

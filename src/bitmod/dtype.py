@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import InvalidSpecialValueIndex, OutOfRange, UnsupportedDtype
 
-HALF = Fraction(1, 2)
-
 
 class DataType(Enum):
     INT8_SYM = 0
@@ -64,12 +62,10 @@ class DataTypeSpec:
 
     @cached_property
     def is_fp(self) -> bool:
-        return self.name in (
-            DataType.FP4_BASIC,
-            DataType.FP3_BASIC,
-            DataType.FP4_BITMOD,
-            DataType.FP3_BITMOD,
-        )
+        """Whether the grid is an FP one: an INT grid holds every integer
+        between its ends, and an FP grid does not."""
+        grid = self.grids[0]
+        return grid != tuple(range(int(grid[0]), int(grid[-1]) + 1))
 
     @cached_property
     def code_dtype(self) -> np.dtype:
@@ -81,7 +77,9 @@ class DataTypeSpec:
 
     @property
     def sv_bits(self) -> int:
-        return 2 if self.is_bitmod else 0
+        """Stored bits per ``sv_index``: the width that indexes every grid
+        (0 for a dtype with one grid)."""
+        return (len(self.grids) - 1).bit_length()
 
     @cached_property
     def bits_per_code(self) -> int:
@@ -113,12 +111,8 @@ class DataTypeSpec:
 
 
 def _sym_fp_grid(*magnitudes) -> tuple[Fraction, ...]:
-    vals = {Fraction(0)}
-    for m in magnitudes:
-        f = Fraction(m)
-        vals.add(f)
-        vals.add(-f)
-    return tuple(sorted(vals))
+    vals = {Fraction(0), *map(Fraction, magnitudes)}
+    return tuple(sorted(vals | {-v for v in vals}))
 
 
 def _sym_int_grid(bits: int) -> tuple[Fraction, ...]:
@@ -131,7 +125,7 @@ def _asym_code_grid(bits: int) -> tuple[Fraction, ...]:
 
 
 FP3_VALUES = _sym_fp_grid(1, 2, 4)
-FP4_VALUES = _sym_fp_grid(HALF, 1, Fraction(3, 2), 2, 3, 4, 6)
+FP4_VALUES = _sym_fp_grid(Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 4, 6)
 
 # Special-value candidates: extended resolution (ER) first, extended
 # asymmetry (EA) second; index order is the deterministic tie-break.
@@ -180,6 +174,10 @@ class GroupingConfig:
         if self.group_size < 1:
             raise ValueError("group_size must be positive")
 
+    def n_groups(self, size: int) -> int:
+        """Groups in a channel of ``size`` weights, the last one padded."""
+        return -(-size // self.group_size)
+
 
 def effective_grid(spec: DataTypeSpec, sv_index: int = 0) -> tuple[Fraction, ...]:
     """Quantization grid with the selected special value merged in.
@@ -192,20 +190,19 @@ def effective_grid(spec: DataTypeSpec, sv_index: int = 0) -> tuple[Fraction, ...
 
 
 def code_range(spec: DataTypeSpec) -> tuple[int, int]:
-    """Lowest and highest code a symmetric dtype stores: the grid indices
-    of an FP type, or -qmax..qmax of a symmetric INT type.  Other bit
-    patterns are invalid.  Asymmetric types, whose codes need a zero-point,
-    raise :class:`UnsupportedDtype`.
+    """Lowest and highest code a symmetric dtype stores, read from the
+    length ``n`` of its grid: the grid indices ``0..n - 1`` of an FP type,
+    or the grid's own values ``-(n // 2)..n // 2`` of a symmetric INT
+    type.  Other bit patterns are invalid.  Asymmetric types, whose codes
+    need a zero-point, raise :class:`UnsupportedDtype`.
     """
     if spec.asymmetric:
         raise UnsupportedDtype(
             f"{spec.name} is a software baseline only; the PE and the BMOD "
             "format take symmetric INT and FP types"
         )
-    if spec.is_fp:
-        return 0, len(spec.grids[0]) - 1
-    qmax = (1 << (spec.bits_per_code - 1)) - 1
-    return -qmax, qmax
+    n = len(spec.grids[0])
+    return (0, n - 1) if spec.is_fp else (-(n // 2), n // 2)
 
 
 # The unsigned 8-bit group scale the PE multiplies by and a record stores.

@@ -245,7 +245,8 @@ def unpack(data: bytes):
         raise FormatError("channel size 0", offset=12)
     if g == 0:
         raise FormatError("group size 0", offset=16)
-    n_groups = -(-d // g)
+    grouping = GroupingConfig(group_size=g)
+    n_groups = grouping.n_groups(d)
     rec = group_record_bytes(spec, g)
     width = 4 + n_groups * rec
     pos = _HEADER.size
@@ -272,7 +273,7 @@ def unpack(data: bytes):
         raise FormatError("truncated group record", offset=pos + 4 + n * rec)
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes", offset=pos)
-    return qt, GroupingConfig(group_size=g), spec
+    return qt, grouping, spec
 
 
 def unpack_to_tensor(data: bytes, dtype=np.float64) -> np.ndarray:

@@ -3,7 +3,8 @@
 The PE computes a 4-way dot product per cycle between bit-serial weight
 terms and FP16 activations, accumulates over a weight group, and rescales
 the group partial sum by the unsigned 8-bit group scale, which the
-hardware does with an 8-cycle shift-and-add multiplier.
+hardware does with a shift-and-add multiplier in ``DEQUANT_CYCLES``
+cycles.
 :func:`group_dot` is the PE's entry point: one quantized group against its
 activations.
 
@@ -49,10 +50,11 @@ from .errors import ShapeMismatch
 from .quant import QuantizedGroup
 
 DOT_WIDTH = 4
+# The bit-serial dequantizer's latency: one shift-and-add per scale bit.
 DEQUANT_CYCLES = 8
 # The baseline FP16 MAC PE does one multiply-accumulate per cycle, so a
 # DOT_WIDTH-wide dot takes this many cycles.
-FP16_MAC_CYCLES_PER_DOT = 4
+FP16_MAC_CYCLES_PER_DOT = DOT_WIDTH
 
 
 def decode_fp16(values):
@@ -115,14 +117,12 @@ class GroupPartialSum:
 
 def bit_serial_dequant(m_acc: int, e_acc: int, scale_q: int):
     """Multiply the accumulator ``(m_acc, e_acc)`` by the unsigned 8-bit
-    group scale, exactly; the hardware's shift-and-add takes 8 cycles.
-
-    Returns (GroupPartialSum, DEQUANT_CYCLES).  A ``scale_q`` that is not
-    a whole number in 0..255 raises :class:`OutOfRange`.
+    group scale, exactly; the hardware's shift-and-add takes
+    ``DEQUANT_CYCLES``.  A ``scale_q`` that is not a whole number in
+    0..255 raises :class:`OutOfRange`.
     """
     check_range("scale_q", scale_q, *SCALE_Q_RANGE)
-    return (GroupPartialSum(m_grp=m_acc * int(scale_q), e_grp=e_acc),
-            DEQUANT_CYCLES)
+    return GroupPartialSum(m_grp=m_acc * int(scale_q), e_grp=e_acc)
 
 
 def group_cycles(spec: DataTypeSpec, g: int) -> int:
@@ -156,8 +156,9 @@ def encode_group_terms(weights: QuantizedGroup, spec: DataTypeSpec):
 def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
     """Dot product of one quantized group with FP16 activations.
 
-    Returns (GroupPartialSum, compute_cycles); the 8-cycle dequantization
-    overlaps the next group and is not added to the cycle count.
+    Returns (GroupPartialSum, compute_cycles); the ``DEQUANT_CYCLES`` of
+    the dequantization overlap the next group and are not added to the
+    cycle count.
 
     The group is checked by its result (the module's NaN rule): operands
     and terms are gathered unchecked, and a NaN or infinite activation or
@@ -186,8 +187,8 @@ def group_dot(weights: QuantizedGroup, acts, spec: DataTypeSpec):
         check_range("code", weights.codes, *code_range(spec), spec)
         term_table(spec, weights.sv_index)
         raise
-    gps, _ = bit_serial_dequant(m_acc, e_acc, weights.scale_q)
-    return gps, group_cycles(spec, g)
+    return (bit_serial_dequant(m_acc, e_acc, weights.scale_q),
+            group_cycles(spec, g))
 
 
 def drain_accumulate(partials, channel_scale: float) -> np.float32:

@@ -114,7 +114,9 @@ class QuantizedTensor:
     __eq__ = _fields_equal
 
     def __len__(self) -> int:
-        return len(self.channel_scale)  # a TypeError for one channel
+        if self.channel_scale.ndim:
+            return len(self.channel_scale)
+        raise TypeError("one channel has no length; use qt[i:i + 1]")
 
     def __getitem__(self, key) -> QuantizedTensor:
         len(self)  # raises for one channel, which has no channel axis
@@ -354,11 +356,14 @@ def adaptive_quant(group, spec: DataTypeSpec):
 
     Returns (QuantizedGroup, chosen special value, mse).  The group holds
     the codes and ``sv_index``; its ``scale_q`` is 0, since group scales
-    are quantized per channel, from :func:`quantize_groups`' deltas.
+    are quantized per channel, from :func:`quantize_groups`' deltas.  A
+    group is 1-D: any other shape raises ``ValueError``.
     """
     if not spec.is_bitmod:
         raise UnsupportedDtype(f"{spec.name} has no special values to adapt")
     rows = _check_nonempty(np.asarray(group, dtype=np.float64))[None]
+    if rows.ndim != 2:
+        raise ValueError(f"a group is 1-D, got shape {rows.shape[1:]}")
     codes, _, best, mse = _best_grid(rows, spec)
     sv_index = int(best[0])
     qg = QuantizedGroup(codes=codes[0], sv_index=sv_index)
@@ -406,7 +411,7 @@ def quantize_tensor(tensor, spec: DataTypeSpec,
     _check_nonempty(w)
     n_channels, size = w.shape
     g = grouping.group_size
-    n_groups = -(-size // g)
+    n_groups = grouping.n_groups(size)
     # Filled in place: joining per-chunk parts would hold the codes twice.
     codes = np.empty((n_channels, n_groups, g), dtype=spec.code_dtype)
     group_fields = []  # (delta, sv_index, zero_point) per chunk, per group
@@ -496,10 +501,10 @@ def error_report(original, dequantized) -> ErrorReport:
 def memory_footprint_bits(spec: DataTypeSpec, grouping: GroupingConfig) -> Fraction:
     """Stored bits per weight including per-group metadata.
 
-    BitMoD types carry an 8-bit scale plus a 2-bit special-value index per
-    group; symmetric INT and basic FP types carry the 8-bit scale only.
-    The asymmetric-INT software baseline is modeled with a 16-bit scale and
-    an 8-bit zero-point per group.
+    A symmetric type carries an 8-bit scale and a ``sv_bits``-wide
+    special-value index per group (2 bits for the BitMoD types, none for
+    the others).  The asymmetric-INT software baseline is modeled with a
+    16-bit scale and an 8-bit zero-point per group.
     """
     overhead = 16 + 8 if spec.asymmetric else 8 + spec.sv_bits
     return Fraction(spec.bits_per_code) + Fraction(overhead,

@@ -3,8 +3,13 @@ from functools import cache
 import numpy as np
 
 import pe_oracle
-from bitmod.dtype import effective_grid, spec_for
+from bitmod.dtype import SPECS, effective_grid, spec_for
 from bitmod.quant import _count_above, _divisor, _shared_scales, check_finite
+
+# The symmetric dtypes, those ``dtype.code_range`` takes: the seven the PE
+# computes with and the BMOD format packs.  No test depends on their order.
+PE_DTYPES = PACKABLE = tuple(str(name) for name, spec in SPECS.items()
+                             if not spec.asymmetric)
 
 
 @cache

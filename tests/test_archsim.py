@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import PE_DTYPES
 from bitmod import archsim
 from bitmod.archsim import (
     _PLAIN_RUN,
@@ -96,8 +97,7 @@ def test_arch_config_accepts_int_for_float_fields():
 
 
 def test_check_no_stall_all_supported_combinations():
-    for name in ("INT8_SYM", "INT6_SYM", "INT4_SYM", "FP4_BASIC", "FP3_BASIC",
-                 "FP4_BITMOD", "FP3_BITMOD"):
+    for name in PE_DTYPES:
         spec = spec_for(name)
         for g in (16, 32, 64, 128, 256):
             assert check_no_stall(spec, GroupingConfig(group_size=g))
@@ -314,6 +314,18 @@ def test_parse_shape_file_rejects_token_keys(line):
     with pytest.raises(ParseError, match="unknown key") as ei:
         profile_shapes(text)
     assert ei.value.line == 4
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("ffn_gemms = 4", "ffn_gemms must be 2 or 3"),
+    ("heads = 3", "heads must divide hidden and kv_heads <= heads"),
+    ("heads = 4\nkv_heads = 8",
+     "heads must divide hidden and kv_heads <= heads"),
+], ids=["ffn-gemms", "heads", "kv-heads"])
+def test_profile_shapes_rejects_inconsistent_counts(lines, message):
+    with pytest.raises(ParseError) as ei:
+        profile_shapes(f"name = x\nhidden = 64\nblocks = 1\n{lines}\n")
+    assert str(ei.value) == message and ei.value.line is None
 
 
 def test_profile_shapes_gemm_list():

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from bitmod import archsim
+from conftest import PACKABLE
+from bitmod import archsim, cli, synth
 from bitmod.cli import main
 from bitmod.dtype import DataType, GroupingConfig, spec_for
 from bitmod.packfile import unpack, unpack_to_tensor
@@ -205,6 +206,24 @@ def test_bitserial_check_reports_unrepresentable_special_value(value, capsys):
                    f"FP3_BITMOD sv 0 code 6: {problem}\n")
 
 
+def test_bitserial_check_reports_an_int_term_sum_mismatch(monkeypatch,
+                                                          capsys):
+    # An encoder whose terms sum to one more than each code: an INT code
+    # has one line with no value, an FP code one per grid with both.
+    real = cli.term_value_sum
+    monkeypatch.setattr(cli, "term_value_sum", lambda terms: real(terms) + 1)
+    code, out, err = run(capsys, "bitserial-check")
+    assert (code, out) == (1, "0/344 codes exact\n")
+    lines = err.splitlines()
+    assert "INT8_SYM code -128: term sum mismatch" in lines
+    assert "FP3_BITMOD sv 0 code 0: -3 != -4" in lines
+
+
+def test_sample_refuses_an_unknown_distribution():
+    with pytest.raises(ValueError, match="unknown distribution 'cauchy'"):
+        synth.sample("cauchy", (2, 8))
+
+
 def test_simulate_bundled_shape(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     code, _, err = run(capsys, "simulate", "toy",
@@ -265,6 +284,19 @@ def test_shape_beyond_float_range_is_one_line_error(tmp_path, capsys):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow the float range" in err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("ffn_gemms = 4", "ffn_gemms must be 2 or 3"),
+    ("heads = 4\nkv_heads = 8",
+     "heads must divide hidden and kv_heads <= heads"),
+], ids=["ffn-gemms", "kv-heads"])
+def test_inconsistent_shape_file_is_one_line_error(lines, message, tmp_path,
+                                                   capsys):
+    shape = tmp_path / "bad.shape"
+    shape.write_text(f"name = x\nhidden = 64\nblocks = 1\n{lines}\n")
+    code, out, err = run(capsys, "simulate", str(shape))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_repeated_shape_key_is_one_line_error(tmp_path, capsys):
@@ -407,9 +439,7 @@ def test_pack_unpack_roundtrip(tensor_file, tmp_path, capsys):
     assert got.shape == (64, 256)
 
 
-@pytest.mark.parametrize("name", ["FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC",
-                                  "FP4_BASIC", "INT8_SYM", "INT6_SYM",
-                                  "INT4_SYM"])
+@pytest.mark.parametrize("name", PACKABLE)
 def test_unpack_writes_whole_tensor_float32_bytes(name, tmp_path, capsys):
     # `unpack` dequantizes a chunk of channels at a time into float32; the
     # NPY bytes are those of the whole float64 dequantization cast once.
@@ -518,7 +548,8 @@ def _damaged_npy_header(kind: str) -> bytes:
                                   "unclosed-header", "huge-shape",
                                   "negative-dim", "object", "bool-dim",
                                   "zero-and-huge-dim", "version-9",
-                                  "unknown-dtype", "long-header"])
+                                  "unknown-dtype", "long-header",
+                                  "nan-value"])
 @pytest.mark.parametrize("verb", ("quant-eval", "pack"))
 def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
     # These ended in an EOFError, AttributeError, BadZipFile,
@@ -533,6 +564,10 @@ def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
             np.savez(fh, w=np.ones((2, 8), dtype=np.float32))
     elif kind == "object":
         np.save(path, np.ones((2, 8), dtype=object), allow_pickle=True)
+    elif kind == "nan-value":  # well formed, but holds a NaN
+        bad = np.ones((2, 8), dtype=np.float32)
+        bad[1, 3] = np.nan
+        np.save(path, bad)
     elif kind in ("zero-bytes", "bad-zip"):
         # "bad-zip" has a zip signature and nothing a zip reader accepts.
         path.write_bytes(b"" if kind == "zero-bytes"
@@ -548,6 +583,8 @@ def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+    if kind == "nan-value":
+        assert err == f"error: {path}: tensor contains NaN/Inf\n"
     if verb == "pack":
         assert not out.exists()
     else:
@@ -591,6 +628,15 @@ def test_repeated_arch_config_key_is_config_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "repeated key 'tiles_x'" in err and str(cfg) in err
+
+
+def test_arch_config_not_an_object_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, out, err = run(capsys, "simulate", "toy", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {cfg}: expected a JSON object of ArchConfig "
+                   "keys\n")
 
 
 def test_unknown_arch_config_key_is_config_error(tmp_path, capsys):

@@ -123,6 +123,12 @@ def test_grouping_config_rejects_nonpositive_group_size():
             GroupingConfig(group_size=g)
 
 
+@pytest.mark.parametrize("g, size, n_groups", [
+    (128, 300, 3), (128, 256, 2), (32, 1, 1), (7, 300, 43), (1, 5, 5)])
+def test_grouping_config_counts_padded_groups(g, size, n_groups):
+    assert GroupingConfig(group_size=g).n_groups(size) == n_groups
+
+
 def test_dtype_ids_are_stable():
     # These feed the packed-file header; changing them breaks old files.
     assert DataType.INT8_SYM.value == 0

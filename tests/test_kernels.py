@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 import pe_oracle
-from conftest import oracle_acts, oracle_weight_terms
+from conftest import PE_DTYPES, oracle_acts, oracle_weight_terms
 from bitmod import _kernels
 from bitmod.dtype import code_range, spec_for
 from bitmod.pe import decode_fp16, encode_group_terms, group_dot
 from bitmod.quant import QuantizedGroup
-
-PE_DTYPES = ("INT8_SYM", "INT6_SYM", "INT4_SYM",
-             "FP3_BASIC", "FP4_BASIC", "FP3_BITMOD", "FP4_BITMOD")
 
 # 132000 quads of four term slots at one significance, weight +-8 in every
 # lane: 528000 cycles whose sum passes 2^32 once, so the accumulator carries

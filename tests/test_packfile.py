@@ -1,19 +1,18 @@
 import dataclasses
 import hashlib
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import PACKABLE
 from bitmod import packfile, synth
+from bitmod.archsim import LayerShape, simulate_layer
 from bitmod.dtype import GroupingConfig, code_range, spec_for
 from bitmod.errors import FormatError, OutOfRange, UnsupportedDtype
 from bitmod.quant import dequantize_tensor, quantize_tensor
-
-
-PACKABLE = ("FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC", "FP4_BASIC",
-            "INT8_SYM", "INT6_SYM", "INT4_SYM")
 
 
 def roundtrip_tensor(rng, name, shape, g):
@@ -42,6 +41,41 @@ def test_record_size_math():
     rng = np.random.default_rng(42)
     _, _, data = roundtrip_tensor(rng, "FP3_BITMOD", (2, 64), 32)
     assert len(data) == 20 + 2 * (4 + 2 * 14)
+
+
+@pytest.mark.parametrize("g, n_groups", [(32, 10), (128, 3)])
+@pytest.mark.parametrize("name", PACKABLE)
+def test_file_size_is_header_plus_channel_records(name, g, n_groups):
+    # A file is the 20-byte header, then per channel a float32 scale and
+    # one record per group, the last group padded: 300 weights leave a
+    # ragged last group at both sizes.
+    spec = spec_for(name)
+    k, d = 5, 300
+    _, _, data = roundtrip_tensor(np.random.default_rng(57), name, (k, d), g)
+    assert len(data) == 20 + k * (4 + n_groups
+                                  * packfile.group_record_bytes(spec, g))
+    # On whole groups of whole bytes of codes, the file is the weight bytes
+    # the simulator charges for the same layer, plus per group the record's
+    # 16 metadata bits less the 8 + sv_bits charged, plus per channel its
+    # float32 scale, plus the header.
+    d = 256
+    grouping = GroupingConfig(group_size=g)
+    _, _, data = roundtrip_tensor(np.random.default_rng(57), name, (k, d), g)
+    charged = simulate_layer(LayerShape(1, d, k), spec, grouping).weight_bytes
+    metadata = k * (d // g) * (16 - 8 - spec.sv_bits) / 8
+    assert len(data) == charged + metadata + k * 4 + 20
+
+
+def test_pack_refuses_one_channel():
+    # qt[i] is one channel, not a tensor; this used to fail on a numpy
+    # scalar's missing len().
+    _, qt, _ = roundtrip_tensor(np.random.default_rng(58), "FP3_BITMOD",
+                                (2, 64), 32)
+    with pytest.raises(TypeError, match=re.escape(
+            "one channel has no length; use qt[i:i + 1]")):
+        packfile.pack(qt[0], GroupingConfig(group_size=32), 64)
+    assert packfile.unpack(packfile.pack(
+        qt[0:1], GroupingConfig(group_size=32), 64))[0] == qt[0:1]
 
 
 @pytest.mark.parametrize("name,g", [

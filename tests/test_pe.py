@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import pe_oracle
-from conftest import exact_dot, oracle_acts, oracle_weight_terms
-from bitmod import bitserial, synth
+from conftest import PE_DTYPES, exact_dot, oracle_acts, oracle_weight_terms
+from bitmod import _kernels, bitserial, synth
 from bitmod.bitserial import encode_weight, term_table
 from bitmod.dtype import (GroupingConfig, code_range, effective_grid,
                           spec_for, sv_range)
@@ -24,9 +24,6 @@ from bitmod.pe import (
 )
 from bitmod.quant import (QuantizedGroup, dequantize_tensor,
                           quantize_symmetric, quantize_tensor)
-
-PE_DTYPES = ("INT8_SYM", "INT6_SYM", "INT4_SYM",
-             "FP3_BASIC", "FP4_BASIC", "FP3_BITMOD", "FP4_BITMOD")
 
 
 def make_group(rng, spec, g, outlier=False, shift=0.0):
@@ -132,10 +129,11 @@ def test_group_dot_exact_cancellation_keeps_state():
 # ---------------------------------------------------------------------------
 
 def test_bit_serial_dequant_exact_and_fixed_latency():
+    # The latency is a constant, not a return value.
+    assert DEQUANT_CYCLES == 8
     for m in (123456789, -(1 << 31), (1 << 32) - 1):
         for sq in (0, 1, 77, 127, 255, np.uint8(200)):
-            gps, cycles = bit_serial_dequant(m, -7, sq)
-            assert cycles == DEQUANT_CYCLES == 8
+            gps = bit_serial_dequant(m, -7, sq)
             assert gps.m_grp == m * int(sq) and type(gps.m_grp) is int
             assert gps.e_grp == -7
     for sq in (256, -1, 2.5):
@@ -164,6 +162,21 @@ def test_group_dot_on_grid_is_exact():
     gps, cycles = group_dot(qg, [1.0] * 8, spec)
     assert gps.value == 8.0
     assert cycles == 4
+
+
+def test_group_dot_reraises_a_kernel_error_on_valid_inputs(monkeypatch):
+    # Every check passes, so the kernel's own error is what comes out.
+    error = RuntimeError("kernel failed")
+
+    def fail(terms, ops):
+        raise error
+
+    monkeypatch.setattr(_kernels, "run_group_dot", fail)
+    rng = np.random.default_rng(59)
+    spec = spec_for("FP3_BITMOD")
+    with pytest.raises(RuntimeError) as ei:
+        group_dot(make_group(rng, spec, 32), acts_from(rng, 32), spec)
+    assert ei.value is error
 
 
 def test_group_dot_rejects_asymmetric_and_bad_shapes():

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import pe_oracle
-from conftest import nearest_grid_index, oracle_acts, oracle_weight_terms
+from conftest import (PACKABLE, PE_DTYPES, nearest_grid_index, oracle_acts,
+                      oracle_weight_terms)
 from bitmod.bitserial import booth_encode, term_value_sum
 from bitmod.dtype import code_range, spec_for
 from bitmod.packfile import _pack_codes, _unpack_codes
@@ -24,10 +25,6 @@ def test_booth_reconstructs_any_representable_value(bits, data):
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     value = data.draw(st.integers(min_value=lo, max_value=hi))
     assert term_value_sum(booth_encode(value, bits)) == value
-
-
-PACKABLE = ("FP3_BITMOD", "FP4_BITMOD", "FP3_BASIC", "FP4_BASIC",
-            "INT8_SYM", "INT6_SYM", "INT4_SYM")
 
 
 @given(st.sampled_from(PACKABLE), st.integers(min_value=1, max_value=4),
@@ -134,7 +131,6 @@ def test_bitmod_candidates_share_two_scales():
             (absmax[0], (0, 1)), (absmax[1], (2, 3))]
 
 
-PE_DTYPES = PACKABLE  # the PE takes the same seven symmetric dtypes
 # Any finite FP16 bit pattern (exponent field not all ones), with +-0 and
 # subnormals; and per lane a raw draw that picks an on-grid code.
 FINITE_FP16 = st.integers(0, 0xFFFF).filter(lambda b: b & 0x7C00 != 0x7C00)

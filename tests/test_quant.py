@@ -15,6 +15,7 @@ from bitmod.errors import (InvalidSpecialValueIndex, LengthMismatch,
                            OutOfRange, UnsupportedDtype)
 from bitmod.quant import (
     CHUNK_WEIGHTS,
+    ErrorReport,
     _best_grid,
     adaptive_quant,
     dequantize_tensor,
@@ -238,6 +239,15 @@ def test_adaptive_quant_rejects_an_empty_group():
                                match=re.escape("tensor is empty, shape (0,)")):
                 adaptive_quant(empty, spec_for("FP3_BITMOD"))
 
+
+@pytest.mark.parametrize("shape", [(2, 4), (1, 4), ()])
+def test_adaptive_quant_rejects_a_group_that_is_not_1d(shape):
+    # These used to raise "too many values to unpack" or "not enough
+    # values to unpack" from inside the grid search.
+    with pytest.raises(ValueError, match=re.escape(
+            f"a group is 1-D, got shape {shape}")):
+        adaptive_quant(np.ones(shape), spec_for("FP3_BITMOD"))
+
 def test_quantize_scales_hand_example():
     scale_q, cs = quantize_scales([0.127, 0.254])
     assert cs == pytest.approx(0.254 / 127, rel=1e-6)
@@ -351,6 +361,8 @@ def test_records_compare_by_content():
     assert cq == copy.deepcopy(cq)
     assert cq.groups[0] == cq.groups[0]
     assert cq.groups[0] != cq.groups[1]
+    # Records of two classes are unequal, whichever side is asked.
+    assert cq.groups[0] != cq and cq != cq.groups[0]
     for field in ("codes", "sv_index", "scale_q"):
         other = copy.deepcopy(cq)
         if field == "codes":
@@ -368,6 +380,19 @@ def test_records_compare_by_content():
     assert aq == copy.deepcopy(aq)
     assert dataclasses.replace(aq, zero_point=None) != aq
     assert aq != dataclasses.replace(aq, zero_point=None)
+
+
+def test_views_of_the_wrong_rank_raise_type_error():
+    qt = quantize_tensor(np.ones((2, 64)), spec_for("FP3_BITMOD"),
+                         GroupingConfig(group_size=32))
+    with pytest.raises(TypeError, match="groups is a view of one channel"):
+        qt.groups
+    one = "one channel has no length; use qt[i:i + 1]"
+    with pytest.raises(TypeError, match=re.escape(one)):
+        len(qt[0])
+    with pytest.raises(TypeError, match=re.escape(one)):
+        qt[0][0]
+    assert len(qt[0:1]) == 1 and qt[0:1][0] == qt[0]
 
 
 def test_tensor_roundtrip_shape_and_finiteness_checks():
@@ -572,6 +597,13 @@ def test_dequantize_tensor_memory_beyond_output():
         assert peak - out.nbytes < 10 * CHUNK_WEIGHTS, name
 
 
+@pytest.mark.parametrize("bits", (1, 9))
+@pytest.mark.parametrize("quantize", (quantize_symmetric, quantize_asymmetric))
+def test_integer_quantizers_refuse_bits_outside_2_to_8(quantize, bits):
+    with pytest.raises(ValueError, match=re.escape("bits must be in [2, 8]")):
+        quantize(np.ones(4), bits)
+
+
 def test_negation_symmetry():
     rng = np.random.default_rng(14)
     spec = spec_for("FP3_BITMOD")
@@ -589,6 +621,7 @@ def test_error_report():
     assert rep.max_abs_error == pytest.approx(0.5)
     zero = error_report(np.zeros(4), np.zeros(4))
     assert zero.normalized_error == 0.0
+    assert error_report(np.zeros(0), np.zeros(0)) == ErrorReport(0.0, 0.0, 0.0)
     with pytest.raises(LengthMismatch):
         error_report([1.0], [1.0, 2.0])
 
