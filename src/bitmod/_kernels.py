@@ -24,13 +24,13 @@ and ``|x| * 1.5 * 2^28 < c``, a product float64 holds exactly, is
 The lane stage of every cycle of a group runs at once in float64, and
 every step of it is exact.  An activation operand from
 :func:`bitmod.pe.decode_fp16` is ``(-1)^s * a_m * 2^a_e``, the value times
-2^25: 11 significant bits, below 2^41.  A term value from
-:func:`bitmod.bitserial.term_table` is its full value, 0 or +-2^k with
--1 <= k <= 7.  (The tables also hold NaN, for a NaN or infinite
-activation and for a byte that is no code; the NaN rule below covers a
-group with one.  This paragraph and the next three are about a group
-without.)  Their product ``v`` has at most 11 significant bits and is
-below 2^48, so it is exact, and ``np.frexp`` reads its exponent
+``2^OPERAND_SHIFT`` (2^25): 11 significant bits, below 2^41.  A term
+value from :func:`bitmod.bitserial.term_table` is its full value, 0 or
++-2^k with -1 <= k <= 7.  (The tables also hold NaN, for a NaN or
+infinite activation and for a byte that is no code; the NaN rule below
+covers a group with one.  This paragraph and the next three are about a
+group without.)  Their product ``v`` has at most 11 significant bits and
+is below 2^48, so it is exact, and ``np.frexp`` reads its exponent
 ``a_e + k + 11`` (0 for a dead lane, at least 11 for a live one, so a dead
 lane never sets a cycle's max).  With ``max_e`` the largest of a cycle's
 four, every lane has ``|v| < 2^max_e``, and the hardware's RNE shift onto
@@ -40,7 +40,7 @@ the cycle's grid ``2^f``, ``f = max_e - 11``, is the rule above with
 tree, the sum of the four rounded lanes, is an integer below 2^13 times
 ``2^f``, exact in float64, and ``cv`` is the ``c`` of its grid.  Trees,
 their ``c`` and the accumulator stay in operand units; the returned
-exponent subtracts the 25.
+exponent subtracts ``OPERAND_SHIFT``.
 
 The accumulator is a float64 value ``acc = m * 2^e`` with ``|m| < 2^33``,
 so float64 holds it exactly, and every sum of two values on one grid
@@ -79,6 +79,7 @@ import math
 
 import numpy as np
 
+OPERAND_SHIFT = 25  # an activation operand is its FP16 value times 2^25
 _C = 1.5 * 2.0 ** 52  # c of the grid 2^0; c of 2^k is _C * 2^k
 _B = 1.5 * 2.0 ** 28  # |x| * _B < c of the grid 2^k: |x| < 2^(k+24)
 _LANE_C = 1.5 * 2.0 ** 41  # _LANE_C * 2^max_e: c of the grid 2^(max_e - 11)
@@ -114,7 +115,7 @@ def run_group_dot(w, a):
     if math.isnan(acc):
         raise ValueError("NaN operand or term")
     e = math.frexp(_grid(acc, c_acc))[1] - 53
-    return int(math.ldexp(acc, -e)), e - 25
+    return int(math.ldexp(acc, -e)), e - OPERAND_SHIFT
 
 
 def _grid(acc, c_acc):

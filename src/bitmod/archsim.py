@@ -52,6 +52,8 @@ from .pe import (DEQUANT_CYCLES, DOT_WIDTH, FP16_MAC_CYCLES_PER_DOT,
 from .quant import memory_footprint_bits
 
 FP16_BITS_PER_WEIGHT = Fraction(16)
+# The FP16 baseline walks K one DOT_WIDTH-wide dot at a time.
+_FP16_GROUPING = GroupingConfig(group_size=DOT_WIDTH)
 
 
 def _finite(value: int | float) -> bool:
@@ -294,14 +296,16 @@ def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig) -> bool:
 
 
 def _gemm(m: int, k: int, n: int, repeat: int, cfg: ArchConfig, rows: int,
-          cols: int, group: int, cycles_per_group: int,
+          cols: int, grouping: GroupingConfig, cycles_per_group: int,
           bits_per_weight: Fraction) -> tuple[int, int, tuple[float, ...]]:
     """One (m x k) by (k x n) GEMM on ``cfg``'s tile grid of ``rows`` x
-    ``cols`` PEs that take ``cycles_per_group`` per ``group`` of K.
+    ``cols`` PEs that take ``cycles_per_group`` per group of K.
 
     Returns the compute and DRAM cycles of one GEMM, and its five float
     figures summed ``repeat`` times from 0.0.  Output-stationary: each wave
-    of output tiles walks all of K, padded to whole groups.
+    of output tiles walks all of K, padded to whole groups by the array's
+    ``grouping`` (:meth:`GroupingConfig.n_groups`); the FP16 baseline's
+    grouping is one ``DOT_WIDTH``-wide dot.
 
     Weights cost ``bits_per_weight`` each, for the bit-serial array
     :func:`bitmod.quant.memory_footprint_bits`: ``bits_per_code`` bits a
@@ -314,13 +318,13 @@ def _gemm(m: int, k: int, n: int, repeat: int, cfg: ArchConfig, rows: int,
     if m <= 0 or k <= 0 or n <= 0:
         raise ConfigError("non-positive GEMM dimension in "
                           f"{LayerShape(m, k, n, repeat)}")
-    if group % DOT_WIDTH:
-        raise ConfigError(f"group size {group} not divisible "
+    if grouping.group_size % DOT_WIDTH:
+        raise ConfigError(f"group size {grouping.group_size} not divisible "
                           f"by dot width {DOT_WIDTH}")
     if repeat == 0:
         return 0, 0, _NO_FIGURES
     waves = -(-m // (cfg.tiles_y * rows)) * -(-n // (cfg.tiles_x * cols))
-    compute = waves * -(-k // group) * cycles_per_group
+    compute = waves * grouping.n_groups(k) * cycles_per_group
     try:
         # int / int rounds once, correctly: the float of the exact rational.
         weight_bytes = (k * n * bits_per_weight.numerator
@@ -352,11 +356,12 @@ def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
     if spec is None:
         # One 4-MAC dot in 4 cycles (one MAC per cycle) on the iso-area
         # baseline tile, 6x8 PEs by default against the bit-serial 8x8.
-        array = (cfg, cfg.baseline_pe_rows, cfg.baseline_pe_cols, DOT_WIDTH,
-                 FP16_MAC_CYCLES_PER_DOT, FP16_BITS_PER_WEIGHT)
+        array = (cfg, cfg.baseline_pe_rows, cfg.baseline_pe_cols,
+                 _FP16_GROUPING, FP16_MAC_CYCLES_PER_DOT,
+                 FP16_BITS_PER_WEIGHT)
     else:
-        g = grouping.group_size
-        array = (cfg, cfg.pe_rows, cfg.pe_cols, g, group_cycles(spec, g),
+        array = (cfg, cfg.pe_rows, cfg.pe_cols, grouping,
+                 group_cycles(spec, grouping.group_size),
                  memory_footprint_bits(spec, grouping))
     compute = dram = total = 0
     floats = _NO_FIGURES

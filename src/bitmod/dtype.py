@@ -165,14 +165,16 @@ class GroupingConfig:
 
     Channels whose size is not a multiple of ``group_size`` are padded with
     zeros up to the next multiple; padded lanes quantize like weights of
-    value 0 and are excluded from error metrics.
+    value 0 and are excluded from error metrics.  ``group_size`` is a
+    positive Python or numpy integer, not a bool.
     """
 
     group_size: int = 128
 
     def __post_init__(self):
-        if self.group_size < 1:
-            raise ValueError("group_size must be positive")
+        g = self.group_size
+        if type(g) is bool or not isinstance(g, (int, np.integer)) or g < 1:
+            raise ValueError(f"group_size must be an integer >= 1, got {g!r}")
 
     def n_groups(self, size: int) -> int:
         """Groups in a channel of ``size`` weights, the last one padded."""
@@ -206,7 +208,8 @@ def code_range(spec: DataTypeSpec) -> tuple[int, int]:
 
 
 # The unsigned 8-bit group scale the PE multiplies by and a record stores.
-SCALE_Q_RANGE = (0, 255)
+SCALE_Q_BITS = 8
+SCALE_Q_RANGE = (0, (1 << SCALE_Q_BITS) - 1)
 
 
 def sv_range(spec: DataTypeSpec) -> tuple[int, int]:

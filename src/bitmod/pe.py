@@ -45,13 +45,14 @@ import numpy as np
 
 from . import _kernels
 from .bitserial import term_table
-from .dtype import SCALE_Q_RANGE, DataTypeSpec, check_range, code_range
+from .dtype import (SCALE_Q_BITS, SCALE_Q_RANGE, DataTypeSpec, check_range,
+                    code_range)
 from .errors import ShapeMismatch
 from .quant import QuantizedGroup
 
 DOT_WIDTH = 4
 # The bit-serial dequantizer's latency: one shift-and-add per scale bit.
-DEQUANT_CYCLES = 8
+DEQUANT_CYCLES = SCALE_Q_BITS
 # The baseline FP16 MAC PE does one multiply-accumulate per cycle, so a
 # DOT_WIDTH-wide dot takes this many cycles.
 FP16_MAC_CYCLES_PER_DOT = DOT_WIDTH
@@ -62,11 +63,12 @@ def decode_fp16(values):
 
     Each value is rounded to FP16; its operand is ``(-1)^s * a_m * 2^a_e``,
     the 11-bit mantissa (hidden bit included) times 2 to the biased
-    exponent, which is the value times 2^25.  Operands are below 2^41, so
-    float64 holds them exactly.  Subnormals flush to zero; a NaN or
-    infinite value, including one that overflows FP16, raises
-    ``ValueError``: the gather, :func:`_gather_fp16`, then its check that
-    no operand is NaN.  :func:`group_dot` runs the gather alone.
+    exponent, which is the value times ``2^OPERAND_SHIFT`` (2^25, in
+    :mod:`bitmod._kernels`).  Operands are below 2^41, so float64 holds
+    them exactly.  Subnormals flush to zero; a NaN or infinite value,
+    including one that overflows FP16, raises ``ValueError``: the gather,
+    :func:`_gather_fp16`, then its check that no operand is NaN.
+    :func:`group_dot` runs the gather alone.
     """
     ops = _gather_fp16(values)
     if math.isnan(ops.max(initial=0.0)):
@@ -98,7 +100,7 @@ def _fp16_operands() -> np.ndarray:
     exponent = bits & 0x7C00
     ops = bits.view(np.float16).astype(np.float64)
     with np.errstate(invalid="ignore"):  # scaling the NaN patterns
-        ops *= 2.0 ** 25
+        ops *= 2.0 ** _kernels.OPERAND_SHIFT
     ops[exponent == 0] = 0.0  # zeros and subnormals
     ops[exponent == 0x7C00] = np.nan  # NaN and infinity
     ops.flags.writeable = False

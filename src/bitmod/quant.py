@@ -4,9 +4,12 @@ Symmetric/asymmetric integer quantization, FP grid quantization with
 per-group special-value adaptation, second-level INT8 quantization of the
 per-group scaling factors, and error metrics.  :func:`quantize_groups` is
 the one group quantizer for every dtype: it takes groups as the rows of an
-(n, G) array, so a single group is an array with one row.  A tensor is
-quantized into one :class:`QuantizedTensor` (``qt[i]`` is channel ``i``) in
-chunks of whole channels, about ``CHUNK_WEIGHTS`` weights each, one
+(n, G) array, so a single group is an array with one row.  Its INT
+branches read their top code from the dtype's grid, which
+:mod:`bitmod.dtype` builds: ``qmax`` of a symmetric type and ``2^b - 1``
+of an asymmetric one.  A tensor is quantized into one
+:class:`QuantizedTensor` (``qt[i]`` is channel ``i``) in chunks of whole
+channels, about ``CHUNK_WEIGHTS`` weights each, one
 :func:`quantize_groups` call per chunk.
 
 The nearest grid value is found by counting the midpoints of adjacent
@@ -36,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dtype import (DataTypeSpec, GroupingConfig, check_range, code_range,
-                    sv_range)
+from .dtype import (SCALE_Q_BITS, DataTypeSpec, GroupingConfig, check_range,
+                    code_range, sv_range)
 from .errors import LengthMismatch, UnsupportedDtype
 
 
@@ -150,17 +153,14 @@ def _divisor(delta):
     return np.where(delta == 0, 1.0, delta)[..., None]
 
 
-def quantize_symmetric(group, bits: int):
-    """Symmetric integer quantization along the last axis.
+def _quantize_symmetric(w: np.ndarray, qmax: int):
+    """Symmetric integer quantization along the last axis onto the codes
+    ``-qmax..qmax``.
 
     Returns (int8 codes, delta); ``delta`` has the leading shape (a scalar
     for one group) and is 0 for an all-zero group, whose codes are 0, as
     are those of a group whose delta underflows to 0.
     """
-    if not 2 <= bits <= 8:
-        raise ValueError("bits must be in [2, 8]")
-    w = np.asarray(group, dtype=np.float64)
-    qmax = (1 << (bits - 1)) - 1
     # A NaN or an Inf in a group makes its absmax NaN or Inf.
     absmax = check_finite(np.max(np.abs(w), axis=-1, initial=0.0))
     delta = absmax / qmax
@@ -168,18 +168,15 @@ def quantize_symmetric(group, bits: int):
     return codes.astype(np.int8), delta[()]
 
 
-def quantize_asymmetric(group, bits: int):
-    """Asymmetric integer quantization along the last axis.
+def _quantize_asymmetric(w: np.ndarray, qmax: int):
+    """Asymmetric integer quantization along the last axis onto the codes
+    ``0..qmax``.
 
     Returns (uint8 codes, delta, zero_point), the last two with the
     leading shape.  A constant group, or one whose delta underflows to 0,
     is degenerate: codes, delta and zero-point are 0, so it dequantizes
     to 0.
     """
-    if not 2 <= bits <= 8:
-        raise ValueError("bits must be in [2, 8]")
-    w = np.asarray(group, dtype=np.float64)
-    qmax = (1 << bits) - 1
     # A NaN in a group makes its min and max NaN, an Inf one of them.
     lo = check_finite(np.min(w, axis=-1))
     rng = check_finite(np.max(w, axis=-1)) - lo
@@ -320,8 +317,11 @@ def quantize_groups(rows, spec: DataTypeSpec, out=None):
 
     FP types try every candidate grid of the dtype (one for a basic type),
     each scaled by its own absmax: delta = max|w| / grid absmax.  A row
-    keeps the grid of least MSE, the lowest index on ties.  INT types use
-    :func:`quantize_symmetric` or :func:`quantize_asymmetric`.
+    keeps the grid of least MSE, the lowest index on ties.  INT types
+    round onto their grid's codes, up to its top code ``grids[0][-1]``:
+    ``-qmax..qmax`` for a symmetric type (:func:`_quantize_symmetric`) and
+    ``0..2^b - 1`` with a zero-point for an asymmetric one
+    (:func:`_quantize_asymmetric`).
 
     Returns (codes, delta, sv_index, zero_point), the last three one per
     row: codes of ``spec.code_dtype``, uint8 ``sv_index``, all 0 for a
@@ -333,11 +333,11 @@ def quantize_groups(rows, spec: DataTypeSpec, out=None):
         codes, delta, sv_index, _ = _best_grid(rows, spec, out=out)
         return codes, delta, sv_index, None
     zero_point = None
+    qmax = int(spec.grids[0][-1])
     if spec.asymmetric:
-        codes, delta, zero_point = quantize_asymmetric(rows,
-                                                       spec.bits_per_code)
+        codes, delta, zero_point = _quantize_asymmetric(rows, qmax)
     else:
-        codes, delta = quantize_symmetric(rows, spec.bits_per_code)
+        codes, delta = _quantize_symmetric(rows, qmax)
     if out is not None:
         out[...] = codes
         codes = out
@@ -501,11 +501,11 @@ def error_report(original, dequantized) -> ErrorReport:
 def memory_footprint_bits(spec: DataTypeSpec, grouping: GroupingConfig) -> Fraction:
     """Stored bits per weight including per-group metadata.
 
-    A symmetric type carries an 8-bit scale and a ``sv_bits``-wide
-    special-value index per group (2 bits for the BitMoD types, none for
-    the others).  The asymmetric-INT software baseline is modeled with a
-    16-bit scale and an 8-bit zero-point per group.
+    A symmetric type carries a ``SCALE_Q_BITS``-wide scale and a
+    ``sv_bits``-wide special-value index per group (2 bits for the BitMoD
+    types, none for the others).  The asymmetric-INT software baseline is
+    modeled with a 16-bit scale and an 8-bit zero-point per group.
     """
-    overhead = 16 + 8 if spec.asymmetric else 8 + spec.sv_bits
+    overhead = 16 + 8 if spec.asymmetric else SCALE_Q_BITS + spec.sv_bits
     return Fraction(spec.bits_per_code) + Fraction(overhead,
                                                    grouping.group_size)

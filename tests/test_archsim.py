@@ -137,6 +137,11 @@ def test_simulate_layer_k_padding_and_repeat():
                           G128).total_cycles == 0
     with pytest.raises(ConfigError):
         simulate_layer(LayerShape(m=0, k=8, n=8), spec, G128)
+    # The FP16 baseline pads K to whole DOT_WIDTH-wide dots: 26 dots of 4
+    # cycles each, for K = 102 as for K = 104.
+    for k in (102, 104):
+        assert baseline_fp16_layer(LayerShape(m=4, k=k, n=8)
+                                   ).compute_cycles == 26 * 4
 
 
 @pytest.mark.parametrize("simulate", [

@@ -1,7 +1,9 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bitmod.dtype import (
@@ -118,13 +120,18 @@ def test_er_preserves_absmax_ea_extends_it():
 
 
 def test_grouping_config_rejects_nonpositive_group_size():
-    for g in (0, -128):
-        with pytest.raises(ValueError):
+    # A float, a bool, a string and None used to be accepted, or refused by
+    # a bare comparison, and failed later with numpy's or Fraction's
+    # TypeError.
+    for g in (0, -1, -128, 128.0, True, "128", None):
+        message = f"group_size must be an integer >= 1, got {g!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GroupingConfig(group_size=g)
 
 
 @pytest.mark.parametrize("g, size, n_groups", [
-    (128, 300, 3), (128, 256, 2), (32, 1, 1), (7, 300, 43), (1, 5, 5)])
+    (128, 300, 3), (128, 256, 2), (32, 1, 1), (7, 300, 43), (1, 5, 5),
+    (np.int64(128), 300, 3)])
 def test_grouping_config_counts_padded_groups(g, size, n_groups):
     assert GroupingConfig(group_size=g).n_groups(size) == n_groups
 

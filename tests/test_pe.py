@@ -22,8 +22,8 @@ from bitmod.pe import (
     group_cycles,
     group_dot,
 )
-from bitmod.quant import (QuantizedGroup, dequantize_tensor,
-                          quantize_symmetric, quantize_tensor)
+from bitmod.quant import (QuantizedGroup, _quantize_symmetric,
+                          dequantize_tensor, quantize_tensor)
 
 
 def make_group(rng, spec, g, outlier=False, shift=0.0):
@@ -432,8 +432,9 @@ def test_group_dot_code_dtypes_agree(name, codes):
 
 def test_encode_group_terms_layout():
     spec = spec_for("INT6_SYM")
-    codes, _ = quantize_symmetric([1.0, -1.0, 0.5, 0.25, -0.75, 0.0, 0.125,
-                                   -0.5], 6)
+    # INT6_SYM's top code is (1 << (6 - 1)) - 1 = 31.
+    codes, _ = _quantize_symmetric([1.0, -1.0, 0.5, 0.25, -0.75, 0.0, 0.125,
+                                    -0.5], (1 << (6 - 1)) - 1)
     w = encode_group_terms(QuantizedGroup(codes=codes), spec)
     # Lane-major: lane l of quad q is weight 4q + l.
     assert w.shape == (4, 2, 3) and w.dtype == np.float64

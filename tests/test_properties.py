@@ -14,9 +14,9 @@ from bitmod.quant import (
     QuantizedGroup,
     _count_above,
     _midpoints,
+    _quantize_symmetric,
     _shared_scales,
     quantize_scales,
-    quantize_symmetric,
 )
 
 
@@ -67,7 +67,8 @@ def test_scale_quantization_bound_holds(deltas):
                 min_size=1, max_size=32),
        st.integers(min_value=2, max_value=8))
 def test_symmetric_quantization_error_bound(values, bits):
-    codes, delta = quantize_symmetric(values, bits)
+    qmax = (1 << (bits - 1)) - 1
+    codes, delta = _quantize_symmetric(values, qmax)
     err = np.abs(np.asarray(values) - codes * delta)
     bound = delta / 2 * (1 + 1e-12)
     # A subnormal delta = fl(absmax / qmax) is off by up to half its fixed
@@ -77,7 +78,6 @@ def test_symmetric_quantization_error_bound(values, bits):
     # underflows to 0 gives codes 0, and then |w| <= absmax <= that same
     # miss.  A normal delta's ulp is relative, inside the 1e-12 slack.
     if delta < np.finfo(np.float64).tiny:
-        qmax = (1 << (bits - 1)) - 1
         bound += qmax * 2.0 ** -1074 / 2
     assert np.all(err <= bound)
 

@@ -17,19 +17,29 @@ from bitmod.quant import (
     CHUNK_WEIGHTS,
     ErrorReport,
     _best_grid,
+    _quantize_asymmetric,
+    _quantize_symmetric,
     adaptive_quant,
     dequantize_tensor,
     error_report,
     memory_footprint_bits,
-    quantize_asymmetric,
     quantize_groups,
     quantize_scales,
-    quantize_symmetric,
     quantize_tensor,
     round_half_away,
 )
 
 F = Fraction
+
+
+def sym_qmax(bits):
+    """The top code of a symmetric INT type of ``bits`` bits."""
+    return (1 << (bits - 1)) - 1
+
+
+def asym_qmax(bits):
+    """The top code of an asymmetric INT type of ``bits`` bits."""
+    return (1 << bits) - 1
 
 
 def grid_f(spec, sv_index=0):
@@ -42,7 +52,7 @@ def test_round_half_away():
 
 
 def test_quantize_symmetric_hand_example():
-    codes, delta = quantize_symmetric([2.0, -1.0, 0.4], 3)
+    codes, delta = _quantize_symmetric([2.0, -1.0, 0.4], sym_qmax(3))
     # absmax 2, qmax 3 -> delta 2/3; scaled [3, -1.5, 0.6] -> [3, -2, 1]
     assert delta == pytest.approx(2 / 3)
     assert codes.tolist() == [3, -2, 1]
@@ -52,7 +62,7 @@ def test_quantize_symmetric_roundtrip_bound():
     rng = np.random.default_rng(7)
     for bits in (3, 4, 6, 8):
         w = rng.standard_normal(256)
-        codes, delta = quantize_symmetric(w, bits)
+        codes, delta = _quantize_symmetric(w, sym_qmax(bits))
         err = np.abs(w - codes * delta)
         assert np.all(err <= delta / 2 + 1e-12)
 
@@ -60,7 +70,7 @@ def test_quantize_symmetric_roundtrip_bound():
 def test_quantize_symmetric_degenerate_zero_group():
     # All zero, or so small that delta underflows to 0: codes are 0.
     for group, bits in ((np.zeros(8), 4), ([5e-324], 3)):
-        codes, delta = quantize_symmetric(group, bits)
+        codes, delta = _quantize_symmetric(group, sym_qmax(bits))
         assert delta == 0.0 and not codes.any()
     # On an FP grid the codes all index the value 0.
     spec = spec_for("FP3_BASIC")
@@ -70,7 +80,7 @@ def test_quantize_symmetric_degenerate_zero_group():
 
 
 def test_quantize_asymmetric_hand_example():
-    codes, delta, z = quantize_asymmetric([-1.0, 0.0, 2.0], 2)
+    codes, delta, z = _quantize_asymmetric([-1.0, 0.0, 2.0], asym_qmax(2))
     # range 3, qmax 3 -> delta 1, z = 1; codes = [0, 1, 3]
     assert delta == pytest.approx(1.0)
     assert z == 1
@@ -80,7 +90,7 @@ def test_quantize_asymmetric_hand_example():
 def test_quantize_asymmetric_constant_group():
     # Constant, or a range so small that delta underflows to 0.
     for group, bits in (([5.0, 5.0, 5.0], 4), ([0.0, 5e-324], 3)):
-        codes, delta, z = quantize_asymmetric(group, bits)
+        codes, delta, z = _quantize_asymmetric(group, asym_qmax(bits))
         assert delta == 0.0 and z == 0 and not codes.any()
 
 
@@ -88,7 +98,7 @@ def test_quantize_asymmetric_roundtrip_bound():
     rng = np.random.default_rng(8)
     for bits in (3, 4, 6):
         w = rng.standard_normal(256) + 0.7
-        codes, delta, z = quantize_asymmetric(w, bits)
+        codes, delta, z = _quantize_asymmetric(w, asym_qmax(bits))
         err = np.abs(w - (codes - z) * delta)
         # The zero-point itself is rounded, costing up to delta/2 extra.
         assert np.all(err <= delta + 1e-12)
@@ -417,12 +427,12 @@ def test_tensor_roundtrip_shape_and_finiteness_checks():
     (lambda w: adaptive_quant(w, spec_for("FP3_BITMOD")), False),
     (lambda w: quantize_groups(np.atleast_2d(w), spec_for("FP4_BASIC")),
      True),
-    (lambda w: quantize_symmetric(w, 4), True),
-    (lambda w: quantize_asymmetric(w, 4), True),
+    (lambda w: _quantize_symmetric(w, sym_qmax(4)), True),
+    (lambda w: _quantize_asymmetric(w, asym_qmax(4)), True),
 ], ids=["adaptive", "nonlinear", "symmetric", "asymmetric"])
 def test_quantizers_reject_non_finite_input(quantize, batches, bad):
     # NaN used to come back as codes [7, 7, 7, 7] with delta and mse NaN
-    # (adaptive_quant) or as codes of -2**63 (quantize_symmetric).
+    # (adaptive_quant) or as codes of -2**63 (_quantize_symmetric).
     with pytest.raises(ValueError, match="NaN or Inf"):
         quantize(np.array([1.0, bad, 0.5, 2.0]))
     if batches:  # a bad value in a later group of a batch
@@ -595,13 +605,6 @@ def test_dequantize_tensor_memory_beyond_output():
         out, peak = _traced_peak(dequantize_tensor, qt)
         _same_array(out, fancy_index_dequantize(qt))
         assert peak - out.nbytes < 10 * CHUNK_WEIGHTS, name
-
-
-@pytest.mark.parametrize("bits", (1, 9))
-@pytest.mark.parametrize("quantize", (quantize_symmetric, quantize_asymmetric))
-def test_integer_quantizers_refuse_bits_outside_2_to_8(quantize, bits):
-    with pytest.raises(ValueError, match=re.escape("bits must be in [2, 8]")):
-        quantize(np.ones(4), bits)
 
 
 def test_negation_symmetry():
