@@ -47,11 +47,13 @@ from itertools import groupby
 
 from .dtype import DataTypeSpec, GroupingConfig
 from .errors import ConfigError, ParseError
-from .pe import (DEQUANT_CYCLES, DOT_WIDTH, FP16_MAC_CYCLES_PER_DOT,
-                 group_cycles)
+from .pe import DEQUANT_CYCLES, DOT_WIDTH, group_cycles
 from .quant import memory_footprint_bits
 
 FP16_BITS_PER_WEIGHT = Fraction(16)
+# The baseline FP16 MAC PE does one multiply-accumulate per cycle, so a
+# DOT_WIDTH-wide dot takes this many cycles.
+FP16_MAC_CYCLES_PER_DOT = DOT_WIDTH
 # The FP16 baseline walks K one DOT_WIDTH-wide dot at a time.
 _FP16_GROUPING = GroupingConfig(group_size=DOT_WIDTH)
 

@@ -198,15 +198,3 @@ def _term_table(spec: DataTypeSpec, sv_index: int) -> np.ndarray:
 
 def term_value_sum(terms) -> Fraction:
     return sum((t.value for t in terms), Fraction(0))
-
-
-__all__ = [
-    "BitSerialTerm",
-    "FixedPointCode",
-    "booth_encode",
-    "fixed_point_of",
-    "lod_decode",
-    "encode_weight",
-    "term_table",
-    "term_value_sum",
-]

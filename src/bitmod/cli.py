@@ -28,8 +28,8 @@ from . import KERNEL_BACKEND, __version__
 from . import archsim, packfile, synth
 from .bitserial import encode_weight, term_value_sum
 from .dtype import DataType, GroupingConfig, spec_for
-from .errors import (BitmodError, ConfigError, ParseError, TooManySetBits,
-                     UnrepresentableValue, UnsupportedDtype)
+from .errors import (BitmodError, ConfigError, FormatError, ParseError,
+                     TooManySetBits, UnrepresentableValue, UnsupportedDtype)
 from .quant import (
     dequantize_tensor,
     error_report,
@@ -77,7 +77,7 @@ def _load_npy(path: str) -> np.ndarray:
 
     The header is checked before the array is read, so a shape the bytes
     after it cannot hold allocates nothing; every refusal is one
-    ``ValueError`` line that names the file.
+    :class:`FormatError` that names the file.
     """
     fmt = np.lib.format
     with open(path, "rb") as fh:
@@ -92,27 +92,27 @@ def _load_npy(path: str) -> np.ndarray:
             shape, fortran_order, dtype = read(fh)
         except (ValueError, tokenize.TokenError) as exc:
             reason = str(exc).partition("\n")[0]
-            raise ValueError(f"{path}: not an NPY file ({reason})") from None
+            raise FormatError(f"{path}: not an NPY file ({reason})") from None
         if dtype not in (np.float16, np.float32):
-            raise ValueError(f"{path}: expected float32/float16, got {dtype}")
+            raise FormatError(f"{path}: expected float32/float16, got {dtype}")
         # numpy's header check takes a bool for an int.
         if len(shape) != 2 or any(isinstance(n, bool) for n in shape):
-            raise ValueError(f"{path}: expected a 2-D tensor, got shape "
-                             f"{shape}")
+            raise FormatError(f"{path}: expected a 2-D tensor, got shape "
+                              f"{shape}")
         if min(shape) < 0:
-            raise ValueError(f"{path}: NPY header's shape {shape} has a "
-                             "negative dimension")
+            raise FormatError(f"{path}: NPY header's shape {shape} has a "
+                              "negative dimension")
         if 0 in shape:
-            raise ValueError(f"{path}: tensor is empty, shape {shape}")
+            raise FormatError(f"{path}: tensor is empty, shape {shape}")
         count = math.prod(shape)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if count * dtype.itemsize > left:
-            raise ValueError(f"{path}: NPY header's shape {shape} does not "
-                             f"fit the {left} bytes after it")
+            raise FormatError(f"{path}: NPY header's shape {shape} does not "
+                              f"fit the {left} bytes after it")
         arr = np.fromfile(fh, dtype=dtype, count=count)
     arr = arr.reshape(shape, order="F" if fortran_order else "C")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{path}: tensor contains NaN/Inf")
+        raise FormatError(f"{path}: tensor contains NaN/Inf")
     return arr.astype(np.float32, copy=False)
 
 
@@ -163,7 +163,7 @@ def cmd_quant_eval(args) -> int:
     for path in args.tensors:
         try:
             tensor = _load_npy(path)
-        except (OSError, ValueError) as exc:
+        except (OSError, FormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             failures += 1
             continue
@@ -323,11 +323,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_pack(args) -> int:
-    try:
-        tensor = _load_npy(args.tensor)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    tensor = _load_npy(args.tensor)
     spec = spec_for(args.dtype)
     grouping = GroupingConfig(group_size=args.group_size)
     qt = quantize_tensor(tensor, spec, grouping)
@@ -405,10 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
                            f"(kernel backend: {KERNEL_BACKEND})")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt=True):
+    def common(sp):
         sp.add_argument("--out", default=None, help="output path")
-        if fmt:
-            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     g = sub.add_parser("gen", help="generate a synthetic tensor (NPY)")
     g.add_argument("--dist", choices=synth.DISTRIBUTIONS, default="gaussian")

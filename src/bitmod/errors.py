@@ -5,10 +5,6 @@ class BitmodError(Exception):
     """Base class for all bitmod errors."""
 
 
-class LengthMismatch(BitmodError):
-    pass
-
-
 class OutOfRange(BitmodError):
     pass
 
@@ -50,7 +46,8 @@ class ParseError(BitmodError):
 
 
 class FormatError(BitmodError):
-    """Packed-file violation; carries the byte offset of the problem."""
+    """A malformed input file, BMOD or NPY; carries the byte offset of the
+    problem when it is known."""
 
     def __init__(self, message, offset=None):
         if offset is not None:

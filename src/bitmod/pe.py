@@ -38,8 +38,8 @@ an error does it run the checks that name the first bad field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +53,6 @@ from .quant import QuantizedGroup
 DOT_WIDTH = 4
 # The bit-serial dequantizer's latency: one shift-and-add per scale bit.
 DEQUANT_CYCLES = SCALE_Q_BITS
-# The baseline FP16 MAC PE does one multiply-accumulate per cycle, so a
-# DOT_WIDTH-wide dot takes this many cycles.
-FP16_MAC_CYCLES_PER_DOT = DOT_WIDTH
 
 
 def decode_fp16(values):
@@ -107,8 +104,7 @@ def _fp16_operands() -> np.ndarray:
     return ops
 
 
-@dataclass(frozen=True)
-class GroupPartialSum:
+class GroupPartialSum(NamedTuple):
     m_grp: int
     e_grp: int
 
@@ -124,7 +120,7 @@ def bit_serial_dequant(m_acc: int, e_acc: int, scale_q: int):
     0..255 raises :class:`OutOfRange`.
     """
     check_range("scale_q", scale_q, *SCALE_Q_RANGE)
-    return GroupPartialSum(m_grp=m_acc * int(scale_q), e_grp=e_acc)
+    return GroupPartialSum(m_acc * int(scale_q), e_acc)
 
 
 def group_cycles(spec: DataTypeSpec, g: int) -> int:
@@ -208,4 +204,5 @@ def drain_accumulate(partials, channel_scale: float) -> np.float32:
     """
     if not partials:
         raise ValueError("at least one partial sum required")
-    return np.float32(math.fsum(p.value for p in partials) * channel_scale)
+    return np.float32(math.fsum(math.ldexp(m, e) for m, e in partials)
+                      * channel_scale)

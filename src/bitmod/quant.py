@@ -41,7 +41,7 @@ import numpy as np
 
 from .dtype import (SCALE_Q_BITS, DataTypeSpec, GroupingConfig, check_range,
                     code_range, sv_range)
-from .errors import LengthMismatch, UnsupportedDtype
+from .errors import ShapeMismatch, UnsupportedDtype
 
 
 def round_half_away(x):
@@ -482,7 +482,7 @@ def error_report(original, dequantized) -> ErrorReport:
     w = np.asarray(original)
     w_hat = np.asarray(dequantized)
     if w.shape != w_hat.shape:
-        raise LengthMismatch(f"{w.shape} vs {w_hat.shape}")
+        raise ShapeMismatch(f"{w.shape} vs {w_hat.shape}")
     if not w.size:
         return ErrorReport(mse=0.0, normalized_error=0.0, max_abs_error=0.0)
     # One float64 buffer beside the inputs, reused for every term.
@@ -497,7 +497,7 @@ def error_report(original, dequantized) -> ErrorReport:
     )
 
 
-@cache  # the simulator asks once per layer
+@cache  # asked once per simulation and once per CLI output row
 def memory_footprint_bits(spec: DataTypeSpec, grouping: GroupingConfig) -> Fraction:
     """Stored bits per weight including per-group metadata.
 

@@ -14,9 +14,10 @@ import pe_oracle
 from conftest import (exact_dot, nearest_grid_index, oracle_acts,
                       oracle_weight_terms, single_outlier_groups)
 from bitmod import archsim, packfile, synth
+from bitmod.archsim import FP16_MAC_CYCLES_PER_DOT
 from bitmod.bitserial import encode_weight, term_value_sum
 from bitmod.dtype import GroupingConfig, effective_grid, spec_for
-from bitmod.pe import FP16_MAC_CYCLES_PER_DOT, group_dot
+from bitmod.pe import group_dot
 from bitmod.quant import (
     adaptive_quant,
     dequantize_tensor,

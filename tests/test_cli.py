@@ -16,6 +16,7 @@ from conftest import PACKABLE
 from bitmod import archsim, cli, synth
 from bitmod.cli import main
 from bitmod.dtype import DataType, GroupingConfig, spec_for
+from bitmod.errors import FormatError
 from bitmod.packfile import unpack, unpack_to_tensor
 from bitmod.quant import dequantize_tensor
 
@@ -585,6 +586,10 @@ def test_malformed_npy_is_one_line_error(verb, kind, tmp_path, capsys):
     assert str(path) in err
     if kind == "nan-value":
         assert err == f"error: {path}: tensor contains NaN/Inf\n"
+    # The refusal is a FormatError, and its text is the line printed.
+    with pytest.raises(FormatError) as refused:
+        cli._load_npy(str(path))
+    assert err == f"error: {refused.value}\n"
     if verb == "pack":
         assert not out.exists()
     else:

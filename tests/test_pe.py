@@ -7,6 +7,7 @@ import pytest
 import pe_oracle
 from conftest import PE_DTYPES, exact_dot, oracle_acts, oracle_weight_terms
 from bitmod import _kernels, bitserial, synth
+from bitmod.archsim import FP16_MAC_CYCLES_PER_DOT
 from bitmod.bitserial import encode_weight, term_table
 from bitmod.dtype import (GroupingConfig, code_range, effective_grid,
                           spec_for, sv_range)
@@ -14,7 +15,6 @@ from bitmod.errors import (InvalidSpecialValueIndex, OutOfRange,
                            ShapeMismatch, UnsupportedDtype)
 from bitmod.pe import (
     DEQUANT_CYCLES,
-    FP16_MAC_CYCLES_PER_DOT,
     bit_serial_dequant,
     decode_fp16,
     drain_accumulate,

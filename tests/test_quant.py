@@ -11,8 +11,8 @@ import pytest
 from conftest import nearest_grid_index, per_grid_best_grid
 from bitmod import synth
 from bitmod.dtype import DataType, GroupingConfig, effective_grid, spec_for
-from bitmod.errors import (InvalidSpecialValueIndex, LengthMismatch,
-                           OutOfRange, UnsupportedDtype)
+from bitmod.errors import (InvalidSpecialValueIndex, OutOfRange,
+                           ShapeMismatch, UnsupportedDtype)
 from bitmod.quant import (
     CHUNK_WEIGHTS,
     ErrorReport,
@@ -625,7 +625,7 @@ def test_error_report():
     zero = error_report(np.zeros(4), np.zeros(4))
     assert zero.normalized_error == 0.0
     assert error_report(np.zeros(0), np.zeros(0)) == ErrorReport(0.0, 0.0, 0.0)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         error_report([1.0], [1.0, 2.0])
 
 
