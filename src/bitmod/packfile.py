@@ -13,13 +13,17 @@ Little-endian layout:
 ``pack`` checks a :class:`bitmod.quant.QuantizedTensor` against what the
 format holds, then fills one preallocated file body, a (channels,
 4 + n_groups * record) uint8 view, bit-packing the codes in chunks of whole
-channels, about ``quant.CHUNK_WEIGHTS`` weights each, 8 codes to a
-little-endian word.  ``unpack`` reads and checks the same chunks, each as
-one such view of the file.  It reads a row's codes as fixed-width fields
-of whole codes: one byte (two 4-bit codes, or one 8-bit code) or 12 bits
-(four 3-bit codes, or two 6-bit codes; two fields in three bytes).  Each
-field is one index into a table of its codes, already sign-extended for
-INT types, built on first use per code width and signedness.
+channels, about ``quant.CHUNK_WEIGHTS`` weights each.  Each run of 8 codes,
+one byte each, is one little-endian uint64 that a SWAR fold ("SIMD within
+a register") packs in place: three mask-and-shift steps join byte pairs,
+then 16-bit pairs, then 32-bit pairs, which leaves the run's codes LSB
+first in its first ``bits_per_code`` bytes.  ``unpack`` reads and checks
+the same chunks, each as one such view of the file.  It reads a row's
+codes as fixed-width fields of whole codes: one byte (two 4-bit codes, or
+one 8-bit code) or 12 bits (four 3-bit codes, or two 6-bit codes; two
+fields in three bytes).  Each field is one index into a table of its
+codes, already sign-extended for INT types, built on first use per code
+width and signedness.
 
 Asymmetric INT types carry a zero-point the format has no field for; they
 are software baselines, so ``pack`` refuses them and ``unpack`` rejects
@@ -44,29 +48,63 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHIII")
 
 
+@cache
+def _fold_steps(bits: int) -> tuple:
+    """``(lo, hi, shift)`` of each step of ``_pack_codes``' fold of
+    ``bits``-bit codes: step ``s`` joins pairs of ``8 << s``-bit lanes that
+    each hold ``bits << s`` bits.  A step that would shift by 0 is left out,
+    so 8-bit codes need none."""
+    steps = []
+    for s in range(3):
+        width, lane = bits << s, 8 << s
+        if width == lane:
+            continue
+        lo = sum(((1 << width) - 1) << 2 * lane * i for i in range(4 >> s))
+        steps.append((np.uint64(lo), np.uint64(lo << lane),
+                      np.uint64(lane - width)))
+    return tuple(steps)
+
+
+@cache
+def _run_bytes(n: int, bits: int) -> np.ndarray:
+    """The index of each packed byte of a row of ``n`` folded codes: the
+    first ``bits`` bytes of each 8-byte run, up to the row's last byte."""
+    j = np.arange((n * bits + 7) // 8)
+    index = j // bits * 8 + j % bits
+    index.flags.writeable = False  # shared by every caller
+    return index
+
+
 def _pack_codes(codes, spec: DataTypeSpec) -> np.ndarray:
     """Bit-pack codes along the last axis: ``bits_per_code`` bits each,
-    LSB first, INT codes in two's complement, each row padded to a byte."""
+    LSB first, INT codes in two's complement, each row padded to a byte.
+
+    Each run of 8 codes, one byte each and zero-padded to whole runs, is
+    one little-endian uint64 whose byte ``i`` holds code ``i``.  A SWAR fold
+    then closes the gaps between them in place, in three steps of
+    ``_fold_steps``: ``t = w & hi; t >>= shift; w &= lo; w |= t`` joins
+    byte pairs, then 16-bit pairs, then 32-bit pairs.  Each step moves the
+    upper lane of a pair down against the lower one, so code ``i`` ends at
+    bit ``bits * i``: LSB-first order needs no step of its own.  The first
+    step's masks keep only each code's low ``bits`` bits, which cuts INT
+    codes to ``bits``-bit two's complement.  ``_run_bytes`` then gathers
+    each run's first ``bits`` bytes.  It is cached per (codes per row,
+    ``bits``), so the cache holds one small index for each group size and
+    code width a process packs.
+    """
     bits = spec.bits_per_code
     codes = np.asarray(codes)
     *lead, n = codes.shape
-    runs = -(-n // 8)
-    # One byte per code, the low ``bits`` bits as stored, zero-padded to
-    # whole runs of 8 codes.
-    stored = np.zeros((*lead, runs, 8), np.uint8)
-    stored.reshape(*lead, runs * 8)[..., :n] = codes
-    stored &= (1 << bits) - 1
-    # Each run is one little-endian word whose first ``bits`` bytes hold
-    # its 8 codes, LSB first.
-    word = stored[..., 0].astype("<u4" if bits <= 4 else "<u8")
-    for i in range(1, 8):
-        part = stored[..., i].astype(word.dtype)
-        part <<= bits * i
-        word |= part
-    # Gather each run's first ``bits`` bytes, up to the row's last byte.
-    j = np.arange((n * bits + 7) // 8)
-    return np.take(word.view(np.uint8).reshape(*lead, -1),
-                   j // bits * word.itemsize + j % bits, axis=-1)
+    stored = np.zeros((*lead, -(-n // 8) * 8), np.uint8)
+    stored[..., :n] = codes
+    word = stored.view("<u8")
+    t = np.empty_like(word)
+    for lo, hi, shift in _fold_steps(bits):
+        np.bitwise_and(word, hi, out=t)
+        t >>= shift
+        word &= lo
+        word |= t
+    return stored.take(_run_bytes(n, bits), axis=-1)
 
 
 def _field_bits(bits: int) -> int:

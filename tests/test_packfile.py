@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,66 @@ def test_unpack_codes_matches_bitplane_reference(name):
         assert got.shape == (*lead, count)
         assert np.array_equal(got, bitplane_unpack_codes(raw, count, spec)), \
             count
+
+
+@pytest.mark.parametrize("name", PACKABLE)
+def test_pack_codes_keeps_each_code_in_its_lane(name):
+    # Every code at every position of rows of 8 codes and of 13 (a partial
+    # last run), among neighbours of the lowest code, the highest code and,
+    # for INT types, the all-ones byte -1: a bit that leaks across a lane
+    # of the fold changes a neighbour.
+    spec = spec_for(name)
+    lo, hi = code_range(spec)
+    fills = (lo, hi) if spec.is_fp else (lo, hi, -1)
+    for n in (8, 13):
+        for fill in fills:
+            codes = np.full((hi - lo + 1, n, n), fill)
+            for p in range(n):
+                codes[:, p, p] = np.arange(lo, hi + 1)
+            codes = codes.astype(spec.code_dtype)
+            got = packfile._pack_codes(codes, spec)
+            assert np.array_equal(got, bitplane_pack_codes(codes, spec)), \
+                (n, fill)
+            assert np.array_equal(packfile._unpack_codes(got, n, spec), codes)
+
+
+@pytest.mark.parametrize("name", ["FP3_BITMOD", "INT6_SYM"])
+@pytest.mark.parametrize("g", [128, 100])
+def test_pack_of_strided_channels_leaves_the_tensor_alone(name, g):
+    # Every other channel is a strided view of the tensor's arrays; packing
+    # it writes the same bytes as a contiguous copy, and no code of the
+    # tensor.
+    _, qt, _ = roundtrip_tensor(np.random.default_rng(62), name, (9, 300), g)
+    before = qt.codes.copy()
+    half = qt[::2]
+    copy = dataclasses.replace(half, **{
+        f.name: np.ascontiguousarray(v) for f in dataclasses.fields(half)
+        if isinstance(v := getattr(half, f.name), np.ndarray)})
+    assert not half.codes.flags.c_contiguous and copy.codes.flags.c_contiguous
+    grouping = GroupingConfig(group_size=g)
+    assert packfile.pack(half, grouping, 300) == packfile.pack(copy,
+                                                               grouping, 300)
+    assert np.array_equal(qt.codes, before)
+
+
+def test_pack_memory_beyond_output():
+    # ``pack`` fills a bytearray and returns its bytes, so at the end it
+    # holds the file twice: 102 676 bytes beyond the output here.  One
+    # chunk's buffers (about 40 KB for 3-bit codes) stay below that copy;
+    # buffers for the whole tensor, over 256 KB, would not.  The packer that
+    # the SWAR fold replaced measured 104 254-105 075 bytes here; the bound
+    # leaves about 9% above that.
+    w = np.random.default_rng(23).standard_normal((64, 4096))
+    grouping = GroupingConfig(group_size=128)
+    qt = quantize_tensor(w, spec_for("FP3_BITMOD"), grouping)
+    tracemalloc.start()
+    try:
+        data = packfile.pack(qt, grouping, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 102_676
+    assert peak - len(data) < 112 << 10
 
 
 def test_repack_is_byte_identical():
