@@ -33,7 +33,7 @@ is one multiply-add, and the others jump a binade at a time, in float
 arithmetic.  Cycle counts are exact for any shape: every ceiling is an
 integer one.  A byte or energy total that overflows the float range, in
 one GEMM or over a workload, raises :class:`ConfigError` naming the layer
-or the workload.  One layer is the same pass over one GEMM.
+or the workload.
 """
 
 from __future__ import annotations
@@ -383,21 +383,6 @@ def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
                               "overflow the float range") from None
     w, a, c, s, d = floats
     return SimReport(compute, dram, total, w, a, EnergyBreakdown(c, s, d))
-
-
-def simulate_layer(layer: LayerShape, spec: DataTypeSpec,
-                   grouping: GroupingConfig, cfg: ArchConfig = ArchConfig()
-                   ) -> SimReport:
-    """Latency, traffic and energy of one GEMM on the bit-serial array."""
-    gemm = (layer.m, layer.k, layer.n, layer.repeat, 1)
-    return _simulate(str(layer), (gemm,), cfg, spec, grouping)
-
-
-def baseline_fp16_layer(layer: LayerShape,
-                        cfg: ArchConfig = ArchConfig()) -> SimReport:
-    """Same GEMM on the FP16 MAC baseline accelerator."""
-    gemm = (layer.m, layer.k, layer.n, layer.repeat, 1)
-    return _simulate(str(layer), (gemm,), cfg)
 
 
 def simulate_workload(w: WorkloadSpec, spec: DataTypeSpec,

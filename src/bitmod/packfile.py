@@ -172,9 +172,10 @@ def _channels(rows, rec: int):
 
 
 def pack(qt: QuantizedTensor, grouping: GroupingConfig,
-         channel_size: int) -> bytes:
+         channel_size: int) -> bytearray:
     """Serialize a quantized tensor to BMOD bytes; ``grouping`` and
-    ``channel_size`` must be those it was quantized with.
+    ``channel_size`` must be those it was quantized with.  Returns the
+    one buffer it filled, so the file is never held twice.
 
     A field the file cannot hold exactly, or that ``unpack`` would reject,
     raises :class:`OutOfRange` before any byte is written: a channel scale
@@ -214,7 +215,7 @@ def pack(qt: QuantizedTensor, grouping: GroupingConfig,
     # Chunks of whole channels keep the packer's temporaries small.
     for chunk in channel_chunks(k, n_groups * g):
         records[chunk, :, 2:] = _pack_codes(qt.codes[chunk], spec)
-    return bytes(out)
+    return out
 
 
 def _read_channels(rows, pos: int, spec: DataTypeSpec, g: int, rec: int):
@@ -314,12 +315,12 @@ def unpack(data: bytes):
     return qt, grouping, spec
 
 
-def unpack_to_tensor(data: bytes, dtype=np.float64) -> np.ndarray:
-    """Parse BMOD bytes and dequantize them into a (K, D) array of
-    ``dtype``, a chunk of channels at a time: each value is its float64
-    dequantization, rounded once to ``dtype``."""
+def unpack_to_tensor(data: bytes) -> np.ndarray:
+    """Parse BMOD bytes and dequantize them into a (K, D) float32 array, a
+    chunk of channels at a time: each value is its float64
+    dequantization, rounded once to float32."""
     qt, _, _ = unpack(data)
-    out = np.empty((len(qt), qt.valid_size), dtype)
+    out = np.empty((len(qt), qt.valid_size), np.float32)
     for chunk in channel_chunks(len(qt), qt.codes[0].size):
         out[chunk] = dequantize_tensor(qt[chunk])
     return out

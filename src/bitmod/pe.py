@@ -105,12 +105,10 @@ def _fp16_operands() -> np.ndarray:
 
 
 class GroupPartialSum(NamedTuple):
+    """A group's partial sum, exactly ``m_grp * 2^e_grp``."""
+
     m_grp: int
     e_grp: int
-
-    @property
-    def value(self) -> float:
-        return math.ldexp(self.m_grp, self.e_grp)
 
 
 def bit_serial_dequant(m_acc: int, e_acc: int, scale_q: int):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .dtype import (SCALE_Q_BITS, DataTypeSpec, GroupingConfig, check_range,
                     code_range, sv_range)
-from .errors import ShapeMismatch, UnsupportedDtype
+from .errors import ShapeMismatch
 
 
 def round_half_away(x):
@@ -52,12 +52,6 @@ def round_half_away(x):
 def check_finite(tensor: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(tensor)):
         raise ValueError("tensor contains NaN or Inf")
-    return tensor
-
-
-def _check_nonempty(tensor: np.ndarray) -> np.ndarray:
-    if tensor.size == 0:
-        raise ValueError(f"tensor is empty, shape {tensor.shape}")
     return tensor
 
 
@@ -317,7 +311,12 @@ def quantize_groups(rows, spec: DataTypeSpec, out=None):
 
     FP types try every candidate grid of the dtype (one for a basic type),
     each scaled by its own absmax: delta = max|w| / grid absmax.  A row
-    keeps the grid of least MSE, the lowest index on ties.  INT types
+    keeps the grid of least MSE, the lowest index on ties.  For a BitMoD
+    dtype that picks the special value: ER candidates are scaled by
+    max|w|/4 for FP3 (max|w|/6 for FP4), EA candidates by max|w|/6
+    (max|w|/8).  EA therefore also quantizes the bulk with a finer step:
+    for FP3 it wins on most Gaussian groups as well as on one-sided
+    outliers, and ER wins on flat, light-tailed groups.  INT types
     round onto their grid's codes, up to its top code ``grids[0][-1]``:
     ``-qmax..qmax`` for a symmetric type (:func:`_quantize_symmetric`) and
     ``0..2^b - 1`` with a zero-point for an asymmetric one
@@ -342,32 +341,6 @@ def quantize_groups(rows, spec: DataTypeSpec, out=None):
         out[...] = codes
         codes = out
     return codes, delta, np.zeros(len(rows), dtype=np.uint8), zero_point
-
-
-def adaptive_quant(group, spec: DataTypeSpec):
-    """Pick the special value minimizing group MSE (lowest index on ties):
-    :func:`quantize_groups` of one BitMoD group, with its MSE.
-
-    Each candidate grid is scaled by its own absmax: ER candidates by
-    max|w|/4 for FP3 (max|w|/6 for FP4), EA candidates by max|w|/6
-    (max|w|/8).  EA therefore also quantizes the bulk with a finer step:
-    for FP3 it wins on most Gaussian groups as well as on one-sided
-    outliers, and ER wins on flat, light-tailed groups.
-
-    Returns (QuantizedGroup, chosen special value, mse).  The group holds
-    the codes and ``sv_index``; its ``scale_q`` is 0, since group scales
-    are quantized per channel, from :func:`quantize_groups`' deltas.  A
-    group is 1-D: any other shape raises ``ValueError``.
-    """
-    if not spec.is_bitmod:
-        raise UnsupportedDtype(f"{spec.name} has no special values to adapt")
-    rows = _check_nonempty(np.asarray(group, dtype=np.float64))[None]
-    if rows.ndim != 2:
-        raise ValueError(f"a group is 1-D, got shape {rows.shape[1:]}")
-    codes, _, best, mse = _best_grid(rows, spec)
-    sv_index = int(best[0])
-    qg = QuantizedGroup(codes=codes[0], sv_index=sv_index)
-    return qg, spec.special_values[sv_index], float(mse[0])
 
 
 def quantize_scales(per_group_deltas):
@@ -408,7 +381,8 @@ def quantize_tensor(tensor, spec: DataTypeSpec,
     w = np.asarray(tensor)
     if w.ndim != 2:
         raise ValueError("tensor must be 2-D (out_channels x channel_size)")
-    _check_nonempty(w)
+    if w.size == 0:
+        raise ValueError(f"tensor is empty, shape {w.shape}")
     n_channels, size = w.shape
     g = grouping.group_size
     n_groups = grouping.n_groups(size)

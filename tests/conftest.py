@@ -1,8 +1,11 @@
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
 
 import pe_oracle
+from bitmod.archsim import (ArchConfig, WorkloadSpec, baseline_fp16_sim,
+                            simulate_workload)
 from bitmod.dtype import SPECS, effective_grid, spec_for
 from bitmod.quant import _count_above, _divisor, _shared_scales, check_finite
 
@@ -10,6 +13,17 @@ from bitmod.quant import _count_above, _divisor, _shared_scales, check_finite
 # computes with and the BMOD format packs.  No test depends on their order.
 PE_DTYPES = PACKABLE = tuple(str(name) for name, spec in SPECS.items()
                              if not spec.asymmetric)
+
+
+def one_gemm(layer, spec=None, grouping=None, cfg=ArchConfig()):
+    """The report of one GEMM, ``layer``, on the bit-serial array for
+    ``spec`` and ``grouping``, or on the FP16 baseline when ``spec`` is
+    None: a workload of ``layer`` alone, prefilled with ``layer.m`` tokens.
+    A workload skips a phase of no tokens, so ``m = 0`` costs nothing."""
+    w = WorkloadSpec(str(layer), (replace(layer, m=0),), layer.m, 0)
+    if spec is None:
+        return baseline_fp16_sim(w, cfg)
+    return simulate_workload(w, spec, grouping, cfg)
 
 
 @cache

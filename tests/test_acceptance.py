@@ -5,6 +5,7 @@ PASS/FAIL line (undiverted from pytest's capture) with the measured
 quantities, so a full run reads as a checklist.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from bitmod.bitserial import encode_weight, term_value_sum
 from bitmod.dtype import GroupingConfig, effective_grid, spec_for
 from bitmod.pe import group_dot
 from bitmod.quant import (
-    adaptive_quant,
+    _best_grid,
     dequantize_tensor,
     memory_footprint_bits,
     quantize_groups,
@@ -152,7 +153,7 @@ def test_criterion_04_monotonicity_and_ordering(capsys):
         sample = np.random.default_rng([SEED, 4, i]).choice(len(w), 50,
                                                             replace=False)
         for j in sample:
-            assert adaptive_quant(w[j], spec)[2] == mse[j], (dist, j)
+            assert _best_grid(w[j][None], spec)[3][0] == mse[j], (dist, j)
         if dist == "outlier_mixture":
             power = np.mean(w ** 2, axis=-1)
             m_basic = float(np.mean(basic_mse / power))
@@ -184,7 +185,8 @@ def test_criterion_05_special_value_selection(capsys):
         sample = np.random.default_rng([SEED, 5, tag]).choice(n, 50,
                                                               replace=False)
         for j in sample:
-            assert adaptive_quant(groups[j], spec)[0].sv_index == sv_index[j]
+            assert (quantize_groups(groups[j][None], spec)[2][0]
+                    == sv_index[j])
         return sv_index
 
     def er_share_of(groups, tag):  # ER candidates are indices 0 and 1
@@ -260,7 +262,8 @@ def test_criterion_06_pe_oracle_equivalence(capsys):
                 continue
             exact = exact_dot(qg, spec, avals)
             if exact != 0.0:
-                max_rel = max(max_rel, abs(gps.value - exact) / abs(exact))
+                got = math.ldexp(gps.m_grp, gps.e_grp)
+                max_rel = max(max_rel, abs(got - exact) / abs(exact))
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and max_rel < 2.0 ** -7 and elapsed < 60.0
     report(capsys, 6, ok,
@@ -369,7 +372,8 @@ def test_criterion_10_pack_roundtrip(capsys):
         same = (got_spec.name == spec.name
                 and got_grouping.group_size == g
                 and np.array_equal(packfile.unpack_to_tensor(data),
-                                   dequantize_tensor(channels))
+                                   dequantize_tensor(channels)
+                                   .astype(np.float32))
                 and packfile.pack(got_channels, got_grouping, d) == data)
         if not same:
             failures += 1

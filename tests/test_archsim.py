@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import PE_DTYPES
+from conftest import PE_DTYPES, one_gemm
 from bitmod import archsim
 from bitmod.archsim import (
     _PLAIN_RUN,
@@ -21,12 +21,10 @@ from bitmod.archsim import (
     WorkloadSpec,
     _accumulate,
     _repeat_add,
-    baseline_fp16_layer,
     baseline_fp16_sim,
     check_no_stall,
     parse_shape_file,
     profile_shapes,
-    simulate_layer,
     simulate_workload,
     with_speedup,
 )
@@ -61,10 +59,10 @@ def test_compute_energy_counts_each_arrays_own_pes():
     # tiles of 6x8; each pays e_pe_cycle per PE per compute cycle.
     cfg = ArchConfig()
     layer = LayerShape(m=64, k=1024, n=512)
-    rep = simulate_layer(layer, spec_for("FP3_BITMOD"), G128, cfg)
+    rep = one_gemm(layer, spec_for("FP3_BITMOD"), G128, cfg)
     assert rep.energy.compute_j == (rep.compute_cycles * (4 * 4 * 8 * 8)
                                     * cfg.e_pe_cycle)
-    base = baseline_fp16_layer(layer, cfg)
+    base = one_gemm(layer, cfg=cfg)
     assert base.energy.compute_j == (base.compute_cycles * (4 * 4 * 6 * 8)
                                      * cfg.e_pe_cycle)
 
@@ -115,7 +113,7 @@ def test_simulate_layer_closed_form_cycles():
     cfg = ArchConfig()
     spec = spec_for("INT6_SYM")
     layer = LayerShape(m=256, k=4096, n=4096)
-    rep = simulate_layer(layer, spec, G128, cfg)
+    rep = one_gemm(layer, spec, G128, cfg)
     waves_m = math.ceil(256 / (4 * 8))
     waves_n = math.ceil(4096 / (4 * 8))
     groups = 4096 // 128
@@ -128,25 +126,26 @@ def test_simulate_layer_closed_form_cycles():
 
 def test_simulate_layer_k_padding_and_repeat():
     spec = spec_for("FP3_BITMOD")
-    one = simulate_layer(LayerShape(m=4, k=100, n=8), spec, G128)
+    one = one_gemm(LayerShape(m=4, k=100, n=8), spec, G128)
     # K pads to one full group of 128.
     assert one.compute_cycles == 1 * 1 * 1 * 64
-    three = simulate_layer(LayerShape(m=4, k=100, n=8, repeat=3), spec, G128)
+    three = one_gemm(LayerShape(m=4, k=100, n=8, repeat=3), spec, G128)
     assert three.compute_cycles == 3 * one.compute_cycles
-    assert simulate_layer(LayerShape(m=4, k=100, n=8, repeat=0), spec,
-                          G128).total_cycles == 0
+    assert one_gemm(LayerShape(m=4, k=100, n=8, repeat=0), spec,
+                    G128).total_cycles == 0
+    # A workload skips a phase of no tokens, so m = 0 costs nothing; a
+    # zero K or N is refused.
     with pytest.raises(ConfigError):
-        simulate_layer(LayerShape(m=0, k=8, n=8), spec, G128)
+        one_gemm(LayerShape(m=4, k=0, n=8), spec, G128)
     # The FP16 baseline pads K to whole DOT_WIDTH-wide dots: 26 dots of 4
     # cycles each, for K = 102 as for K = 104.
     for k in (102, 104):
-        assert baseline_fp16_layer(LayerShape(m=4, k=k, n=8)
-                                   ).compute_cycles == 26 * 4
+        assert one_gemm(LayerShape(m=4, k=k, n=8)).compute_cycles == 26 * 4
 
 
 @pytest.mark.parametrize("simulate", [
-    lambda layer: simulate_layer(layer, spec_for("FP3_BITMOD"), G128),
-    baseline_fp16_layer], ids=["bitserial", "fp16"])
+    lambda layer: one_gemm(layer, spec_for("FP3_BITMOD"), G128),
+    one_gemm], ids=["bitserial", "fp16"])
 def test_gemm_figures_beyond_float_range_raise_config_error(simulate):
     # Used to end in an OverflowError from the int-to-float conversions.
     layer = LayerShape(1, 10**160, 10**160)
@@ -158,9 +157,9 @@ def test_gemm_figures_beyond_float_range_raise_config_error(simulate):
 @pytest.mark.parametrize("big", (2**53 + 1, 3 * 2**53 + 1))
 @pytest.mark.parametrize("axis", ("m", "n"))
 @pytest.mark.parametrize(("simulate", "tile_rows", "tile_cols", "per_wave"), [
-    (lambda layer: simulate_layer(layer, spec_for("FP3_BITMOD"), G128),
+    (lambda layer: one_gemm(layer, spec_for("FP3_BITMOD"), G128),
      4 * 8, 4 * 8, 64),
-    (baseline_fp16_layer, 4 * 6, 4 * 8, 128)], ids=["bitserial", "fp16"])
+    (one_gemm, 4 * 6, 4 * 8, 128)], ids=["bitserial", "fp16"])
 def test_compute_cycles_exact_past_2_53(simulate, tile_rows, tile_cols,
                                         per_wave, axis, big):
     # Float ceilings of m / rows and n / cols used to lose the last
@@ -198,17 +197,17 @@ def test_workload_totals_beyond_float_range_raise_config_error(simulate):
 def test_simulate_layer_rejects_group_not_multiple_of_dot_width(g):
     # G=2 used to give FP3 zero compute cycles; G=6 rounded down.
     with pytest.raises(ConfigError):
-        simulate_layer(LayerShape(m=4, k=128, n=8), spec_for("FP3_BITMOD"),
-                       GroupingConfig(group_size=g))
+        one_gemm(LayerShape(m=4, k=128, n=8), spec_for("FP3_BITMOD"),
+                 GroupingConfig(group_size=g))
 
 
 def test_baseline_uses_its_own_smaller_tile():
     # The default 6x8 baseline tile against an 8x8 one: the smaller tile
     # needs more row waves, and the bytes moved stay the same.
     tall = LayerShape(m=256, k=128, n=128)
-    small = baseline_fp16_layer(tall)
-    big = baseline_fp16_layer(tall, ArchConfig(baseline_pe_rows=8,
-                                               baseline_pe_cols=8))
+    small = one_gemm(tall)
+    big = one_gemm(tall, cfg=ArchConfig(baseline_pe_rows=8,
+                                        baseline_pe_cols=8))
     assert small.compute_cycles > big.compute_cycles
     assert small.weight_bytes == big.weight_bytes == 128 * 128 * 2
 
@@ -218,10 +217,10 @@ def test_compute_bound_speedup_ratios_exact():
     # throughput ratios: (8x8/6x8) * 4/terms.
     cfg = ArchConfig(dram_bandwidth_bytes_per_s=1e18)
     layer = LayerShape(m=384, k=4096, n=4096)
-    base = baseline_fp16_layer(layer, cfg)
+    base = one_gemm(layer, cfg=cfg)
     for name, terms in (("FP3_BITMOD", 2), ("FP4_BITMOD", 2),
                         ("INT6_SYM", 3), ("INT8_SYM", 4)):
-        rep = simulate_layer(layer, spec_for(name), G128, cfg)
+        rep = one_gemm(layer, spec_for(name), G128, cfg)
         with_speedup(rep, base)
         expect = (64 / 48) * (4 / terms)
         assert rep.speedup_vs_baseline == pytest.approx(expect, rel=1e-12)
@@ -252,16 +251,15 @@ def test_workload_phases_decode_refetches_weights():
     generative = simulate_workload(
         WorkloadSpec("g", layers, prefill_tokens=256, decode_tokens=64),
         spec, G128)
-    per_fetch = simulate_layer(LayerShape(256, 512, 512), spec,
-                               G128).weight_bytes
+    per_fetch = one_gemm(LayerShape(256, 512, 512), spec, G128).weight_bytes
     assert prefill_only.weight_bytes == per_fetch
     assert generative.weight_bytes == per_fetch * 65
 
 
 def test_energy_accumulates_and_scales_with_bytes():
     spec = spec_for("INT8_SYM")
-    small = simulate_layer(LayerShape(m=8, k=256, n=256), spec, G128)
-    big = simulate_layer(LayerShape(m=8, k=256, n=512), spec, G128)
+    small = one_gemm(LayerShape(m=8, k=256, n=256), spec, G128)
+    big = one_gemm(LayerShape(m=8, k=256, n=512), spec, G128)
     assert big.energy.dram_j > small.energy.dram_j
 
 
@@ -523,15 +521,18 @@ def _add_once(out, rep):
     out.energy.dram_j += rep.energy.dram_j
 
 
-def _oracle_workload(w, one_gemm):
-    """Workload total by one addition per block and per decode step."""
+def _oracle_workload(w, spec=None):
+    """Workload total by one addition per block and per decode step, on
+    the bit-serial array for ``spec`` at G = 128, or on the FP16 baseline
+    when ``spec`` is None."""
     phases = [(w.prefill_tokens, 1)] if w.prefill_tokens else []
     if w.decode_tokens:
         phases.append((1, w.decode_tokens))
     out = SimReport()
     for m, mult in phases:
         for layer in w.layers:
-            rep = one_gemm(dataclasses.replace(layer, m=m, repeat=1))
+            rep = one_gemm(dataclasses.replace(layer, m=m, repeat=1), spec,
+                           G128)
             per_layer = SimReport()
             for _ in range(layer.repeat):
                 _add_once(per_layer, rep)
@@ -576,7 +577,7 @@ def test_runs_of_equal_gemms_equal_sequential_sums(w, calls_per_phase,
                                                    decode, monkeypatch):
     w = dataclasses.replace(w, decode_tokens=decode)
     spec = spec_for("FP3_BITMOD")
-    want = _oracle_workload(w, lambda layer: simulate_layer(layer, spec, G128))
+    want = _oracle_workload(w, spec)
     calls = []
     gemm = archsim._gemm
     monkeypatch.setattr(archsim, "_gemm", lambda *args: (
@@ -585,7 +586,7 @@ def test_runs_of_equal_gemms_equal_sequential_sums(w, calls_per_phase,
     assert _hex_fields(got) == _hex_fields(want)
     assert len(calls) == calls_per_phase * (1 + (decode > 0))
     assert (_hex_fields(baseline_fp16_sim(w))
-            == _hex_fields(_oracle_workload(w, baseline_fp16_layer)))
+            == _hex_fields(_oracle_workload(w)))
 
 
 # The 100 000-step decode runs for one shape and dtype: the oracle loop
@@ -599,12 +600,11 @@ def test_closed_form_totals_equal_sequential_sums(shape, decode, dtype_name):
     w = dataclasses.replace(_bundled(shape), decode_tokens=decode)
     if dtype_name == "FP16":
         got = baseline_fp16_sim(w)
-        want = _oracle_workload(w, baseline_fp16_layer)
+        want = _oracle_workload(w)
     else:
         spec = spec_for(dtype_name)
         got = simulate_workload(w, spec, G128)
-        want = _oracle_workload(
-            w, lambda layer: simulate_layer(layer, spec, G128))
+        want = _oracle_workload(w, spec)
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 

@@ -41,14 +41,6 @@ def test_no_unused_top_level_imports():
     assert unused == {}
 
 
-# Top-level definitions that nothing in the package reads, kept on purpose.
-READ_ONLY_BY_TESTS = {
-    # The FP16 twin of simulate_layer; the workload oracle in
-    # test_archsim.py adds it layer by layer.
-    "archsim.baseline_fp16_layer",
-}
-
-
 def _loads(tree: ast.AST) -> set[str]:
     """Names and attributes that ``tree`` reads."""
     return {node.id if isinstance(node, ast.Name) else node.attr
@@ -91,4 +83,4 @@ def test_every_public_definition_is_read_by_the_package_or_the_benchmark():
                     if other is not stmt):
                 unread.append(f"{module}.{name}")
     assert len(statements) > 100
-    assert sorted(unread) == sorted(READ_ONLY_BY_TESTS)
+    assert unread == []

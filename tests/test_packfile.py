@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PACKABLE
+from conftest import PACKABLE, one_gemm
 from bitmod import packfile, synth
-from bitmod.archsim import LayerShape, simulate_layer
+from bitmod.archsim import LayerShape
 from bitmod.dtype import GroupingConfig, code_range, spec_for
 from bitmod.errors import FormatError, OutOfRange, UnsupportedDtype
 from bitmod.quant import dequantize_tensor, quantize_tensor
@@ -62,7 +62,7 @@ def test_file_size_is_header_plus_channel_records(name, g, n_groups):
     d = 256
     grouping = GroupingConfig(group_size=g)
     _, _, data = roundtrip_tensor(np.random.default_rng(57), name, (k, d), g)
-    charged = simulate_layer(LayerShape(1, d, k), spec, grouping).weight_bytes
+    charged = one_gemm(LayerShape(1, d, k), spec, grouping).weight_bytes
     metadata = k * (d // g) * (16 - 8 - spec.sv_bits) / 8
     assert len(data) == charged + metadata + k * 4 + 20
 
@@ -105,7 +105,7 @@ def test_roundtrip_bit_exact(name, g):
         for i, gb in enumerate(b.groups):
             assert np.array_equal(gb.codes, b.codes[i])
             assert (gb.sv_index, gb.scale_q) == (b.sv_index[i], b.scale_q[i])
-    np.testing.assert_array_equal(dequantize_tensor(qt),
+    np.testing.assert_array_equal(dequantize_tensor(qt).astype(np.float32),
                                   packfile.unpack_to_tensor(data))
 
 
@@ -297,12 +297,11 @@ def test_pack_of_strided_channels_leaves_the_tensor_alone(name, g):
 
 
 def test_pack_memory_beyond_output():
-    # ``pack`` fills a bytearray and returns its bytes, so at the end it
-    # holds the file twice: 102 676 bytes beyond the output here.  One
-    # chunk's buffers (about 40 KB for 3-bit codes) stay below that copy;
-    # buffers for the whole tensor, over 256 KB, would not.  The packer that
-    # the SWAR fold replaced measured 104 254-105 075 bytes here; the bound
-    # leaves about 9% above that.
+    # ``pack`` returns the one bytearray it fills, so beyond the output it
+    # holds only one chunk's buffers: 41 793-43 639 bytes here for 3-bit
+    # codes, and the bound leaves about 30% above that.  A second copy of
+    # the 102 676-byte file, as ``bytes(out)`` made, would fail it, and so
+    # would buffers for the whole tensor, over 256 KB.
     w = np.random.default_rng(23).standard_normal((64, 4096))
     grouping = GroupingConfig(group_size=128)
     qt = quantize_tensor(w, spec_for("FP3_BITMOD"), grouping)
@@ -313,7 +312,7 @@ def test_pack_memory_beyond_output():
     finally:
         tracemalloc.stop()
     assert len(data) == 102_676
-    assert peak - len(data) < 112 << 10
+    assert peak - len(data) < 56 << 10
 
 
 def test_repack_is_byte_identical():
@@ -328,7 +327,8 @@ def test_ragged_channel_pads_groups():
     w, qt, data = roundtrip_tensor(rng, "FP3_BITMOD", (2, 100), 32)
     got = packfile.unpack_to_tensor(data)
     assert got.shape == (2, 100)
-    np.testing.assert_array_equal(got, dequantize_tensor(qt))
+    np.testing.assert_array_equal(got,
+                                  dequantize_tensor(qt).astype(np.float32))
 
 
 def test_negative_int_codes_survive():

@@ -160,7 +160,7 @@ def test_group_dot_on_grid_is_exact():
     codes = np.array([spec.basic_values.index(1)] * 8)
     qg = QuantizedGroup(codes=codes, scale_q=1)
     gps, cycles = group_dot(qg, [1.0] * 8, spec)
-    assert gps.value == 8.0
+    assert math.ldexp(gps.m_grp, gps.e_grp) == 8.0
     assert cycles == 4
 
 
@@ -226,7 +226,8 @@ def test_group_dot_relative_error(name):
         if exact == 0.0:
             assert gps.m_grp == 0
             continue
-        assert abs(gps.value - exact) / abs(exact) < 2.0 ** -7
+        got = math.ldexp(gps.m_grp, gps.e_grp)
+        assert abs(got - exact) / abs(exact) < 2.0 ** -7
 
 
 @pytest.mark.parametrize(("name", "code"), [
@@ -535,7 +536,7 @@ def test_drain_accumulate_matches_bigint_drain_at_fp16_extremes(name, g):
             for p in partials:
                 assert abs(p.m_grp) < 2 ** 41
                 assert p.m_grp == 0 or p.e_grp >= -49
-            total = math.fsum(p.value for p in partials)
+            total = math.fsum(math.ldexp(m, e) for m, e in partials)
             assert abs(total) < width * 2.0 ** 33
             got = drain_accumulate(partials, cq.channel_scale)
             want = _bigint_drain(partials, cq.channel_scale)

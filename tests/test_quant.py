@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import re
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,15 +10,13 @@ import pytest
 from conftest import nearest_grid_index, per_grid_best_grid
 from bitmod import synth
 from bitmod.dtype import DataType, GroupingConfig, effective_grid, spec_for
-from bitmod.errors import (InvalidSpecialValueIndex, OutOfRange,
-                           ShapeMismatch, UnsupportedDtype)
+from bitmod.errors import InvalidSpecialValueIndex, OutOfRange, ShapeMismatch
 from bitmod.quant import (
     CHUNK_WEIGHTS,
     ErrorReport,
     _best_grid,
     _quantize_asymmetric,
     _quantize_symmetric,
-    adaptive_quant,
     dequantize_tensor,
     error_report,
     memory_footprint_bits,
@@ -195,9 +192,9 @@ def test_best_grid_matches_per_grid_reference(name, g):
 def test_adaptive_quant_on_grid_ties_to_index_zero():
     spec = spec_for("FP3_BITMOD")
     w = np.array([0.0, 1.0, -2.0, 4.0] * 32) * 0.01
-    qg, sv, mse = adaptive_quant(w, spec)
-    assert mse == 0.0
-    assert qg.sv_index == 0 and sv == F(3)
+    _, _, sv_index, mse = _best_grid(w[None], spec)
+    assert mse[0] == 0.0
+    assert sv_index[0] == 0 and spec.special_values[0] == F(3)
 
 
 def test_adaptive_quant_picks_matching_sign_on_outliers():
@@ -205,10 +202,10 @@ def test_adaptive_quant_picks_matching_sign_on_outliers():
     spec = spec_for("FP3_BITMOD")
     w = rng.standard_normal(128)
     w[5] = 6.0
-    qg, sv, _ = adaptive_quant(w, spec)
-    assert sv == F(6)
-    qg, sv, _ = adaptive_quant(-w, spec)
-    assert sv == F(-6)
+    sv_index = quantize_groups(w[None], spec)[2][0]
+    assert spec.special_values[sv_index] == F(6)
+    sv_index = quantize_groups(-w[None], spec)[2][0]
+    assert spec.special_values[sv_index] == F(-6)
 
 
 def test_adaptive_quant_never_worse_than_basic():
@@ -220,7 +217,7 @@ def test_adaptive_quant_never_worse_than_basic():
     basic_mse = np.mean((w - grid_f(basic)[codes] * delta[:, None]) ** 2,
                         axis=-1)
     for row, b in zip(w, basic_mse):
-        _, _, mse = adaptive_quant(row, spec)
+        mse = _best_grid(row[None], spec)[3][0]
         assert mse <= b + 1e-15
 
 
@@ -228,35 +225,11 @@ def test_adaptive_quant_scaling_invariance():
     rng = np.random.default_rng(5)
     spec = spec_for("FP4_BITMOD")
     w = rng.standard_normal(128)
-    a, _, _ = adaptive_quant(w, spec)
-    b, _, _ = adaptive_quant(w * 37.5, spec)
-    assert a.sv_index == b.sv_index
-    assert np.array_equal(a.codes, b.codes)
+    a_codes, _, a_sv, _ = quantize_groups(w[None], spec)
+    b_codes, _, b_sv, _ = quantize_groups(w[None] * 37.5, spec)
+    assert a_sv[0] == b_sv[0]
+    assert np.array_equal(a_codes, b_codes)
 
-
-def test_adaptive_quant_rejects_non_bitmod():
-    with pytest.raises(UnsupportedDtype):
-        adaptive_quant(np.ones(4), spec_for("FP3_BASIC"))
-
-
-
-def test_adaptive_quant_rejects_an_empty_group():
-    # An empty group gave an MSE of NaN with a RuntimeWarning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for empty in ([], np.zeros(0)):
-            with pytest.raises(ValueError,
-                               match=re.escape("tensor is empty, shape (0,)")):
-                adaptive_quant(empty, spec_for("FP3_BITMOD"))
-
-
-@pytest.mark.parametrize("shape", [(2, 4), (1, 4), ()])
-def test_adaptive_quant_rejects_a_group_that_is_not_1d(shape):
-    # These used to raise "too many values to unpack" or "not enough
-    # values to unpack" from inside the grid search.
-    with pytest.raises(ValueError, match=re.escape(
-            f"a group is 1-D, got shape {shape}")):
-        adaptive_quant(np.ones(shape), spec_for("FP3_BITMOD"))
 
 def test_quantize_scales_hand_example():
     scale_q, cs = quantize_scales([0.127, 0.254])
@@ -423,23 +396,21 @@ def test_tensor_roundtrip_shape_and_finiteness_checks():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("quantize, batches", [
-    (lambda w: adaptive_quant(w, spec_for("FP3_BITMOD")), False),
-    (lambda w: quantize_groups(np.atleast_2d(w), spec_for("FP4_BASIC")),
-     True),
-    (lambda w: _quantize_symmetric(w, sym_qmax(4)), True),
-    (lambda w: _quantize_asymmetric(w, asym_qmax(4)), True),
+@pytest.mark.parametrize("quantize", [
+    lambda w: quantize_groups(np.atleast_2d(w), spec_for("FP3_BITMOD")),
+    lambda w: quantize_groups(np.atleast_2d(w), spec_for("FP4_BASIC")),
+    lambda w: _quantize_symmetric(w, sym_qmax(4)),
+    lambda w: _quantize_asymmetric(w, asym_qmax(4)),
 ], ids=["adaptive", "nonlinear", "symmetric", "asymmetric"])
-def test_quantizers_reject_non_finite_input(quantize, batches, bad):
+def test_quantizers_reject_non_finite_input(quantize, bad):
     # NaN used to come back as codes [7, 7, 7, 7] with delta and mse NaN
-    # (adaptive_quant) or as codes of -2**63 (_quantize_symmetric).
+    # (the BitMoD grid search) or as codes of -2**63 (_quantize_symmetric).
     with pytest.raises(ValueError, match="NaN or Inf"):
         quantize(np.array([1.0, bad, 0.5, 2.0]))
-    if batches:  # a bad value in a later group of a batch
-        w = np.ones((2, 4))
-        w[1, 2] = bad
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            quantize(w)
+    w = np.ones((2, 4))  # a bad value in a later group of a batch
+    w[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        quantize(w)
 
 
 @pytest.mark.parametrize("name", [dt.name for dt in DataType])
