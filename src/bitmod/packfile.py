@@ -18,7 +18,8 @@ one byte each, is one little-endian uint64 that a SWAR fold ("SIMD within
 a register") packs in place: three mask-and-shift steps join byte pairs,
 then 16-bit pairs, then 32-bit pairs, which leaves the run's codes LSB
 first in its first ``bits_per_code`` bytes.  ``unpack`` reads and checks
-the same chunks, each as one such view of the file.  It reads a row's
+chunks of whole channels of about ``READ_CHUNK_WEIGHTS`` weights, four
+times as many, each as one such view of the file.  It reads a row's
 codes as fixed-width fields of whole codes: one byte (two 4-bit codes, or
 one 8-bit code) or 12 bits (four 3-bit codes, or two 6-bit codes; two
 fields in three bytes).  Each field is one index into a table of its
@@ -40,12 +41,21 @@ import numpy as np
 from .dtype import (SCALE_Q_RANGE, DataType, DataTypeSpec, GroupingConfig,
                     check_range, code_range, spec_for, sv_range)
 from .errors import FormatError, OutOfRange
-from .quant import QuantizedTensor, channel_chunks, dequantize_tensor
+from .quant import (CHUNK_WEIGHTS, QuantizedTensor, channel_chunks,
+                    dequantize_tensor)
 
 MAGIC = b"BMOD"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sHHIII")
+
+# Weights per chunk of ``unpack`` and ``unpack_to_tensor``: whole channels,
+# at least one.  At ``CHUNK_WEIGHTS`` a chunk's cost is the ~20 numpy calls
+# it makes, not its decoding; at 16 times that it read little faster than
+# at 4 times.  Reading holds 4-10 bytes of temporaries per weight (3- to
+# 8-bit codes) against the quantizer's ~56, so a read chunk stays within
+# the quantizer's own ~0.9 MB of temporaries.
+READ_CHUNK_WEIGHTS = 4 * CHUNK_WEIGHTS
 
 
 @cache
@@ -260,9 +270,11 @@ def _read_channels(rows, pos: int, spec: DataTypeSpec, g: int, rec: int):
 def unpack(data: bytes):
     """Parse BMOD bytes back into (QuantizedTensor, grouping, spec).
 
-    The complete channels are read in chunks of about ``CHUNK_WEIGHTS``
-    weights, each one view of the file checked at once; then a truncated
-    last channel is checked as far as its bytes go.
+    The complete channels are read in chunks of about
+    ``READ_CHUNK_WEIGHTS`` weights, each one view of the file checked at
+    once; then a truncated last channel is checked as far as its bytes go.
+    A damaged file raises :class:`FormatError` for its first bad field in
+    file order, whatever the chunk size.
     """
     if len(data) < _HEADER.size:
         raise FormatError("truncated header", offset=len(data))
@@ -297,7 +309,7 @@ def unpack(data: bytes):
                          np.empty(n_full), spec, valid_size=d)
     body = np.frombuffer(data, np.uint8, n_full * width, pos)
     body = body.reshape(n_full, width)
-    for chunk in channel_chunks(n_full, n_groups * g):
+    for chunk in channel_chunks(n_full, n_groups * g, READ_CHUNK_WEIGHTS):
         scale, records, codes = _read_channels(
             body[chunk], pos + chunk.start * width, spec, g, rec)
         qt.channel_scale[chunk], qt.codes[chunk] = scale, codes
@@ -317,10 +329,12 @@ def unpack(data: bytes):
 
 def unpack_to_tensor(data: bytes) -> np.ndarray:
     """Parse BMOD bytes and dequantize them into a (K, D) float32 array, a
-    chunk of channels at a time: each value is its float64
-    dequantization, rounded once to float32."""
+    chunk of whole channels of about ``READ_CHUNK_WEIGHTS`` weights at a
+    time: each value is its float64 dequantization, rounded once to
+    float32."""
     qt, _, _ = unpack(data)
     out = np.empty((len(qt), qt.valid_size), np.float32)
-    for chunk in channel_chunks(len(qt), qt.codes[0].size):
+    for chunk in channel_chunks(len(qt), qt.codes[0].size,
+                                READ_CHUNK_WEIGHTS):
         out[chunk] = dequantize_tensor(qt[chunk])
     return out

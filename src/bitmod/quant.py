@@ -360,16 +360,20 @@ def quantize_scales(per_group_deltas):
     return scale_q.astype(np.uint8), channel_scale[()]
 
 
-# Weights quantized per numpy pass: whole channels, at least one.  A chunk
-# and its temporaries stay in cache, and peak memory does not grow with
-# the tensor beyond its outputs.
+# Weights per numpy pass of ``quantize_tensor``, ``dequantize_tensor`` and
+# ``packfile.pack``: whole channels, at least one.  A chunk and its
+# temporaries stay in cache, and peak memory does not grow with the tensor
+# beyond its outputs.  ``packfile`` reads in chunks of its own,
+# ``packfile.READ_CHUNK_WEIGHTS``: reading holds far fewer temporaries per
+# weight, so its chunks can be larger for the same memory.
 CHUNK_WEIGHTS = 1 << 14
 
 
-def channel_chunks(n_channels: int, channel_weights: int):
+def channel_chunks(n_channels: int, channel_weights: int,
+                   chunk_weights: int = CHUNK_WEIGHTS):
     """Slices of whole channels of ``channel_weights`` weights each, about
-    ``CHUNK_WEIGHTS`` weights (at least one channel) per slice."""
-    step = max(1, CHUNK_WEIGHTS // channel_weights)
+    ``chunk_weights`` weights (at least one channel) per slice."""
+    step = max(1, chunk_weights // channel_weights)
     return (slice(start, start + step)
             for start in range(0, n_channels, step))
 

@@ -111,7 +111,8 @@ def test_roundtrip_bit_exact(name, g):
 
 @pytest.mark.parametrize("name", PACKABLE)
 def test_unpack_gives_quantize_tensor_fields(name):
-    # 200 ragged channels of 300 weights (3 groups of 128) span 5 chunks.
+    # 200 ragged channels of 300 weights (3 groups of 128) span 2 read
+    # chunks.
     rng = np.random.default_rng(53)
     _, qt, data = roundtrip_tensor(rng, name, (200, 300), 128)
     got, _, _ = packfile.unpack(data)
@@ -121,6 +122,23 @@ def test_unpack_gives_quantize_tensor_fields(name):
         if isinstance(x, np.ndarray):
             assert x.dtype == y.dtype, f.name
     assert got == qt
+
+
+@pytest.mark.parametrize("g", [128, 100])
+@pytest.mark.parametrize("name", PACKABLE)
+def test_roundtrip_across_read_chunks(name, g):
+    # 700 channels of 300 weights: read chunks of 170 channels at G = 128
+    # (5 chunks) and of 218 at G = 100 (4 chunks), the last one partial.
+    w = synth.sample("outlier_mixture", (700, 300),
+                     rng=np.random.default_rng(54))
+    grouping = GroupingConfig(group_size=g)
+    qt = quantize_tensor(w, spec_for(name), grouping)
+    step = packfile.READ_CHUNK_WEIGHTS // qt.codes[0].size
+    assert 700 // step >= 3 and 700 % step
+    data = packfile.pack(qt, grouping, 300)
+    assert packfile.unpack(data)[0] == qt
+    want = dequantize_tensor(qt).astype(np.float32)
+    assert packfile.unpack_to_tensor(data).tobytes() == want.tobytes()
 
 
 # sha256 of the BMOD bytes of ``synth.sample("outlier_mixture", (8, 300),
@@ -313,6 +331,31 @@ def test_pack_memory_beyond_output():
         tracemalloc.stop()
     assert len(data) == 102_676
     assert peak - len(data) < 56 << 10
+
+
+@pytest.mark.parametrize("name,bound", [
+    # 290 809 bytes measured for 3-bit codes and 658 777 for 8-bit ones,
+    # whose temporaries are the widest; each bound leaves about 30% above
+    # that.  Decoding the 4 read chunks of these files at once would hold
+    # about four times as much.
+    ("FP3_BITMOD", 370 << 10), ("INT8_SYM", 840 << 10),
+])
+def test_unpack_memory_beyond_output(name, bound):
+    w = np.random.default_rng(23).standard_normal((64, 4096))
+    grouping = GroupingConfig(group_size=128)
+    qt = quantize_tensor(w, spec_for(name), grouping)
+    data = packfile.pack(qt, grouping, 4096)
+    assert -(-64 * 4096 // packfile.READ_CHUNK_WEIGHTS) == 4
+    packfile.unpack(data)  # builds the field table once, outside the count
+    tracemalloc.start()
+    try:
+        got, _, _ = packfile.unpack(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(a.nbytes for a in (got.codes, got.sv_index, got.scale_q,
+                                 got.channel_scale))
+    assert peak - out < bound
 
 
 def test_repack_is_byte_identical():

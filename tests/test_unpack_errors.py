@@ -1,11 +1,13 @@
 """``packfile.unpack``'s reports on damaged files, pinned.
 
-``data/unpack_errors.json`` (written by ``unpack_error_cases.py``) holds,
-per dtype, the sha256 of a 150-channel file spanning three unpack chunks
-and a seeded set of single-byte corruptions, bad scales, pairs of bad
-records in one chunk, truncations and trailing bytes, each with the
-``FormatError`` message and byte offset it raised, or the digest of the
-dequantized tensor when the file still parses.
+Each table of ``unpack_error_cases.FILE_SETS`` (written by
+``unpack_error_cases.py``) holds, per dtype, the sha256 of a file of
+ragged channels and a seeded set of single-byte corruptions, bad scales,
+pairs of bad records in one chunk, truncations and trailing bytes, each
+with the ``FormatError`` message and byte offset it raised, or the digest
+of the dequantized tensor when the file still parses.  The 600-channel
+file spans three read chunks, the last one partial; the 150-channel one
+fits in one.
 """
 
 import hashlib
@@ -13,26 +15,41 @@ import json
 
 import pytest
 
-from bitmod.quant import CHUNK_WEIGHTS
-from unpack_error_cases import (CHANNELS, CHUNK, DTYPES, GROUP, TABLE, WIDTH,
-                                base_file, damage, outcome)
+from bitmod.packfile import READ_CHUNK_WEIGHTS
+from unpack_error_cases import (DTYPES, FILE_SETS, GROUP, WIDTH, base_file,
+                                damage, outcome)
 
-RECORDED = json.loads(TABLE.read_text())
+OLD, READ = FILE_SETS
+READ_CHUNK = READ_CHUNK_WEIGHTS // (-(-WIDTH // GROUP) * GROUP)
 
 
-@pytest.mark.parametrize("name", DTYPES)
-def test_unpack_reports_match_recorded_table(name):
-    # The cases were placed for chunks of CHUNK channels.
-    assert CHUNK == CHUNK_WEIGHTS // (-(-WIDTH // GROUP) * GROUP)
-    assert -(-CHANNELS // CHUNK) == 3
-    data = base_file(name)
-    assert hashlib.sha256(data).hexdigest() == RECORDED[name]["sha256"]
+def wrong_outcomes(fs, name):
+    """The recorded cases of ``fs`` and ``name`` whose outcome differs."""
+    recorded = json.loads(fs.table.read_text())[name]
+    data = base_file(name, fs)
+    assert hashlib.sha256(data).hexdigest() == recorded["sha256"]
     fields = ("error", "offset", "sha256")
     wrong = []
-    for case in RECORDED[name]["cases"]:
+    for case in recorded["cases"]:
         want = {k: case[k] for k in fields if k in case}
         got = outcome(damage(data, case))
         if got != want:
             wrong.append((case["kind"], case["edits"], case["truncate"],
                           want, got))
-    assert not wrong
+    return wrong
+
+
+@pytest.mark.parametrize("name", DTYPES)
+def test_unpack_reports_match_recorded_table(name):
+    # The cases were placed for chunks of 64 channels, within one read chunk.
+    assert OLD.channels <= READ_CHUNK
+    assert not wrong_outcomes(OLD, name)
+
+
+@pytest.mark.parametrize("name", DTYPES)
+def test_unpack_reports_across_read_chunks_match_recorded_table(name):
+    # The cases were placed for read chunks: three, the last one partial.
+    assert READ.chunk == READ_CHUNK
+    assert -(-READ.channels // READ.chunk) == 3
+    assert READ.channels % READ.chunk
+    assert not wrong_outcomes(READ, name)

@@ -3,11 +3,11 @@
 
     PYTHONPATH=src python tests/unpack_error_cases.py
 
-writes ``tests/data/unpack_errors.json``: for FP3_BITMOD, FP3_BASIC and
-INT6_SYM files of 150 ragged channels (three unpack chunks), each case's
-edits and the ``FormatError`` message and offset it raised, or the sha256
-of the float64 dequantized tensor when the damaged file still parses.
-``test_unpack_errors.py`` replays the table.  Re-recording changes what
+writes one table per file set in ``FILE_SETS``: for FP3_BITMOD,
+FP3_BASIC and INT6_SYM files of ragged channels, each case's edits and the
+``FormatError`` message and offset it raised, or the sha256 of the float64
+dequantized tensor when the damaged file still parses.
+``test_unpack_errors.py`` replays the tables.  Re-recording changes what
 counts as correct, so do it only where the error contract changes.
 """
 
@@ -17,6 +17,7 @@ import hashlib
 import json
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,19 +26,35 @@ from bitmod.dtype import GroupingConfig, spec_for
 from bitmod.errors import FormatError
 from bitmod.quant import dequantize_tensor, quantize_tensor
 
-TABLE = Path(__file__).resolve().parent / "data" / "unpack_errors.json"
+DATA = Path(__file__).resolve().parent / "data"
 DTYPES = ("FP3_BITMOD", "FP3_BASIC", "INT6_SYM")
-# 4 groups of 64 per 200-weight channel: chunks of 64, 64 and 22 channels.
-CHANNELS, WIDTH, GROUP = 150, 200, 64
-CHUNK = 64
+# 4 groups of 64 per 200-weight channel, 256 weights padded.
+WIDTH, GROUP = 200, 64
 HEADER = 20
 
 
-def base_file(name: str) -> bytes:
+class FileSet(NamedTuple):
+    table: Path
+    channels: int
+    chunk: int  # the channels per chunk its cases were placed for
+    seed: int  # of the files; seed + 1 is that of the cases
+
+
+FILE_SETS = (
+    # Chunks of 64, 64 and 22 channels, ``CHUNK_WEIGHTS`` weights each.
+    # The file is one read chunk, so these chunk-boundary cases cross no
+    # read-chunk boundary; they stay as recorded.
+    FileSet(DATA / "unpack_errors.json", 150, 64, 15),
+    # Read chunks of 256, 256 and 88 channels.
+    FileSet(DATA / "unpack_errors_read_chunks.json", 600, 256, 17),
+)
+
+
+def base_file(name: str, fs: FileSet) -> bytes:
     spec = spec_for(name)
     grouping = GroupingConfig(group_size=GROUP)
-    w = synth.sample("outlier_mixture", (CHANNELS, WIDTH),
-                     rng=np.random.default_rng([15, DTYPES.index(name)]))
+    w = synth.sample("outlier_mixture", (fs.channels, WIDTH),
+                     rng=np.random.default_rng([fs.seed, DTYPES.index(name)]))
     return packfile.pack(quantize_tensor(w, spec, grouping), grouping, WIDTH)
 
 
@@ -59,14 +76,15 @@ def outcome(data: bytes) -> dict:
     return {"error": None, "sha256": digest}
 
 
-def cases(name: str, size: int) -> list[dict]:
-    """The edits of every case for a ``size``-byte file of dtype ``name``."""
+def cases(name: str, size: int, fs: FileSet) -> list[dict]:
+    """The edits of every case for a ``size``-byte file of dtype ``name``
+    in file set ``fs``."""
     spec = spec_for(name)
     rec = packfile.group_record_bytes(spec, GROUP)
     n_groups = -(-WIDTH // GROUP)
     chan = 4 + n_groups * rec
     n_sv = max(1, len(spec.special_values))
-    rng = np.random.default_rng([16, DTYPES.index(name)])
+    rng = np.random.default_rng([fs.seed + 1, DTYPES.index(name)])
 
     def pick(lo, hi):
         return int(rng.integers(lo, hi))
@@ -95,24 +113,24 @@ def cases(name: str, size: int) -> list[dict]:
     for _ in range(20):
         add("body-byte", [[pick(HEADER, size), pick(0, 256)]])
     for _ in range(8):
-        add("sv-byte", [[record_at(pick(0, CHANNELS), pick(0, n_groups)) + 1,
-                         pick(0, 256)]])
+        c, r = pick(0, fs.channels), pick(0, n_groups)
+        add("sv-byte", [[record_at(c, r) + 1, pick(0, 256)]])
     for _ in range(10):
-        at = record_at(pick(0, CHANNELS), pick(0, n_groups)) + 2
+        at = record_at(pick(0, fs.channels), pick(0, n_groups)) + 2
         add("code-byte", [[at + pick(0, rec - 2), pick(0, 256)]])
     for value in (float("nan"), float("inf"), float("-inf")):
-        add("scale", bad_scale(pick(0, CHANNELS), value))
+        add("scale", bad_scale(pick(0, fs.channels), value))
     for _ in range(3):
-        add("scale-top-byte", [[scale_at(pick(0, CHANNELS)) + 3,
+        add("scale-top-byte", [[scale_at(pick(0, fs.channels)) + 3,
                                 pick(0, 256)]])
     # Two bad records in two channels of one chunk, the later one edited
     # first; then a bad scale after, and in the same channel as, a bad
     # record.
-    for chunk in range(3):
-        lo, hi = chunk * CHUNK, min(CHANNELS, (chunk + 1) * CHUNK)
+    for chunk in range(-(-fs.channels // fs.chunk)):
+        lo, hi = chunk * fs.chunk, min(fs.channels, (chunk + 1) * fs.chunk)
         first, second = sorted(rng.choice(np.arange(lo, hi), 2, replace=False))
         add("two-channels-one-chunk", [bad_sv(int(second)), bad_sv(int(first))])
-    c = pick(0, CHUNK - 1)
+    c = pick(0, fs.chunk - 1)
     add("bad-record-then-bad-scale",
         [bad_sv(c), *bad_scale(c + 1 + pick(0, 3), float("nan"))])
     add("bad-scale-and-record-one-channel",
@@ -120,33 +138,33 @@ def cases(name: str, size: int) -> list[dict]:
     # A first code of 7 (FP3_BASIC) or -32 (INT6_SYM): off the grid.
     off_grid = {"FP3_BASIC": 0x07, "INT6_SYM": 0x20}.get(name)
     if off_grid is not None:
-        c, r = pick(0, CHANNELS - 1), pick(0, n_groups - 1)
+        c, r = pick(0, fs.channels - 1), pick(0, n_groups - 1)
         add("bad-code-then-bad-sv", [[record_at(c, r + 1) + 1, n_sv],
                                      [record_at(c, r) + 2, off_grid]])
         add("bad-sv-and-code-one-record", [[record_at(c, r) + 2, off_grid],
                                            [record_at(c, r) + 1, n_sv]])
-        c = CHUNK + pick(0, CHUNK - 1)
+        c = fs.chunk + pick(0, fs.chunk - 1)
         add("bad-codes-two-channels-one-chunk",
             [[record_at(c + 1, 0) + 2, off_grid],
              [record_at(c, n_groups - 1) + 2, off_grid]])
     for _ in range(8):
         add("truncate", truncate=pick(HEADER, size))
-    for c in (CHUNK, 2 * CHUNK, CHANNELS - 1):
+    for c in (fs.chunk, 2 * fs.chunk, fs.channels - 1):
         add("truncate-at-channel", truncate=scale_at(c))
         add("truncate-in-scale", truncate=scale_at(c) + 2)
     for _ in range(3):
-        c = pick(0, CHANNELS)
+        c = pick(0, fs.channels)
         add("bad-record-and-truncate", [bad_sv(c)],
             truncate=pick(HEADER, size))
     add("trailing-bytes", append="00ff00")
     return out
 
 
-def record() -> dict:
+def record(fs: FileSet) -> dict:
     table = {}
     for name in DTYPES:
-        data = base_file(name)
-        rows = cases(name, len(data))
+        data = base_file(name, fs)
+        rows = cases(name, len(data), fs)
         for case in rows:
             case.update(outcome(damage(data, case)))
         table[name] = {"sha256": hashlib.sha256(data).hexdigest(),
@@ -165,6 +183,7 @@ def dumps(table: dict) -> str:
 
 
 if __name__ == "__main__":
-    TABLE.parent.mkdir(exist_ok=True)
-    TABLE.write_text(dumps(record()))
-    print(f"wrote {TABLE}")
+    DATA.mkdir(exist_ok=True)
+    for fs in FILE_SETS:
+        fs.table.write_text(dumps(record(fs)))
+        print(f"wrote {fs.table}")
