@@ -139,8 +139,7 @@ def cmd_gen(args) -> int:
     try:
         arr = synth.sample(args.dist, (k, d), seed=args.seed)
     except (ValueError, MemoryError) as exc:  # numpy cannot hold the shape
-        print(f"error: shape {k}x{d}: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"shape {k}x{d}: {exc}") from None
     with open(args.out, "wb") as fh:  # np.save would add ".npy" to a path
         np.save(fh, arr)
     print(f"wrote {args.out}: {args.dist} {k}x{d} (seed {args.seed})")

@@ -131,7 +131,10 @@ def _field_table(bits: int, signed: bool) -> np.ndarray:
     ``_field_bits(bits) // bits`` code bytes of field ``v`` as one unsigned
     integer, so that one ``take`` gathers a field's codes at once."""
     width = _field_bits(bits)
-    codes = np.arange(1 << width)[:, None] >> bits * np.arange(width // bits)
+    # uint16 keeps the one-time build small: the sign extension wraps, and
+    # the int8 cast keeps the right low byte.
+    codes = np.arange(1 << width, dtype=np.uint16)[:, None] \
+        >> np.arange(0, width, bits, dtype=np.uint16)
     codes &= (1 << bits) - 1
     if signed:
         codes -= (codes & (1 << (bits - 1))) << 1

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import PE_DTYPES, one_gemm
-from bitmod import archsim
+from bitmod import archsim, cli
 from bitmod.archsim import (
     _PLAIN_RUN,
     ArchConfig,
@@ -630,13 +630,25 @@ def test_sweep_reference_holds_every_config():
 
 
 @pytest.mark.parametrize("key", SWEEP_KEYS)
-def test_simulate_rows_equal_recorded_sweep(key):
+def test_simulate_rows_equal_recorded_sweep(key, capsys):
     shape, name, decode = key.split("/")
     w = dataclasses.replace(_bundled(shape), decode_tokens=int(decode))
     base = baseline_fp16_sim(w)
     rep = with_speedup(simulate_workload(w, spec_for(name), G128), base)
     assert _sweep_row(rep) == SWEEP[key]["dtype"]
     assert _sweep_row(base) == SWEEP[key]["baseline"]
+    # The CLI's rows hold the same fields, its energy_*_J named energy_*_j;
+    # its FP16 row reports a speedup of 1.0 where the record has none.
+    assert cli.main(["simulate", shape, "--dtype", name, "--decode-tokens",
+                     decode, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["dtype"] for r in rows] == ["FP16_BASELINE", name]
+    records = (dict(SWEEP[key]["baseline"], speedup_vs_baseline=1.0),
+               SWEEP[key]["dtype"])
+    for row, record in zip(rows, records):
+        row = {k.lower() if k.startswith("energy_") else k: v
+               for k, v in row.items()}
+        assert {field: row[field] for field in record} == record
 
 
 # Every simulate row beyond the benchmark's sweep: the three bundled shapes,

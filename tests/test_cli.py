@@ -385,11 +385,11 @@ def test_simulate_arch_config_override(tmp_path, capsys):
 def test_simulate_host_time_does_not_grow_with_decode_tokens(capsys):
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "simulate", "llama-2-7b",
-                       "--decode-tokens", "1000000000", "--format", "json")
+                       "--decode-tokens", str(2 ** 40), "--format", "json")
     assert code == 0
     assert time.perf_counter() - t0 < 2.0
-    # Cycle totals are linear in decode steps: the prefill alone plus 10**9
-    # times one decode step alone.
+    # Cycle totals are linear in decode steps: the prefill alone plus 2^40,
+    # the largest count the CLI takes, times one decode step alone.
     text = resources.files("bitmod.shapes").joinpath("llama-2-7b.shape") \
         .read_text()
     w = archsim.profile_shapes(text)
@@ -403,7 +403,7 @@ def test_simulate_host_time_does_not_grow_with_decode_tokens(capsys):
     assert [r["dtype"] for r in rows] == list(sims)
     for row in rows:
         prefill, step = (sims[row["dtype"]](p).compute_cycles for p in phases)
-        assert row["compute_cycles"] == prefill + 10 ** 9 * step
+        assert row["compute_cycles"] == prefill + 2 ** 40 * step
 
 
 def test_float_columns_track_cycles_at_the_token_bound(capsys):

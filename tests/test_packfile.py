@@ -143,7 +143,8 @@ def test_roundtrip_across_read_chunks(name, g):
 
 # sha256 of the BMOD bytes of ``synth.sample("outlier_mixture", (8, 300),
 # seed=61)`` per (dtype, group size); 300 weights leave a ragged last group
-# for every size but 100, and 7 splits codes across 8-code runs.
+# for every size but 100, and 7 splits codes across 8-code runs.  Each file
+# also unpacks to the tensor it was packed from.
 PINNED_DIGESTS = {
     ("FP3_BITMOD", 128):
         "a9b377443f949155a49b0113c2233fd6e49927383d494bf18145de92a19f8713",
@@ -211,6 +212,7 @@ def test_pack_bytes_are_pinned(name, g):
     qt = quantize_tensor(w, spec_for(name), grouping)
     data = packfile.pack(qt, grouping, 300)
     assert hashlib.sha256(data).hexdigest() == PINNED_DIGESTS[name, g]
+    assert packfile.unpack(data)[0] == qt
 
 
 def bitplane_pack_codes(codes, spec):
@@ -334,10 +336,11 @@ def test_pack_memory_beyond_output():
 
 
 @pytest.mark.parametrize("name,bound", [
-    # 290 809 bytes measured for 3-bit codes and 658 777 for 8-bit ones,
-    # whose temporaries are the widest; each bound leaves about 30% above
-    # that.  Decoding the 4 read chunks of these files at once would hold
-    # about four times as much.
+    # 308 450 bytes measured for 3-bit codes and 659 602 for 8-bit ones,
+    # whose temporaries are the widest, by a call that also builds the code
+    # width's field table, as a process's first one does; each bound leaves
+    # about 20-30% above that.  Decoding the 4 read chunks of these files at
+    # once would hold about four times as much.
     ("FP3_BITMOD", 370 << 10), ("INT8_SYM", 840 << 10),
 ])
 def test_unpack_memory_beyond_output(name, bound):
@@ -346,7 +349,7 @@ def test_unpack_memory_beyond_output(name, bound):
     qt = quantize_tensor(w, spec_for(name), grouping)
     data = packfile.pack(qt, grouping, 4096)
     assert -(-64 * 4096 // packfile.READ_CHUNK_WEIGHTS) == 4
-    packfile.unpack(data)  # builds the field table once, outside the count
+    packfile._field_table.cache_clear()  # counted in the call below
     tracemalloc.start()
     try:
         got, _, _ = packfile.unpack(data)
