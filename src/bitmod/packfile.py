@@ -17,14 +17,19 @@ channels, about ``quant.CHUNK_WEIGHTS`` weights each.  Each run of 8 codes,
 one byte each, is one little-endian uint64 that a SWAR fold ("SIMD within
 a register") packs in place: three mask-and-shift steps join byte pairs,
 then 16-bit pairs, then 32-bit pairs, which leaves the run's codes LSB
-first in its first ``bits_per_code`` bytes.  ``unpack`` reads and checks
-chunks of whole channels of about ``READ_CHUNK_WEIGHTS`` weights, four
-times as many, each as one such view of the file.  It reads a row's
-codes as fixed-width fields of whole codes: one byte (two 4-bit codes, or
-one 8-bit code) or 12 bits (four 3-bit codes, or two 6-bit codes; two
-fields in three bytes).  Each field is one index into a table of its
-codes, already sign-extended for INT types, built on first use per code
-width and signedness.
+first in its first ``bits_per_code`` bytes.
+
+``read_chunks`` is the one reader.  It checks the header at once, then
+yields chunks of whole channels of about ``READ_CHUNK_WEIGHTS`` weights,
+four times as many, each one such view of the file checked at once and
+returned as a ``QuantizedTensor`` chunk.  ``unpack`` copies its chunks
+into one tensor; ``unpack_to_tensor`` dequantizes each straight into its
+float32 output, so it never holds the whole tensor.  The reader reads a
+row's codes as fixed-width fields of whole codes: one byte (two 4-bit
+codes, or one 8-bit code) or 12 bits (four 3-bit codes, or two 6-bit
+codes; two fields in three bytes).  Each field is one index into a table
+of its codes, already sign-extended for INT types, built on first use per
+code width and signedness.
 
 Asymmetric INT types carry a zero-point the format has no field for; they
 are software baselines, so ``pack`` refuses them and ``unpack`` rejects
@@ -49,12 +54,12 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sHHIII")
 
-# Weights per chunk of ``unpack`` and ``unpack_to_tensor``: whole channels,
-# at least one.  At ``CHUNK_WEIGHTS`` a chunk's cost is the ~20 numpy calls
-# it makes, not its decoding; at 16 times that it read little faster than
-# at 4 times.  Reading holds 4-10 bytes of temporaries per weight (3- to
-# 8-bit codes) against the quantizer's ~56, so a read chunk stays within
-# the quantizer's own ~0.9 MB of temporaries.
+# Weights per chunk of ``read_chunks``: whole channels, at least one.  At
+# ``CHUNK_WEIGHTS`` a chunk's cost is the ~20 numpy calls it makes, not its
+# decoding; at 16 times that it read little faster than at 4 times.
+# Reading holds 4-10 bytes of temporaries per weight (3- to 8-bit codes)
+# against the quantizer's ~56, so a read chunk stays within the
+# quantizer's own ~0.9 MB of temporaries.
 READ_CHUNK_WEIGHTS = 4 * CHUNK_WEIGHTS
 
 
@@ -150,7 +155,6 @@ def _unpack_codes(raw, count: int, spec: DataTypeSpec) -> np.ndarray:
     sign-extended.  Each row is read as fields of whole codes, each one
     index into ``_field_table``."""
     bits = spec.bits_per_code
-    raw = np.asarray(raw, dtype=np.uint8)
     *lead, n = raw.shape
     if not raw.size:  # no rows, and ``count`` may be a damaged header's
         return np.empty((*lead, count), spec.code_dtype)
@@ -236,7 +240,8 @@ def _read_channels(rows, pos: int, spec: DataTypeSpec, g: int, rec: int):
     f32 scale then complete group records of ``rec`` bytes; ``rows[0]``
     starts at file offset ``pos``.
 
-    Returns (channel scales, records of shape (n, n_groups, rec), codes).
+    Returns (channel scales as float64, records of shape (n, n_groups,
+    rec), codes).
     Raises :class:`FormatError` for the bad field at the lowest offset: a
     channel's scale, then its first bad record's ``sv_index``, then that
     record's first bad code.
@@ -267,17 +272,25 @@ def _read_channels(rows, pos: int, spec: DataTypeSpec, g: int, rec: int):
         raise FormatError(f"code {codes[c, r, i]} out of range for "
                           f"{spec.name}",
                           offset=at + 2 + i * spec.bits_per_code // 8)
-    return scale, records, codes
+    # float64, as ``QuantizedTensor`` holds it: ``dequantize_tensor`` would
+    # scale by a float32 one in float32.
+    return scale.astype(np.float64), records, codes
 
 
-def unpack(data: bytes):
-    """Parse BMOD bytes back into (QuantizedTensor, grouping, spec).
+def read_chunks(data: bytes):
+    """Check the header of BMOD bytes and return ``(spec, grouping,
+    channel_size, n_channels, chunks)``.
 
-    The complete channels are read in chunks of about
-    ``READ_CHUNK_WEIGHTS`` weights, each one view of the file checked at
-    once; then a truncated last channel is checked as far as its bytes go.
-    A damaged file raises :class:`FormatError` for its first bad field in
-    file order, whatever the chunk size.
+    ``n_channels`` counts the complete channels, sized by the bytes present
+    rather than by the header.  ``chunks`` yields ``(slice,
+    QuantizedTensor)`` for each chunk of whole channels of about
+    ``READ_CHUNK_WEIGHTS`` weights, in file order; each chunk is one view
+    of the file checked at once, and its ``sv_index`` and ``scale_q`` are
+    views of ``data``.  A bad header raises :class:`FormatError`
+    from the call.  Iterating raises it for the body's first bad field in
+    file order, whatever the chunk size: a field of a complete channel,
+    then a truncated last channel, checked as far as its bytes go, then
+    trailing bytes.
     """
     if len(data) < _HEADER.size:
         raise FormatError("truncated header", offset=len(data))
@@ -303,41 +316,64 @@ def unpack(data: bytes):
     n_groups = grouping.n_groups(d)
     rec = group_record_bytes(spec, g)
     width = 4 + n_groups * rec
-    pos = _HEADER.size
     # Sized by the channels whose bytes are all there, not by the header.
-    n_full = min(k, (len(data) - pos) // width)
-    shape = (n_full, n_groups)
-    qt = QuantizedTensor(np.empty((*shape, g), spec.code_dtype),
+    n_full = min(k, (len(data) - _HEADER.size) // width)
+
+    def chunks():
+        body = np.ndarray((n_full, width), np.uint8, data, _HEADER.size)
+        for chunk in channel_chunks(n_full, n_groups * g, READ_CHUNK_WEIGHTS):
+            scale, records, codes = _read_channels(
+                body[chunk], _HEADER.size + chunk.start * width, spec, g, rec)
+            yield chunk, QuantizedTensor(codes, records[..., 1], records[..., 0],
+                                         scale, spec, valid_size=d)
+        pos = _HEADER.size + body.size
+        if n_full < k:
+            if pos + 4 > len(data):
+                raise FormatError("truncated channel scale", offset=pos)
+            n = (len(data) - pos - 4) // rec
+            rows = np.frombuffer(data, np.uint8, 4 + n * rec, pos)
+            _read_channels(rows[None], pos, spec, g, rec)
+            raise FormatError("truncated group record", offset=pos + rows.size)
+        if pos != len(data):
+            raise FormatError(f"{len(data) - pos} trailing bytes", offset=pos)
+
+    return spec, grouping, d, n_full, chunks()
+
+
+def unpack(data: bytes):
+    """Parse BMOD bytes back into (QuantizedTensor, grouping, spec): each
+    chunk of :func:`read_chunks` is copied into one preallocated tensor, and
+    a damaged file raises its :class:`FormatError`."""
+    spec, grouping, d, n, chunks = read_chunks(data)
+    shape = (n, grouping.n_groups(d))
+    qt = QuantizedTensor(np.empty((*shape, grouping.group_size),
+                                  spec.code_dtype),
                          np.empty(shape, np.uint8), np.empty(shape, np.uint8),
-                         np.empty(n_full), spec, valid_size=d)
-    body = np.frombuffer(data, np.uint8, n_full * width, pos)
-    body = body.reshape(n_full, width)
-    for chunk in channel_chunks(n_full, n_groups * g, READ_CHUNK_WEIGHTS):
-        scale, records, codes = _read_channels(
-            body[chunk], pos + chunk.start * width, spec, g, rec)
-        qt.channel_scale[chunk], qt.codes[chunk] = scale, codes
-        qt.scale_q[chunk], qt.sv_index[chunk] = records[..., 0], records[..., 1]
-    pos += body.size
-    if n_full < k:
-        if pos + 4 > len(data):
-            raise FormatError("truncated channel scale", offset=pos)
-        n = (len(data) - pos - 4) // rec
-        rows = np.frombuffer(data, np.uint8, 4 + n * rec, pos)
-        _read_channels(rows[None], pos, spec, g, rec)
-        raise FormatError("truncated group record", offset=pos + 4 + n * rec)
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes", offset=pos)
+                         np.empty(n), spec, valid_size=d)
+    for chunk, q in chunks:
+        qt.codes[chunk], qt.sv_index[chunk] = q.codes, q.sv_index
+        qt.scale_q[chunk], qt.channel_scale[chunk] = q.scale_q, q.channel_scale
     return qt, grouping, spec
 
 
 def unpack_to_tensor(data: bytes) -> np.ndarray:
-    """Parse BMOD bytes and dequantize them into a (K, D) float32 array, a
-    chunk of whole channels of about ``READ_CHUNK_WEIGHTS`` weights at a
-    time: each value is its float64 dequantization, rounded once to
-    float32."""
-    qt, _, _ = unpack(data)
-    out = np.empty((len(qt), qt.valid_size), np.float32)
-    for chunk in channel_chunks(len(qt), qt.codes[0].size,
-                                READ_CHUNK_WEIGHTS):
-        out[chunk] = dequantize_tensor(qt[chunk])
+    """Parse BMOD bytes and dequantize them into a (K, D) float32 array, one
+    chunk of :func:`read_chunks` at a time, so the whole
+    ``QuantizedTensor`` is never built: each value is its float64
+    dequantization, rounded once to float32.
+
+    A damaged file raises the :class:`FormatError` that ``unpack`` raises.
+    A weight that float32 cannot hold, from a channel scale too large for
+    its ``scale_q`` and codes, raises :class:`OutOfRange`.
+    """
+    _, _, d, n, chunks = read_chunks(data)
+    out = np.empty((n, d), np.float32)
+    try:
+        with np.errstate(over="raise"):
+            for chunk, q in chunks:
+                out[chunk] = dequantize_tensor(q)
+    except FloatingPointError:  # from the float32 cast of a chunk
+        list(chunks)  # the rest, so that a damaged file raises FormatError
+        raise OutOfRange(f"channels {chunk.start}..{min(chunk.stop, n) - 1} "
+                         "hold a weight beyond the float32 range") from None
     return out

@@ -481,6 +481,22 @@ def test_unpack_writes_whole_tensor_float32_bytes(name, tmp_path, capsys):
     assert restored.read_bytes() == (tmp_path / "want.npy").read_bytes()
 
 
+def test_unpack_of_a_weight_beyond_float32_is_one_line_error(tensor_file,
+                                                             tmp_path, capsys):
+    # Channel 3's scale, times its scale_q and grid values, leaves float32;
+    # the NPY would hold an infinity, so none is written.
+    packed, out = tmp_path / "w.bmod", tmp_path / "w_out.npy"
+    assert run(capsys, "pack", str(tensor_file), "--out", str(packed))[0] == 0
+    data = bytearray(packed.read_bytes())
+    width = (len(data) - 20) // 64
+    struct.pack_into("<f", data, 20 + 3 * width, 3e38)
+    packed.write_bytes(data)
+    code, _, err = run(capsys, "unpack", str(packed), "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert err == ("error: channels 0..63 hold a weight beyond the float32 "
+                   "range\n")
+
+
 @pytest.mark.parametrize("shape, g, size, rate", [
     ("64x300", "128", 9876, "4.1150"),
     ("2x128", "1000000", 750032, "23438.5000"),

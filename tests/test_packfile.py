@@ -14,6 +14,7 @@ from bitmod.archsim import LayerShape
 from bitmod.dtype import GroupingConfig, code_range, spec_for
 from bitmod.errors import FormatError, OutOfRange, UnsupportedDtype
 from bitmod.quant import dequantize_tensor, quantize_tensor
+from unpack_error_cases import DTYPES, FILE_SETS, WIDTH, base_file
 
 
 def roundtrip_tensor(rng, name, shape, g):
@@ -361,6 +362,89 @@ def test_unpack_memory_beyond_output(name, bound):
     assert peak - out < bound
 
 
+@pytest.mark.parametrize("name", ["FP3_BITMOD", "INT8_SYM"])
+def test_unpack_to_tensor_memory_beyond_output(name):
+    # Beyond its float32 output, ``unpack_to_tensor`` holds one read chunk's
+    # codes and float64 dequantization: 761 197 bytes measured for 3-bit
+    # codes and 746 934 for 8-bit ones, by a call that builds the field
+    # table.  The bound leaves about 15% above that.  Building the whole
+    # ``QuantizedTensor`` first, with its 262 144 code bytes, measured
+    # 961 437 and 947 190 bytes, which fail it.
+    w = np.random.default_rng(23).standard_normal((64, 4096))
+    grouping = GroupingConfig(group_size=128)
+    qt = quantize_tensor(w, spec_for(name), grouping)
+    data = packfile.pack(qt, grouping, 4096)
+    assert -(-64 * 4096 // packfile.READ_CHUNK_WEIGHTS) == 4
+    packfile._field_table.cache_clear()  # counted in the call below
+    tracemalloc.start()
+    try:
+        got = packfile.unpack_to_tensor(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes < 860 << 10
+
+
+def test_read_chunks_checks_the_header_at_once_and_the_body_as_it_reads():
+    _, _, data = roundtrip_tensor(np.random.default_rng(48), "FP3_BITMOD",
+                                  (2, 64), 32)
+    with pytest.raises(FormatError, match="bad magic") as ei:
+        packfile.read_chunks(b"JUNK" + data[4:])
+    assert ei.value.offset == 0
+    nan_scale = data[:20] + struct.pack("<f", float("nan")) + data[24:]
+    # A bad field, a truncated last channel and trailing bytes.
+    for damaged in (nan_scale, data[:-3], data + b"\0"):
+        with pytest.raises(FormatError) as want:
+            packfile.unpack(damaged)
+        *_, chunks = packfile.read_chunks(damaged)
+        with pytest.raises(FormatError) as ei:
+            list(chunks)
+        assert (str(ei.value), ei.value.offset) == (str(want.value),
+                                                    want.value.offset)
+
+
+@pytest.mark.parametrize("name", DTYPES)
+def test_read_chunks_tile_the_channels_in_file_order(name):
+    # The 600-channel file of the second pinned unpack table: read chunks
+    # of 256, 256 and 88 channels.
+    fs = FILE_SETS[1]
+    data = base_file(name, fs)
+    whole, grouping, spec = packfile.unpack(data)
+    got_spec, got_grouping, d, n, chunks = packfile.read_chunks(data)
+    assert (got_spec, got_grouping, d, n) == (spec, grouping, WIDTH,
+                                              fs.channels)
+    rows = []
+    for chunk, part in chunks:
+        rows.append(range(n)[chunk])
+        want = whole[chunk]
+        assert part == want
+        for f in dataclasses.fields(want):
+            if isinstance(x := getattr(want, f.name), np.ndarray):
+                assert getattr(part, f.name).dtype == x.dtype, f.name
+    assert [len(r) for r in rows] == [256, 256, 88]
+    assert [i for r in rows for i in r] == list(range(n))
+
+
+def test_unpack_to_tensor_refuses_a_weight_beyond_float32():
+    # A finite float32 channel scale times its scale_q and grid values can
+    # exceed float32.  ``unpack`` reads such a file, but a float32 tensor
+    # cannot hold it, so ``unpack_to_tensor`` refuses it rather than write
+    # an infinity; a damaged file still raises its FormatError, though its
+    # bad field comes after that weight.
+    _, _, data = roundtrip_tensor(np.random.default_rng(49), "FP3_BITMOD",
+                                  (3, 64), 32)
+    width = 4 + 2 * packfile.group_record_bytes(spec_for("FP3_BITMOD"), 32)
+    big = bytearray(data)
+    struct.pack_into("<f", big, 20 + width, 3e38)  # channel 1
+    qt, _, _ = packfile.unpack(bytes(big))
+    assert np.abs(dequantize_tensor(qt[1:2])).max() > np.finfo(np.float32).max
+    with pytest.raises(OutOfRange, match=r"^channels 0\.\.2 hold a weight "
+                       r"beyond the float32 range$"):
+        packfile.unpack_to_tensor(bytes(big))
+    with pytest.raises(FormatError, match="1 trailing bytes"):
+        packfile.unpack_to_tensor(bytes(big) + b"\0")
+
+
 def test_repack_is_byte_identical():
     rng = np.random.default_rng(44)
     _, _, data = roundtrip_tensor(rng, "FP4_BITMOD", (4, 96), 32)
@@ -599,9 +683,21 @@ def damaged_files(draw):
 def test_unpack_damaged_file_raises_only_format_error(data):
     try:
         qt, _, _ = packfile.unpack(data)
-    except FormatError:
+    except FormatError as exc:
+        with pytest.raises(FormatError) as ei:
+            packfile.unpack_to_tensor(data)
+        assert (str(ei.value), ei.value.offset) == (str(exc), exc.offset)
         return
     k, d = struct.unpack_from("<II", data, 8)
     deq = dequantize_tensor(qt)
     assert deq.shape == (k, d)
     assert np.all(np.isfinite(deq))
+    with np.errstate(over="ignore"):  # a reference that float32 cannot hold
+        want = deq.astype(np.float32)
+    if np.isinf(want).any():
+        with pytest.raises(OutOfRange, match="beyond the float32 range"):
+            packfile.unpack_to_tensor(data)
+        return
+    got = packfile.unpack_to_tensor(data)
+    assert got.dtype == np.float32 and got.shape == (k, d)
+    assert np.all(np.isfinite(got)) and got.tobytes() == want.tobytes()
