@@ -297,19 +297,22 @@ def check_no_stall(spec: DataTypeSpec, grouping: GroupingConfig) -> bool:
     return ok
 
 
-def _gemm(m: int, k: int, n: int, repeat: int, cfg: ArchConfig, rows: int,
-          cols: int, grouping: GroupingConfig, cycles_per_group: int,
-          bits_per_weight: Fraction) -> tuple[int, int, tuple[float, ...]]:
-    """One (m x k) by (k x n) GEMM on ``cfg``'s tile grid of ``rows`` x
-    ``cols`` PEs that take ``cycles_per_group`` per group of K.
+def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
+              grouping: GroupingConfig = None) -> SimReport:
+    """Total of each ``(m, k, n, repeat, times)`` run of ``gemms``: an
+    (m x k) by (k x n) GEMM, added ``repeat`` times and that sum ``times``
+    times, on the bit-serial array for ``spec`` and ``grouping``, or on the
+    FP16 baseline when ``spec`` is None.
 
-    Returns the compute and DRAM cycles of one GEMM, and its five float
-    figures summed ``repeat`` times from 0.0.  Output-stationary: each wave
-    of output tiles walks all of K, padded to whole groups by the array's
-    ``grouping`` (:meth:`GroupingConfig.n_groups`); the FP16 baseline's
-    grouping is one ``DOT_WIDTH``-wide dot.
+    Output-stationary: each wave of output tiles walks all of K, padded to
+    whole groups by the array's grouping (:meth:`GroupingConfig.n_groups`);
+    the FP16 baseline's grouping is one ``DOT_WIDTH``-wide dot.  Adding a
+    GEMM's figures ``times`` times is the same float additions in the same
+    order as adding them once per layer of a run and per step of a phase.
+    A stalling ``spec`` warns once, after the first GEMM that passes its
+    checks and has work.
 
-    Weights cost ``bits_per_weight`` each, for the bit-serial array
+    Weights cost the array's bits per weight each, for the bit-serial array
     :func:`bitmod.quant.memory_footprint_bits`: ``bits_per_code`` bits a
     weight and ``8 + sv_bits`` bits a group.  That is the layout the
     simulator charges, not the BMOD file's: it leaves out the file's
@@ -317,60 +320,47 @@ def _gemm(m: int, k: int, n: int, repeat: int, cfg: ArchConfig, rows: int,
     byte padding of each record's codes, the float32 scale of each channel
     and the 20-byte header (:mod:`bitmod.packfile`).
     """
-    if m <= 0 or k <= 0 or n <= 0:
-        raise ConfigError("non-positive GEMM dimension in "
-                          f"{LayerShape(m, k, n, repeat)}")
-    if grouping.group_size % DOT_WIDTH:
-        raise ConfigError(f"group size {grouping.group_size} not divisible "
-                          f"by dot width {DOT_WIDTH}")
-    if repeat == 0:
-        return 0, 0, _NO_FIGURES
-    waves = -(-m // (cfg.tiles_y * rows)) * -(-n // (cfg.tiles_x * cols))
-    compute = waves * grouping.n_groups(k) * cycles_per_group
-    try:
-        # int / int rounds once, correctly: the float of the exact rational.
-        weight_bytes = (k * n * bits_per_weight.numerator
-                        / (8 * bits_per_weight.denominator))
-        act_bytes = float((m * k + m * n) * 2)  # FP16 activations in and out
-        moved = weight_bytes + act_bytes
-        dram = math.ceil(moved / cfg.dram_bytes_per_cycle)
-        n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
-        figures = _accumulate(_NO_FIGURES, (
-            weight_bytes, act_bytes, compute * n_pes * cfg.e_pe_cycle,
-            moved * cfg.e_sram_byte, moved * cfg.e_dram_byte), repeat)
-    except OverflowError:  # an int beyond the float range, or an inf
-        raise ConfigError(f"{LayerShape(m, k, n, repeat)}: byte or energy "
-                          "figures overflow the float range") from None
-    return compute, dram, figures
-
-
-def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
-              grouping: GroupingConfig = None) -> SimReport:
-    """Total of each ``(m, k, n, repeat)`` GEMM of ``gemms``, added
-    ``times`` times, on the bit-serial array for ``spec`` and ``grouping``,
-    or on the FP16 baseline when ``spec`` is None.
-
-    Adding a GEMM's figures ``times`` times is the same float additions in
-    the same order as adding them once per layer of a run and per step of
-    a phase.  A stalling ``spec`` warns once, after the first GEMM that
-    passes its checks and has work.
-    """
     if spec is None:
         # One 4-MAC dot in 4 cycles (one MAC per cycle) on the iso-area
         # baseline tile, 6x8 PEs by default against the bit-serial 8x8.
-        array = (cfg, cfg.baseline_pe_rows, cfg.baseline_pe_cols,
-                 _FP16_GROUPING, FP16_MAC_CYCLES_PER_DOT,
-                 FP16_BITS_PER_WEIGHT)
+        rows, cols = cfg.baseline_pe_rows, cfg.baseline_pe_cols
+        grouping, per_group = _FP16_GROUPING, FP16_MAC_CYCLES_PER_DOT
+        bits = FP16_BITS_PER_WEIGHT
     else:
-        array = (cfg, cfg.pe_rows, cfg.pe_cols, grouping,
-                 group_cycles(spec, grouping.group_size),
-                 memory_footprint_bits(spec, grouping))
+        rows, cols = cfg.pe_rows, cfg.pe_cols
+        per_group = group_cycles(spec, grouping.group_size)
+        bits = memory_footprint_bits(spec, grouping)
+    wave_m, wave_n = cfg.tiles_y * rows, cfg.tiles_x * cols
+    n_pes = cfg.tiles_x * cfg.tiles_y * rows * cols
+    num, den = bits.numerator, 8 * bits.denominator  # bytes per weight
+    per_cycle = cfg.dram_bytes_per_cycle
     compute = dram = total = 0
     floats = _NO_FIGURES
     unchecked = spec is not None
     for m, k, n, repeat, times in gemms:
-        c, d, figures = _gemm(m, k, n, repeat, *array)
-        if repeat and unchecked:
+        if m <= 0 or k <= 0 or n <= 0:
+            raise ConfigError("non-positive GEMM dimension in "
+                              f"{LayerShape(m, k, n, repeat)}")
+        if grouping.group_size % DOT_WIDTH:
+            raise ConfigError(f"group size {grouping.group_size} not "
+                              f"divisible by dot width {DOT_WIDTH}")
+        if repeat == 0:
+            continue
+        c = (-(-m // wave_m) * -(-n // wave_n) * grouping.n_groups(k)
+             * per_group)
+        try:
+            # int / int rounds once: the float of the exact rational.
+            weight_bytes = k * n * num / den
+            act_bytes = float((m * k + m * n) * 2)  # FP16 in and out
+            moved = weight_bytes + act_bytes
+            d = math.ceil(moved / per_cycle)
+            figures = _accumulate(_NO_FIGURES, (
+                weight_bytes, act_bytes, c * n_pes * cfg.e_pe_cycle,
+                moved * cfg.e_sram_byte, moved * cfg.e_dram_byte), repeat)
+        except OverflowError:  # an int beyond the float range, or an inf
+            raise ConfigError(f"{LayerShape(m, k, n, repeat)}: byte or energy"
+                              " figures overflow the float range") from None
+        if unchecked:
             check_no_stall(spec, grouping)
             unchecked = False
         compute += c * repeat * times
@@ -419,12 +409,10 @@ _INT_KEYS = {"hidden", "ffn", "heads", "kv_heads", "blocks", "vocab",
 
 def parse_shape_file(text: str) -> dict:
     values: dict = {}
-    any_content = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        any_content = True
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
         key, _, val = line.partition("=")
@@ -444,7 +432,7 @@ def parse_shape_file(text: str) -> dict:
             values[key] = val
         else:
             raise ParseError(f"unknown key {key!r}", line=lineno)
-    if not any_content:
+    if not values:
         raise ParseError("empty shape file", line=1)
     for req in ("name", "hidden", "blocks"):
         if req not in values:
@@ -466,17 +454,12 @@ def profile_shapes(text: str) -> WorkloadSpec:
     if hidden % heads or kv_heads > heads:
         raise ParseError("heads must divide hidden and kv_heads <= heads")
     kv_dim = hidden * kv_heads // heads
-    layers = [
-        LayerShape(m=0, k=hidden, n=hidden, repeat=blocks),   # Q
-        LayerShape(m=0, k=hidden, n=kv_dim, repeat=blocks),   # K
-        LayerShape(m=0, k=hidden, n=kv_dim, repeat=blocks),   # V
-        LayerShape(m=0, k=hidden, n=hidden, repeat=blocks),   # output proj
-        LayerShape(m=0, k=hidden, n=ffn, repeat=blocks),      # FFN up
-    ]
-    if ffn_gemms == 3:
-        layers.append(LayerShape(m=0, k=hidden, n=ffn, repeat=blocks))  # gate
-    layers.append(LayerShape(m=0, k=ffn, n=hidden, repeat=blocks))      # down
+    # Q, K, V, output proj, FFN up (and gate when gated), FFN down.
+    dims = [(hidden, hidden), (hidden, kv_dim), (hidden, kv_dim),
+            (hidden, hidden), *[(hidden, ffn)] * (ffn_gemms - 1),
+            (ffn, hidden)]
+    layers = [LayerShape(m=0, k=k, n=n, repeat=blocks) for k, n in dims]
     if "vocab" in v:
-        layers.append(LayerShape(m=0, k=hidden, n=v["vocab"], repeat=1))
+        layers.append(LayerShape(m=0, k=hidden, n=v["vocab"]))  # LM head
     return WorkloadSpec(name=v["name"], layers=tuple(layers))
 

@@ -166,7 +166,8 @@ class GroupingConfig:
     Channels whose size is not a multiple of ``group_size`` are padded with
     zeros up to the next multiple; padded lanes quantize like weights of
     value 0 and are excluded from error metrics.  ``group_size`` is a
-    positive Python or numpy integer, not a bool.
+    positive Python or numpy integer, not a bool, and is stored as a Python
+    int, so group counts and cycle totals never wrap at a numpy width.
     """
 
     group_size: int = 128
@@ -175,6 +176,7 @@ class GroupingConfig:
         g = self.group_size
         if type(g) is bool or not isinstance(g, (int, np.integer)) or g < 1:
             raise ValueError(f"group_size must be an integer >= 1, got {g!r}")
+        object.__setattr__(self, "group_size", int(g))
 
     def n_groups(self, size: int) -> int:
         """Groups in a channel of ``size`` weights, the last one padded."""

@@ -328,6 +328,9 @@ def quantize_groups(rows, spec: DataTypeSpec, out=None):
     symmetric one.  The codes are written into ``out`` when it is given.
     """
     rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError("rows must be 2-D (groups x group_size), got shape "
+                         f"{rows.shape}")
     if spec.is_fp:
         codes, delta, sv_index, _ = _best_grid(rows, spec, out=out)
         return codes, delta, sv_index, None

@@ -8,6 +8,7 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -569,9 +570,10 @@ B = LayerShape(m=0, k=512, n=256, repeat=3)
     (WorkloadSpec("m", (A, dataclasses.replace(A, m=77))), 1),
     # Layers that differ only in their repeat do not.
     (WorkloadSpec("r", (A, dataclasses.replace(A, repeat=5))), 2),
-    # Each GEMM's own repeat totals on both sides of the plain-loop cutoff.
+    # Each GEMM's own repeat totals on both sides of the plain-loop cutoff;
+    # the run of repeat 0 has no work and is not costed.
     (WorkloadSpec("repeats", tuple(dataclasses.replace(A, repeat=r)
-                                   for r in (0, 1, 64, 65))), 4),
+                                   for r in (0, 1, 64, 65))), 3),
 ], ids=["gqa", "aba", "m-placeholder", "repeat-differs", "repeats"])
 def test_runs_of_equal_gemms_equal_sequential_sums(w, calls_per_phase,
                                                    decode, monkeypatch):
@@ -579,12 +581,15 @@ def test_runs_of_equal_gemms_equal_sequential_sums(w, calls_per_phase,
     spec = spec_for("FP3_BITMOD")
     want = _oracle_workload(w, spec)
     calls = []
-    gemm = archsim._gemm
-    monkeypatch.setattr(archsim, "_gemm", lambda *args: (
-        calls.append(args) or gemm(*args)))
+    accumulate = archsim._accumulate
+    monkeypatch.setattr(archsim, "_accumulate", lambda *args: (
+        calls.append(args) or accumulate(*args)))
     got = simulate_workload(w, spec, G128)
     assert _hex_fields(got) == _hex_fields(want)
-    assert len(calls) == calls_per_phase * (1 + (decode > 0))
+    # A costed GEMM is two additions: its figures summed over its repeat,
+    # then that sum added to the totals for every layer and step it stands
+    # for.
+    assert len(calls) == 2 * calls_per_phase * (1 + (decode > 0))
     assert (_hex_fields(baseline_fp16_sim(w))
             == _hex_fields(_oracle_workload(w)))
 
@@ -697,6 +702,20 @@ def test_simulate_rows_equal_pinned_digest():
     assert digest == PIN_SHA256
 
 
+def test_numpy_group_size_totals_equal_python_int_ones():
+    # At np.int64(128) the cycle totals were np.int64: compute_cycles
+    # wrapped to 2 828 260 566 814 556 160 here, against the exact
+    # 113 508 725 009 071 865 856.
+    w = dataclasses.replace(_bundled("llama-2-7b"), decode_tokens=2 ** 40)
+    spec = spec_for("FP3_BITMOD")
+    got = simulate_workload(w, spec, GroupingConfig(group_size=np.int64(128)))
+    want = simulate_workload(w, spec, G128)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert want.compute_cycles == 113_508_725_009_071_865_856
+    for column in ("compute_cycles", "dram_cycles", "total_cycles"):
+        assert type(getattr(got, column)) is int
+
+
 def test_workload_gemms_are_built_once_and_stay_out_of_the_fields():
     w = _bundled("toy")
     same = dataclasses.replace(w)
@@ -711,12 +730,28 @@ def test_workload_gemms_are_built_once_and_stay_out_of_the_fields():
                                           for _, k, n, r, length in gemms)
 
 
+def _stalls_and_overflows(w):
+    """A stalling spec on ``w`` with its GEMM widened past the float range:
+    the GEMM's overflow error comes before the stall warning.  A GEMM of
+    repeat 0 has no figures, so it neither raises nor warns."""
+    layer = dataclasses.replace(w.layers[0], n=10 ** 400)
+    w = dataclasses.replace(w, layers=(layer,))
+    if not layer.repeat:
+        return simulate_workload(w, spec_for("FP3_BITMOD"),
+                                 GroupingConfig(group_size=8))
+    with pytest.raises(ConfigError, match=r"^LayerShape\(m=4, k=128, n=1000"
+                       r"\d*, repeat=2\): byte or energy figures overflow"):
+        simulate_workload(w, spec_for("FP3_BITMOD"),
+                          GroupingConfig(group_size=8))
+
+
 @pytest.mark.parametrize("simulate, warns", [
     (lambda w: simulate_workload(w, spec_for("FP3_BITMOD"),
                                  GroupingConfig(group_size=8)), True),
     (lambda w: simulate_workload(w, spec_for("FP3_BITMOD"), G128), False),
     (baseline_fp16_sim, False),
-], ids=["stalls", "no-stall", "fp16"])
+    (_stalls_and_overflows, False),
+], ids=["stalls", "no-stall", "fp16", "stalls-overflow"])
 @pytest.mark.parametrize("repeat", (0, 2))
 def test_stall_warning_only_after_a_simulated_gemm(simulate, warns, repeat):
     w = WorkloadSpec("w", (LayerShape(0, 128, 8, repeat),), 4, 1)

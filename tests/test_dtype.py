@@ -131,9 +131,16 @@ def test_grouping_config_rejects_nonpositive_group_size():
 
 @pytest.mark.parametrize("g, size, n_groups", [
     (128, 300, 3), (128, 256, 2), (32, 1, 1), (7, 300, 43), (1, 5, 5),
-    (np.int64(128), 300, 3)])
+    # A numpy size is stored as an int.  It used to be kept as it was, and
+    # the count then came back as a numpy integer, or raised OverflowError
+    # ("Python integer -100 out of bounds for uint8").
+    (np.int64(128), 300, 3), (np.uint8(128), 100, 1), (np.int8(64), 300, 5),
+    (np.uint64(128), 300, 3)])
 def test_grouping_config_counts_padded_groups(g, size, n_groups):
-    assert GroupingConfig(group_size=g).n_groups(size) == n_groups
+    grouping = GroupingConfig(group_size=g)
+    assert type(grouping.group_size) is int and grouping.group_size == g
+    count = grouping.n_groups(size)
+    assert type(count) is int and count == n_groups
 
 
 def test_dtype_ids_are_stable():

@@ -133,6 +133,16 @@ def test_quantize_groups_hand_example():
     np.testing.assert_allclose(deq, [[0.6, -0.6, 2.4]], atol=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(8,), (2, 2, 4)], ids=["1-D", "3-D"])
+@pytest.mark.parametrize("name", ["FP3_BITMOD", "INT4_SYM", "INT4_ASYM"])
+def test_quantize_groups_refuses_rows_that_are_not_2d(name, shape):
+    # 1-D rows used to give INT4_SYM one sv_index per weight and a scalar
+    # delta, and FP3_BITMOD a bare unpacking ValueError.
+    message = f"rows must be 2-D (groups x group_size), got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quantize_groups(np.ones(shape), spec_for(name))
+
+
 def test_quantize_groups_brute_force_agreement():
     w = np.random.default_rng(11).standard_normal((64, 64))
     for name in ("FP4_BASIC", "FP4_BITMOD"):
@@ -393,6 +403,17 @@ def test_tensor_roundtrip_shape_and_finiteness_checks():
     for empty in ((2, 0), (0, 8)):
         with pytest.raises(ValueError, match="empty"):
             quantize_tensor(np.zeros(empty), spec, grouping)
+
+
+@pytest.mark.parametrize("g", [np.uint8(128), np.int8(64), np.uint64(128)],
+                         ids=repr)
+def test_quantize_tensor_at_a_numpy_group_size(g):
+    # The padded group count of a 300-wide channel used to raise
+    # OverflowError at these widths.
+    w = np.random.default_rng(17).standard_normal((2, 300))
+    spec = spec_for("FP3_BITMOD")
+    assert (quantize_tensor(w, spec, GroupingConfig(group_size=g))
+            == quantize_tensor(w, spec, GroupingConfig(group_size=int(g))))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
