@@ -344,7 +344,10 @@ def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
         if grouping.group_size % DOT_WIDTH:
             raise ConfigError(f"group size {grouping.group_size} not "
                               f"divisible by dot width {DOT_WIDTH}")
-        if repeat == 0:
+        if repeat <= 0:
+            if repeat:
+                raise ConfigError(f"negative repeat in "
+                                  f"{LayerShape(m, k, n, repeat)}")
             continue
         c = (-(-m // wave_m) * -(-n // wave_n) * grouping.n_groups(k)
              * per_group)

@@ -17,7 +17,11 @@ channels, about ``quant.CHUNK_WEIGHTS`` weights each.  Each run of 8 codes,
 one byte each, is one little-endian uint64 that a SWAR fold ("SIMD within
 a register") packs in place: three mask-and-shift steps join byte pairs,
 then 16-bit pairs, then 32-bit pairs, which leaves the run's codes LSB
-first in its first ``bits_per_code`` bytes.
+first in its first ``bits_per_code`` bytes.  A step whose joined pair fits
+its doubled lane (every step of 3- and 4-bit codes) takes three passes,
+shift, or and mask, and needs the bits between codes to be zero, as they
+are for range-checked FP codes and for INT codes after one mask pass; the
+others (6-bit codes) take four, mask, shift, mask and or.
 
 ``read_chunks`` is the one reader.  It checks the header at once, then
 yields chunks of whole channels of about ``READ_CHUNK_WEIGHTS`` weights,
@@ -45,7 +49,7 @@ import numpy as np
 
 from .dtype import (SCALE_Q_RANGE, DataType, DataTypeSpec, GroupingConfig,
                     check_range, code_range, spec_for, sv_range)
-from .errors import FormatError, OutOfRange
+from .errors import FormatError, OutOfRange, ShapeMismatch
 from .quant import (CHUNK_WEIGHTS, QuantizedTensor, channel_chunks,
                     dequantize_tensor)
 
@@ -68,14 +72,19 @@ def _fold_steps(bits: int) -> tuple:
     """``(lo, hi, shift)`` of each step of ``_pack_codes``' fold of
     ``bits``-bit codes: step ``s`` joins pairs of ``8 << s``-bit lanes that
     each hold ``bits << s`` bits.  A step that would shift by 0 is left out,
-    so 8-bit codes need none."""
+    so 8-bit codes need none.  ``hi`` is None for a step whose joined pair
+    fits its doubled lane (``lane >= 2 * width``, every step of 3- and
+    4-bit codes); its ``lo`` then keeps the joined pair's ``2 * width``
+    bits."""
     steps = []
     for s in range(3):
         width, lane = bits << s, 8 << s
         if width == lane:
             continue
-        lo = sum(((1 << width) - 1) << 2 * lane * i for i in range(4 >> s))
-        steps.append((np.uint64(lo), np.uint64(lo << lane),
+        fits = lane >= 2 * width
+        lo = sum(((1 << (2 * width if fits else width)) - 1) << 2 * lane * i
+                 for i in range(4 >> s))
+        steps.append((np.uint64(lo), None if fits else np.uint64(lo << lane),
                       np.uint64(lane - width)))
     return tuple(steps)
 
@@ -93,32 +102,54 @@ def _run_bytes(n: int, bits: int) -> np.ndarray:
 def _pack_codes(codes, spec: DataTypeSpec) -> np.ndarray:
     """Bit-pack codes along the last axis: ``bits_per_code`` bits each,
     LSB first, INT codes in two's complement, each row padded to a byte.
+    FP codes must lie in ``0..2**bits_per_code - 1``, as ``pack`` checks.
 
     Each run of 8 codes, one byte each and zero-padded to whole runs, is
     one little-endian uint64 whose byte ``i`` holds code ``i``.  A SWAR fold
     then closes the gaps between them in place, in three steps of
-    ``_fold_steps``: ``t = w & hi; t >>= shift; w &= lo; w |= t`` joins
-    byte pairs, then 16-bit pairs, then 32-bit pairs.  Each step moves the
-    upper lane of a pair down against the lower one, so code ``i`` ends at
-    bit ``bits * i``: LSB-first order needs no step of its own.  The first
-    step's masks keep only each code's low ``bits`` bits, which cuts INT
-    codes to ``bits``-bit two's complement.  ``_run_bytes`` then gathers
-    each run's first ``bits`` bytes.  It is cached per (codes per row,
-    ``bits``), so the cache holds one small index for each group size and
-    code width a process packs.
+    ``_fold_steps`` that join byte pairs, then 16-bit pairs, then 32-bit
+    pairs.  Each step moves the upper lane of a pair down against the lower
+    one, so code ``i`` ends at bit ``bits * i``: LSB-first order needs no
+    step of its own.  A step takes one of two forms:
+
+    * ``t = w >> shift; w |= t; w &= lo`` where the joined pair fits its
+      doubled lane.  It needs the bits between codes to be zero: the shift
+      moves each lower lane wholly below its own pair, and the mask clears
+      it and the upper lane's old place.  FP codes are zero there; INT codes
+      (a negative one sets its byte's high bits) get one mask pass to their
+      low ``bits`` bits first.
+    * ``t = w & hi; t >>= shift; w &= lo; w |= t`` otherwise (6-bit codes),
+      which needs no zero gap: its first step's masks keep only each
+      code's low ``bits`` bits, which cuts INT codes to ``bits``-bit two's
+      complement, and leave the gaps zero.
+
+    ``_run_bytes`` then gathers each run's first ``bits`` bytes.  It is
+    cached per (codes per row, ``bits``), so the cache holds one small
+    index for each group size and code width a process packs.
     """
     bits = spec.bits_per_code
     codes = np.asarray(codes)
     *lead, n = codes.shape
-    stored = np.zeros((*lead, -(-n // 8) * 8), np.uint8)
-    stored[..., :n] = codes
+    if n % 8:
+        stored = np.zeros((*lead, -(-n // 8) * 8), np.uint8)
+        stored[..., :n] = codes
+    else:  # whole runs: one copy
+        stored = codes.astype(np.uint8, order="C")
     word = stored.view("<u8")
     t = np.empty_like(word)
-    for lo, hi, shift in _fold_steps(bits):
-        np.bitwise_and(word, hi, out=t)
-        t >>= shift
-        word &= lo
-        word |= t
+    steps = _fold_steps(bits)
+    if steps and steps[0][1] is None and not spec.is_fp:
+        word &= np.uint64(0x0101010101010101 * ((1 << bits) - 1))
+    for lo, hi, shift in steps:
+        if hi is None:
+            np.right_shift(word, shift, out=t)
+            word |= t
+            word &= lo
+        else:
+            np.bitwise_and(word, hi, out=t)
+            t >>= shift
+            word &= lo
+            word |= t
     return stored.take(_run_bytes(n, bits), axis=-1)
 
 
@@ -197,7 +228,10 @@ def pack(qt: QuantizedTensor, grouping: GroupingConfig,
     A field the file cannot hold exactly, or that ``unpack`` would reject,
     raises :class:`OutOfRange` before any byte is written: a channel scale
     that is not a finite float32, a ``scale_q`` outside 0..255, an
-    ``sv_index`` or a code outside the dtype's range.  An asymmetric
+    ``sv_index`` or a code outside the dtype's range.  A field whose shape
+    is not the one ``codes`` gives it (``codes.shape[:2]`` for ``sv_index``
+    and ``scale_q``, ``codes.shape[:1]`` for ``channel_scale``) raises
+    :class:`ShapeMismatch`, and so is never broadcast.  An asymmetric
     dtype raises :class:`UnsupportedDtype`, from
     :func:`bitmod.dtype.code_range`.
     """
@@ -206,6 +240,12 @@ def pack(qt: QuantizedTensor, grouping: GroupingConfig,
     spec = qt.dtype
     lo, hi = code_range(spec)
     k, n_groups, g = qt.codes.shape
+    for field, want in (("sv_index", (k, n_groups)),
+                        ("scale_q", (k, n_groups)), ("channel_scale", (k,))):
+        shape = np.shape(getattr(qt, field))
+        if shape != want:
+            raise ShapeMismatch(f"{field} has shape {shape}, but codes of "
+                                f"shape {qt.codes.shape} need {want}")
     if (grouping.group_size, channel_size) != (g, qt.valid_size):
         raise ValueError(f"group size {grouping.group_size} and channel size "
                          f"{channel_size} do not match the tensor's "

@@ -47,7 +47,7 @@ from . import _kernels
 from .bitserial import term_table
 from .dtype import (SCALE_Q_BITS, SCALE_Q_RANGE, DataTypeSpec, check_range,
                     code_range)
-from .errors import ShapeMismatch
+from .errors import OutOfRange, ShapeMismatch
 from .quant import QuantizedGroup
 
 DOT_WIDTH = 4
@@ -198,9 +198,13 @@ def drain_accumulate(partials, channel_scale: float) -> np.float32:
     Each of a group's at most G trees is below ``2^25`` (four FP16 lanes of
     at most 65504 * 2^7), so a channel of D weights sums to below about
     ``D * 2^33``.  The exact sum is thus a normal, finite float64 before it
-    is rounded, and :func:`math.fsum` rounds it once, half to even.
+    is rounded, and :func:`math.fsum` rounds it once, half to even.  A
+    channel scale that is not finite raises :class:`OutOfRange`, as
+    :func:`bitmod.packfile.pack` does.
     """
     if not partials:
         raise ValueError("at least one partial sum required")
+    if not math.isfinite(channel_scale):
+        raise OutOfRange(f"channel_scale {channel_scale} is not finite")
     return np.float32(math.fsum(math.ldexp(m, e) for m, e in partials)
                       * channel_scale)

@@ -31,6 +31,7 @@ The nearest-grid tie-break picks the grid value with smaller magnitude
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cache
@@ -41,7 +42,7 @@ import numpy as np
 
 from .dtype import (SCALE_Q_BITS, DataTypeSpec, GroupingConfig, check_range,
                     code_range, sv_range)
-from .errors import ShapeMismatch
+from .errors import OutOfRange, ShapeMismatch
 
 
 def round_half_away(x):
@@ -424,8 +425,8 @@ def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
     index ``sv_index * n_grid + code - lo`` in the flattened
     ``grid_table`` straight into one float64 output, then scaled there in
     place.  ``lo..hi`` is :func:`code_range`, or ``0..n_grid - 1`` for an
-    asymmetric type; a code off it, or an ``sv_index`` off
-    :func:`sv_range`, raises :class:`OutOfRange`
+    asymmetric type; a code off it, an ``sv_index`` off :func:`sv_range`,
+    or a channel scale that is not finite raises :class:`OutOfRange`
     (:class:`InvalidSpecialValueIndex` for ``sv_index``).
     """
     spec = qt.dtype
@@ -438,11 +439,15 @@ def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
     # A flat index would read the next grid's values for an off-grid code.
     check_range("sv_index", sv_index, *sv_range(spec), spec)
     check_range("code", codes, lo, hi, spec)
+    channel_scale = qt.channel_scale.reshape(-1, 1)
+    if not np.isfinite(channel_scale).all():
+        c = int(np.argmax(~np.isfinite(channel_scale)))
+        raise OutOfRange(f"channel_scale {channel_scale[c, 0]} at channel "
+                         f"{c} is not finite")
     # Each group's column of code 0 in the flattened table: a code's
     # column in its grid is code - lo.
     zero_column = sv_index * n_grid + (-lo)
     scale_q = qt.scale_q.reshape(-1, n_groups)
-    channel_scale = qt.channel_scale.reshape(-1, 1)
     table = spec.grid_table.reshape(-1)
     values = np.empty(codes.shape)
     for chunk in channel_chunks(len(codes), n_groups * g):
@@ -460,6 +465,9 @@ def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
 
 
 def error_report(original, dequantized) -> ErrorReport:
+    """The error of ``dequantized`` against ``original``, of one shape.
+    Either holding NaN or Inf raises ``ValueError``, as the quantizers do;
+    the inputs are scanned only when the maximum error is not finite."""
     w = np.asarray(original)
     w_hat = np.asarray(dequantized)
     if w.shape != w_hat.shape:
@@ -467,8 +475,14 @@ def error_report(original, dequantized) -> ErrorReport:
     if not w.size:
         return ErrorReport(mse=0.0, normalized_error=0.0, max_abs_error=0.0)
     # One float64 buffer beside the inputs, reused for every term.
-    err = np.subtract(w, w_hat, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf, refused below
+        err = np.subtract(w, w_hat, dtype=np.float64)
     max_abs_error = float(np.abs(err, out=err).max())
+    # A NaN or Inf input makes its error NaN or Inf; so does a difference
+    # beyond the float64 range, which the scans tell apart.
+    if not math.isfinite(max_abs_error):
+        check_finite(w)
+        check_finite(w_hat)
     mse = float(np.mean(np.square(err, out=err)))
     denom = float(np.mean(np.square(w, out=err, dtype=np.float64)))
     return ErrorReport(

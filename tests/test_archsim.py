@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 import warnings
@@ -142,6 +143,17 @@ def test_simulate_layer_k_padding_and_repeat():
     # cycles each, for K = 102 as for K = 104.
     for k in (102, 104):
         assert one_gemm(LayerShape(m=4, k=k, n=8)).compute_cycles == 26 * 4
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda w: simulate_workload(w, spec_for("FP3_BITMOD"), G128),
+    baseline_fp16_sim], ids=["bitserial", "fp16"])
+def test_negative_repeat_raises_config_error(simulate):
+    # Used to give compute_cycles -192 on the bit-serial array.
+    w = WorkloadSpec("w", (LayerShape(0, 128, 8, -3),), 4, 0)
+    with pytest.raises(ConfigError, match=re.escape(
+            "negative repeat in LayerShape(m=4, k=128, n=8, repeat=-3)")):
+        simulate(w)
 
 
 @pytest.mark.parametrize("simulate", [

@@ -12,7 +12,8 @@ from conftest import PACKABLE, one_gemm
 from bitmod import packfile, synth
 from bitmod.archsim import LayerShape
 from bitmod.dtype import GroupingConfig, code_range, spec_for
-from bitmod.errors import FormatError, OutOfRange, UnsupportedDtype
+from bitmod.errors import (FormatError, OutOfRange, ShapeMismatch,
+                           UnsupportedDtype)
 from bitmod.quant import dequantize_tensor, quantize_tensor
 from unpack_error_cases import DTYPES, FILE_SETS, WIDTH, base_file
 
@@ -317,22 +318,27 @@ def test_pack_of_strided_channels_leaves_the_tensor_alone(name, g):
     assert np.array_equal(qt.codes, before)
 
 
-def test_pack_memory_beyond_output():
+@pytest.mark.parametrize("name", ["FP3_BITMOD", "FP4_BITMOD", "INT4_SYM",
+                                  "INT6_SYM"])
+def test_pack_memory_beyond_output(name):
     # ``pack`` returns the one bytearray it fills, so beyond the output it
     # holds only one chunk's buffers: 41 793-43 639 bytes here for 3-bit
-    # codes, and the bound leaves about 30% above that.  A second copy of
-    # the 102 676-byte file, as ``bytes(out)`` made, would fail it, and so
-    # would buffers for the whole tensor, over 256 KB.
+    # codes, 43 969-46 643 for 4-bit ones (FP, and INT with its mask pass)
+    # and 48 353-51 251 for 6-bit ones, whose fold takes four-pass steps;
+    # the bound leaves 12-37% above that.  A second copy of the file, as
+    # ``bytes(out)`` made, would fail it, and so would buffers for the
+    # whole tensor, over 256 KB.
     w = np.random.default_rng(23).standard_normal((64, 4096))
     grouping = GroupingConfig(group_size=128)
-    qt = quantize_tensor(w, spec_for("FP3_BITMOD"), grouping)
+    qt = quantize_tensor(w, spec_for(name), grouping)
     tracemalloc.start()
     try:
         data = packfile.pack(qt, grouping, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(data) == 102_676
+    assert len(data) == {"FP3_BITMOD": 102_676, "FP4_BITMOD": 135_444,
+                         "INT4_SYM": 135_444, "INT6_SYM": 200_980}[name]
     assert peak - len(data) < 56 << 10
 
 
@@ -589,6 +595,20 @@ def test_pack_refuses_fields_the_file_cannot_hold(name, field, at, value,
     with pytest.raises(OutOfRange, match=match):
         packfile.pack(_edited(qt, field, at, value, dtype),
                       GroupingConfig(group_size=128), 256)
+
+
+@pytest.mark.parametrize("field,cut", [
+    ("sv_index", np.s_[:, :1]), ("scale_q", np.s_[:1]),
+    ("channel_scale", np.s_[:1]),
+])
+def test_pack_refuses_a_field_of_another_shape(field, cut):
+    # Each field was broadcast against the others: an sv_index of shape
+    # (4, 1) made a 436-byte file.
+    _, qt, _ = roundtrip_tensor(np.random.default_rng(59), "FP3_BITMOD",
+                                (4, 256), 128)
+    edited = dataclasses.replace(qt, **{field: getattr(qt, field)[cut]})
+    with pytest.raises(ShapeMismatch, match=f"^{field} has shape "):
+        packfile.pack(edited, GroupingConfig(group_size=128), 256)
 
 
 def test_pack_reads_int_codes_of_any_integer_dtype():

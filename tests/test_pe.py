@@ -488,6 +488,17 @@ def test_drain_accumulate():
         drain_accumulate([], 1.0)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"),
+                                   np.float32("-inf")],
+                         ids=["nan", "inf", "float32-minus-inf"])
+def test_drain_accumulate_refuses_a_channel_scale_that_is_not_finite(scale):
+    # Used to return float32 inf or NaN; pack refuses such a scale too.
+    from bitmod.pe import GroupPartialSum
+    with pytest.raises(OutOfRange, match=re.escape(
+            f"channel_scale {scale} is not finite")):
+        drain_accumulate([GroupPartialSum(1, 0)], scale)
+
+
 def _bigint_drain(partials, channel_scale):
     """The reference drain: shift each partial's integer mantissa to the
     smallest exponent, sum the Python ints exactly, and round once."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import nearest_grid_index, per_grid_best_grid
-from bitmod import synth
+from bitmod import quant, synth
 from bitmod.dtype import DataType, GroupingConfig, effective_grid, spec_for
 from bitmod.errors import InvalidSpecialValueIndex, OutOfRange, ShapeMismatch
 from bitmod.quant import (
@@ -585,6 +585,23 @@ def test_dequantize_tensor_refuses_off_grid_fields(field, value, at, message):
         dequantize_tensor(qt[at[0]])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_dequantize_tensor_refuses_a_channel_scale_that_is_not_finite(value):
+    # Used to return the channel's weights as NaN or Inf; pack refuses the
+    # same tensor.
+    w = np.random.default_rng(22).standard_normal((3, 256))
+    qt = quantize_tensor(w, spec_for("FP3_BITMOD"), GroupingConfig(128))
+    qt.channel_scale[1] = value
+    with pytest.raises(OutOfRange, match=re.escape(
+            f"channel_scale {value} at channel 1 is not finite")):
+        dequantize_tensor(qt)
+    with pytest.raises(OutOfRange, match=re.escape(
+            f"channel_scale {value} at channel 0 is not finite")):
+        dequantize_tensor(qt[1])
+    dequantize_tensor(qt[::2])
+
+
 def test_dequantize_tensor_memory_beyond_output():
     # Beyond its output, the chunked gather holds one chunk's uint8 index
     # and the intp copy ``take`` makes of it, 9 bytes a weight, and one
@@ -619,6 +636,31 @@ def test_error_report():
     assert error_report(np.zeros(0), np.zeros(0)) == ErrorReport(0.0, 0.0, 0.0)
     with pytest.raises(ShapeMismatch):
         error_report([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("original,dequantized", [
+    ([1.0, float("nan")], [1.0, 1.0]), ([1.0, 1.0], [float("inf"), 1.0]),
+    ([float("inf"), 1.0], [float("inf"), 1.0]),
+    ([1.0, float("-inf")], [1.0, float("nan")]),
+])
+def test_error_report_refuses_nan_or_inf(original, dequantized):
+    # [1, nan] against [1, 1] used to give mse NaN but normalized_error 0.
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        error_report(np.array(original), np.array(dequantized))
+
+
+def test_error_report_scans_inputs_only_for_a_result_not_finite(monkeypatch):
+    scans = []
+    monkeypatch.setattr(quant, "check_finite", scans.append)
+    error_report([1.0, -1.0], [1.0, -0.5])
+    assert scans == []
+    # Finite inputs whose difference is beyond float64 are scanned, one
+    # scan each, and pass; their error is reported as it is computed.
+    with np.errstate(over="ignore"):
+        error_report([1e308], [-1e308])
+        assert len(scans) == 2
+        monkeypatch.undo()
+        assert error_report([1e308], [-1e308]).max_abs_error == float("inf")
 
 
 def test_memory_footprint_bits():
