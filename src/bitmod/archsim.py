@@ -44,6 +44,9 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
+from typing import NamedTuple
+
+import numpy as np
 
 from .dtype import DataTypeSpec, GroupingConfig
 from .errors import ConfigError, ParseError
@@ -108,42 +111,67 @@ _FIELD_TYPES = tuple((f.name, {"int": (int,), "float": (int, float)}[f.type])
 _MAY_BE_ZERO = ("e_pe_cycle", "e_sram_byte", "e_dram_byte")
 
 
-@dataclass(frozen=True)
-class LayerShape:
-    """One GEMM: (M x K) activations times (K x N) weights, repeated."""
+class LayerShape(NamedTuple):
+    """One row of a workload's GEMM table: (M x K) activations times
+    (K x N) weights, repeated ``repeat`` times; M is set by each phase."""
 
-    m: int
     k: int
     n: int
     repeat: int = 1
 
 
+def _count(value, low: int, field: str, where) -> int:
+    """``value`` as a Python int, or :class:`ConfigError` naming ``field``
+    in ``where`` unless it is an int or a numpy integer (a bool or a float
+    is refused) of at least ``low``."""
+    if type(value) is not int and isinstance(value, np.integer):
+        value = int(value)
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{where}: {field} must be an integer >= {low}, "
+                          f"got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
+    """A model's GEMM table, ``layers``, run for a prefill pass of
+    ``prefill_tokens`` tokens and then ``decode_tokens`` one-token decode
+    steps."""
+
     name: str
-    layers: tuple[LayerShape, ...]  # layer M is a placeholder; phases set it
+    layers: tuple[LayerShape, ...]
     prefill_tokens: int = 256
     decode_tokens: int = 0
 
     @cached_property
     def _gemms(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """``(m, k, n, repeat, times)`` for each run of adjacent layers with
-        equal ``(k, n, repeat)`` (Q, K, V and O when ``kv_heads = heads``)
-        in each phase that has work: the prefill pass (``m`` is
-        ``prefill_tokens``, one step) and the decode steps (``m`` is 1).
-        ``times``, the run's length times the phase's steps, is how often
-        the run's GEMM is added.
+        """``(m, k, n, repeat, times)`` for each run of adjacent equal
+        layers (Q, K, V and O when ``kv_heads = heads``) in each phase that
+        has work: the prefill pass (``m`` is ``prefill_tokens``, one step)
+        and the decode steps (``m`` is 1).  ``times``, the run's length
+        times the phase's steps, is how often the run's GEMM is added.
 
-        A layer's ``m`` is a placeholder and is not part of the key.  Built
-        on first use and kept outside the fields, so equality, hashing and
-        ``repr`` ignore it, and ``dataclasses.replace`` builds it afresh.
+        The one owner of a workload's numbers: each layer's ``k`` and ``n``
+        must be at least 1, its ``repeat`` and both token counts at least
+        0, each an int or a numpy integer (taken as an int), or
+        :class:`ConfigError` names the field and its layer or workload.
+        Layers are checked before they are compared, so no unchecked value
+        reaches an ``==``.  A run of ``repeat`` 0 is left out, as is a
+        phase of no tokens.  Built on first use and kept outside the
+        fields, so equality, hashing and ``repr`` ignore it, and
+        ``dataclasses.replace`` builds it afresh.
         """
-        runs = [(*key, len(list(group))) for key, group in
-                groupby(self.layers, key=lambda l: (l.k, l.n, l.repeat))]
+        where = f"workload {self.name!r}"
+        prefill = _count(self.prefill_tokens, 0, "prefill_tokens", where)
+        decode = _count(self.decode_tokens, 0, "decode_tokens", where)
+        rows = [tuple(map(_count, layer, (1, 1, 0), LayerShape._fields,
+                          (layer,) * 3)) for layer in self.layers]
+        runs = [(*row, len(list(group))) for row, group in groupby(rows)]
         # Every decode step re-fetches all weights (no cross-token reuse).
-        phases = ((self.prefill_tokens, 1), (1, self.decode_tokens))
-        return tuple((m, k, n, repeat, steps * length) for m, steps in phases
-                     if m > 0 and steps > 0 for k, n, repeat, length in runs)
+        return tuple((m, k, n, repeat, steps * length)
+                     for m, steps in ((prefill, 1), (1, decode))
+                     if m > 0 and steps > 0
+                     for k, n, repeat, length in runs if repeat)
 
 
 @dataclass
@@ -304,13 +332,20 @@ def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
     times, on the bit-serial array for ``spec`` and ``grouping``, or on the
     FP16 baseline when ``spec`` is None.
 
+    ``gemms`` is a workload's table, :attr:`WorkloadSpec._gemms`, whose
+    numbers are already checked, so the loop holds only the cost model.
+    The group size is checked before the loop, even for a table with no
+    rows; a GEMM whose byte or energy figures overflow raises
+    :class:`ConfigError` naming its row and M, and totals that overflow
+    name the workload.
+
     Output-stationary: each wave of output tiles walks all of K, padded to
     whole groups by the array's grouping (:meth:`GroupingConfig.n_groups`);
     the FP16 baseline's grouping is one ``DOT_WIDTH``-wide dot.  Adding a
     GEMM's figures ``times`` times is the same float additions in the same
     order as adding them once per layer of a run and per step of a phase.
-    A stalling ``spec`` warns once, after the first GEMM that passes its
-    checks and has work.
+    A stalling ``spec`` warns once, after the first GEMM that passes the
+    overflow check.
 
     Weights cost the array's bits per weight each, for the bit-serial array
     :func:`bitmod.quant.memory_footprint_bits`: ``bits_per_code`` bits a
@@ -336,19 +371,11 @@ def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
     per_cycle = cfg.dram_bytes_per_cycle
     compute = dram = total = 0
     floats = _NO_FIGURES
+    if grouping.group_size % DOT_WIDTH:
+        raise ConfigError(f"group size {grouping.group_size} not "
+                          f"divisible by dot width {DOT_WIDTH}")
     unchecked = spec is not None
     for m, k, n, repeat, times in gemms:
-        if m <= 0 or k <= 0 or n <= 0:
-            raise ConfigError("non-positive GEMM dimension in "
-                              f"{LayerShape(m, k, n, repeat)}")
-        if grouping.group_size % DOT_WIDTH:
-            raise ConfigError(f"group size {grouping.group_size} not "
-                              f"divisible by dot width {DOT_WIDTH}")
-        if repeat <= 0:
-            if repeat:
-                raise ConfigError(f"negative repeat in "
-                                  f"{LayerShape(m, k, n, repeat)}")
-            continue
         c = (-(-m // wave_m) * -(-n // wave_n) * grouping.n_groups(k)
              * per_group)
         try:
@@ -361,8 +388,9 @@ def _simulate(name: str, gemms, cfg: ArchConfig, spec: DataTypeSpec = None,
                 weight_bytes, act_bytes, c * n_pes * cfg.e_pe_cycle,
                 moved * cfg.e_sram_byte, moved * cfg.e_dram_byte), repeat)
         except OverflowError:  # an int beyond the float range, or an inf
-            raise ConfigError(f"{LayerShape(m, k, n, repeat)}: byte or energy"
-                              " figures overflow the float range") from None
+            raise ConfigError(f"{LayerShape(k, n, repeat)} at M {m}: byte or"
+                              " energy figures overflow the float range"
+                              ) from None
         if unchecked:
             check_no_stall(spec, grouping)
             unchecked = False
@@ -461,8 +489,8 @@ def profile_shapes(text: str) -> WorkloadSpec:
     dims = [(hidden, hidden), (hidden, kv_dim), (hidden, kv_dim),
             (hidden, hidden), *[(hidden, ffn)] * (ffn_gemms - 1),
             (ffn, hidden)]
-    layers = [LayerShape(m=0, k=k, n=n, repeat=blocks) for k, n in dims]
+    layers = [LayerShape(k, n, blocks) for k, n in dims]
     if "vocab" in v:
-        layers.append(LayerShape(m=0, k=hidden, n=v["vocab"]))  # LM head
+        layers.append(LayerShape(hidden, v["vocab"]))  # LM head
     return WorkloadSpec(name=v["name"], layers=tuple(layers))
 

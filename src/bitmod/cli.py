@@ -18,8 +18,9 @@ import os
 import sys
 import tokenize
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -62,8 +63,7 @@ def _emit_rows(rows: list[dict], columns: list[str], args) -> None:
         buf.write(f"# config: {json.dumps(cfg, sort_keys=True, default=str)}\n")
         writer = csv.DictWriter(buf, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         payload = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -278,19 +278,11 @@ def _load_workload(path: str, args) -> archsim.WorkloadSpec:
 
 
 def _sim_row(workload, spec_name, bits, rep) -> dict:
-    return {
-        "workload": workload, "dtype": spec_name,
-        "bits_per_weight": float(bits),
-        "compute_cycles": rep.compute_cycles,
-        "dram_cycles": rep.dram_cycles,
-        "total_cycles": rep.total_cycles,
-        "weight_bytes": rep.weight_bytes,
-        "activation_bytes": rep.activation_bytes,
-        "energy_compute_J": rep.energy.compute_j,
-        "energy_sram_J": rep.energy.sram_j,
-        "energy_dram_J": rep.energy.dram_j,
-        "speedup_vs_baseline": rep.speedup_vs_baseline,
-    }
+    row = asdict(rep)
+    # SimReport's energy.compute_j is the column energy_compute_J.
+    row.update((f"energy_{k[:-2]}_J", v) for k, v in row.pop("energy").items())
+    return dict(row, workload=workload, dtype=spec_name,
+                bits_per_weight=float(bits))
 
 
 def cmd_simulate(args) -> int:
@@ -361,12 +353,8 @@ def _int_at_least(value: str, lo: int, hi: int | None = None) -> int:
     return n
 
 
-def _positive_int(value: str) -> int:
-    return _int_at_least(value, 1)
-
-
-def _nonnegative_int(value: str) -> int:
-    return _int_at_least(value, 0)
+_positive_int = partial(_int_at_least, lo=1)
+_nonnegative_int = partial(_int_at_least, lo=0)
 
 
 # The simulator's float columns (bytes, energies) equal sequential float
@@ -376,8 +364,7 @@ def _nonnegative_int(value: str) -> int:
 MAX_TOKENS = 1 << 40
 
 
-def _token_count(value: str) -> int:
-    return _int_at_least(value, 0, MAX_TOKENS)
+_token_count = partial(_int_at_least, lo=0, hi=MAX_TOKENS)
 
 
 def _shape_pair(value: str):

@@ -200,11 +200,16 @@ def drain_accumulate(partials, channel_scale: float) -> np.float32:
     ``D * 2^33``.  The exact sum is thus a normal, finite float64 before it
     is rounded, and :func:`math.fsum` rounds it once, half to even.  A
     channel scale that is not finite raises :class:`OutOfRange`, as
-    :func:`bitmod.packfile.pack` does.
+    :func:`bitmod.packfile.pack` does, and so does a scaled sum that
+    rounds beyond float32, as in :func:`bitmod.packfile.unpack_to_tensor`.
     """
     if not partials:
         raise ValueError("at least one partial sum required")
     if not math.isfinite(channel_scale):
         raise OutOfRange(f"channel_scale {channel_scale} is not finite")
-    return np.float32(math.fsum(math.ldexp(m, e) for m, e in partials)
-                      * channel_scale)
+    y = math.fsum(math.ldexp(m, e) for m, e in partials) * channel_scale
+    # float32 rounds the midpoint of its largest finite value and 2**128,
+    # and everything above it, to infinity.
+    if abs(y) >= 2.0 ** 128 - 2.0 ** 103:
+        raise OutOfRange(f"drained sum {y} is beyond the float32 range")
+    return np.float32(y)

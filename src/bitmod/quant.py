@@ -98,7 +98,10 @@ class QuantizedTensor:
     ``sv_index``, ``scale_q`` and ``zero_point`` ``(..., n_groups)``.
     ``codes`` are ``dtype.code_dtype`` (int8 for symmetric INT, else
     uint8), ``sv_index`` and ``scale_q`` uint8, ``channel_scale`` float64
-    and ``zero_point`` int64.
+    and ``zero_point`` int64.  ``valid_size`` must leave the last of the
+    ``n_groups`` groups of G holding at least one weight,
+    ``(n_groups - 1) * G < valid_size <= n_groups * G``, or
+    :class:`ShapeMismatch` is raised.
     """
 
     codes: np.ndarray
@@ -110,6 +113,12 @@ class QuantizedTensor:
     zero_point: np.ndarray | None = None
 
     __eq__ = _fields_equal
+
+    def __post_init__(self):
+        *_, n_groups, g = self.codes.shape
+        if not (n_groups - 1) * g < self.valid_size <= n_groups * g:
+            raise ShapeMismatch(f"valid_size {self.valid_size} does not fit "
+                                f"codes of shape {self.codes.shape}")
 
     def __len__(self) -> int:
         if self.channel_scale.ndim:

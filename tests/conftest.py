@@ -1,4 +1,3 @@
-from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -15,12 +14,13 @@ PE_DTYPES = PACKABLE = tuple(str(name) for name, spec in SPECS.items()
                              if not spec.asymmetric)
 
 
-def one_gemm(layer, spec=None, grouping=None, cfg=ArchConfig()):
-    """The report of one GEMM, ``layer``, on the bit-serial array for
-    ``spec`` and ``grouping``, or on the FP16 baseline when ``spec`` is
-    None: a workload of ``layer`` alone, prefilled with ``layer.m`` tokens.
-    A workload skips a phase of no tokens, so ``m = 0`` costs nothing."""
-    w = WorkloadSpec(str(layer), (replace(layer, m=0),), layer.m, 0)
+def one_gemm(m, layer, spec=None, grouping=None, cfg=ArchConfig()):
+    """The report of one GEMM, ``layer`` at M = ``m``, on the bit-serial
+    array for ``spec`` and ``grouping``, or on the FP16 baseline when
+    ``spec`` is None: a workload of ``layer`` alone, prefilled with ``m``
+    tokens.  A workload skips a phase of no tokens, so ``m = 0`` costs
+    nothing."""
+    w = WorkloadSpec(f"{layer} at M {m}", (layer,), m, 0)
     if spec is None:
         return baseline_fp16_sim(w, cfg)
     return simulate_workload(w, spec, grouping, cfg)

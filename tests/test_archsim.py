@@ -60,11 +60,11 @@ def test_compute_energy_counts_each_arrays_own_pes():
     # The bit-serial array has 4x4 tiles of 8x8 PEs, the FP16 baseline 4x4
     # tiles of 6x8; each pays e_pe_cycle per PE per compute cycle.
     cfg = ArchConfig()
-    layer = LayerShape(m=64, k=1024, n=512)
-    rep = one_gemm(layer, spec_for("FP3_BITMOD"), G128, cfg)
+    layer = LayerShape(k=1024, n=512)
+    rep = one_gemm(64, layer, spec_for("FP3_BITMOD"), G128, cfg)
     assert rep.energy.compute_j == (rep.compute_cycles * (4 * 4 * 8 * 8)
                                     * cfg.e_pe_cycle)
-    base = one_gemm(layer, cfg=cfg)
+    base = one_gemm(64, layer, cfg=cfg)
     assert base.energy.compute_j == (base.compute_cycles * (4 * 4 * 6 * 8)
                                      * cfg.e_pe_cycle)
 
@@ -114,8 +114,8 @@ def test_check_no_stall_warns_when_violated():
 def test_simulate_layer_closed_form_cycles():
     cfg = ArchConfig()
     spec = spec_for("INT6_SYM")
-    layer = LayerShape(m=256, k=4096, n=4096)
-    rep = one_gemm(layer, spec, G128, cfg)
+    layer = LayerShape(k=4096, n=4096)
+    rep = one_gemm(256, layer, spec, G128, cfg)
     waves_m = math.ceil(256 / (4 * 8))
     waves_n = math.ceil(4096 / (4 * 8))
     groups = 4096 // 128
@@ -128,21 +128,21 @@ def test_simulate_layer_closed_form_cycles():
 
 def test_simulate_layer_k_padding_and_repeat():
     spec = spec_for("FP3_BITMOD")
-    one = one_gemm(LayerShape(m=4, k=100, n=8), spec, G128)
+    one = one_gemm(4, LayerShape(k=100, n=8), spec, G128)
     # K pads to one full group of 128.
     assert one.compute_cycles == 1 * 1 * 1 * 64
-    three = one_gemm(LayerShape(m=4, k=100, n=8, repeat=3), spec, G128)
+    three = one_gemm(4, LayerShape(k=100, n=8, repeat=3), spec, G128)
     assert three.compute_cycles == 3 * one.compute_cycles
-    assert one_gemm(LayerShape(m=4, k=100, n=8, repeat=0), spec,
+    assert one_gemm(4, LayerShape(k=100, n=8, repeat=0), spec,
                     G128).total_cycles == 0
     # A workload skips a phase of no tokens, so m = 0 costs nothing; a
     # zero K or N is refused.
     with pytest.raises(ConfigError):
-        one_gemm(LayerShape(m=4, k=0, n=8), spec, G128)
+        one_gemm(4, LayerShape(k=0, n=8), spec, G128)
     # The FP16 baseline pads K to whole DOT_WIDTH-wide dots: 26 dots of 4
     # cycles each, for K = 102 as for K = 104.
     for k in (102, 104):
-        assert one_gemm(LayerShape(m=4, k=k, n=8)).compute_cycles == 26 * 4
+        assert one_gemm(4, LayerShape(k=k, n=8)).compute_cycles == 26 * 4
 
 
 @pytest.mark.parametrize("simulate", [
@@ -150,27 +150,168 @@ def test_simulate_layer_k_padding_and_repeat():
     baseline_fp16_sim], ids=["bitserial", "fp16"])
 def test_negative_repeat_raises_config_error(simulate):
     # Used to give compute_cycles -192 on the bit-serial array.
-    w = WorkloadSpec("w", (LayerShape(0, 128, 8, -3),), 4, 0)
+    w = WorkloadSpec("w", (LayerShape(128, 8, -3),), 4, 0)
     with pytest.raises(ConfigError, match=re.escape(
-            "negative repeat in LayerShape(m=4, k=128, n=8, repeat=-3)")):
+            "LayerShape(k=128, n=8, repeat=-3): repeat must be an integer "
+            ">= 0, got -3")):
         simulate(w)
 
 
+# ROADMAP item 4's probe rows.  Each used to return a report: 64.0
+# compute cycles, a float, for K = 128.0 or 4.5 prefill tokens; K = 1 for
+# True; an all-zero report for -4 prefill tokens.
+@pytest.mark.parametrize("layer, tokens, message", [
+    (LayerShape(128.0, 8), (4, 0), "LayerShape(k=128.0, n=8, repeat=1): k "
+     "must be an integer >= 1, got 128.0"),
+    (LayerShape(True, 8), (4, 0), "LayerShape(k=True, n=8, repeat=1): k "
+     "must be an integer >= 1, got True"),
+    (LayerShape(128, np.float64(8)), (4, 0), "LayerShape(k=128, "
+     "n=np.float64(8.0), repeat=1): n must be an integer >= 1, got "
+     "np.float64(8.0)"),
+    (LayerShape(128, 0), (4, 0), "LayerShape(k=128, n=0, repeat=1): n must "
+     "be an integer >= 1, got 0"),
+    (LayerShape(128, 8, np.int8(-3)), (4, 0), "LayerShape(k=128, n=8, "
+     "repeat=np.int8(-3)): repeat must be an integer >= 0, got -3"),
+    (LayerShape(128, 8), (-4, 0), "workload 'w': prefill_tokens must be an "
+     "integer >= 0, got -4"),
+    (LayerShape(128, 8), (4.5, 0), "workload 'w': prefill_tokens must be an "
+     "integer >= 0, got 4.5"),
+    (LayerShape(128, 8), (4, np.True_), "workload 'w': decode_tokens must be "
+     "an integer >= 0, got np.True_"),
+], ids=["float-k", "bool-k", "numpy-float-n", "zero-n",
+        "numpy-negative-repeat", "negative-prefill", "float-prefill",
+        "numpy-bool-decode"])
 @pytest.mark.parametrize("simulate", [
-    lambda layer: one_gemm(layer, spec_for("FP3_BITMOD"), G128),
+    lambda w: simulate_workload(w, spec_for("FP3_BITMOD"), G128),
+    baseline_fp16_sim], ids=["bitserial", "fp16"])
+def test_workload_refuses_a_number_that_is_not_a_count(simulate, layer,
+                                                        tokens, message):
+    w = WorkloadSpec("w", (layer,), *tokens)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        simulate(w)
+
+
+def test_numpy_integer_counts_equal_python_int_ones():
+    # decode_tokens=np.int64(2**62), or np.int32 dims, used to raise numpy's
+    # overflow RuntimeWarning (an error under this suite's filterwarnings;
+    # a silent wrap for a library caller).
+    w = WorkloadSpec("w", (LayerShape(np.int32(2**20), np.int32(2**20),
+                                      np.uint8(3)),),
+                     np.int16(4), np.int64(2**62))
+    want = WorkloadSpec("w", (LayerShape(2**20, 2**20, 3),), 4, 2**62)
+    assert w._gemms == want._gemms
+    assert all(type(v) is int for row in w._gemms for v in row)
+    spec = spec_for("FP3_BITMOD")
+    assert (dataclasses.asdict(simulate_workload(w, spec, G128))
+            == dataclasses.asdict(simulate_workload(want, spec, G128)))
+    assert (dataclasses.asdict(baseline_fp16_sim(w))
+            == dataclasses.asdict(baseline_fp16_sim(want)))
+
+
+def test_gemm_table_leaves_out_runs_of_repeat_0():
+    # M comes from the phases only: a row is (K, N, repeat).
+    assert LayerShape._fields == ("k", "n", "repeat")
+    a, idle = LayerShape(128, 8), LayerShape(64, 8, 0)
+    w = WorkloadSpec("w", (a, idle, a), 4, 2)
+    assert w._gemms == ((4, 128, 8, 1, 1), (4, 128, 8, 1, 1),
+                        (1, 128, 8, 1, 2), (1, 128, 8, 1, 2))
+    assert WorkloadSpec("w", (idle,), 4, 2)._gemms == ()
+
+
+def test_group_size_is_checked_after_the_table_and_before_any_gemm():
+    spec, g6 = spec_for("FP3_BITMOD"), GroupingConfig(group_size=6)
+    # A workload with no work still has its group size checked.
+    for w in (WorkloadSpec("w", (LayerShape(128, 8, 0),), 4, 0),
+              WorkloadSpec("w", (LayerShape(128, 8),), 0, 0)):
+        with pytest.raises(ConfigError, match="^group size 6 not divisible"):
+            simulate_workload(w, spec, g6)
+    # A workload's own fault comes first.
+    w = WorkloadSpec("w", (LayerShape(0, 8),), 4, 0)
+    with pytest.raises(ConfigError, match=r"^LayerShape\(k=0, n=8, "):
+        simulate_workload(w, spec, g6)
+
+
+def _ceil_div(a, b):
+    return (a + b - 1) // b
+
+
+_NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64,
+               np.uint8, np.uint16, np.uint32, np.uint64)
+# Python and numpy integers of at least 1, up to huge ones whose byte and
+# energy figures still fit a float.
+_COUNTS = st.one_of(
+    st.integers(1, 300), st.integers(1, 2**100),
+    *(st.integers(1, int(np.iinfo(t).max)).map(t) for t in _NUMPY_INTS))
+# 0, negatives, bools and floats.
+_NOT_COUNTS = st.one_of(
+    st.integers(-2**100, 0),
+    *(st.integers(int(np.iinfo(t).min), 0).map(t) for t in _NUMPY_INTS[:4]),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.floats(), st.integers(0, 300).map(float),
+    st.floats().map(np.float64))
+# Mostly counts, so that about a third of the workloads are valid.
+_NUMBERS = st.tuples(st.integers(0, 9), _COUNTS, _NOT_COUNTS).map(
+    lambda draw: draw[1] if draw[0] else draw[2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_NUMBERS, _NUMBERS, _NUMBERS), min_size=1,
+                     max_size=3),
+       prefill=_NUMBERS, decode=_NUMBERS)
+# A numpy bool compared with a huge int raises OverflowError, so layers are
+# checked before a run compares them; a bool equal to 1 is refused too.
+@example(rows=[(1, 1, 1), (2**63, 1, 1), (np.False_, 1, 1)], prefill=1,
+         decode=1)
+@example(rows=[(1, 8, 1), (True, 8, 1)], prefill=4, decode=0)
+def test_workload_numbers_end_in_config_error_or_exact_cycles(rows, prefill,
+                                                               decode):
+    w = WorkloadSpec("w", tuple(LayerShape(*row) for row in rows), prefill,
+                     decode)
+    # The tokens are checked first, then each layer in order.
+    checks = [("workload 'w'", "prefill_tokens", prefill, 0),
+              ("workload 'w'", "decode_tokens", decode, 0)]
+    checks += [(repr(layer), field, value, low) for layer in w.layers
+               for field, value, low in zip(LayerShape._fields, layer,
+                                            (1, 1, 0))]
+    bad = [(where, field, value, low) for where, field, value, low in checks
+           if not ((type(value) is int or isinstance(value, np.integer))
+                   and value >= low)]
+    for simulate, rows_per_wave, cols_per_wave, dot, cycles in (
+            (lambda w: simulate_workload(w, spec_for("FP3_BITMOD"), G128),
+             32, 32, 128, 64),
+            (baseline_fp16_sim, 24, 32, 4, 4)):
+        if bad:
+            where, field, value, low = bad[0]
+            shown = int(value) if isinstance(value, np.integer) else value
+            with pytest.raises(ConfigError) as info:
+                simulate(w)
+            assert str(info.value) == (f"{where}: {field} must be an integer"
+                                       f" >= {low}, got {shown!r}")
+            continue
+        p, d = int(prefill), int(decode)
+        want = sum(int(r) * _ceil_div(int(k), dot) * cycles
+                   * _ceil_div(int(n), cols_per_wave)
+                   * (_ceil_div(p, rows_per_wave) + d)
+                   for k, n, r in w.layers)
+        got = simulate(w).compute_cycles
+        assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda m, layer: one_gemm(m, layer, spec_for("FP3_BITMOD"), G128),
     one_gemm], ids=["bitserial", "fp16"])
 def test_gemm_figures_beyond_float_range_raise_config_error(simulate):
     # Used to end in an OverflowError from the int-to-float conversions.
-    layer = LayerShape(1, 10**160, 10**160)
+    layer = LayerShape(10**160, 10**160)
     with pytest.raises(ConfigError, match="overflow") as info:
-        simulate(layer)
+        simulate(1, layer)
     assert str(layer) in str(info.value)
 
 
 @pytest.mark.parametrize("big", (2**53 + 1, 3 * 2**53 + 1))
 @pytest.mark.parametrize("axis", ("m", "n"))
 @pytest.mark.parametrize(("simulate", "tile_rows", "tile_cols", "per_wave"), [
-    (lambda layer: one_gemm(layer, spec_for("FP3_BITMOD"), G128),
+    (lambda m, layer: one_gemm(m, layer, spec_for("FP3_BITMOD"), G128),
      4 * 8, 4 * 8, 64),
     (one_gemm, 4 * 6, 4 * 8, 128)], ids=["bitserial", "fp16"])
 def test_compute_cycles_exact_past_2_53(simulate, tile_rows, tile_cols,
@@ -182,7 +323,7 @@ def test_compute_cycles_exact_past_2_53(simulate, tile_rows, tile_cols,
     dims = {"m": 1, "n": 1, axis: big}
     waves = ((dims["m"] + tile_rows - 1) // tile_rows
              * ((dims["n"] + tile_cols - 1) // tile_cols))
-    rep = simulate(LayerShape(dims["m"], 128, dims["n"]))
+    rep = simulate(dims["m"], LayerShape(128, dims["n"]))
     assert rep.compute_cycles == waves * per_wave
 
 
@@ -210,16 +351,16 @@ def test_workload_totals_beyond_float_range_raise_config_error(simulate):
 def test_simulate_layer_rejects_group_not_multiple_of_dot_width(g):
     # G=2 used to give FP3 zero compute cycles; G=6 rounded down.
     with pytest.raises(ConfigError):
-        one_gemm(LayerShape(m=4, k=128, n=8), spec_for("FP3_BITMOD"),
+        one_gemm(4, LayerShape(k=128, n=8), spec_for("FP3_BITMOD"),
                  GroupingConfig(group_size=g))
 
 
 def test_baseline_uses_its_own_smaller_tile():
     # The default 6x8 baseline tile against an 8x8 one: the smaller tile
     # needs more row waves, and the bytes moved stay the same.
-    tall = LayerShape(m=256, k=128, n=128)
-    small = one_gemm(tall)
-    big = one_gemm(tall, cfg=ArchConfig(baseline_pe_rows=8,
+    tall = LayerShape(k=128, n=128)
+    small = one_gemm(256, tall)
+    big = one_gemm(256, tall, cfg=ArchConfig(baseline_pe_rows=8,
                                         baseline_pe_cols=8))
     assert small.compute_cycles > big.compute_cycles
     assert small.weight_bytes == big.weight_bytes == 128 * 128 * 2
@@ -229,11 +370,11 @@ def test_compute_bound_speedup_ratios_exact():
     # With DRAM made effectively free, speedups equal the PE-count-weighted
     # throughput ratios: (8x8/6x8) * 4/terms.
     cfg = ArchConfig(dram_bandwidth_bytes_per_s=1e18)
-    layer = LayerShape(m=384, k=4096, n=4096)
-    base = one_gemm(layer, cfg=cfg)
+    layer = LayerShape(k=4096, n=4096)
+    base = one_gemm(384, layer, cfg=cfg)
     for name, terms in (("FP3_BITMOD", 2), ("FP4_BITMOD", 2),
                         ("INT6_SYM", 3), ("INT8_SYM", 4)):
-        rep = one_gemm(layer, spec_for(name), G128, cfg)
+        rep = one_gemm(384, layer, spec_for(name), G128, cfg)
         with_speedup(rep, base)
         expect = (64 / 48) * (4 / terms)
         assert rep.speedup_vs_baseline == pytest.approx(expect, rel=1e-12)
@@ -242,7 +383,7 @@ def test_compute_bound_speedup_ratios_exact():
 def test_memory_bound_speedup_tracks_footprint():
     # With compute made effectively free, speedup approaches the byte ratio.
     cfg = ArchConfig(dram_bandwidth_bytes_per_s=1.0)
-    w = WorkloadSpec("t", (LayerShape(m=0, k=4096, n=4096),),
+    w = WorkloadSpec("t", (LayerShape(k=4096, n=4096),),
                      prefill_tokens=1, decode_tokens=0)
     spec = spec_for("FP3_BITMOD")
     rep = simulate_workload(w, spec, G128, cfg)
@@ -256,7 +397,7 @@ def test_memory_bound_speedup_tracks_footprint():
 
 
 def test_workload_phases_decode_refetches_weights():
-    layers = (LayerShape(m=0, k=512, n=512),)
+    layers = (LayerShape(k=512, n=512),)
     spec = spec_for("INT6_SYM")
     prefill_only = simulate_workload(
         WorkloadSpec("p", layers, prefill_tokens=256, decode_tokens=0),
@@ -264,15 +405,15 @@ def test_workload_phases_decode_refetches_weights():
     generative = simulate_workload(
         WorkloadSpec("g", layers, prefill_tokens=256, decode_tokens=64),
         spec, G128)
-    per_fetch = one_gemm(LayerShape(256, 512, 512), spec, G128).weight_bytes
+    per_fetch = one_gemm(256, LayerShape(512, 512), spec, G128).weight_bytes
     assert prefill_only.weight_bytes == per_fetch
     assert generative.weight_bytes == per_fetch * 65
 
 
 def test_energy_accumulates_and_scales_with_bytes():
     spec = spec_for("INT8_SYM")
-    small = one_gemm(LayerShape(m=8, k=256, n=256), spec, G128)
-    big = one_gemm(LayerShape(m=8, k=256, n=512), spec, G128)
+    small = one_gemm(8, LayerShape(k=256, n=256), spec, G128)
+    big = one_gemm(8, LayerShape(k=256, n=512), spec, G128)
     assert big.energy.dram_j > small.energy.dram_j
 
 
@@ -349,9 +490,9 @@ def test_profile_shapes_gemm_list():
     assert w.name == "toy"
     # Q, K, V, O, FFN up, FFN down (ffn_gemms defaults to 2).
     assert len(w.layers) == 6
-    assert w.layers[0] == LayerShape(m=0, k=64, n=64, repeat=1)
-    assert w.layers[4] == LayerShape(m=0, k=64, n=256, repeat=1)
-    assert w.layers[5] == LayerShape(m=0, k=256, n=64, repeat=1)
+    assert w.layers[0] == LayerShape(k=64, n=64, repeat=1)
+    assert w.layers[4] == LayerShape(k=64, n=256, repeat=1)
+    assert w.layers[5] == LayerShape(k=256, n=64, repeat=1)
 
 
 def test_profile_shapes_gqa_and_gated_ffn_and_vocab():
@@ -361,7 +502,7 @@ def test_profile_shapes_gqa_and_gated_ffn_and_vocab():
     # K/V GEMMs shrink with grouped-query attention.
     assert w.layers[1].n == 64 * 2 // 8
     assert sum(1 for l in w.layers if l.n == 128) == 2  # up + gate
-    assert w.layers[-1] == LayerShape(m=0, k=64, n=1000, repeat=1)
+    assert w.layers[-1] == LayerShape(k=64, n=1000, repeat=1)
     assert all(l.repeat == 3 for l in w.layers[:-1])
 
 
@@ -544,8 +685,7 @@ def _oracle_workload(w, spec=None):
     out = SimReport()
     for m, mult in phases:
         for layer in w.layers:
-            rep = one_gemm(dataclasses.replace(layer, m=m, repeat=1), spec,
-                           G128)
+            rep = one_gemm(m, layer._replace(repeat=1), spec, G128)
             per_layer = SimReport()
             for _ in range(layer.repeat):
                 _add_once(per_layer, rep)
@@ -567,8 +707,8 @@ def _hex_fields(rep):
 
 GQA = ("name = gqa\nhidden = 256\nffn = 688\nheads = 32\nkv_heads = 8\n"
        "blocks = 4\nffn_gemms = 3\nvocab = 1000\n")
-A = LayerShape(m=0, k=256, n=512, repeat=3)
-B = LayerShape(m=0, k=512, n=256, repeat=3)
+A = LayerShape(k=256, n=512, repeat=3)
+B = LayerShape(k=512, n=256, repeat=3)
 
 
 @pytest.mark.parametrize("decode", (0, 1, 256))
@@ -578,15 +718,13 @@ B = LayerShape(m=0, k=512, n=256, repeat=3)
     (profile_shapes(GQA), 6),
     # Equal layers that are not adjacent are simulated apart.
     (WorkloadSpec("aba", (A, B, A)), 3),
-    # Layers that differ only in their placeholder m form one run.
-    (WorkloadSpec("m", (A, dataclasses.replace(A, m=77))), 1),
     # Layers that differ only in their repeat do not.
-    (WorkloadSpec("r", (A, dataclasses.replace(A, repeat=5))), 2),
+    (WorkloadSpec("r", (A, A._replace(repeat=5))), 2),
     # Each GEMM's own repeat totals on both sides of the plain-loop cutoff;
     # the run of repeat 0 has no work and is not costed.
-    (WorkloadSpec("repeats", tuple(dataclasses.replace(A, repeat=r)
+    (WorkloadSpec("repeats", tuple(A._replace(repeat=r)
                                    for r in (0, 1, 64, 65))), 3),
-], ids=["gqa", "aba", "m-placeholder", "repeat-differs", "repeats"])
+], ids=["gqa", "aba", "repeat-differs", "repeats"])
 def test_runs_of_equal_gemms_equal_sequential_sums(w, calls_per_phase,
                                                    decode, monkeypatch):
     w = dataclasses.replace(w, decode_tokens=decode)
@@ -746,13 +884,13 @@ def _stalls_and_overflows(w):
     """A stalling spec on ``w`` with its GEMM widened past the float range:
     the GEMM's overflow error comes before the stall warning.  A GEMM of
     repeat 0 has no figures, so it neither raises nor warns."""
-    layer = dataclasses.replace(w.layers[0], n=10 ** 400)
+    layer = w.layers[0]._replace(n=10 ** 400)
     w = dataclasses.replace(w, layers=(layer,))
     if not layer.repeat:
         return simulate_workload(w, spec_for("FP3_BITMOD"),
                                  GroupingConfig(group_size=8))
-    with pytest.raises(ConfigError, match=r"^LayerShape\(m=4, k=128, n=1000"
-                       r"\d*, repeat=2\): byte or energy figures overflow"):
+    with pytest.raises(ConfigError, match=r"^LayerShape\(k=128, n=1000\d*, "
+                       r"repeat=2\) at M 4: byte or energy figures overflow"):
         simulate_workload(w, spec_for("FP3_BITMOD"),
                           GroupingConfig(group_size=8))
 
@@ -766,7 +904,7 @@ def _stalls_and_overflows(w):
 ], ids=["stalls", "no-stall", "fp16", "stalls-overflow"])
 @pytest.mark.parametrize("repeat", (0, 2))
 def test_stall_warning_only_after_a_simulated_gemm(simulate, warns, repeat):
-    w = WorkloadSpec("w", (LayerShape(0, 128, 8, repeat),), 4, 1)
+    w = WorkloadSpec("w", (LayerShape(128, 8, repeat),), 4, 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         simulate(w)

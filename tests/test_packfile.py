@@ -64,7 +64,7 @@ def test_file_size_is_header_plus_channel_records(name, g, n_groups):
     d = 256
     grouping = GroupingConfig(group_size=g)
     _, _, data = roundtrip_tensor(np.random.default_rng(57), name, (k, d), g)
-    charged = one_gemm(LayerShape(1, d, k), spec, grouping).weight_bytes
+    charged = one_gemm(1, LayerShape(d, k), spec, grouping).weight_bytes
     metadata = k * (d // g) * (16 - 8 - spec.sv_bits) / 8
     assert len(data) == charged + metadata + k * 4 + 20
 

@@ -499,6 +499,29 @@ def test_drain_accumulate_refuses_a_channel_scale_that_is_not_finite(scale):
         drain_accumulate([GroupPartialSum(1, 0)], scale)
 
 
+@pytest.mark.parametrize("partial, scale", [
+    ((1, 0), 1e39), ((-1, 0), 1e39), ((1, 100), 2.0 ** 28),
+    ((2 ** 25 - 1, 103), 1.0)], ids=["1e39", "minus-1e39", "2**128",
+                                     "midpoint"])
+def test_drain_accumulate_refuses_a_sum_beyond_float32(partial, scale):
+    # Used to return float32 inf with an "overflow encountered in cast"
+    # RuntimeWarning; unpack_to_tensor refuses such a weight too.  The
+    # midpoint of float32's largest value and 2**128 rounds to inf.
+    from bitmod.pe import GroupPartialSum
+    with pytest.raises(OutOfRange, match="beyond the float32 range"):
+        drain_accumulate([GroupPartialSum(*partial)], scale)
+
+
+def test_drain_accumulate_keeps_the_largest_float32():
+    # Just below the midpoint, the sum rounds to float32's largest value.
+    from bitmod.pe import GroupPartialSum
+    top = np.finfo(np.float32).max
+    assert drain_accumulate([GroupPartialSum(int(top), 0)], 1.0) == top
+    below = GroupPartialSum(2 ** 49 - 2 ** 24 - 1, 79)  # midpoint - 2**79
+    assert drain_accumulate([below], 1.0) == top
+    assert drain_accumulate([below], -1.0) == -top
+
+
 def _bigint_drain(partials, channel_scale):
     """The reference drain: shift each partial's integer mantissa to the
     smallest exponent, sum the Python ints exactly, and round once."""

@@ -602,6 +602,27 @@ def test_dequantize_tensor_refuses_a_channel_scale_that_is_not_finite(value):
     dequantize_tensor(qt[::2])
 
 
+@pytest.mark.parametrize("valid_size", [1000, 257, 128, 0, -5])
+def test_quantized_tensor_refuses_a_valid_size_its_groups_do_not_hold(
+        valid_size):
+    # Two groups of 128 hold 129..256 weights a channel.  valid_size 1000
+    # used to make pack write 436 bytes that unpack refused ("sv_index 175
+    # out of range", byte offset 125) and dequantize_tensor give shape
+    # (4, 256); valid_size -5 gave (4, 251).
+    w = np.random.default_rng(23).standard_normal((4, 256))
+    qt = quantize_tensor(w, spec_for("FP3_BITMOD"), GroupingConfig(128))
+    message = (f"valid_size {valid_size} does not fit codes of shape "
+               "(4, 2, 128)")
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(qt, valid_size=valid_size)
+    for fits in (129, 256):
+        assert dataclasses.replace(qt, valid_size=fits)[0].valid_size == fits
+    # One channel, qt[i], runs the same check.
+    qt.valid_size = valid_size
+    with pytest.raises(ShapeMismatch, match=re.escape("shape (2, 128)")):
+        qt[0]
+
+
 def test_dequantize_tensor_memory_beyond_output():
     # Beyond its output, the chunked gather holds one chunk's uint8 index
     # and the intp copy ``take`` makes of it, 9 bytes a weight, and one
